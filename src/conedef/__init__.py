@@ -6,124 +6,49 @@ All arithmetic is exact (integers and fractions); every rank that enters a
 dimension count is computed by elimination, never assumed maximal.
 """
 
-from .atiyah import CocycleReport, atiyah_cocycle_check
 from .cones import (
+    CATALOG,
     BlownUpPlane,
     GradedAssembly,
     GradedTable,
     InternalConsistencyError,
     OutOfScopeError,
-    PolarizationFlags,
     ProductPolarization,
     RationalNormalCurve,
     RigidityVerdict,
     SegreQuadric,
     Variety,
     VeroneseSpace,
-    WeightZeroReport,
-    corollary_flags,
     pinkham_assembly,
     rigidity_verdict,
     t1_table,
-    t1_weight,
     t2_table,
-    t2_weight,
-    weight_zero_criterion,
 )
 from .delpezzo import Certificate, CertStep, StepStatus, Verdict, delpezzo_certificate
-from .linalg import RationalMatrix, cokernel_dim, hstack, kernel_dim, rank, row_reduce, vstack
-from .p1 import CechClass, basis, euler_restricted_h0, euler_restricted_h1, h_dim, mult_matrix
-from .polynomials import Polynomial, RationalFunction
-from .presentation import (
-    GradedJacobian,
-    NormalRoute,
-    Presentation,
-    build_presentation,
-    graded_jacobian_map,
-    jacobian_matrix,
-    normal_bundle_h0,
-    normal_form,
-    s_basis,
-    t1_via_normal,
-)
-from .projective import (
-    SurfaceDivisor,
-    h0_bidegree,
-    h1_bidegree,
-    h1_tangent_pn_twist,
-    h2_bidegree,
-    h2_tangent_p2_twist,
-    hq_pn_line,
-    hq_pn_omega1,
-    intersection,
-    restrict_to_exceptional,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CocycleReport",
-    "atiyah_cocycle_check",
+    "CATALOG",
     "BlownUpPlane",
     "GradedAssembly",
     "GradedTable",
     "InternalConsistencyError",
     "OutOfScopeError",
-    "PolarizationFlags",
     "ProductPolarization",
     "RationalNormalCurve",
     "RigidityVerdict",
     "SegreQuadric",
     "Variety",
     "VeroneseSpace",
-    "WeightZeroReport",
-    "corollary_flags",
     "pinkham_assembly",
     "rigidity_verdict",
     "t1_table",
-    "t1_weight",
     "t2_table",
-    "t2_weight",
-    "weight_zero_criterion",
     "Certificate",
     "CertStep",
     "StepStatus",
     "Verdict",
     "delpezzo_certificate",
-    "RationalMatrix",
-    "cokernel_dim",
-    "hstack",
-    "kernel_dim",
-    "rank",
-    "row_reduce",
-    "vstack",
-    "CechClass",
-    "basis",
-    "euler_restricted_h0",
-    "euler_restricted_h1",
-    "h_dim",
-    "mult_matrix",
-    "Polynomial",
-    "RationalFunction",
-    "GradedJacobian",
-    "NormalRoute",
-    "Presentation",
-    "build_presentation",
-    "graded_jacobian_map",
-    "jacobian_matrix",
-    "normal_bundle_h0",
-    "normal_form",
-    "s_basis",
-    "t1_via_normal",
-    "SurfaceDivisor",
-    "h0_bidegree",
-    "h1_bidegree",
-    "h1_tangent_pn_twist",
-    "h2_bidegree",
-    "h2_tangent_p2_twist",
-    "hq_pn_line",
-    "hq_pn_omega1",
-    "intersection",
-    "restrict_to_exceptional",
     "__version__",
 ]

@@ -9,7 +9,9 @@ package under ``conedef/schemas/envelope.schema.json``.
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
 window, curve degree below 2), 3 for well-formed requests the engine
 refuses to answer with bare numbers (certificate-only geometries,
-second-order counts outside the curve/surface catalog).
+second-order counts outside the curve/surface catalog), 4 when two routes
+to the same number disagreed at run time (an internal error, reported as a
+one-line ``internal error: ...`` on stderr instead of a number).
 """
 
 from __future__ import annotations
@@ -18,22 +20,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import cones, p1
 from .atiyah import atiyah_cocycle_check
-from .cones import (
-    BlownUpPlane,
-    OutOfScopeError,
-    ProductPolarization,
-    RationalNormalCurve,
-    SegreQuadric,
-    Variety,
-    VeroneseSpace,
-)
+from .cones import InternalConsistencyError, OutOfScopeError, Variety
 from .presentation import jacobian_matrix, t1_via_normal
 
 SCHEMA_VERSION = "1"
+
+# One usage form per catalog entry, e.g. "veronese:<n>:<d>".
+_DESCRIPTORS = [
+    ":".join([name, *(f"<{f.name}>" for f in fields(cls))]) for name, cls in cones.CATALOG.items()
+]
 
 
 class UsageError(Exception):
@@ -41,23 +41,16 @@ class UsageError(Exception):
 
 
 def parse_variety(descriptor: str) -> Variety:
-    parts = descriptor.split(":")
-    try:
-        if parts[0] == "rnc" and len(parts) == 2:
-            return RationalNormalCurve(int(parts[1]))
-        if parts[0] == "veronese" and len(parts) == 3:
-            return VeroneseSpace(int(parts[1]), int(parts[2]))
-        if parts[0] == "segre" and len(parts) == 2:
-            return SegreQuadric(int(parts[1]))
-        if parts[0] == "product" and len(parts) == 3:
-            return ProductPolarization(int(parts[1]), int(parts[2]))
-        if parts[0] == "delpezzo" and len(parts) == 2:
-            return BlownUpPlane(int(parts[1]))
-    except ValueError as exc:
-        raise UsageError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
+    name, *values = descriptor.split(":")
+    cls = cones.CATALOG.get(name)
+    if cls is not None and len(values) == len(fields(cls)):
+        try:
+            return cls(*[int(x) for x in values])
+        except ValueError as exc:
+            raise UsageError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
     raise UsageError(
         f"unknown variety descriptor {descriptor!r} "
-        "(expected rnc:<d>, veronese:<n>:<d>, segre:<d>, product:<a>:<b> or delpezzo:<r>)"
+        f"(expected {', '.join(_DESCRIPTORS[:-1])} or {_DESCRIPTORS[-1]})"
     )
 
 
@@ -94,25 +87,6 @@ def _emit(env: dict) -> None:
     sys.stdout.write(json.dumps(env, indent=2) + "\n")
 
 
-def _weight_rule(v: Variety, order: int) -> str:
-    if isinstance(v, RationalNormalCurve):
-        return (
-            "closed form on the line: weight m contributes h^1(O(2 + d*m)), cross-checked "
-            "against max(0, -3 - d*m) and the monomial count"
-            if order == 1
-            else "curve: no second cohomology"
-        )
-    if isinstance(v, VeroneseSpace):
-        if v.n == 1:
-            return "line model: the tangent sheaf is O(2)"
-        if v.n == 2:
-            return "Euler-sequence chase on the plane with a computed connecting rank"
-        return "both flanking groups of the Euler chase vanish for n >= 3"
-    if isinstance(v, (SegreQuadric, ProductPolarization)):
-        return "Kunneth on the split tangent sheaf of the product of two lines"
-    return "certificate-only"
-
-
 def cmd_t1(args: argparse.Namespace) -> int:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
@@ -137,7 +111,7 @@ def cmd_t1(args: argparse.Namespace) -> int:
         trace = [
             f"order {args.order}: weight-m piece is level-{args.order} tangent cohomology "
             "twisted by the m-th polarization power",
-            f"rule: {_weight_rule(variety, args.order)}",
+            f"rule: {variety.rule(args.order)}",
         ]
         for m in range(lo, hi + 1):
             trace.append(f"weight {m}: dimension {table.entries[m]}")
@@ -164,7 +138,7 @@ def cmd_rigidity(args: argparse.Namespace) -> int:
         result["certificate"] = verdict.certificate.to_dict()
     trace = None
     if _trace_enabled(args):
-        trace = [f"rule: {_weight_rule(variety, 1)}"]
+        trace = [f"rule: {variety.rule(1)}"]
     _emit(_envelope("rigidity", {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, trace))
     return 0
 
@@ -245,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_t1 = sub.add_parser("t1", help="graded first/second order deformation table")
-    p_t1.add_argument("variety", help="rnc:<d> | veronese:<n>:<d> | segre:<d> | product:<a>:<b> | delpezzo:<r>")
+    p_t1.add_argument("variety", help=" | ".join(_DESCRIPTORS))
     p_t1.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default -6..3)")
     p_t1.add_argument("--order", type=int, choices=(1, 2), default=1)
     p_t1.add_argument("--format", choices=("json", "csv"), default="json")
@@ -307,10 +281,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OutOfScopeError as exc:
         sys.stderr.write(f"out of scope: {exc}\n")
         return 3
-    except ValueError as exc:
-        # catalog validation errors (bad degrees etc.) are usage errors too
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except InternalConsistencyError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -96,9 +96,6 @@ class Certificate:
             out[s.status.value] += 1
         return out
 
-    def steps_with_status(self, status: StepStatus) -> list[CertStep]:
-        return [s for s in self.steps if s.status is status]
-
     def to_dict(self) -> dict:
         return {
             "claim": self.claim,
@@ -115,10 +112,6 @@ def _checked(term: str, claimed, computed, rule: str, anchor: str) -> CertStep:
 
 def _asserted(term: str, anchor: str, rule: str = "structural step, not machine-checked") -> CertStep:
     return CertStep(term, None, None, rule, anchor, StepStatus.ASSERTED)
-
-
-def _h1_line(k: int) -> int:
-    return p1.h_dim(1, k)
 
 
 def _prelude_steps(r: int) -> list[CertStep]:
@@ -162,7 +155,7 @@ def _lemma_positive_block(r: int, m: int) -> list[CertStep]:
         _checked(
             term=f"[m={m}] first cohomology of the line bundle of degree 1 - m",
             claimed=0,
-            computed=_h1_line(1 - m),
+            computed=p1.h_dim(1, 1 - m),
             rule="line cohomology closed form",
             anchor="for all m >= 0 the degree-(1-m) line bundle has no first cohomology",
         ),
@@ -215,7 +208,7 @@ def _lemma_negative_block_small_r(r: int, m: int) -> list[CertStep]:
         _checked(
             term=f"[m={m}] first cohomology of the line bundle of degree {m}",
             claimed=0,
-            computed=_h1_line(m),
+            computed=p1.h_dim(1, m),
             rule="line cohomology closed form",
             anchor="both cohomology groups of the exceptional term vanish",
         ),
@@ -254,7 +247,7 @@ def _lemma_negative_block_large_r(r: int, m: int) -> list[CertStep]:
         _checked(
             term=f"[m={m}] first cohomology of the line bundle of degree {m - 2}",
             claimed=0,
-            computed=_h1_line(m - 2),
+            computed=p1.h_dim(1, m - 2),
             rule="line cohomology closed form",
             anchor="degree at most -4, hence no contribution",
         ),

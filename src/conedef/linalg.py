@@ -26,7 +26,7 @@ def _frac(x: Scalar) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    raise TypeError(f"exact scalars must be int or Fraction, got {type(x).__name__}")
 
 
 @dataclass

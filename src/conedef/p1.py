@@ -1,9 +1,8 @@
 """Two-chart Cech model for line bundles on the projective line.
 
-Everything is written against the standard affine cover by the two
-coordinate charts.  A cohomology class in degree k is a Laurent polynomial
-in the chart variables, recorded here by its exponent pair (a, b) with
-a + b = k:
+This is the n = 1 case of the monomial model in :mod:`conedef.projective`.
+A cohomology class in degree k is a Laurent polynomial in the chart
+variables, recorded here by its exponent pair (a, b) with a + b = k:
 
 * level 0 (global sections): a >= 0 and b >= 0, so h0 = max(0, k + 1);
 * level 1: a <= -1 and b <= -1, so h1 = max(0, -k - 1).
@@ -22,73 +21,27 @@ Bases are ordered by descending first exponent, so e.g. basis(0, 2) is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Union
-
 from .linalg import RationalMatrix, vstack
 from .polynomials import Polynomial
+from .projective import _pn_basis, _pn_mult_matrix, hq_pn_line
 
-Scalar = Union[int, Fraction]
 Monomial = tuple[int, int]
+
+
+def _top(i: int) -> bool:
+    if i not in (0, 1):
+        raise ValueError(f"cohomology level must be 0 or 1, got {i}")
+    return i == 1
 
 
 def h_dim(i: int, k: int) -> int:
     """Dimension of the level-i cohomology of O(k) on the line."""
-    if i == 0:
-        return max(0, k + 1)
-    if i == 1:
-        return max(0, -k - 1)
-    raise ValueError(f"cohomology level must be 0 or 1, got {i}")
+    return hq_pn_line(1, k, i)
 
 
 def basis(i: int, k: int) -> list[Monomial]:
     """Monomial basis of level i in degree k, descending first exponent."""
-    if i == 0:
-        return [(a, k - a) for a in range(k, -1, -1)]
-    if i == 1:
-        # a runs from -1 down to k + 1 (so that b = k - a is also <= -1)
-        return [(a, k - a) for a in range(-1, k, -1)]
-    raise ValueError(f"cohomology level must be 0 or 1, got {i}")
-
-
-def _in_region(i: int, mono: Monomial) -> bool:
-    a, b = mono
-    if i == 0:
-        return a >= 0 and b >= 0
-    return a <= -1 and b <= -1
-
-
-@dataclass
-class CechClass:
-    """A cohomology class: a finite Laurent combination at a fixed degree
-    and level.  Coefficients on monomials outside the level's region are
-    rejected rather than silently truncated."""
-
-    level: int
-    degree: int
-    coeffs: dict[Monomial, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.level not in (0, 1):
-            raise ValueError("level must be 0 or 1")
-        clean: dict[Monomial, Fraction] = {}
-        for mono, c in self.coeffs.items():
-            a, b = mono
-            if a + b != self.degree:
-                raise ValueError(f"monomial {mono} does not have degree {self.degree}")
-            if not _in_region(self.level, mono):
-                raise ValueError(f"monomial {mono} lies outside the level-{self.level} region")
-            c = Fraction(c)
-            if c != 0:
-                clean[mono] = c
-        self.coeffs = clean
-
-    def as_vector(self) -> list[Fraction]:
-        return [self.coeffs.get(m, Fraction(0)) for m in basis(self.level, self.degree)]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    return _pn_basis(1, k, _top(i))
 
 
 def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
@@ -97,27 +50,7 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
 
     At level 1 any product monomial leaving the strictly-negative region is
     truncated to zero."""
-    if p.nvars != 2:
-        raise ValueError("expected a polynomial in the two chart variables")
-    if p.is_zero():
-        raise ValueError("multiplication by the zero polynomial has no degree")
-    if not p.is_homogeneous():
-        raise ValueError("multiplier must be homogeneous")
-    for exps in p.terms:
-        if exps[0] < 0 or exps[1] < 0:
-            raise ValueError("multiplier must be an honest polynomial, not Laurent")
-    e = p.homogeneous_degree()
-    src = basis(i, k)
-    dst = basis(i, k + e)
-    index = {mono: row for row, mono in enumerate(dst)}
-    out = RationalMatrix.zero(len(dst), len(src))
-    for col, (a, b) in enumerate(src):
-        for (da, db), coeff in p.terms.items():
-            target = (a + da, b + db)
-            if not _in_region(i, target):
-                continue  # truncated away (only possible at level 1)
-            out.data[index[target]][col] += coeff
-    return out
+    return _pn_mult_matrix(p, 1, k, _top(i))
 
 
 def _curve_monomial(d: int, j: int) -> Polynomial:

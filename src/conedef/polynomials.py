@@ -16,18 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-Scalar = Union[int, Fraction]
+from .linalg import Scalar, _frac
+
 Exponents = tuple[int, ...]
-
-
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"coefficients must be int or Fraction, got {type(x).__name__}")
 
 
 def degrevlex_cmp(a: Exponents, b: Exponents) -> int:

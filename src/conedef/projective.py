@@ -2,9 +2,11 @@
 projective spaces, plus Kunneth bookkeeping for a product of two lines and
 exact divisor arithmetic on blown-up planes.
 
-Line bundle dimensions come from the two monomial regions (all exponents
-nonnegative for level 0, all at most -1 for the top level); everything in
-between vanishes.  Cotangent and tangent twists are never looked up in a
+This module owns the one monomial model of O(k) on n-space: a level-0
+class is a combination of exponent tuples that are all nonnegative, a
+top-level class one of tuples that are all at most -1, and everything in
+between vanishes.  :mod:`conedef.p1` is the line's API over the same model
+(n = 1).  Cotangent and tangent twists are never looked up in a
 table: they are chased through the standard short exact sequences with the
 connecting ranks computed by exact elimination.  Where an independent route
 exists (Serre duality, Euler characteristics) the tests replay it.
@@ -12,17 +14,20 @@ exists (Serre duality, Euler characteristics) the tests replay it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .linalg import RationalMatrix, hstack, vstack
-from . import p1
 from .polynomials import Polynomial
 
+
+class InternalConsistencyError(Exception):
+    """Two supposedly equivalent routes disagreed; the result is not
+    trustworthy and must not be reported."""
+
+
 # ----------------------------------------------------------------------
-# Line bundles on projective n-space
+# Line bundles on projective n-space: the monomial model
 # ----------------------------------------------------------------------
 
 
@@ -39,84 +44,54 @@ def hq_pn_line(n: int, k: int, q: int) -> int:
     return 0
 
 
-def _region_ok(level_top: bool, exps: tuple[int, ...]) -> bool:
-    if level_top:
-        return all(e <= -1 for e in exps)
-    return all(e >= 0 for e in exps)
-
-
 def _pn_basis(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     """Ordered monomial basis for level 0 (top=False) or level n (top=True)
-    of O(k): exponent tuples summing to k in the appropriate region,
-    descending lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    if not top:
-        if k < 0:
-            return []
-        for head in itertools.product(range(k, -1, -1), repeat=n):
-            tail = k - sum(head)
-            if tail >= 0:
-                out.append(head + (tail,))
-    else:
-        if k > -n - 1:
-            return []
-        # each exponent is between k + n (most negative possible) and -1
-        for head in itertools.product(range(-1, k + n - 1, -1), repeat=n):
-            tail = k - sum(head)
-            if tail <= -1:
-                out.append(head + (tail,))
-    return sorted(out, reverse=True)
+    of O(k): the n+1 exponents sum to k and are all nonnegative (level 0)
+    or all at most -1 (level n), in descending lexicographic order.
+
+    Only qualifying tuples are generated: the leading exponent runs over
+    exactly the values that leave the remaining n exponents a solution."""
+    leading = range(-1, k + n - 1, -1) if top else range(k, -1, -1)
+    if n == 1:
+        return [(e, k - e) for e in leading]
+    return [(e,) + rest for e in leading for rest in _pn_basis(n - 1, k - e, top)]
 
 
-def _pn_mult_matrix(n: int, mono: tuple[int, ...], k: int, top: bool) -> RationalMatrix:
-    """Multiplication by a coordinate monomial on the level-0 or level-n
-    monomial model of O(k); products leaving the region truncate to zero."""
-    if len(mono) != n + 1 or any(e < 0 for e in mono):
-        raise ValueError("multiplier must be a monomial in the n+1 coordinates")
-    e = sum(mono)
+def _pn_mult_matrix(p: Polynomial, n: int, k: int, top: bool) -> RationalMatrix:
+    """Matrix of multiplication by the homogeneous polynomial p from the
+    level-0 (or level-n) monomial model of O(k) to that of O(k + deg p).
+
+    A product monomial outside the target basis has left the region; it is
+    truncated to zero (only possible at level n).  Because the multiplier
+    has nonnegative exponents, a monomial that leaves never returns, so the
+    truncated product is still functorial."""
+    if p.nvars != n + 1:
+        raise ValueError(f"expected a polynomial in the {n + 1} coordinates")
+    if p.is_zero():
+        raise ValueError("multiplication by the zero polynomial has no degree")
+    if not p.is_homogeneous():
+        raise ValueError("multiplier must be homogeneous")
+    if any(e < 0 for exps in p.terms for e in exps):
+        raise ValueError("multiplier must be an honest polynomial, not Laurent")
     src = _pn_basis(n, k, top)
-    dst = _pn_basis(n, k + e, top)
-    index = {m: i for i, m in enumerate(dst)}
+    dst = _pn_basis(n, k + p.homogeneous_degree(), top)
+    index = {mono: row for row, mono in enumerate(dst)}
     out = RationalMatrix.zero(len(dst), len(src))
     for col, exps in enumerate(src):
-        target = tuple(a + b for a, b in zip(exps, mono))
-        if _region_ok(top, target):
-            out.data[index[target]][col] = Fraction(1)
+        for mono, coeff in p.terms.items():
+            row = index.get(tuple(a + b for a, b in zip(exps, mono)))
+            if row is not None:
+                out.data[row][col] += coeff
     return out
+
+
+def _coordinates(n: int) -> list[Polynomial]:
+    return [Polynomial.variable(n + 1, i) for i in range(n + 1)]
 
 
 # ----------------------------------------------------------------------
 # Cotangent twists via the coordinate-differential sequence
 # ----------------------------------------------------------------------
-
-
-def _omega1_p1(k: int, q: int) -> int:
-    # 0 -> Omega^1(k) -> O(k-1)^2 -> O(k) -> 0 on the line.
-    x0 = Polynomial.variable(2, 0)
-    x1 = Polynomial.variable(2, 1)
-    phi0 = hstack([p1.mult_matrix(x0, 0, k - 1), p1.mult_matrix(x1, 0, k - 1)])
-    phi1 = hstack([p1.mult_matrix(x0, 1, k - 1), p1.mult_matrix(x1, 1, k - 1)])
-    r0 = phi0.rank()
-    if q == 0:
-        return 2 * p1.h_dim(0, k - 1) - r0
-    # exactness forces the level-1 map to be onto (nothing above level 1)
-    assert phi1.cokernel_dim() == 0
-    return (p1.h_dim(0, k) - r0) + phi1.kernel_dim()
-
-
-def _omega1_p2(k: int, q: int) -> int:
-    # 0 -> Omega^1(k) -> O(k-1)^3 -> O(k) -> 0 on the plane; the middle
-    # cohomology of every line bundle on the plane vanishes, so each level
-    # of Omega^1(k) is read off one connecting rank.
-    coords = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    phi0 = hstack([_pn_mult_matrix(2, c, k - 1, top=False) for c in coords])
-    if q == 0:
-        return 3 * hq_pn_line(2, k - 1, 0) - phi0.rank()
-    if q == 1:
-        return hq_pn_line(2, k, 0) - phi0.rank()
-    phi2 = hstack([_pn_mult_matrix(2, c, k - 1, top=True) for c in coords])
-    assert phi2.cokernel_dim() == 0  # nothing above the top level
-    return phi2.kernel_dim()
 
 
 def hq_pn_omega1(n: int, k: int, q: int) -> int:
@@ -127,9 +102,24 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
         raise ValueError("cotangent chase implemented for n = 1 and 2 only")
     if not 0 <= q <= n:
         raise ValueError(f"cohomology level {q} out of range for n={n}")
-    if n == 1:
-        return _omega1_p1(k, q)
-    return _omega1_p2(k, q)
+    # 0 -> Omega^1(k) -> O(k-1)^(n+1) -> O(k) -> 0.  Line bundles on the
+    # line and the plane only have cohomology at levels 0 and n, so each
+    # level of Omega^1(k) is read off the level-0 and level-n maps.
+    value = 0
+    if q <= 1:
+        # level 0 is the kernel of the map on sections, and its cokernel
+        # is the part of level 1 that comes from below
+        rank0 = hstack([_pn_mult_matrix(x, n, k - 1, False) for x in _coordinates(n)]).rank()
+        value = (n + 1) * hq_pn_line(n, k - 1, 0) - rank0 if q == 0 else hq_pn_line(n, k, 0) - rank0
+    if q == n:
+        phi = hstack([_pn_mult_matrix(x, n, k - 1, True) for x in _coordinates(n)])
+        if phi.cokernel_dim() != 0:
+            raise InternalConsistencyError(
+                f"cotangent chase n={n}, k={k}: the level-{n} map is not onto, "
+                "but nothing sits above level n"
+            )
+        value += phi.kernel_dim()
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +129,7 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
 
 def _euler_top_map_p2(k: int) -> RationalMatrix:
     """The stacked top-level multiplication H^2(O(k)) -> H^2(O(k+1))^3."""
-    coords = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return vstack([_pn_mult_matrix(2, c, k, top=True) for c in coords])
+    return vstack([_pn_mult_matrix(x, 2, k, True) for x in _coordinates(2)])
 
 
 def h1_tangent_pn_twist(n: int, k: int) -> int:
@@ -152,14 +141,14 @@ def h1_tangent_pn_twist(n: int, k: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
-        return p1.h_dim(1, 2 + k)
+        return hq_pn_line(1, 2 + k, 1)
     if n == 2:
         psi = _euler_top_map_p2(k)
         return psi.kernel_dim()
     # 0 -> O(k) -> O(k+1)^(n+1) -> T(k) -> 0: the h^1 of T(k) sits between
     # middle cohomology groups that vanish for n >= 3.
-    assert hq_pn_line(n, k + 1, 1) == 0
-    assert hq_pn_line(n, k, 2) == 0
+    if hq_pn_line(n, k + 1, 1) != 0 or hq_pn_line(n, k, 2) != 0:
+        raise InternalConsistencyError(f"tangent chase n={n}, k={k}: a flanking middle group is nonzero")
     return 0
 
 
@@ -175,16 +164,16 @@ def h2_tangent_p2_twist(k: int) -> int:
 
 
 def h0_bidegree(a: int, b: int) -> int:
-    return p1.h_dim(0, a) * p1.h_dim(0, b)
+    return hq_pn_line(1, a, 0) * hq_pn_line(1, b, 0)
 
 
 def h1_bidegree(a: int, b: int) -> int:
     """Kunneth: h1(a,b) = h0(a) h1(b) + h1(a) h0(b)."""
-    return p1.h_dim(0, a) * p1.h_dim(1, b) + p1.h_dim(1, a) * p1.h_dim(0, b)
+    return hq_pn_line(1, a, 0) * hq_pn_line(1, b, 1) + hq_pn_line(1, a, 1) * hq_pn_line(1, b, 0)
 
 
 def h2_bidegree(a: int, b: int) -> int:
-    return p1.h_dim(1, a) * p1.h_dim(1, b)
+    return hq_pn_line(1, a, 1) * hq_pn_line(1, b, 1)
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,30 @@ def pn_top_enumerated(n: int, k: int) -> int:
     return total
 
 
+def pn_basis_enumerated(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
+    """The level-0 (top=False) or level-n (top=True) monomial basis of O(k)
+    on n-space by enumerate, filter and sort: every candidate head of n
+    exponents, the tail forced by the degree, kept when it lies in the
+    region, then sorted into descending lexicographic order."""
+    out: list[tuple[int, ...]] = []
+    if not top:
+        if k < 0:
+            return []
+        for head in itertools.product(range(k, -1, -1), repeat=n):
+            tail = k - sum(head)
+            if tail >= 0:
+                out.append(head + (tail,))
+    else:
+        if k > -n - 1:
+            return []
+        # each exponent is between k + n (most negative possible) and -1
+        for head in itertools.product(range(-1, k + n - 1, -1), repeat=n):
+            tail = k - sum(head)
+            if tail <= -1:
+                out.append(head + (tail,))
+    return sorted(out, reverse=True)
+
+
 def extended_binomial(top: int, n: int) -> Fraction:
     """The polynomial binomial coefficient (top choose n) valid for any
     integer top: product form, exact."""

@@ -2,14 +2,11 @@
 restricted-tangent chase.  Expected values are frozen from enumeration
 oracles, never from the closed forms under test."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conedef.linalg import RationalMatrix
 from conedef.p1 import (
-    CechClass,
     basis,
     euler_h1_block,
     euler_restricted_h0,
@@ -55,18 +52,6 @@ def test_bad_level_rejected():
         h_dim(2, 0)
     with pytest.raises(ValueError):
         basis(-1, 0)
-
-
-# ---- classes -----------------------------------------------------------
-
-
-def test_cech_class_validation():
-    c = CechClass(1, -4, {(-2, -2): Fraction(3)})
-    assert c.as_vector() == [0, 3, 0]
-    with pytest.raises(ValueError):
-        CechClass(1, -4, {(0, -4): Fraction(1)})  # outside the region
-    with pytest.raises(ValueError):
-        CechClass(0, 2, {(1, 2): Fraction(1)})  # wrong degree
 
 
 # ---- multiplication ----------------------------------------------------

@@ -24,6 +24,7 @@ from oracles import (
     euler_characteristic_line_bundle,
     line_h0_enumerated,
     line_h1_enumerated,
+    pn_basis_enumerated,
     pn_h0_enumerated,
     pn_top_enumerated,
 )
@@ -74,6 +75,12 @@ def test_basis_enumeration_is_ordered_and_complete():
     t = _pn_basis(2, -4, top=True)
     assert len(t) == hq_pn_line(2, -4, 2) == 3
     assert all(all(e <= -1 for e in mono) for mono in t)
+
+
+@given(n=st.integers(1, 3), k=st.integers(-12, 12), top=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_basis_generator_matches_enumerate_filter_sort(n, k, top):
+    assert _pn_basis(n, k, top) == pn_basis_enumerated(n, k, top)
 
 
 # ---- cotangent twists --------------------------------------------------
