@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from . import cones, p1
 from .atiyah import atiyah_cocycle_check
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
-from .presentation import jacobian_matrix, t1_via_normal
+from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
 
 SCHEMA_VERSION = "1"
 
@@ -169,8 +169,6 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
     }
     trace = None
     if _trace_enabled(args):
-        from .presentation import graded_jacobian_map
-
         graded = graded_jacobian_map(args.d, args.weight)
         trace = [
             f"normal route: h^0(N({args.weight})) = {route.normal_h0}, restricted tangent h^0 = "

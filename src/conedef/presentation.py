@@ -11,11 +11,12 @@ parameters, and the normal-form map substitutes z_i -> x0^(d-i) x1^i.
 Two independent routes to the weight-m deformation count are provided:
 
 * an algebraic one, the graded piece of the Jacobian map from coordinate
-  derivations to the ideal's graded pieces (assembled exactly, with rank
-  and kernel computed by elimination rather than assumed);
+  derivations to the ideal's graded pieces, stacked from the line's
+  multiplication blocks, with rank and kernel computed by elimination;
 * a geometric one through the normal bundle, whose splitting type makes
   the section count a closed form, corrected by the tangent-sequence
-  terms computed by the Cech chase on the line.
+  terms computed by the Cech chase on the line, and checked at run time
+  against the line count whenever that chase is exact.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import p1
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, hstack, vstack
 from .polynomials import Polynomial
+from .projective import InternalConsistencyError
 
 Monomial2 = tuple[int, int]
 
@@ -164,28 +166,20 @@ class GradedJacobian:
 
 
 def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
-    _check_degree(d)
-    pres = build_presentation(d)
-    src_mons = s_basis(d, m + 1)
-    dst_mons = s_basis(d, m + 2)
-    n_src_blocks = d + 1
-    n_dst_blocks = len(pres.generators)
-    matrix = RationalMatrix.zero(n_dst_blocks * len(dst_mons), n_src_blocks * len(src_mons))
-    # image of the i-th partial of each generator, as a binary form
-    partial_forms = [
-        [normal_form(d, g.derivative(i)) for i in range(d + 1)] for g in pres.generators
-    ]
-    for i in range(n_src_blocks):
-        for s_idx, s in enumerate(src_mons):
-            col = i * len(src_mons) + s_idx
-            s_poly = Polynomial.monomial(2, s)
-            for g_idx in range(n_dst_blocks):
-                image = partial_forms[g_idx][i] * s_poly
-                coeffs = coefficients_in_grade(d, image, m + 2)
-                for r_idx, c in enumerate(coeffs):
-                    if c != 0:
-                        matrix.data[g_idx * len(dst_mons) + r_idx][col] = c
-    return GradedJacobian(d, m, matrix, len(src_mons), len(dst_mons))
+    """The weight-m graded Jacobian, stacked from the monomial model: block
+    (g, i) multiplies grade m+1 by the normal form of dg/dz_i, landing in
+    grade m+2, and is zero where that partial vanishes."""
+    entries = jacobian_matrix(d).entries
+    src_dim, dst_dim = len(s_basis(d, m + 1)), len(s_basis(d, m + 2))
+
+    def block(partial: Polynomial) -> RationalMatrix:
+        form = normal_form(d, partial)
+        if form.is_zero():
+            return RationalMatrix.zero(dst_dim, src_dim)
+        return p1.mult_matrix(form, 0, d * (m + 1))
+
+    matrix = vstack([hstack([block(p) for p in row]) for row in entries])
+    return GradedJacobian(d, m, matrix, src_dim, dst_dim)
 
 
 def euler_derivation_vector(d: int, m: int = 0) -> list[Fraction]:
@@ -231,11 +225,16 @@ class NormalRoute:
 def t1_via_normal(d: int, m: int) -> NormalRoute:
     """Weight-m first deformation count through the normal bundle:
     h^0(N(m)) - h^0(T_ambient|_C(m)) + h^0(T_C(m)), valid exactly when the
-    restricted-tangent chase reports a vanishing level-1 cokernel."""
+    restricted-tangent chase reports a vanishing level-1 cokernel.  Then
+    h^1(T_ambient|_C(m)) = 0, so h^1 of its quotient N(m) vanishes too and
+    the value must be h^1(T_C(m)) = h^1(O(2 + d*m)); else it raises."""
     _check_degree(d)
     n_h0 = normal_bundle_h0(d, m)
     rt_h0 = p1.euler_restricted_h0(d, m)
     ct_h0 = p1.h_dim(0, 2 + d * m)
     value = n_h0 - rt_h0 + ct_h0
     exact = p1.euler_restricted_h1(d, m) == 0
+    line = p1.h_dim(1, 2 + d * m)
+    if exact and value != line:
+        raise InternalConsistencyError(f"normal route d={d}, m={m}: exact chase gave {value}, line count {line}")
     return NormalRoute(d, m, n_h0, rt_h0, ct_h0, value, exact)

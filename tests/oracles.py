@@ -150,6 +150,40 @@ def sympy_rref(data: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     ]
 
 
+# ---- the graded Jacobian by sympy differentiation ----------------------
+
+
+def graded_jacobian_sympy(d: int, m: int) -> list[list[int]]:
+    """The weight-m graded Jacobian of the cone over the degree-d curve,
+    cell by cell: differentiate each 2x2 minor z_i z_(j+1) - z_(i+1) z_j
+    (pairs i < j in lexicographic order) by each z_t, substitute
+    z_t -> x0^(d-t) x1^t, multiply by each grade-(m+1) monomial and read off
+    the coefficients of the grade-(m+2) monomials.  Rows run over
+    (generator, target monomial), columns over (variable, source monomial);
+    the monomials x0^a x1^b of grade k have a + b = d*k, ordered by
+    descending a, and there are none for k < 0."""
+    z = sympy.symbols(f"z0:{d + 1}")
+    x0, x1 = sympy.symbols("x0 x1")
+    curve = {z[t]: x0 ** (d - t) * x1**t for t in range(d + 1)}
+
+    def grade(k: int) -> list[tuple[int, int]]:
+        return [(a, d * k - a) for a in range(d * k, -1, -1)]
+
+    src, dst = grade(m + 1), grade(m + 2)
+    minors = [z[i] * z[j + 1] - z[i + 1] * z[j] for i in range(d) for j in range(i + 1, d)]
+    cells = [[0] * ((d + 1) * len(src)) for _ in range(len(minors) * len(dst))]
+    for g, minor in enumerate(minors):
+        for t in range(d + 1):
+            partial = sympy.diff(minor, z[t]).subs(curve)
+            for s, (a, b) in enumerate(src):
+                terms = sympy.Poly(partial * x0**a * x1**b, x0, x1).as_dict()
+                if not set(terms) <= set(dst):
+                    raise ValueError(f"product left grade {m + 2}: {terms}")
+                for r, mono in enumerate(dst):
+                    cells[g * len(dst) + r][t * len(src) + s] = int(terms.get(mono, 0))
+    return cells
+
+
 # ---- Kunneth by direct bicohomology enumeration -----------------------
 
 

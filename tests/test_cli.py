@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conedef import cones, p1
+from conedef import cones, p1, presentation
 from conedef.cli import main, parse_variety, parse_window, UsageError
 from conedef.cones import RationalNormalCurve, BlownUpPlane
 
@@ -268,6 +268,18 @@ def test_internal_inconsistency_is_exit_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_normal_route_mismatch_is_exit_4(capsys, monkeypatch):
+    # at d = 4, m = -1 the chase is exact, so the normal route must equal
+    # the line count; one section too many makes them disagree
+    normal_bundle_h0 = presentation.normal_bundle_h0
+    monkeypatch.setattr(presentation, "normal_bundle_h0", lambda d, m: normal_bundle_h0(d, m) + 1)
+    code, out, err = run_cli(capsys, "jacobian", "--d", "4", "--weight", "-1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: normal route d=4, m=-1:")
+    assert err.count("\n") == 1
+
+
 # ---- envelope discipline ----------------------------------------------
 
 
@@ -309,9 +321,10 @@ def test_subprocess_exit_codes():
 
 # ---- golden output per catalog class ------------------------------------
 
-# One descriptor per catalog class under the three traced commands: exit
-# code, sha256 of stdout and the exact stderr.  Pins the per-class rule
-# strings, rigidity notes and window_independent flags byte for byte.
+# One descriptor per catalog class under the three traced commands, then
+# the jacobian command in both modes: exit code, sha256 of stdout and the
+# exact stderr.  Pins the per-class rule strings, rigidity notes,
+# window_independent flags and the two-route jacobian trace byte for byte.
 GOLDEN = [
     ("t1 rnc:4 --trace", 0, "343568d188ec38e0e41705327d1a026c2dd9ee67a7380abb13f63342aec7db41", ""),
     ("t1 rnc:4 --order 2 --trace", 0, "c1b33607613101b788d92fc076fbf1ba544b07930b6544667626ed119f731c5e", ""),
@@ -334,6 +347,10 @@ GOLDEN = [
     ("t1 delpezzo:6 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),
     ("t1 delpezzo:6 --order 2 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),
     ("rigidity delpezzo:6 --trace", 0, "0270764ab7f8f574c9e2d686e32fef8753a5add37dde230f97f2d1d6405298ab", ""),
+    ("jacobian --d 4 --weight -1 --trace", 0, "744060bdaea791f30dced30dabf2634a8ecc74c6a26e242cf1c232eaeff394e3", ""),
+    ("jacobian --d 6 --weight 2 --trace", 0, "d63682031a4a2eec15941948f22eaac05b208f068f7996e758b6c4317fb0434b", ""),
+    ("jacobian --d 7 --weight -2 --trace", 0, "3f13c867a44179757d2f1a5c099df5f6bbccd7bbf1368b21dc95e5d5c37c05e5", ""),
+    ("jacobian --d 4 --dump-matrix", 0, "7bdf127d07f8888a01b58c43cda1da32183362086cff16cbe1ad613fe4913214", ""),
 ]
 
 

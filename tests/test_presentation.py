@@ -19,7 +19,7 @@ from conedef.presentation import (
 )
 from conedef.p1 import euler_restricted_h0, euler_restricted_h1, h_dim
 
-from oracles import JACOBIAN_D4_GOLDEN, line_h0_enumerated
+from oracles import JACOBIAN_D4_GOLDEN, graded_jacobian_sympy, line_h0_enumerated
 
 
 # ---- generators --------------------------------------------------------
@@ -126,6 +126,17 @@ def test_graded_empty_source_in_low_weight():
     g = graded_jacobian_map(4, -3)
     assert g.source_dim == 0
     assert g.rank() == 0
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("m", range(-3, 3))
+def test_graded_entries_match_sympy(d, m):
+    """Cell for cell against sympy's differentiation, substitution and
+    multiplication: pins block order, signs and the -2 coefficients."""
+    g = graded_jacobian_map(d, m)
+    cells = graded_jacobian_sympy(d, m)
+    assert (g.target_dim, g.source_dim) == (len(cells), (d + 1) * max(0, d * (m + 1) + 1))
+    assert g.matrix.data == cells
 
 
 @pytest.mark.parametrize("d", range(2, 9))
