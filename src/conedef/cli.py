@@ -4,7 +4,10 @@ Five subcommands, one JSON envelope.  Every envelope carries the same four
 top-level keys in the same order (schema_version, command, inputs, result,
 plus an optional trace), integers only, no timestamps, so repeated runs of
 the same command are byte-identical.  The envelope schema ships with the
-package under ``conedef/schemas/envelope.schema.json``.
+package under ``conedef/schemas/envelope.schema.json``.  Each ``cmd_*``
+returns its inputs, result and trace lines; ``main`` alone reads the trace
+switch (``--trace`` or ``CONEDEF_TRACE=1``) and writes the envelope.  The
+one exception is ``t1 --format csv``, which prints its table itself.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
 window, curve degree below 2), 3 for well-formed requests the engine
@@ -67,27 +70,10 @@ def parse_window(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _trace_enabled(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "trace", False)) or os.environ.get("CONEDEF_TRACE") == "1"
+Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or None
 
 
-def _envelope(command: str, inputs: dict, result: dict, trace: Optional[list[str]]) -> dict:
-    env = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-    }
-    if trace is not None:
-        env["trace"] = trace
-    return env
-
-
-def _emit(env: dict) -> None:
-    sys.stdout.write(json.dumps(env, indent=2) + "\n")
-
-
-def cmd_t1(args: argparse.Namespace) -> int:
+def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     table = (
@@ -95,31 +81,28 @@ def cmd_t1(args: argparse.Namespace) -> int:
         if args.order == 1
         else cones.t2_table(variety, lo, hi)
     )
+    weights = range(lo, hi + 1)
     if args.format == "csv":
         sys.stdout.write("weight,dimension\n")
-        for m in range(lo, hi + 1):
+        for m in weights:
             sys.stdout.write(f"{m},{table.entries[m]}\n")
-        return 0
+        return None
     result = {
         "order": args.order,
         "window": f"{lo}..{hi}",
-        "table": {str(m): table.entries[m] for m in range(lo, hi + 1)},
+        "table": {str(m): table.entries[m] for m in weights},
         "nonzero_weights": table.nonzero_weights(),
     }
-    trace = None
-    if _trace_enabled(args):
-        trace = [
-            f"order {args.order}: weight-m piece is level-{args.order} tangent cohomology "
-            "twisted by the m-th polarization power",
-            f"rule: {variety.rule(args.order)}",
-        ]
-        for m in range(lo, hi + 1):
-            trace.append(f"weight {m}: dimension {table.entries[m]}")
-    _emit(_envelope("t1", {"variety": args.variety, "weights": f"{lo}..{hi}", "order": args.order}, result, trace))
-    return 0
+    trace = [
+        f"order {args.order}: weight-m piece is level-{args.order} tangent cohomology "
+        "twisted by the m-th polarization power",
+        f"rule: {variety.rule(args.order)}",
+        *(f"weight {m}: dimension {table.entries[m]}" for m in weights),
+    ] if args.trace else None
+    return {"variety": args.variety, "weights": f"{lo}..{hi}", "order": args.order}, result, trace
 
 
-def cmd_rigidity(args: argparse.Namespace) -> int:
+def cmd_rigidity(args: argparse.Namespace) -> Reply:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     verdict = cones.rigidity_verdict(variety, lo, hi)
@@ -136,19 +119,15 @@ def cmd_rigidity(args: argparse.Namespace) -> int:
     }
     if verdict.certificate is not None:
         result["certificate"] = verdict.certificate.to_dict()
-    trace = None
-    if _trace_enabled(args):
-        trace = [f"rule: {variety.rule(1)}"]
-    _emit(_envelope("rigidity", {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, trace))
-    return 0
+    trace = [f"rule: {variety.rule(1)}"] if args.trace else None
+    return {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, trace
 
 
-def cmd_jacobian(args: argparse.Namespace) -> int:
+def cmd_jacobian(args: argparse.Namespace) -> Reply:
     if args.d < 2:
         raise UsageError("curve degree must be at least 2 (degree 1 has no equations)")
     if (args.weight is None) == (not args.dump_matrix):
         raise UsageError("choose exactly one of --weight <m> or --dump-matrix")
-    inputs: dict = {"d": args.d}
     if args.dump_matrix:
         matrix = jacobian_matrix(args.d)
         result = {
@@ -156,10 +135,8 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
             "cols": matrix.ncols,
             "entries": matrix.to_strings(),
         }
-        trace = ["one row per quadric generator in lexicographic pair order, one column per variable"] if _trace_enabled(args) else None
-        _emit(_envelope("jacobian", inputs, result, trace))
-        return 0
-    inputs["weight"] = args.weight
+        trace = ["one row per quadric generator in lexicographic pair order, one column per variable"] if args.trace else None
+        return {"d": args.d}, result, trace
     route = t1_via_normal(args.d, args.weight)
     result = {
         "source_h0": route.restricted_tangent_h0,
@@ -168,28 +145,26 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
         "exact": route.exact,
     }
     trace = None
-    if _trace_enabled(args):
+    if args.trace:
         graded = graded_jacobian_map(args.d, args.weight)
         trace = [
             f"normal route: h^0(N({args.weight})) = {route.normal_h0}, restricted tangent h^0 = "
             f"{route.restricted_tangent_h0}, curve tangent h^0 = {route.curve_tangent_h0}",
             f"graded route: source {graded.source_dim}, target {graded.target_dim}, rank {graded.rank()}",
         ]
-    _emit(_envelope("jacobian", inputs, result, trace))
-    return 0
+    return {"d": args.d, "weight": args.weight}, result, trace
 
 
-def cmd_cech(args: argparse.Namespace) -> int:
+def cmd_cech(args: argparse.Namespace) -> Reply:
     if args.i not in (0, 1):
         raise UsageError("level must be 0 or 1")
     mons = p1.basis(args.i, args.k)
     result = {"dim": p1.h_dim(args.i, args.k), "basis": [[a, b] for a, b in mons]}
-    trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if _trace_enabled(args) else None
-    _emit(_envelope("cech", {"i": args.i, "k": args.k}, result, trace))
-    return 0
+    trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
+    return {"i": args.i, "k": args.k}, result, trace
 
 
-def cmd_atiyah(args: argparse.Namespace) -> int:
+def cmd_atiyah(args: argparse.Namespace) -> Reply:
     if args.n < 2:
         raise UsageError("need n >= 2 for a triple overlap")
     report = atiyah_cocycle_check(args.n)
@@ -202,11 +177,10 @@ def cmd_atiyah(args: argparse.Namespace) -> int:
     }
     trace = (
         ["transition data: coordinate ratios; equality decided by cross-multiplication"]
-        if _trace_enabled(args)
+        if args.trace
         else None
     )
-    _emit(_envelope("atiyah", {"n": args.n}, result, trace))
-    return 0
+    return {"n": args.n}, result, trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,14 +229,11 @@ def _merge_weight_values(argv: list[str]) -> list[str]:
     """Fold ``--weights -3..1`` into ``--weights=-3..1`` so argparse does
     not mistake a window starting with a negative weight for an option."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--weights" and i + 1 < len(argv):
-            out.append(f"--weights={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if out and out[-1] == "--weights":
+            out[-1] = f"--weights={arg}"
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(arg)
     return out
 
 
@@ -271,8 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_weight_values(list(argv)))
+    args.trace = args.trace or os.environ.get("CONEDEF_TRACE") == "1"
     try:
-        return args.func(args)
+        reply = args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -282,6 +254,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 4
+    if reply is not None:
+        inputs, result, trace = reply
+        env = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs, "result": result}
+        if trace is not None:
+            env["trace"] = trace
+        sys.stdout.write(json.dumps(env, indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import p1
 from .linalg import RationalMatrix, hstack, vstack
@@ -42,7 +43,6 @@ class Presentation:
     """Generators of the ideal of the degree-d curve in the z-variables."""
 
     d: int
-    pairs: tuple[tuple[int, int], ...]
     generators: tuple[Polynomial, ...]
 
     @property
@@ -60,13 +60,11 @@ def build_presentation(d: int) -> Presentation:
     _check_degree(d)
     nvars = d + 1
     z = [Polynomial.variable(nvars, t) for t in range(nvars)]
-    pairs: list[tuple[int, int]] = []
     gens: list[Polynomial] = []
     for i in range(d):
         for j in range(i + 1, d):
             gens.append(z[i] * z[j + 1] - z[i + 1] * z[j])
-            pairs.append((i, j))
-    return Presentation(d, tuple(pairs), tuple(gens))
+    return Presentation(d, tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -168,9 +166,13 @@ class GradedJacobian:
 def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
     """The weight-m graded Jacobian, stacked from the monomial model: block
     (g, i) multiplies grade m+1 by the normal form of dg/dz_i, landing in
-    grade m+2, and is zero where that partial vanishes."""
-    entries = jacobian_matrix(d).entries
+    grade m+2, and is zero where that partial vanishes.  An empty source
+    grade (m <= -2) gives the zero-column matrix without taking a partial."""
+    _check_degree(d)
     src_dim, dst_dim = len(s_basis(d, m + 1)), len(s_basis(d, m + 2))
+    if src_dim == 0:
+        return GradedJacobian(d, m, RationalMatrix.zero(comb(d, 2) * dst_dim, 0), src_dim, dst_dim)
+    entries = jacobian_matrix(d).entries
 
     def block(partial: Polynomial) -> RationalMatrix:
         form = normal_form(d, partial)

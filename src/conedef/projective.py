@@ -1,6 +1,6 @@
 """Cohomology of line bundles and twisted (co)tangent sheaves on small
 projective spaces, plus Kunneth bookkeeping for a product of two lines and
-exact divisor arithmetic on blown-up planes.
+exact intersection numbers of divisor classes on blown-up planes.
 
 This module owns the one monomial model of O(k) on n-space: a level-0
 class is a combination of exponent tuples that are all nonnegative, a
@@ -177,7 +177,7 @@ def h2_bidegree(a: int, b: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Divisor arithmetic on the plane blown up in r points
+# Divisor classes on the plane blown up in r points
 # ----------------------------------------------------------------------
 
 
@@ -198,10 +198,6 @@ class SurfaceDivisor:
             raise ValueError(f"expected {self.r} exceptional coefficients, got {len(self.e)}")
 
     @classmethod
-    def hyperplane(cls, r: int) -> "SurfaceDivisor":
-        return cls(r, 1, (0,) * r)
-
-    @classmethod
     def exceptional(cls, r: int, i: int) -> "SurfaceDivisor":
         _check_exceptional_index(r, i)
         e = [0] * r
@@ -212,16 +208,6 @@ class SurfaceDivisor:
     def canonical(cls, r: int) -> "SurfaceDivisor":
         """The canonical class: -3H + E_1 + ... + E_r."""
         return cls(r, -3, (1,) * r)
-
-    def __add__(self, other: "SurfaceDivisor") -> "SurfaceDivisor":
-        self._check(other)
-        return SurfaceDivisor(self.r, self.h + other.h, tuple(a + b for a, b in zip(self.e, other.e)))
-
-    def __sub__(self, other: "SurfaceDivisor") -> "SurfaceDivisor":
-        return self + (-other)
-
-    def __neg__(self) -> "SurfaceDivisor":
-        return SurfaceDivisor(self.r, -self.h, tuple(-a for a in self.e))
 
     def __rmul__(self, c: int) -> "SurfaceDivisor":
         if not isinstance(c, int):

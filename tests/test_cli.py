@@ -122,10 +122,26 @@ def test_t1_trace_flag(capsys, envelope_schema):
     assert any("weight -2" in line for line in env["trace"])
 
 
-def test_t1_trace_env_var(capsys, monkeypatch):
+TRACED = {
+    "t1": ("t1", "rnc:3", "--weights", "-2..0"),
+    "rigidity": ("rigidity", "rnc:3"),
+    "jacobian_weight": ("jacobian", "--d", "4", "--weight", "-1"),
+    "jacobian_dump": ("jacobian", "--d", "4", "--dump-matrix"),
+    "cech": ("cech", "--i", "1", "--k", "-4"),
+    "atiyah": ("atiyah", "--n", "3"),
+}
+
+
+@pytest.mark.parametrize("argv", TRACED.values(), ids=TRACED.keys())
+def test_trace_env_var_matches_flag(capsys, monkeypatch, argv):
+    """CONEDEF_TRACE=1 and --trace print the same envelope, byte for byte."""
+    code, flagged, _ = run_cli(capsys, *argv, "--trace")
+    assert code == 0
     monkeypatch.setenv("CONEDEF_TRACE", "1")
-    env = run_json(capsys, "t1", "rnc:3", "--weights", "-2..0")
-    assert "trace" in env
+    code, by_env, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert by_env == flagged
+    assert "trace" in json.loads(by_env)
 
 
 def test_t1_inverted_window_is_usage_error(capsys):
@@ -322,8 +338,9 @@ def test_subprocess_exit_codes():
 # ---- golden output per catalog class ------------------------------------
 
 # One descriptor per catalog class under the three traced commands, then
-# the jacobian command in both modes: exit code, sha256 of stdout and the
-# exact stderr.  Pins the per-class rule strings, rigidity notes,
+# the jacobian command in both modes, then every subcommand untraced or
+# traced, the csv table and the exit-2 paths: exit code, sha256 of stdout
+# and the exact stderr.  Pins the per-class rule strings, rigidity notes,
 # window_independent flags and the two-route jacobian trace byte for byte.
 GOLDEN = [
     ("t1 rnc:4 --trace", 0, "343568d188ec38e0e41705327d1a026c2dd9ee67a7380abb13f63342aec7db41", ""),
@@ -351,6 +368,16 @@ GOLDEN = [
     ("jacobian --d 6 --weight 2 --trace", 0, "d63682031a4a2eec15941948f22eaac05b208f068f7996e758b6c4317fb0434b", ""),
     ("jacobian --d 7 --weight -2 --trace", 0, "3f13c867a44179757d2f1a5c099df5f6bbccd7bbf1368b21dc95e5d5c37c05e5", ""),
     ("jacobian --d 4 --dump-matrix", 0, "7bdf127d07f8888a01b58c43cda1da32183362086cff16cbe1ad613fe4913214", ""),
+    ("t1 rnc:4 --weights -3..-1 --format csv", 0, "39131b166c621e089364b2f47403772aa2dbaf7ec902676923381274123589e7", ""),
+    ("t1 rnc:4", 0, "d18d5fbd33042e55bef5c5f86e453ce30dc725c592164bc4f64afa37f5974323", ""),
+    ("rigidity rnc:4", 0, "ecb353164acaf33dadf89a1e14e9f47a919d348dfc73d4825ca5940c503c4d2a", ""),
+    ("jacobian --d 4 --weight -1", 0, "b2a18dd7dc1eec8f9cc1ca82c1c07c565d60737125baf174e48b62dfec1147f4", ""),
+    ("cech --i 1 --k -4 --trace", 0, "ba2645f42aeccb9764c8a42bebbe8c07e2b4af5374034323989b82ece6e9bb06", ""),
+    ("cech --i 0 --k 3", 0, "75352b02e7ebdf7824d022ff3d69c37c80dc87ad4ac1b480e9e8a6101592a754", ""),
+    ("atiyah --n 3 --trace", 0, "196031b1aeb633f48c9a43a6d2a7134bdb7ab5d4c12162e42ed2bcbccbb798a8", ""),
+    ("cech --i 2 --k 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: level must be 0 or 1\n"),
+    ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: choose exactly one of --weight <m> or --dump-matrix\n"),
+    ("atiyah --n 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: need n >= 2 for a triple overlap\n"),
 ]
 
 

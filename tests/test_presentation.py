@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conedef import presentation
 from conedef.linalg import RationalMatrix
 from conedef.polynomials import Polynomial
 from conedef.presentation import (
@@ -28,7 +29,6 @@ from oracles import JACOBIAN_D4_GOLDEN, graded_jacobian_sympy, line_h0_enumerate
 def test_generator_count_and_order():
     pres = build_presentation(4)
     assert len(pres.generators) == 6
-    assert pres.pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_conic_generator():
@@ -126,6 +126,19 @@ def test_graded_empty_source_in_low_weight():
     g = graded_jacobian_map(4, -3)
     assert g.source_dim == 0
     assert g.rank() == 0
+
+
+def test_graded_empty_source_skips_the_presentation(monkeypatch):
+    """At m <= -2 the map has no columns, so no partial derivative is taken."""
+    def refuse(d):
+        raise AssertionError("jacobian_matrix called for an empty source grade")
+
+    monkeypatch.setattr(presentation, "jacobian_matrix", refuse)
+    g = graded_jacobian_map(5, -2)
+    assert (g.matrix.nrows, g.matrix.ncols) == (10 * len(s_basis(5, 0)), 0)
+    assert g.rank() == 0
+    with pytest.raises(ValueError):
+        graded_jacobian_map(1, -2)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
