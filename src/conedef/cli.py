@@ -7,14 +7,16 @@ the same command are byte-identical.  The envelope schema ships with the
 package under ``conedef/schemas/envelope.schema.json``.  Each ``cmd_*``
 returns its inputs, result and trace lines; ``main`` alone reads the trace
 switch (``--trace`` or ``CONEDEF_TRACE=1``) and writes the envelope.  The
-one exception is ``t1 --format csv``, which prints its table itself.
+one exception is ``t1 --format csv``, which prints its table itself and
+carries no trace, so ``main`` refuses it together with the trace switch.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, curve degree below 2), 3 for well-formed requests the engine
-refuses to answer with bare numbers (certificate-only geometries,
-second-order counts outside the curve/surface catalog), 4 when two routes
-to the same number disagreed at run time (an internal error, reported as a
-one-line ``internal error: ...`` on stderr instead of a number).
+window, curve degree below 2, a trace asked of ``--format csv``), 3 for
+well-formed requests the engine refuses to answer with bare numbers
+(certificate-only geometries, second-order counts outside the
+curve/surface catalog), 4 when two routes to the same number disagreed at
+run time (an internal error, reported as a one-line ``internal error: ...``
+on stderr instead of a number).
 """
 
 from __future__ import annotations
@@ -244,6 +246,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_merge_weight_values(list(argv)))
     args.trace = args.trace or os.environ.get("CONEDEF_TRACE") == "1"
     try:
+        if args.trace and getattr(args, "format", "json") == "csv":
+            raise UsageError("--format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)")
         reply = args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,27 +1,37 @@
-"""Dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals.
 
-Matrices are row-major lists of :class:`fractions.Fraction` and one dense
-Gauss-Jordan kernel does all elimination.  They are not small (2109 x 741
-for the plane's Euler top map at twist -40, 2442 x 325 for the curve's
-graded Jacobian at d = 12, m = 1), nearly all zeros, and every cell is
-stored and swept.  What matters is that every answer is exact and that
-the pivot choice is deterministic, so repeated runs produce identical
-reduced forms.
+A matrix stores one ``{column: Fraction}`` dict per row and no zeros.  The
+maps this package eliminates are large and nearly empty (2109 x 741 with
+2109 nonzeros for the plane's Euler top map at twist -40, 2442 x 325 with
+6325 nonzeros for the curve's graded Jacobian at d = 12, m = 1), so only
+the nonzeros are stored and swept.  What matters is that every answer is
+exact and that the pivot rule is deterministic, so repeated runs produce
+identical reduced forms.
 
-Pivoting rule: columns are processed left to right, and the pivot for a
-column is the first row (top to bottom, among the unfinished rows) with a
-nonzero entry.  No magnitude-based pivoting -- there is no rounding error
-to fight.
+One kernel does all elimination.  Its forward pass inserts the rows in
+order and reduces each by the pivot row of its leading (smallest) column
+until the row is zero or leads in a column no pivot row holds yet; it then
+becomes that column's pivot row, scaled to lead with 1.  The set of pivot
+columns depends only on the row space, so rank, kernel and cokernel need
+nothing more.  The reduced row echelon form adds back-substitution; it is
+unique, so it does not depend on the pivot rule either.  Fill-in stays
+inside a connected component of the row/column nonzero pattern, so the
+independent blocks of a map (on the toric entries, its lattice degrees)
+are never mixed and need no separate split.  No magnitude-based pivoting:
+there is no rounding error to fight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+Row = dict[int, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -34,118 +44,114 @@ def _frac(x: Scalar) -> Fraction:
 
 @dataclass
 class RationalMatrix:
-    """A rows x cols matrix of Fractions.  Degenerate shapes (0 x n, n x 0)
-    are legal and behave like the corresponding zero maps."""
+    """A rows x cols matrix of Fractions, stored as one ``{column: value}``
+    dict per row holding the nonzero entries only.  Degenerate shapes
+    (0 x n, n x 0) are legal and behave like the corresponding zero maps.
+    Two matrices are equal when their shapes and rows are."""
 
     nrows: int
     ncols: int
-    data: list[list[Fraction]]
+    rows: list[Row]
 
     def __post_init__(self) -> None:
         if self.nrows < 0 or self.ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.nrows:
-            raise ValueError(f"expected {self.nrows} rows, got {len(self.data)}")
-        for r in self.data:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows in matrix data")
+        if len(self.rows) != self.nrows:
+            raise ValueError(f"expected {self.nrows} rows, got {len(self.rows)}")
+        for row in self.rows:
+            if not isinstance(row, dict):
+                raise ValueError("each row must be a dict from column index to Fraction")
+            for j, x in row.items():
+                if not isinstance(j, int) or not 0 <= j < self.ncols:
+                    raise ValueError(f"column index {j!r} outside range({self.ncols})")
+                if not isinstance(x, Fraction):
+                    raise ValueError(f"entry at column {j} is a {type(x).__name__}, not a Fraction")
+                if not x:
+                    raise ValueError(f"stored zero at column {j}")
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> "RationalMatrix":
-        """Build from nested sequences.  ``ncols`` is only needed when
+        """Build from dense nested sequences.  ``ncols`` is only needed when
         ``rows`` is empty (a 0 x n matrix has no rows to infer n from)."""
         rows = [list(r) for r in rows]
         if not rows:
-            if ncols is None:
-                ncols = 0
-            return cls(0, ncols, [])
+            return cls(0, ncols or 0, [])
         width = len(rows[0])
-        data = [[_frac(x) for x in r] for r in rows]
-        return cls(len(rows), width, data)
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows in matrix data")
+        sparse = [{j: f for j, x in enumerate(r) if (f := _frac(x))} for r in rows]
+        return cls(len(rows), width, sparse)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls(nrows, ncols, [[Fraction(0)] * ncols for _ in range(nrows)])
+        return cls(nrows, ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return cls(n, n, [{i: _ONE} for i in range(n)])
 
     # ---- basics -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows} x {self.ncols} matrix")
+        return self.rows[i].get(j, _ZERO)
 
     def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.nrows, self.ncols, [row[:] for row in self.data])
+        return RationalMatrix(self.nrows, self.ncols, [dict(row) for row in self.rows])
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.ncols,
-            self.nrows,
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.data == other.data
-        )
+        cols: list[Row] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return RationalMatrix(self.ncols, self.nrows, cols)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: ({self.nrows}x{self.ncols}) @ ({other.nrows}x{other.ncols})"
             )
-        out = RationalMatrix.zero(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            row = self.data[i]
-            for k in range(self.ncols):
-                a = row[k]
-                if a == 0:
-                    continue
-                other_row = other.data[k]
-                out_row = out.data[i]
-                for j in range(other.ncols):
-                    out_row[j] += a * other_row[j]
-        return out
+        out: list[Row] = []
+        for row in self.rows:
+            acc: Row = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return RationalMatrix(self.nrows, other.ncols, out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.rows)
 
     # ---- elimination --------------------------------------------------
 
     def rref(self) -> "RationalMatrix":
         """Reduced row echelon form (pivots normalized to 1, cleared above
-        and below).  Deterministic; does not modify self."""
-        reduced, _pivots = _gauss_jordan(self.copy())
-        return reduced
+        and below, zero rows last).  Deterministic; does not modify self."""
+        reduced = _back_substitute(_echelon(self.rows))
+        reduced += [{} for _ in range(self.nrows - len(reduced))]
+        return RationalMatrix(self.nrows, self.ncols, reduced)
 
     def rref_with_transform(self) -> tuple["RationalMatrix", "RationalMatrix"]:
         """Return (R, T) with R = T @ self in reduced row echelon form and
-        T an invertible nrows x nrows matrix recording the row operations.
-        Pivots right of self's columns in [self | I] only act on rows whose
-        left part is zero, so the left block is still self's reduced form."""
-        reduced, _ = _gauss_jordan(hstack([self, RationalMatrix.identity(self.nrows)]))
-        left = RationalMatrix(
-            self.nrows, self.ncols, [row[: self.ncols] for row in reduced.data]
+        T an invertible nrows x nrows matrix recording the row operations:
+        the two blocks of the reduced form of [self | I].  Pivots right of
+        self's columns only lead rows whose left part is zero, so the left
+        block is still self's reduced form."""
+        n = self.ncols
+        reduced = hstack([self, RationalMatrix.identity(self.nrows)]).rref()
+        left = [{j: x for j, x in row.items() if j < n} for row in reduced.rows]
+        right = [{j - n: x for j, x in row.items() if j >= n} for row in reduced.rows]
+        return (
+            RationalMatrix(self.nrows, n, left),
+            RationalMatrix(self.nrows, self.nrows, right),
         )
-        right = RationalMatrix(
-            self.nrows, self.nrows, [row[self.ncols :] for row in reduced.data]
-        )
-        return left, right
 
     def pivot_columns(self) -> list[int]:
-        _, pivots = _gauss_jordan(self.copy())
-        return pivots
+        return sorted(_echelon(self.rows))
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -165,36 +171,46 @@ class RationalMatrix:
         return transform
 
 
-def _gauss_jordan(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
-    """In-place Gauss-Jordan on ``m``; returns (m, pivot column indices)."""
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.ncols):
-        if pivot_row >= m.nrows:
-            break
-        found = None
-        for r in range(pivot_row, m.nrows):
-            if m.data[r][col] != 0:
-                found = r
+def _echelon(rows: Iterable[Row]) -> dict[int, Row]:
+    """The forward pass: {pivot column: its pivot row, leading with 1}.
+    Copies what it reduces, so the rows passed in are left alone."""
+    pivots: dict[int, Row] = {}
+    for source in rows:
+        row = dict(source)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = row[lead]
+                pivots[lead] = row if scale == 1 else {j: x / scale for j, x in row.items()}
                 break
-        if found is None:
-            continue
-        if found != pivot_row:
-            m.data[pivot_row], m.data[found] = m.data[found], m.data[pivot_row]
-        inv = Fraction(1) / m.data[pivot_row][col]
-        if inv != 1:
-            m.data[pivot_row] = [x * inv for x in m.data[pivot_row]]
-        for r in range(m.nrows):
-            if r == pivot_row:
-                continue
-            factor = m.data[r][col]
-            if factor == 0:
-                continue
-            prow = m.data[pivot_row]
-            m.data[r] = [x - factor * p for x, p in zip(m.data[r], prow)]
-        pivots.append(col)
-        pivot_row += 1
-    return m, pivots
+            _subtract(row, row[lead], pivot)
+    return pivots
+
+
+def _back_substitute(pivots: dict[int, Row]) -> list[Row]:
+    """Clear each pivot row at the later pivot columns, last pivot first,
+    and return the rows in order of pivot column.  A row that is already
+    reduced is zero at every pivot column but its own, so subtracting it
+    changes no other pivot entry of the row being cleared."""
+    order = sorted(pivots)
+    for lead in reversed(order):
+        row = pivots[lead]
+        for j in [j for j in row if j != lead and j in pivots]:
+            _subtract(row, row[j], pivots[j])
+    return [pivots[lead] for lead in order]
+
+
+def _subtract(row: Row, factor: Fraction, pivot: Row) -> None:
+    """row -= factor * pivot in place, dropping the entries that cancel."""
+    for j, p in pivot.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -factor * p
+        elif x := x - factor * p:
+            row[j] = x
+        else:
+            del row[j]
 
 
 # ---- module-level conveniences (the names most callers use) ------------
@@ -225,8 +241,13 @@ def hstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
     for b in blocks:
         if b.nrows != nrows:
             raise ValueError("hstack: row counts differ")
-    data = [list(chain.from_iterable(b.data[i] for b in blocks)) for i in range(nrows)]
-    return RationalMatrix(nrows, sum(b.ncols for b in blocks), data)
+    rows: list[Row] = [{} for _ in range(nrows)]
+    offset = 0
+    for b in blocks:
+        for row, part in zip(rows, b.rows):
+            row.update((j + offset, x) for j, x in part.items())
+        offset += b.ncols
+    return RationalMatrix(nrows, offset, rows)
 
 
 def vstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
@@ -238,5 +259,5 @@ def vstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
     for b in blocks:
         if b.ncols != ncols:
             raise ValueError("vstack: column counts differ")
-    data = [row[:] for b in blocks for row in b.data]
-    return RationalMatrix(sum(b.nrows for b in blocks), ncols, data)
+    rows = [dict(row) for b in blocks for row in b.rows]
+    return RationalMatrix(len(rows), ncols, rows)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .linalg import RationalMatrix, hstack, vstack
+from .linalg import RationalMatrix, Row, hstack, vstack
 from .polynomials import Polynomial
 
 
@@ -76,13 +76,15 @@ def _pn_mult_matrix(p: Polynomial, n: int, k: int, top: bool) -> RationalMatrix:
     src = _pn_basis(n, k, top)
     dst = _pn_basis(n, k + p.homogeneous_degree(), top)
     index = {mono: row for row, mono in enumerate(dst)}
-    out = RationalMatrix.zero(len(dst), len(src))
+    rows: list[Row] = [{} for _ in dst]
+    # distinct terms of p send one source monomial to distinct products,
+    # so each cell is written at most once
     for col, exps in enumerate(src):
         for mono, coeff in p.terms.items():
             row = index.get(tuple(a + b for a, b in zip(exps, mono)))
             if row is not None:
-                out.data[row][col] += coeff
-    return out
+                rows[row][col] = coeff
+    return RationalMatrix(len(dst), len(src), rows)
 
 
 def _coordinates(n: int) -> list[Polynomial]:

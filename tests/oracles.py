@@ -140,6 +140,13 @@ def sympy_rank(data: list[list[Fraction]], ncols: int) -> int:
     return sympy_matrix(data).rank()
 
 
+def sympy_pivot_columns(data: list[list[Fraction]], ncols: int) -> list[int]:
+    if not data:
+        return []
+    _, pivots = sympy_matrix(data).rref()
+    return list(pivots)
+
+
 def sympy_rref(data: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     if not data:
         return []

@@ -189,7 +189,7 @@ def crit_7_property_suite() -> Criterion:
     for d in range(2, 9):
         g = graded_jacobian_map(d, 0)
         vec = euler_derivation_vector(d)
-        col = RationalMatrix(len(vec), 1, [[x] for x in vec])
+        col = RationalMatrix.from_rows([[x] for x in vec])
         if not (g.matrix @ col).is_zero():
             failures.append(f"scaling derivation escapes the kernel at d={d}")
     # (d) the substitution kills every generator, d in [2,8]

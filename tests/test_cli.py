@@ -144,6 +144,15 @@ def test_trace_env_var_matches_flag(capsys, monkeypatch, argv):
     assert "trace" in json.loads(by_env)
 
 
+def test_csv_refuses_the_trace_env_var(capsys, monkeypatch):
+    """CONEDEF_TRACE=1 asks for a trace just as --trace does, and csv has
+    no place for one."""
+    monkeypatch.setenv("CONEDEF_TRACE", "1")
+    code, out, err = run_cli(capsys, "t1", "rnc:4", "--weights", "-2..-1", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --format csv cannot carry a trace") and err.count("\n") == 1
+
+
 def test_t1_inverted_window_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "t1", "rnc:4", "--weights", "3..-3")
     assert code == 2
@@ -378,6 +387,7 @@ GOLDEN = [
     ("cech --i 2 --k 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: level must be 0 or 1\n"),
     ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: choose exactly one of --weight <m> or --dump-matrix\n"),
     ("atiyah --n 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: need n >= 2 for a triple overlap\n"),
+    ("t1 rnc:4 --weights -2..-1 --format csv --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)\n"),
 ]
 
 

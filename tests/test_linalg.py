@@ -3,15 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conedef.linalg import RationalMatrix, hstack, vstack
 
-from oracles import sympy_rank, sympy_rref
+from oracles import sympy_pivot_columns, sympy_rank, sympy_rref
 
 
 def M(rows, ncols=None):
     return RationalMatrix.from_rows(rows, ncols=ncols)
+
+
+def dense(m):
+    return [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def test_rank_of_identity():
@@ -37,10 +41,37 @@ def test_empty_shapes_behave_like_zero_maps():
     assert wide.kernel_dim() == 3
     assert wide.cokernel_dim() == 0
     # a map from the zero space
-    tall = RationalMatrix(3, 0, [[], [], []])
+    tall = M([[], [], []])
     assert tall.rank() == 0
     assert tall.kernel_dim() == 0
     assert tall.cokernel_dim() == 3
+
+
+@pytest.mark.parametrize(
+    "ncols,rows",
+    [
+        (2, [{2: Fraction(1)}]),  # column index past the last column
+        (2, [{-1: Fraction(1)}]),  # negative column index
+        (2, [{"0": Fraction(1)}]),  # not an integer index
+        (2, [{0: Fraction(0)}]),  # stored zero
+        (2, [{0: 1}]),  # an int, not a Fraction
+        (2, [{0: 0.5}]),  # a float
+        (2, [[Fraction(1), Fraction(0)]]),  # a dense row
+        (2, [{}, {}]),  # more rows than nrows
+    ],
+)
+def test_sparse_row_invariants_are_refused(ncols, rows):
+    with pytest.raises(ValueError):
+        RationalMatrix(1, ncols, rows)
+
+
+def test_entry_reads_absent_cells_as_zero_and_checks_bounds():
+    m = M([[0, 3], [0, 0]])
+    assert m.rows == [{1: Fraction(3)}, {}]
+    assert [m.entry(0, 0), m.entry(0, 1), m.entry(1, 1)] == [0, 3, 0]
+    for i, j in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            m.entry(i, j)
 
 
 def test_fraction_entries_are_exact():
@@ -82,19 +113,19 @@ def matrices(draw, max_dim=5):
     nrows = draw(st.integers(0, max_dim))
     ncols = draw(st.integers(0, max_dim))
     data = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
-    return RationalMatrix(nrows, ncols, data)
+    return M(data, ncols)
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_sympy(m):
-    assert m.rank() == sympy_rank(m.data, m.ncols)
+    assert m.rank() == sympy_rank(dense(m), m.ncols)
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rref_matches_sympy(m):
-    assert m.rref().data == sympy_rref(m.data, m.ncols)
+    assert dense(m.rref()) == sympy_rref(dense(m), m.ncols)
 
 
 @given(matrices())
@@ -119,3 +150,49 @@ def test_transform_reconstructs_input(m):
     assert transform @ m == reduced
     # the transform is invertible, so the reduction loses nothing
     assert transform.inverse() @ reduced == m
+
+
+sparse_entry = st.just(Fraction(0)) | entry
+
+
+@st.composite
+def planted(draw):
+    """Blocks of known rank on the diagonal of a sparse matrix, with empty
+    rows and columns added and rows and columns permuted.  A block of rank
+    r is L[:, :r] @ U[:r, :] with L, U unit triangular.  Returns the matrix
+    and the planted rank."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=3))
+    nrows = sum(r for r, _ in blocks) + draw(st.integers(0, 2))
+    ncols = sum(c for _, c in blocks) + draw(st.integers(0, 2))
+    cells = [[Fraction(0)] * ncols for _ in range(nrows)]
+    total = top = left = 0
+    for r, c in blocks:
+        k = draw(st.integers(0, min(r, c)))
+        lower = [[Fraction(i == t) if i <= t else draw(sparse_entry) for t in range(k)] for i in range(r)]
+        upper = [[Fraction(t == j) if j <= t else draw(sparse_entry) for j in range(c)] for t in range(k)]
+        for i in range(r):
+            for j in range(c):
+                cells[top + i][left + j] = sum((lower[i][t] * upper[t][j] for t in range(k)), Fraction(0))
+        total, top, left = total + k, top + r, left + c
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    return M([[cells[i][j] for j in col_order] for i in row_order], ncols), total
+
+
+@given(planted())
+@example((M([], 3), 0))
+@example((M([[], []]), 0))
+@settings(max_examples=80, deadline=None)
+def test_planted_blocks_match_sympy(case):
+    m, planted_rank = case
+    cells = dense(m)
+    assert m.rank() == planted_rank == sympy_rank(cells, m.ncols)
+    assert m.pivot_columns() == sympy_pivot_columns(cells, m.ncols)
+    assert m.kernel_dim() == m.ncols - planted_rank
+    assert m.cokernel_dim() == m.nrows - planted_rank
+    reduced = dense(m.rref())
+    assert reduced == sympy_rref(cells, m.ncols)
+    r, t = m.rref_with_transform()
+    assert dense(r) == reduced
+    assert t @ m == r
+    assert sympy_rank(dense(t), t.ncols) == m.nrows
