@@ -191,37 +191,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact graded deformation counts for affine cones over polarized varieties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--trace", action="store_true", help="include a computation trace (or set CONEDEF_TRACE=1)")
 
-    p_t1 = sub.add_parser("t1", help="graded first/second order deformation table")
+    p_t1 = sub.add_parser("t1", parents=[traced], help="graded first/second order deformation table")
     p_t1.add_argument("variety", help=" | ".join(_DESCRIPTORS))
     p_t1.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default -6..3)")
     p_t1.add_argument("--order", type=int, choices=(1, 2), default=1)
     p_t1.add_argument("--format", choices=("json", "csv"), default="json")
-    p_t1.add_argument("--trace", action="store_true", help="include a computation trace (or set CONEDEF_TRACE=1)")
     p_t1.set_defaults(func=cmd_t1)
 
-    p_rig = sub.add_parser("rigidity", help="rigidity verdict with witness or replay certificate")
+    p_rig = sub.add_parser("rigidity", parents=[traced], help="rigidity verdict with witness or replay certificate")
     p_rig.add_argument("variety")
     p_rig.add_argument("--weights", default="-6..3")
-    p_rig.add_argument("--trace", action="store_true")
     p_rig.set_defaults(func=cmd_rigidity)
 
-    p_jac = sub.add_parser("jacobian", help="determinantal presentation data for the degree-d curve cone")
+    p_jac = sub.add_parser("jacobian", parents=[traced], help="determinantal presentation data for the degree-d curve cone")
     p_jac.add_argument("--d", type=int, required=True)
     p_jac.add_argument("--weight", type=int, default=None, help="weight for the two-route count")
     p_jac.add_argument("--dump-matrix", action="store_true", help="print the generator Jacobian entry by entry")
-    p_jac.add_argument("--trace", action="store_true")
     p_jac.set_defaults(func=cmd_jacobian)
 
-    p_cech = sub.add_parser("cech", help="monomial basis of line cohomology on the line")
+    p_cech = sub.add_parser("cech", parents=[traced], help="monomial basis of line cohomology on the line")
     p_cech.add_argument("--i", type=int, required=True, help="cohomology level (0 or 1)")
     p_cech.add_argument("--k", type=int, required=True, help="degree")
-    p_cech.add_argument("--trace", action="store_true")
     p_cech.set_defaults(func=cmd_cech)
 
-    p_ati = sub.add_parser("atiyah", help="cocycle verification for the degree-one bundle on n-space")
+    p_ati = sub.add_parser("atiyah", parents=[traced], help="cocycle verification for the degree-one bundle on n-space")
     p_ati.add_argument("--n", type=int, required=True)
-    p_ati.add_argument("--trace", action="store_true")
     p_ati.set_defaults(func=cmd_atiyah)
 
     return parser

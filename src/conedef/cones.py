@@ -28,9 +28,10 @@ L^-2).  Negative weights are the smoothing directions; the weight-0 piece
 carries the quotient by the scaling vector field when assembled into the
 full graded space.
 
-Every rational-normal-curve entry is cross-checked against the closed form
-max(0, -3 - d*m) and the Laurent monomial count; a mismatch raises, so a
-table that comes back is internally consistent by construction.
+Rational-normal-curve counts are cross-checked against max(0, -3 - d*m) and
+the Laurent monomial count, plane counts against Bott's formula; a mismatch
+raises.  No rigidity verdict is read off a window: each numeric entry has a
+closed form (the line, Bott, Kunneth) that decides every weight at once.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ class Variety:
         """How the weight-m piece of the given order is computed."""
         return "certificate-only"
 
-    def closed_form_rigidity(self) -> Optional[tuple[Optional[int], str]]:
-        """(nonzero weight nearest zero, or None if there is none; note)
-        when a closed form decides rigidity in every weight, else None."""
-        return None
+    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
+        """(nonzero weight nearest zero, or None if there is none; note),
+        from a closed form that decides rigidity in every weight."""
+        raise OutOfScopeError(_CERTIFICATE_ONLY)
 
     def certificate(self, m_lo: int, m_hi: int) -> Optional[Certificate]:
         """The replay certificate that stands in for bare counts, if any."""
@@ -170,6 +171,14 @@ class VeroneseSpace(Variety):
             return "Euler-sequence chase on the plane with a computed connecting rank"
         return "both flanking groups of the Euler chase vanish for n >= 3"
 
+    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
+        if self.n == 1:
+            return RationalNormalCurve(self.d).closed_form_rigidity()
+        if self.n == 2:
+            m_star = -3 // self.d if 3 % self.d == 0 else None
+            return m_star, "Bott on the plane: h^1(T(k)) is 1 at k = -3 and 0 otherwise, so weight m contributes iff d*m = -3"
+        return None, "Bott: h^1(T(k)) vanishes for every k on n-space with n >= 3"
+
 
 class _ProductOfLines(Variety):
     """A product of two lines polarized by the bidegree ``self.bidegree``;
@@ -190,6 +199,16 @@ class _ProductOfLines(Variety):
     def rule(self, order: int) -> str:
         return "Kunneth on the split tangent sheaf of the product of two lines"
 
+    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
+        # O(2+ma, mb) + O(ma, 2+mb) has h^1 only where one entry is >= 0
+        # and the other <= -2, which for m < 0 leaves m = -1 and m = -2
+        lo, hi = sorted(self.bidegree)
+        m_star = -1 if lo <= 2 <= hi else -2 if hi == 1 else None
+        return m_star, (
+            "Kunneth on T = O(2,0) + O(0,2): the nonzero weight nearest zero is -1 when "
+            "min(a,b) <= 2 <= max(a,b), -2 when a = b = 1, and there is none otherwise"
+        )
+
 
 @dataclass(frozen=True)
 class SegreQuadric(_ProductOfLines):
@@ -204,12 +223,6 @@ class SegreQuadric(_ProductOfLines):
     @property
     def bidegree(self) -> tuple[int, int]:
         return (self.d, self.d)
-
-    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
-        # the two split summands contribute only when m*d = -2
-        if (-2) % self.d == 0:
-            return -2 // self.d, "split tangent sheaf: a weight contributes iff m*d = -2, which is solvable here"
-        return None, "split tangent sheaf: a weight contributes iff m*d = -2, which has no integer solution here"
 
 
 @dataclass(frozen=True)
@@ -307,16 +320,18 @@ def _check_window(m_lo: int, m_hi: int) -> None:
         raise ValueError(f"weight window {m_lo}..{m_hi} is empty")
 
 
-def t1_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:
+def _table(v: Variety, order: int, m_lo: int, m_hi: int) -> GradedTable:
     _check_window(m_lo, m_hi)
-    entries = {m: t1_weight(v, m) for m in range(m_lo, m_hi + 1)}
-    return GradedTable(v.describe(), 1, m_lo, m_hi, entries)
+    count = t1_weight if order == 1 else t2_weight
+    return GradedTable(v.describe(), order, m_lo, m_hi, {m: count(v, m) for m in range(m_lo, m_hi + 1)})
+
+
+def t1_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:
+    return _table(v, 1, m_lo, m_hi)
 
 
 def t2_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:
-    _check_window(m_lo, m_hi)
-    entries = {m: t2_weight(v, m) for m in range(m_lo, m_hi + 1)}
-    return GradedTable(v.describe(), 2, m_lo, m_hi, entries)
+    return _table(v, 2, m_lo, m_hi)
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +344,8 @@ class RigidityVerdict:
     """Outcome of the rigidity question for a cone.  ``rigid`` is None for
     certificate-only varieties; ``witness`` is (weight, dimension) of the
     nonzero graded piece closest to zero when one exists;
-    ``window_independent`` records whether the verdict came from a closed
-    form valid for every weight or only from scanning the window."""
+    ``window_independent`` is true for every numeric verdict (a closed form
+    valid in every weight) and false for a certificate (the window only)."""
 
     variety: str
     rigid: Optional[bool]
@@ -345,55 +360,25 @@ class RigidityVerdict:
 def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdict:
     """Rigidity of the cone over v as read from the twisted-tangent count
     h^1(T_Y (x) L^m) of :func:`t1_weight`: rigid when no weight carries a
-    nonzero count, with the nonzero weight nearest zero as witness.  The
-    count, and so the verdict, speaks for the cone's own T^1 only at
-    weights where ``corollary_flags(v, m).clean`` holds."""
+    nonzero count, with the nonzero weight nearest zero, named by the entry's
+    closed form whatever the window, as witness.  The count, and so the
+    verdict, speaks for the cone's own T^1 only at weights where
+    ``corollary_flags(v, m).clean`` holds."""
     _check_window(m_lo, m_hi)
     desc = v.describe()
 
     cert = v.certificate(m_lo, m_hi)
     if cert is not None:
-        return RigidityVerdict(
-            variety=desc,
-            rigid=None,
-            witness=None,
-            m_lo=m_lo,
-            m_hi=m_hi,
-            window_independent=False,
-            note=(
-                "certificate-only geometry: the engine replays the published argument "
-                f"step by step (verdict {cert.verdict.value}) and does not adjudicate rigidity itself"
-            ),
-            certificate=cert,
-        )
-
-    closed = v.closed_form_rigidity()
-    if closed is not None:
-        m_star, note = closed
-        witness = None if m_star is None else (m_star, t1_weight(v, m_star))
-    else:
-        # no closed-form criterion: scan the window descending so the
-        # witness is the weight nearest zero.
-        witness = None
-        for m in range(m_hi, m_lo - 1, -1):
-            dim = t1_weight(v, m)
-            if dim != 0:
-                witness = (m, dim)
-                break
         note = (
-            f"no nonzero weight in the window {m_lo}..{m_hi} (window-limited verdict)"
-            if witness is None
-            else "witness is the nonzero weight closest to zero within the window"
+            "certificate-only geometry: the engine replays the published argument "
+            f"step by step (verdict {cert.verdict.value}) and does not adjudicate rigidity itself"
         )
-    return RigidityVerdict(
-        variety=desc,
-        rigid=witness is None,
-        witness=witness,
-        m_lo=m_lo,
-        m_hi=m_hi,
-        window_independent=closed is not None,
-        note=note,
-    )
+        return RigidityVerdict(desc, None, None, m_lo, m_hi, False, note, cert)
+    m_star, note = v.closed_form_rigidity()
+    witness = None if m_star is None else (m_star, t1_weight(v, m_star))
+    if witness is not None and witness[1] == 0:
+        raise InternalConsistencyError(f"{desc}: the closed form puts a nonzero weight at {m_star}, the count there is 0")
+    return RigidityVerdict(desc, witness is None, witness, m_lo, m_hi, True, note)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ top-level class one of tuples that are all at most -1, and everything in
 between vanishes.  :mod:`conedef.p1` is the line's API over the same model
 (n = 1).  Cotangent and tangent twists are never looked up in a
 table: they are chased through the standard short exact sequences with the
-connecting ranks computed by exact elimination.  Where an independent route
-exists (Serre duality, Euler characteristics) the tests replay it.
+connecting ranks computed by exact elimination.  The plane's tangent twists
+are compared with Bott's formula at run time; where another independent
+route exists (Serre duality, Euler characteristics) the tests replay it.
 """
 
 from __future__ import annotations
@@ -134,19 +135,35 @@ def _euler_top_map_p2(k: int) -> RationalMatrix:
     return vstack([_pn_mult_matrix(x, 2, k, True) for x in _coordinates(2)])
 
 
+def _bott_h1_tangent_p2(k: int) -> int:
+    return 1 if k == -3 else 0  # Bott's formula for h^1(T(k)) on the plane
+
+
+def _bott_h2_tangent_p2(k: int) -> int:
+    # Bott and Serre duality: h^2(T(k)) = h^0(Omega^1(j)) = (j+1)(j-1) for j = -k-3 >= 2
+    j = -k - 3
+    return (j + 1) * (j - 1) if j >= 2 else 0
+
+
+def _checked_against_bott(q: int, k: int, chase: int, bott: int) -> int:
+    if chase != bott:
+        raise InternalConsistencyError(f"tangent chase on the plane, k={k}: the Euler chase gives h^{q} = {chase}, Bott {bott}")
+    return chase
+
+
 def h1_tangent_pn_twist(n: int, k: int) -> int:
     """h^1 of the tangent sheaf of n-space twisted by O(k).
 
     n = 1 reduces to the line (the tangent sheaf is O(2)); n = 2 is an
-    Euler-sequence chase whose connecting rank is computed, not assumed;
-    n >= 3 vanishes because both flanking groups in the chase vanish."""
+    Euler-sequence chase whose connecting rank is computed, not assumed,
+    and checked against Bott's formula; n >= 3 vanishes because both
+    flanking groups in the chase vanish."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
         return hq_pn_line(1, 2 + k, 1)
     if n == 2:
-        psi = _euler_top_map_p2(k)
-        return psi.kernel_dim()
+        return _checked_against_bott(1, k, _euler_top_map_p2(k).kernel_dim(), _bott_h1_tangent_p2(k))
     # 0 -> O(k) -> O(k+1)^(n+1) -> T(k) -> 0: the h^1 of T(k) sits between
     # middle cohomology groups that vanish for n >= 3.
     if hq_pn_line(n, k + 1, 1) != 0 or hq_pn_line(n, k, 2) != 0:
@@ -156,8 +173,9 @@ def h1_tangent_pn_twist(n: int, k: int) -> int:
 
 def h2_tangent_p2_twist(k: int) -> int:
     """h^2 of the twisted tangent sheaf on the plane: the cokernel of the
-    same stacked top-level map used for h^1."""
-    return _euler_top_map_p2(k).cokernel_dim()
+    same stacked top-level map used for h^1, checked against Bott's
+    formula."""
+    return _checked_against_bott(2, k, _euler_top_map_p2(k).cokernel_dim(), _bott_h2_tangent_p2(k))
 
 
 # ----------------------------------------------------------------------

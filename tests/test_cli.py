@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conedef import cones, p1, presentation
+from conedef import cones, p1, presentation, projective
 from conedef.cli import main, parse_variety, parse_window, UsageError
 from conedef.cones import RationalNormalCurve, BlownUpPlane
 
@@ -198,6 +198,21 @@ def test_rigidity_rnc2(capsys):
     assert env["result"]["witness"] == {"weight": -2, "dim": 1}
 
 
+ALIASES = [
+    *((f"segre:{d}", f"product:{d}:{d}") for d in range(1, 7)),
+    *((f"veronese:1:{d}", f"rnc:{d}") for d in range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("alias,twin", ALIASES, ids=[f"{a}={b}" for a, b in ALIASES])
+def test_aliased_descriptors_print_the_same_verdict(capsys, alias, twin):
+    """The symmetric product is the product in bidegree (d, d), and the line
+    embedded by degree-d forms is the rational normal curve of degree d."""
+    result = run_json(capsys, "rigidity", alias)["result"]
+    assert result == run_json(capsys, "rigidity", twin)["result"]
+    assert result["window_independent"] is True
+
+
 def test_rigidity_delpezzo_certificate(capsys, envelope_schema):
     env = run_json(capsys, "rigidity", "delpezzo:6")
     jsonschema.validate(env, envelope_schema)
@@ -293,6 +308,37 @@ def test_internal_inconsistency_is_exit_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_bott_h1_spike_mismatch_is_exit_4(capsys, monkeypatch):
+    # the Euler chase on the plane is checked against Bott's h^1 spike at
+    # k = -3; moving the spike to k = -4 makes the two disagree there
+    bott = projective._bott_h1_tangent_p2
+    monkeypatch.setattr(projective, "_bott_h1_tangent_p2", lambda k: bott(k + 1))
+    code, out, err = run_cli(capsys, "t1", "veronese:2:3")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: tangent chase on the plane, k=-3:")
+    assert err.count("\n") == 1
+
+
+def test_bott_h2_mismatch_is_exit_4(capsys, monkeypatch):
+    # the cokernel of the same chase is checked against Bott's h^2 form;
+    # shifting j = -k-3 by one breaks it at the first weight, k = -18
+    bott = projective._bott_h2_tangent_p2
+    monkeypatch.setattr(projective, "_bott_h2_tangent_p2", lambda k: bott(k - 1))
+    code, out, err = run_cli(capsys, "t1", "veronese:2:3", "--order", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: tangent chase on the plane, k=-18:")
+    assert err.count("\n") == 1
+
+
+def test_closed_form_witness_without_a_count_is_exit_4(capsys, monkeypatch):
+    # a closed form that names a weight whose count is zero is refused
+    monkeypatch.setattr(cones.VeroneseSpace, "closed_form_rigidity", lambda self: (-2, "shifted"))
+    code, out, err = run_cli(capsys, "rigidity", "veronese:2:3")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: veronese:2:3: the closed form puts a nonzero weight at -2")
+    assert err.count("\n") == 1
+
+
 def test_normal_route_mismatch_is_exit_4(capsys, monkeypatch):
     # at d = 4, m = -1 the chase is exact, so the normal route must equal
     # the line count; one section too many makes them disagree
@@ -357,19 +403,19 @@ GOLDEN = [
     ("rigidity rnc:4 --trace", 0, "5c17e864943d45b0f5ade11c0c670e7cbebef77e6ac9d708251965b1f0974b4f", ""),
     ("t1 veronese:1:3 --trace", 0, "aa6c380d955b2a9b209c466b0a2cb68d87be9e2c057a7230e247293816983ace", ""),
     ("t1 veronese:1:3 --order 2 --trace", 0, "7e7f4f6613ad50c033cf63f580eab6842fbba05196555c16bd1178078baef2f5", ""),
-    ("rigidity veronese:1:3 --trace", 0, "a3ba5c8e4522d2db244363f6690ff731fe7aee9c103a8127884b799dc23e35d3", ""),
+    ("rigidity veronese:1:3 --trace", 0, "42dc6a548288fc3d7b28acf05828b8d63d2a0a8997793d0bce16871079fc8463", ""),
     ("t1 veronese:2:3 --trace", 0, "800fd2adc8a039e59dc0d0a8ea1238d5b1d8006617650b9de931ff260645e7c0", ""),
     ("t1 veronese:2:3 --order 2 --trace", 0, "4c5fe7d074aceceabdd2c9723ced321204a7959ed7a50df5d694778e19f2f81a", ""),
-    ("rigidity veronese:2:3 --trace", 0, "14a68c1bb4403d6e1eb02f84c4cb042be626168197c6cca4bf0d71428d535ff3", ""),
+    ("rigidity veronese:2:3 --trace", 0, "13f8f44131ddbb32b781dff8a86dbaa7741b7c7beb515838ee98e8256545df1a", ""),
     ("t1 veronese:3:2 --trace", 0, "7d88d9c168173b06905787b0aa471435d61cca577da77e8219eb7645b457a81f", ""),
     ("t1 veronese:3:2 --order 2 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: second-order counts cover n = 1 and n = 2 only\n"),
-    ("rigidity veronese:3:2 --trace", 0, "f5342849de25287c48cdb8953a91bec8d46b7ed98aed01191944c012359121f4", ""),
+    ("rigidity veronese:3:2 --trace", 0, "f3ef44b6113ad2398bb0c4deb1d1b1f39784190abd3217b6e06229f663ace4fb", ""),
     ("t1 segre:2 --trace", 0, "a021f1aaa73f3c7df0245ada57878033ba191a2cb3d8414c5fde89850cbb1489", ""),
     ("t1 segre:2 --order 2 --trace", 0, "28d9950e3b33a5ef48f16fd2c01daa58bcc4a17b205bfd0ca5d630abafe125d4", ""),
-    ("rigidity segre:2 --trace", 0, "3ab3e402af42acee740142f59740aacff835831f8a22ce5f4c9472cb572ad9ed", ""),
+    ("rigidity segre:2 --trace", 0, "50d1d559157c4d4aee96da45b2e61abc9923baf8dacce49bf059de717a4e5ddf", ""),
     ("t1 product:2:3 --trace", 0, "55c07bea01e3d2981c84a2a5b4cd75c974df3aab3dcfe148afd0bba4df76c2a9", ""),
     ("t1 product:2:3 --order 2 --trace", 0, "2a09e22a60fea6ba6509c3aa5c3cc117f23f6b60ed13460bd2c844d20f8d121e", ""),
-    ("rigidity product:2:3 --trace", 0, "4accfeef02778a7a6cd104078dc43ea5027b48d7374088ad7bec2f5563512178", ""),
+    ("rigidity product:2:3 --trace", 0, "6097f6f06b289dac55bd647d91da93d99d1fcc5bc44d4b3f3b47c55524bd4761", ""),
     ("t1 delpezzo:6 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),
     ("t1 delpezzo:6 --order 2 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),
     ("rigidity delpezzo:6 --trace", 0, "0270764ab7f8f574c9e2d686e32fef8753a5add37dde230f97f2d1d6405298ab", ""),

@@ -1,5 +1,7 @@
 """Catalog-level first/second order counts, verdicts and assemblies."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,13 +205,35 @@ def test_segre_verdicts():
     assert v3.rigid is True and v3.window_independent
 
 
-def test_veronese_verdicts_window_limited():
+def test_veronese_verdicts_hold_in_every_weight():
     cubic = rigidity_verdict(VeroneseSpace(2, 3))
-    assert (cubic.rigid, cubic.witness) == (False, (-1, 1))
-    assert not cubic.window_independent
+    assert (cubic.rigid, cubic.witness, cubic.window_independent) == (False, (-1, 1), True)
     quartic = rigidity_verdict(VeroneseSpace(2, 4))
-    assert quartic.rigid is True
-    assert not quartic.window_independent
+    assert (quartic.rigid, quartic.witness, quartic.window_independent) == (True, None, True)
+    # Bott's spike at k = -3 is found for the plane itself outside the window
+    assert rigidity_verdict(VeroneseSpace(2, 1), 0, 3).witness == (-3, 1)
+    higher = rigidity_verdict(VeroneseSpace(3, 2))
+    assert (higher.rigid, higher.window_independent) == (True, True)
+
+
+SCANNED = [
+    *(RationalNormalCurve(d) for d in range(1, 9)),
+    *(VeroneseSpace(n, d) for n in range(1, 4) for d in range(1, 7)),
+    *(SegreQuadric(d) for d in range(1, 7)),
+    *(ProductPolarization(a, b) for a in range(1, 6) for b in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("v", SCANNED, ids=lambda v: v.describe())
+def test_closed_form_verdict_matches_a_window_scan(v):
+    """The closed form against a scan of the counts: the witness is the
+    nonzero weight nearest zero over -12..4, or there is none and the cone
+    is rigid; and the verdict does not depend on the window asked for."""
+    scanned = next(((m, dim) for m in range(4, -13, -1) if (dim := t1_weight(v, m)) != 0), None)
+    verdict = rigidity_verdict(v, -12, 4)
+    assert (verdict.rigid, verdict.witness, verdict.window_independent) == (scanned is None, scanned, True)
+    for m_lo, m_hi in ((-6, 3), (0, 3), (-1, -1)):
+        assert replace(rigidity_verdict(v, m_lo, m_hi), m_lo=-12, m_hi=4) == verdict
 
 
 def test_delpezzo_verdict_is_certificate_only():
