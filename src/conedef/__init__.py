@@ -24,7 +24,6 @@ from .cones import (
     t1_table,
     t2_table,
 )
-from .delpezzo import Certificate, CertStep, StepStatus, Verdict, delpezzo_certificate
 
 __version__ = "0.1.0"
 
@@ -52,3 +51,15 @@ __all__ = [
     "delpezzo_certificate",
     "__version__",
 ]
+
+# The del Pezzo layer is imported on first use, so a command that never
+# asks for a certificate does not pay for loading it.
+_DELPEZZO = {"Certificate", "CertStep", "StepStatus", "Verdict", "delpezzo_certificate"}
+
+
+def __getattr__(name: str):
+    if name in _DELPEZZO:
+        from . import delpezzo
+
+        return getattr(delpezzo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,8 @@ one exception is ``t1 --format csv``, which prints its table itself and
 carries no trace, so ``main`` refuses it together with the trace switch.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, curve degree below 2, a trace asked of ``--format csv``), 3 for
+window, curve degree below 2, a trace asked of ``--format csv``, a ``cech``
+or ``atiyah`` request over its size budget), 3 for
 well-formed requests the engine refuses to answer with bare numbers
 (certificate-only geometries, second-order counts outside the
 curve/surface catalog), 4 when two routes to the same number disagreed at
@@ -26,14 +27,20 @@ import json
 import os
 import sys
 from dataclasses import fields
+from math import comb
 from typing import Optional, Sequence
 
 from . import cones, p1
-from .atiyah import atiyah_cocycle_check
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
 from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
 
 SCHEMA_VERSION = "1"
+
+# Size budgets, checked from closed forms before anything is built.  A
+# cech basis of 10**4 monomials prints about 0.3 MB; 165 triple overlaps
+# (n = 10) take about half a second to verify.
+CECH_MAX_BASIS = 10_000
+ATIYAH_MAX_TRIPLES = 165
 
 # One usage form per catalog entry, e.g. "veronese:<n>:<d>".
 _DESCRIPTORS = [
@@ -160,8 +167,11 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
 def cmd_cech(args: argparse.Namespace) -> Reply:
     if args.i not in (0, 1):
         raise UsageError("level must be 0 or 1")
+    dim = p1.h_dim(args.i, args.k)
+    if dim > CECH_MAX_BASIS:
+        raise UsageError(f"level {args.i} in degree {args.k} has {dim} basis monomials, over the cech budget of {CECH_MAX_BASIS}")
     mons = p1.basis(args.i, args.k)
-    result = {"dim": p1.h_dim(args.i, args.k), "basis": [[a, b] for a, b in mons]}
+    result = {"dim": dim, "basis": [[a, b] for a, b in mons]}
     trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
     return {"i": args.i, "k": args.k}, result, trace
 
@@ -169,6 +179,11 @@ def cmd_cech(args: argparse.Namespace) -> Reply:
 def cmd_atiyah(args: argparse.Namespace) -> Reply:
     if args.n < 2:
         raise UsageError("need n >= 2 for a triple overlap")
+    triples = comb(args.n + 1, 3)
+    if triples > ATIYAH_MAX_TRIPLES:
+        raise UsageError(f"n = {args.n} has {triples} triple overlaps, over the atiyah budget of {ATIYAH_MAX_TRIPLES}")
+    from .atiyah import atiyah_cocycle_check  # the one command that needs it
+
     report = atiyah_cocycle_check(args.n)
     result = {
         "n": report.n,

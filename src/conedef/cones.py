@@ -37,11 +37,13 @@ closed form (the line, Bott, Kunneth) that decides every weight at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import p1, projective
-from .delpezzo import Certificate, delpezzo_certificate
 from .projective import InternalConsistencyError
+
+if TYPE_CHECKING:
+    from .delpezzo import Certificate
 
 
 class OutOfScopeError(Exception):
@@ -266,6 +268,8 @@ class BlownUpPlane(Variety):
         return 0, 1 + a * (a + 1) * (9 - self.r) // 2
 
     def certificate(self, m_lo: int, m_hi: int) -> Certificate:
+        from .delpezzo import delpezzo_certificate  # loaded only when a certificate is asked for
+
         return delpezzo_certificate(self.r, m_lo, m_hi)
 
 

@@ -167,18 +167,26 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
     """The weight-m graded Jacobian, stacked from the monomial model: block
     (g, i) multiplies grade m+1 by the normal form of dg/dz_i, landing in
     grade m+2, and is zero where that partial vanishes.  An empty source
-    grade (m <= -2) gives the zero-column matrix without taking a partial."""
+    grade (m <= -2) gives the zero-column matrix without taking a partial.
+
+    Every partial of a 2x2 minor is 0, z_k, -z_k or -2 z_k, so the
+    C(d, 2)(d + 1) cells hold at most 3d distinct partials: each block is
+    built once and shared, which is safe because hstack copies rows."""
     _check_degree(d)
     src_dim, dst_dim = len(s_basis(d, m + 1)), len(s_basis(d, m + 2))
     if src_dim == 0:
         return GradedJacobian(d, m, RationalMatrix.zero(comb(d, 2) * dst_dim, 0), src_dim, dst_dim)
     entries = jacobian_matrix(d).entries
+    blocks: dict[Polynomial, RationalMatrix] = {}
 
     def block(partial: Polynomial) -> RationalMatrix:
-        form = normal_form(d, partial)
-        if form.is_zero():
-            return RationalMatrix.zero(dst_dim, src_dim)
-        return p1.mult_matrix(form, 0, d * (m + 1))
+        found = blocks.get(partial)
+        if found is None:
+            form = normal_form(d, partial)
+            found = blocks[partial] = (
+                RationalMatrix.zero(dst_dim, src_dim) if form.is_zero() else p1.mult_matrix(form, 0, d * (m + 1))
+            )
+        return found
 
     matrix = vstack([hstack([block(p) for p in row]) for row in entries])
     return GradedJacobian(d, m, matrix, src_dim, dst_dim)

@@ -5,17 +5,21 @@ import hashlib
 import io
 import itertools
 import json
+import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conedef
 from conedef import cones, p1, presentation, projective
-from conedef.cli import main, parse_variety, parse_window, UsageError
+from conedef.cli import ATIYAH_MAX_TRIPLES, CECH_MAX_BASIS, main, parse_variety, parse_window, UsageError
 from conedef.cones import RationalNormalCurve, BlownUpPlane
 
 
@@ -296,6 +300,85 @@ def test_atiyah_n_validation(capsys):
     assert code == 2
 
 
+def test_cech_budget_refuses_before_building(capsys, monkeypatch):
+    at_budget = run_json(capsys, "cech", "--i", "0", "--k", str(CECH_MAX_BASIS - 1))
+    assert at_budget["result"]["dim"] == CECH_MAX_BASIS
+
+    def refuse(i, k):
+        raise AssertionError("a basis was built for an over-budget request")
+
+    monkeypatch.setattr(p1, "basis", refuse)
+    for k in (CECH_MAX_BASIS, -CECH_MAX_BASIS - 2, 10**18, -(10**18)):
+        i = 0 if k > 0 else 1
+        code, out, err = run_cli(capsys, "cech", "--i", str(i), "--k", str(k))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"over the cech budget of {CECH_MAX_BASIS}" in err
+
+
+def test_atiyah_budget_refuses_before_building(capsys, monkeypatch):
+    import conedef.atiyah
+
+    def refuse(n):
+        raise AssertionError("the cocycle check ran for an over-budget request")
+
+    monkeypatch.setattr(conedef.atiyah, "atiyah_cocycle_check", refuse)
+    assert math.comb(11, 3) <= ATIYAH_MAX_TRIPLES < math.comb(12, 3)  # n = 10 is the largest allowed
+    for n in (11, 10**18):
+        code, out, err = run_cli(capsys, "atiyah", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: n = {n} has {math.comb(n + 1, 3)} triple overlaps, over the atiyah budget of {ATIYAH_MAX_TRIPLES}\n"
+
+
+# ---- what each command loads ---------------------------------------------
+
+# Runs one command in a fresh interpreter and prints the conedef modules
+# it loaded; --help ends in SystemExit.
+_LOADED = """
+import contextlib, io, sys
+from conedef import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(" ".join(sorted(m for m in sys.modules if m.startswith("conedef"))))
+"""
+
+
+def _modules_loaded_by(argv: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv.split()], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["t1 veronese:2:3", "t1 rnc:4", "jacobian --d 4 --weight 0 --trace", "cech --i 1 --k -4", "--help"],
+)
+def test_commands_leave_the_certificate_layers_unloaded(argv):
+    loaded = _modules_loaded_by(argv)
+    assert "conedef.cli" in loaded
+    assert not loaded & {"conedef.delpezzo", "conedef.atiyah"}
+
+
+@pytest.mark.parametrize("argv,module", [("rigidity delpezzo:6", "conedef.delpezzo"), ("atiyah --n 3", "conedef.atiyah")])
+def test_commands_load_their_layer_on_demand(argv, module):
+    assert module in _modules_loaded_by(argv)
+
+
+def test_every_exported_name_resolves():
+    for name in conedef.__all__:
+        assert getattr(conedef, name) is not None, name
+    from conedef import Certificate, delpezzo_certificate  # through the package's lazy lookup
+    from conedef.delpezzo import Certificate as direct
+
+    assert Certificate is direct and callable(delpezzo_certificate)
+    with pytest.raises(AttributeError):
+        conedef.no_such_name
+
+
 def test_internal_inconsistency_is_exit_4(capsys, monkeypatch):
     # the rnc cross-check compares the chase with the monomial count; an
     # empty basis makes the two disagree
@@ -433,6 +516,8 @@ GOLDEN = [
     ("cech --i 2 --k 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: level must be 0 or 1\n"),
     ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: choose exactly one of --weight <m> or --dump-matrix\n"),
     ("atiyah --n 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: need n >= 2 for a triple overlap\n"),
+    ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: level 1 in degree -1000000000 has 999999999 basis monomials, over the cech budget of 10000\n"),
+    ("atiyah --n 11", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n = 11 has 220 triple overlaps, over the atiyah budget of 165\n"),
     ("t1 rnc:4 --weights -2..-1 --format csv --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)\n"),
 ]
 
