@@ -18,9 +18,10 @@ that the cocycle itself is not identically zero are checked as well.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .polynomials import Polynomial, RationalFunction
+from .records import Record
 
 
 def _transition_homogeneous(n: int, a: int, b: int) -> RationalFunction:
@@ -46,14 +47,24 @@ def _transition_in_chart(n: int, chart: int, a: int, b: int) -> RationalFunction
     return RationalFunction(coord(a), coord(b))
 
 
-@dataclass
-class CocycleReport:
-    n: int
-    triples: list[tuple[int, int, int]] = field(default_factory=list)
-    multiplicative_ok: bool = True
-    additive_ok: bool = True
-    degenerate_ok: bool = True
-    nontrivial_witness: bool = True
+class CocycleReport(Record):
+    __slots__ = _fields = ("n", "triples", "multiplicative_ok", "additive_ok", "degenerate_ok", "nontrivial_witness")
+
+    def __init__(
+        self,
+        n: int,
+        triples: Optional[list[tuple[int, int, int]]] = None,
+        multiplicative_ok: bool = True,
+        additive_ok: bool = True,
+        degenerate_ok: bool = True,
+        nontrivial_witness: bool = True,
+    ) -> None:
+        self.n = n
+        self.triples = [] if triples is None else triples
+        self.multiplicative_ok = multiplicative_ok
+        self.additive_ok = additive_ok
+        self.degenerate_ok = degenerate_ok
+        self.nontrivial_witness = nontrivial_witness
 
     @property
     def passed(self) -> bool:

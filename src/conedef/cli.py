@@ -11,8 +11,8 @@ one exception is ``t1 --format csv``, which prints its table itself and
 carries no trace, so ``main`` refuses it together with the trace switch.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, curve degree below 2, a trace asked of ``--format csv``, a ``cech``
-or ``atiyah`` request over its size budget), 3 for
+window, curve degree below 2, a trace asked of ``--format csv``, a ``t1``,
+``rigidity``, ``cech`` or ``atiyah`` request over its size budget), 3 for
 well-formed requests the engine refuses to answer with bare numbers
 (certificate-only geometries, second-order counts outside the
 curve/surface catalog), 4 when two routes to the same number disagreed at
@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from math import comb
 from typing import Optional, Sequence
 
@@ -38,14 +37,17 @@ SCHEMA_VERSION = "1"
 
 # Size budgets, checked from closed forms before anything is built.  A
 # cech basis of 10**4 monomials prints about 0.3 MB; 165 triple overlaps
-# (n = 10) take about half a second to verify.
+# (n = 10) take about half a second to verify.  A t1 or rigidity window
+# holds at most 10**3 weights, and no weight it computes may build a
+# monomial basis of more than 10**4 monomials (the plane's Euler top map
+# at that size has about 3 * 10**4 rows).
 CECH_MAX_BASIS = 10_000
 ATIYAH_MAX_TRIPLES = 165
+WINDOW_MAX_WEIGHTS = 1_000
+WEIGHT_MAX_BASIS = 10_000
 
 # One usage form per catalog entry, e.g. "veronese:<n>:<d>".
-_DESCRIPTORS = [
-    ":".join([name, *(f"<{f.name}>" for f in fields(cls))]) for name, cls in cones.CATALOG.items()
-]
+_DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in cls._fields)]) for name, cls in cones.CATALOG.items()]
 
 
 class UsageError(Exception):
@@ -55,7 +57,7 @@ class UsageError(Exception):
 def parse_variety(descriptor: str) -> Variety:
     name, *values = descriptor.split(":")
     cls = cones.CATALOG.get(name)
-    if cls is not None and len(values) == len(fields(cls)):
+    if cls is not None and len(values) == len(cls._fields):
         try:
             return cls(*[int(x) for x in values])
         except ValueError as exc:
@@ -79,12 +81,29 @@ def parse_window(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_window_budget(lo: int, hi: int) -> None:
+    if hi - lo + 1 > WINDOW_MAX_WEIGHTS:
+        raise UsageError(f"weight window {lo}..{hi} has {hi - lo + 1} weights, over the window budget of {WINDOW_MAX_WEIGHTS}")
+
+
+def _check_basis_budget(variety: Variety, weights: Sequence[int], order: int) -> None:
+    m = max(weights, key=lambda w: variety.largest_basis(w, order))
+    size = variety.largest_basis(m, order)
+    if size > WEIGHT_MAX_BASIS:
+        raise UsageError(
+            f"{variety.describe()} in weight {m} builds a basis of {size} monomials, "
+            f"over the basis budget of {WEIGHT_MAX_BASIS}"
+        )
+
+
 Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or None
 
 
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
+    _check_window_budget(lo, hi)
+    _check_basis_budget(variety, range(lo, hi + 1), args.order)
     table = (
         cones.t1_table(variety, lo, hi)
         if args.order == 1
@@ -114,6 +133,13 @@ def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
 def cmd_rigidity(args: argparse.Namespace) -> Reply:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
+    _check_window_budget(lo, hi)  # a certificate replays every weight of the window
+    try:
+        witness_weight = variety.closed_form_rigidity()[0]
+    except OutOfScopeError:
+        witness_weight = None  # certificate-only: the window is its whole cost
+    if witness_weight is not None:
+        _check_basis_budget(variety, [witness_weight], 1)
     verdict = cones.rigidity_verdict(variety, lo, hi)
     result: dict = {
         "rigid": verdict.rigid,

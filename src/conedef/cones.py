@@ -36,11 +36,11 @@ closed form (the line, Bott, Kunneth) that decides every weight at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 from . import p1, projective
 from .projective import InternalConsistencyError
+from .records import FrozenRecord
 
 if TYPE_CHECKING:
     from .delpezzo import Certificate
@@ -57,10 +57,10 @@ class OutOfScopeError(Exception):
 _CERTIFICATE_ONLY = "blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate"
 
 
-class Variety:
-    """A catalog entry: a frozen dataclass whose integer fields, in order,
-    are the fields of its descriptor ``<name>:<field>:...``, with the name
-    taken from :data:`CATALOG`.
+class Variety(FrozenRecord):
+    """A catalog entry: a frozen record whose field tuple ``_fields`` names,
+    in order, the integers of its descriptor ``<name>:<field>:...``, with
+    the name taken from :data:`CATALOG`.
 
     Every entry implements ``polarization_cohomology(m)``, the pair
     (h^1, h^2) of the m-th polarization power (m = 0 is the structure
@@ -68,8 +68,10 @@ class Variety:
     gives no bare counts and decides rigidity only through a replay
     certificate."""
 
+    __slots__ = ()
+
     def describe(self) -> str:
-        return ":".join([_NAMES[type(self)], *(str(getattr(self, f.name)) for f in fields(self))])
+        return ":".join([_NAMES[type(self)], *map(str, self._values())])
 
     def t1(self, m: int) -> int:
         """First tangent cohomology twisted by the m-th polarization power."""
@@ -92,16 +94,22 @@ class Variety:
         """The replay certificate that stands in for bare counts, if any."""
         return None
 
+    def largest_basis(self, m: int, order: int) -> int:
+        """Size of the largest monomial basis that the weight-m count of the
+        given order builds, from a closed form, so that a request can be
+        refused before anything is built.  A closed-form count builds none."""
+        return 0
 
-@dataclass(frozen=True)
+
 class RationalNormalCurve(Variety):
     """The line embedded in d-space by degree-d forms."""
 
-    d: int
+    __slots__ = _fields = ("d",)
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(self, d: int) -> None:
+        if d < 1:
             raise ValueError("curve degree d must be at least 1")
+        self._set(d)
 
     def t1(self, m: int) -> int:
         value = p1.h_dim(1, 2 + self.d * m)
@@ -110,6 +118,9 @@ class RationalNormalCurve(Variety):
 
     def t2(self, m: int) -> int:
         return 0  # no second cohomology on a curve
+
+    def largest_basis(self, m: int, order: int) -> int:
+        return p1.h_dim(1, 2 + self.d * m) if order == 1 else 0  # the cross-check's level-1 basis
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         return p1.h_dim(1, self.d * m), 0
@@ -140,16 +151,15 @@ def _rnc_cross_check(d: int, m: int, value: int) -> None:
         )
 
 
-@dataclass(frozen=True)
 class VeroneseSpace(Variety):
     """Projective n-space embedded by all degree-d forms."""
 
-    n: int
-    d: int
+    __slots__ = _fields = ("n", "d")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
+    def __init__(self, n: int, d: int) -> None:
+        if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
+        self._set(n, d)
 
     def t1(self, m: int) -> int:
         return projective.h1_tangent_pn_twist(self.n, self.d * m)
@@ -160,6 +170,10 @@ class VeroneseSpace(Variety):
         if self.n == 2:
             return projective.h2_tangent_p2_twist(self.d * m)
         raise OutOfScopeError("second-order counts cover n = 1 and n = 2 only")
+
+    def largest_basis(self, m: int, order: int) -> int:
+        # both orders on the plane chase the Euler top map out of H^2(O(d*m))
+        return projective.hq_pn_line(2, self.d * m, 2) if self.n == 2 else 0
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         k = self.d * m
@@ -185,6 +199,8 @@ class VeroneseSpace(Variety):
 class _ProductOfLines(Variety):
     """A product of two lines polarized by the bidegree ``self.bidegree``;
     the tangent sheaf splits, so every count is Kunneth on line bundles."""
+
+    __slots__ = ()
 
     def t1(self, m: int) -> int:
         a, b = self.bidegree
@@ -212,46 +228,45 @@ class _ProductOfLines(Variety):
         )
 
 
-@dataclass(frozen=True)
 class SegreQuadric(_ProductOfLines):
     """A product of two lines polarized by the symmetric bidegree (d, d)."""
 
-    d: int
+    __slots__ = _fields = ("d",)
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(self, d: int) -> None:
+        if d < 1:
             raise ValueError("need d >= 1")
+        self._set(d)
 
     @property
     def bidegree(self) -> tuple[int, int]:
         return (self.d, self.d)
 
 
-@dataclass(frozen=True)
 class ProductPolarization(_ProductOfLines):
     """A product of two lines polarized by bidegree (a, b)."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int) -> None:
+        if a < 1 or b < 1:
             raise ValueError("both bidegrees must be at least 1")
+        self._set(a, b)
 
     @property
     def bidegree(self) -> tuple[int, int]:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
 class BlownUpPlane(Variety):
     """The plane blown up in r general points, polarized anticanonically."""
 
-    r: int
+    __slots__ = _fields = ("r",)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.r <= 8:
+    def __init__(self, r: int) -> None:
+        if not 1 <= r <= 8:
             raise ValueError("r must be between 1 and 8")
+        self._set(r)
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         """First cohomology of every anticanonical power vanishes (duality
@@ -305,15 +320,13 @@ def t2_weight(v: Variety, m: int) -> int:
     return v.t2(m)
 
 
-@dataclass(frozen=True)
-class GradedTable:
+class GradedTable(FrozenRecord):
     """Weight-indexed dimensions over an inclusive window."""
 
-    variety: str
-    order: int
-    m_lo: int
-    m_hi: int
-    entries: dict[int, int]
+    __slots__ = _fields = ("variety", "order", "m_lo", "m_hi", "entries")
+
+    def __init__(self, variety: str, order: int, m_lo: int, m_hi: int, entries: dict[int, int]) -> None:
+        self._set(variety, order, m_lo, m_hi, entries)
 
     def nonzero_weights(self) -> list[int]:
         return [m for m in sorted(self.entries) if self.entries[m] != 0]
@@ -343,22 +356,27 @@ def t2_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(FrozenRecord):
     """Outcome of the rigidity question for a cone.  ``rigid`` is None for
     certificate-only varieties; ``witness`` is (weight, dimension) of the
     nonzero graded piece closest to zero when one exists;
     ``window_independent`` is true for every numeric verdict (a closed form
     valid in every weight) and false for a certificate (the window only)."""
 
-    variety: str
-    rigid: Optional[bool]
-    witness: Optional[tuple[int, int]]
-    m_lo: int
-    m_hi: int
-    window_independent: bool
-    note: str
-    certificate: Optional[Certificate] = None
+    __slots__ = _fields = ("variety", "rigid", "witness", "m_lo", "m_hi", "window_independent", "note", "certificate")
+
+    def __init__(
+        self,
+        variety: str,
+        rigid: Optional[bool],
+        witness: Optional[tuple[int, int]],
+        m_lo: int,
+        m_hi: int,
+        window_independent: bool,
+        note: str,
+        certificate: Optional[Certificate] = None,
+    ) -> None:
+        self._set(variety, rigid, witness, m_lo, m_hi, window_independent, note, certificate)
 
 
 def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdict:
@@ -390,18 +408,16 @@ def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdi
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightZeroReport:
+class WeightZeroReport(FrozenRecord):
     """Sanity data for the identification of cone deformations with
     twisted tangent cohomology: the structure sheaf's first and second
     cohomology (both must vanish for the clean graded picture) and, when
     computable, the weight-0 count itself."""
 
-    variety: str
-    h1_structure: int
-    h2_structure: int
-    criterion_holds: bool
-    t1_zero: Optional[int]
+    __slots__ = _fields = ("variety", "h1_structure", "h2_structure", "criterion_holds", "t1_zero")
+
+    def __init__(self, variety: str, h1_structure: int, h2_structure: int, criterion_holds: bool, t1_zero: Optional[int]) -> None:
+        self._set(variety, h1_structure, h2_structure, criterion_holds, t1_zero)
 
 
 def weight_zero_criterion(v: Variety) -> WeightZeroReport:
@@ -413,16 +429,15 @@ def weight_zero_criterion(v: Variety) -> WeightZeroReport:
     return WeightZeroReport(v.describe(), h1o, h2o, h1o == 0 and h2o == 0, t1z)
 
 
-@dataclass(frozen=True)
-class PolarizationFlags:
+class PolarizationFlags(FrozenRecord):
     """Cohomology of the m-th polarization power, used to flag weights
     where the cone count and the twisted tangent cohomology could differ
     by correction terms."""
 
-    variety: str
-    m: int
-    h1_polarization: int
-    h2_polarization: int
+    __slots__ = _fields = ("variety", "m", "h1_polarization", "h2_polarization")
+
+    def __init__(self, variety: str, m: int, h1_polarization: int, h2_polarization: int) -> None:
+        self._set(variety, m, h1_polarization, h2_polarization)
 
     @property
     def clean(self) -> bool:
@@ -438,16 +453,16 @@ def corollary_flags(v: Variety, m: int) -> PolarizationFlags:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedAssembly:
+class GradedAssembly(FrozenRecord):
     """The graded first-order space split into negative, zero and positive
     weights, with the role each band plays."""
 
-    variety: str
-    negative: dict[int, int]
-    zero: int
-    positive: dict[int, int]
-    roles: dict[str, str]
+    __slots__ = _fields = ("variety", "negative", "zero", "positive", "roles")
+
+    def __init__(
+        self, variety: str, negative: dict[int, int], zero: int, positive: dict[int, int], roles: dict[str, str]
+    ) -> None:
+        self._set(variety, negative, zero, positive, roles)
 
     def total(self) -> int:
         return sum(self.negative.values()) + self.zero + sum(self.positive.values())

@@ -30,7 +30,6 @@ m = -1 from the scaling-direction discussion around the main statement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import p1
@@ -40,6 +39,7 @@ from .projective import (
     intersection,
     restrict_to_exceptional,
 )
+from .records import FrozenRecord, Record
 
 
 class StepStatus(enum.Enum):
@@ -54,16 +54,21 @@ class Verdict(enum.Enum):
     FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(FrozenRecord):
     """One graded step of a replay certificate."""
 
-    term: str
-    claimed: Optional[Union[int, str]]
-    computed: Optional[Union[int, str]]
-    rule: str
-    anchor: str
-    status: StepStatus
+    __slots__ = _fields = ("term", "claimed", "computed", "rule", "anchor", "status")
+
+    def __init__(
+        self,
+        term: str,
+        claimed: Optional[Union[int, str]],
+        computed: Optional[Union[int, str]],
+        rule: str,
+        anchor: str,
+        status: StepStatus,
+    ) -> None:
+        self._set(term, claimed, computed, rule, anchor, status)
 
     def to_dict(self) -> dict:
         return {
@@ -76,10 +81,12 @@ class CertStep:
         }
 
 
-@dataclass
-class Certificate:
-    claim: str
-    steps: list[CertStep] = field(default_factory=list)
+class Certificate(Record):
+    __slots__ = _fields = ("claim", "steps")
+
+    def __init__(self, claim: str, steps: Optional[list[CertStep]] = None) -> None:
+        self.claim = claim
+        self.steps = [] if steps is None else steps
 
     @property
     def verdict(self) -> Verdict:

@@ -23,9 +23,10 @@ there is no rounding error to fight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from .records import Record
 
 Scalar = Union[int, Fraction]
 Row = dict[int, Fraction]
@@ -42,32 +43,32 @@ def _frac(x: Scalar) -> Fraction:
     raise TypeError(f"exact scalars must be int or Fraction, got {type(x).__name__}")
 
 
-@dataclass
-class RationalMatrix:
+class RationalMatrix(Record):
     """A rows x cols matrix of Fractions, stored as one ``{column: value}``
     dict per row holding the nonzero entries only.  Degenerate shapes
     (0 x n, n x 0) are legal and behave like the corresponding zero maps.
     Two matrices are equal when their shapes and rows are."""
 
-    nrows: int
-    ncols: int
-    rows: list[Row]
+    __slots__ = _fields = ("nrows", "ncols", "rows")
 
-    def __post_init__(self) -> None:
-        if self.nrows < 0 or self.ncols < 0:
+    def __init__(self, nrows: int, ncols: int, rows: list[Row]) -> None:
+        if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.rows) != self.nrows:
-            raise ValueError(f"expected {self.nrows} rows, got {len(self.rows)}")
-        for row in self.rows:
+        if len(rows) != nrows:
+            raise ValueError(f"expected {nrows} rows, got {len(rows)}")
+        for row in rows:
             if not isinstance(row, dict):
                 raise ValueError("each row must be a dict from column index to Fraction")
             for j, x in row.items():
-                if not isinstance(j, int) or not 0 <= j < self.ncols:
-                    raise ValueError(f"column index {j!r} outside range({self.ncols})")
+                if not isinstance(j, int) or not 0 <= j < ncols:
+                    raise ValueError(f"column index {j!r} outside range({ncols})")
                 if not isinstance(x, Fraction):
                     raise ValueError(f"entry at column {j} is a {type(x).__name__}, not a Fraction")
                 if not x:
                     raise ValueError(f"stored zero at column {j}")
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = rows
 
     # ---- constructors -------------------------------------------------
 

@@ -13,12 +13,12 @@ relies on for stable golden output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 from .linalg import Scalar, _frac
+from .records import Record
 
 Exponents = tuple[int, ...]
 
@@ -233,19 +233,19 @@ class Polynomial:
         return f"Polynomial({self.to_string()})"
 
 
-@dataclass
-class RationalFunction:
+class RationalFunction(Record):
     """A quotient of polynomials.  No gcd reduction is ever performed:
     equality is decided by cross-multiplication, which stays exact."""
 
-    num: Polynomial
-    den: Polynomial
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if self.num.nvars != self.den.nvars:
+    def __init__(self, num: Polynomial, den: Polynomial) -> None:
+        if num.nvars != den.nvars:
             raise ValueError("numerator and denominator in different variable sets")
-        if self.den.is_zero():
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        self.num = num
+        self.den = den
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":

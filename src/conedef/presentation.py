@@ -21,7 +21,6 @@ Two independent routes to the weight-m deformation count are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -29,6 +28,7 @@ from . import p1
 from .linalg import RationalMatrix, hstack, vstack
 from .polynomials import Polynomial
 from .projective import InternalConsistencyError
+from .records import FrozenRecord
 
 Monomial2 = tuple[int, int]
 
@@ -38,12 +38,13 @@ def _check_degree(d: int) -> None:
         raise ValueError("the presentation needs curve degree d >= 2 (d = 1 is a line with no equations)")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(FrozenRecord):
     """Generators of the ideal of the degree-d curve in the z-variables."""
 
-    d: int
-    generators: tuple[Polynomial, ...]
+    __slots__ = _fields = ("d", "generators")
+
+    def __init__(self, d: int, generators: tuple[Polynomial, ...]) -> None:
+        self._set(d, generators)
 
     @property
     def nvars(self) -> int:
@@ -67,14 +68,15 @@ def build_presentation(d: int) -> Presentation:
     return Presentation(d, tuple(gens))
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(FrozenRecord):
     """A matrix of polynomials (used for the Jacobian of the generators)."""
 
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[Polynomial, ...], ...]
-    var_names: tuple[str, ...]
+    __slots__ = _fields = ("nrows", "ncols", "entries", "var_names")
+
+    def __init__(
+        self, nrows: int, ncols: int, entries: tuple[tuple[Polynomial, ...], ...], var_names: tuple[str, ...]
+    ) -> None:
+        self._set(nrows, ncols, entries, var_names)
 
     def to_strings(self) -> list[list[str]]:
         return [[p.to_string(self.var_names) for p in row] for row in self.entries]
@@ -138,18 +140,16 @@ def coefficients_in_grade(d: int, q: Polynomial, k: int) -> list[Fraction]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedJacobian:
+class GradedJacobian(FrozenRecord):
     """The weight-m graded piece of the Jacobian pairing: derivations with
     components in grade m+1 mapping into one grade-(m+2) block per
     generator.  Source blocks are ordered by variable, target blocks by
     generator."""
 
-    d: int
-    m: int
-    matrix: RationalMatrix
-    source_block_dim: int
-    target_block_dim: int
+    __slots__ = _fields = ("d", "m", "matrix", "source_block_dim", "target_block_dim")
+
+    def __init__(self, d: int, m: int, matrix: RationalMatrix, source_block_dim: int, target_block_dim: int) -> None:
+        self._set(d, m, matrix, source_block_dim, target_block_dim)
 
     @property
     def source_dim(self) -> int:
@@ -218,18 +218,16 @@ def normal_bundle_h0(d: int, m: int) -> int:
     return (d - 1) * p1.h_dim(0, d + 2 + m * d)
 
 
-@dataclass(frozen=True)
-class NormalRoute:
+class NormalRoute(FrozenRecord):
     """Normal-bundle computation of the weight-m deformation count, with
     the exactness certificate for the sequence chase."""
 
-    d: int
-    m: int
-    normal_h0: int
-    restricted_tangent_h0: int
-    curve_tangent_h0: int
-    value: int
-    exact: bool
+    __slots__ = _fields = ("d", "m", "normal_h0", "restricted_tangent_h0", "curve_tangent_h0", "value", "exact")
+
+    def __init__(
+        self, d: int, m: int, normal_h0: int, restricted_tangent_h0: int, curve_tangent_h0: int, value: int, exact: bool
+    ) -> None:
+        self._set(d, m, normal_h0, restricted_tangent_h0, curve_tangent_h0, value, exact)
 
 
 def t1_via_normal(d: int, m: int) -> NormalRoute:

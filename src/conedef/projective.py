@@ -15,11 +15,11 @@ route exists (Serre duality, Euler characteristics) the tests replay it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .linalg import RationalMatrix, Row, hstack, vstack
 from .polynomials import Polynomial
+from .records import FrozenRecord
 
 
 class InternalConsistencyError(Exception):
@@ -201,21 +201,19 @@ def h2_bidegree(a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceDivisor:
+class SurfaceDivisor(FrozenRecord):
     """A divisor class h*H + sum_i e_i * E_i on the blow-up of the plane in
     r points, in the standard orthogonal basis (H; E_1..E_r) where H^2 = 1,
     E_i^2 = -1 and H.E_i = 0."""
 
-    r: int
-    h: int
-    e: tuple[int, ...]
+    __slots__ = _fields = ("r", "h", "e")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.r:
+    def __init__(self, r: int, h: int, e: tuple[int, ...]) -> None:
+        if not 0 <= r:
             raise ValueError("r must be nonnegative")
-        if len(self.e) != self.r:
-            raise ValueError(f"expected {self.r} exceptional coefficients, got {len(self.e)}")
+        if len(e) != r:
+            raise ValueError(f"expected {r} exceptional coefficients, got {len(e)}")
+        self._set(r, h, e)
 
     @classmethod
     def exceptional(cls, r: int, i: int) -> "SurfaceDivisor":

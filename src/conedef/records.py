@@ -1,0 +1,55 @@
+"""Plain slotted records compared, hashed and printed by their field tuple.
+
+The catalog entries, the result records, the matrices and the
+certificates subclass :class:`Record` (or :class:`FrozenRecord`), declare
+``__slots__`` and write their own ``__init__``.  The class attribute
+``_fields`` names the constructor's arguments in order; equality, hashing,
+``repr`` and the command line's descriptor parser all read it.  Nothing
+here generates code, so defining a record costs no more than defining any
+other class.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """Equal to another record of the same class whose field values are
+    equal, never to a record of another class; unhashable, because its
+    fields may be reassigned."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``_set`` in ``__init__``, and
+    refuse assignment afterwards; it hashes by its field values."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())

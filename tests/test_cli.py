@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 import conedef
 from conedef import cones, p1, presentation, projective
-from conedef.cli import ATIYAH_MAX_TRIPLES, CECH_MAX_BASIS, main, parse_variety, parse_window, UsageError
+from conedef.cli import (
+    ATIYAH_MAX_TRIPLES,
+    CECH_MAX_BASIS,
+    WEIGHT_MAX_BASIS,
+    WINDOW_MAX_WEIGHTS,
+    UsageError,
+    main,
+    parse_variety,
+    parse_window,
+)
 from conedef.cones import RationalNormalCurve, BlownUpPlane
 
 
@@ -54,7 +62,7 @@ def test_parse_variety_descriptors():
 
 def test_parse_variety_round_trips_describe():
     for name, cls in cones.CATALOG.items():
-        for values in itertools.product(range(1, 4), repeat=len(fields(cls))):
+        for values in itertools.product(range(1, 4), repeat=len(cls._fields)):
             v = cls(*values)
             assert v.describe().startswith(name + ":")
             assert parse_variety(v.describe()) == v
@@ -330,19 +338,58 @@ def test_atiyah_budget_refuses_before_building(capsys, monkeypatch):
         assert err == f"error: n = {n} has {math.comb(n + 1, 3)} triple overlaps, over the atiyah budget of {ATIYAH_MAX_TRIPLES}\n"
 
 
+def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
+    at_window = run_json(capsys, "t1", "segre:1", "--weights", f"{1 - WINDOW_MAX_WEIGHTS}..0")
+    assert len(at_window["result"]["table"]) == WINDOW_MAX_WEIGHTS
+    m = -3 - WEIGHT_MAX_BASIS  # rnc:1 builds a level-1 basis of -3 - m monomials in weight m
+    assert run_json(capsys, "t1", "rnc:1", "--weights", f"{m}..{m}")["result"]["table"] == {str(m): WEIGHT_MAX_BASIS}
+    # second-order counts on a curve are a closed form and build nothing
+    assert run_json(capsys, "t1", "rnc:1000000000", "--order", "2")["result"]["nonzero_weights"] == []
+
+    def refuse(*args):
+        raise AssertionError("something was built for an over-budget request")
+
+    monkeypatch.setattr(p1, "basis", refuse)
+    monkeypatch.setattr(projective, "_euler_top_map_p2", refuse)
+    monkeypatch.setattr(cones.BlownUpPlane, "certificate", refuse)
+    # the plane's top-level basis in twist -143 has C(142, 2) = 10011 monomials, in -142 C(141, 2) = 9870
+    over = [
+        (("t1", "rnc:4", "--weights", f"{-WINDOW_MAX_WEIGHTS}..0"), "window"),
+        (("t1", "segre:1", "--weights", f"{-(10**18)}..{10**18}"), "window"),
+        (("rigidity", "delpezzo:6", "--weights", f"{-WINDOW_MAX_WEIGHTS}..0"), "window"),
+        (("rigidity", "veronese:2:1", "--weights", f"{-(10**18)}..0"), "window"),
+        (("t1", "rnc:1", "--weights", f"{m - 1}..{m - 1}"), "basis"),
+        (("rigidity", f"rnc:{10**18}"), "basis"),
+        (("t1", "veronese:2:1", "--weights", "-143..-143"), "basis"),
+        (("t1", "veronese:2:1", "--weights", "-143..-143", "--order", "2"), "basis"),
+    ]
+    for argv, budget in over:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"over the {budget} budget of {WINDOW_MAX_WEIGHTS if budget == 'window' else WEIGHT_MAX_BASIS}" in err
+    with pytest.raises(AssertionError, match="over-budget"):  # within budget the patched function is reached
+        main(["t1", "veronese:2:1", "--weights", "-142..-142"])
+
+
 # ---- what each command loads ---------------------------------------------
 
 # Runs one command in a fresh interpreter and prints the conedef modules
-# it loaded; --help ends in SystemExit.
+# it loaded, and dataclasses or inspect if the import of the package or
+# the command loaded them (not the interpreter's own start-up); --help
+# ends in SystemExit.
 _LOADED = """
-import contextlib, io, sys
+import sys
+started = set(sys.modules)
+import contextlib, io
 from conedef import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         cli.main(sys.argv[1:])
     except SystemExit:
         pass
-print(" ".join(sorted(m for m in sys.modules if m.startswith("conedef"))))
+watched = {"dataclasses", "inspect"} - started
+print(" ".join(sorted(m for m in sys.modules if m.startswith("conedef") or m in watched)))
 """
 
 
@@ -366,6 +413,26 @@ def test_commands_leave_the_certificate_layers_unloaded(argv):
 @pytest.mark.parametrize("argv,module", [("rigidity delpezzo:6", "conedef.delpezzo"), ("atiyah --n 3", "conedef.atiyah")])
 def test_commands_load_their_layer_on_demand(argv, module):
     assert module in _modules_loaded_by(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--help",
+        "t1 rnc:4",
+        "t1 veronese:2:3",
+        "rigidity delpezzo:6",
+        "jacobian --d 4 --weight 0 --trace",
+        "cech --i 1 --k -4",
+        "atiyah --n 3",
+    ],
+)
+def test_commands_never_load_dataclasses(argv):
+    """Records are plain slotted classes: no command pays for importing
+    dataclasses, or the inspect module it pulls in."""
+    loaded = _modules_loaded_by(argv)
+    assert "conedef.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_every_exported_name_resolves():
@@ -519,6 +586,10 @@ GOLDEN = [
     ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: level 1 in degree -1000000000 has 999999999 basis monomials, over the cech budget of 10000\n"),
     ("atiyah --n 11", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n = 11 has 220 triple overlaps, over the atiyah budget of 165\n"),
     ("t1 rnc:4 --weights -2..-1 --format csv --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)\n"),
+    ("t1 rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: rnc:1000000000 in weight -6 builds a basis of 5999999997 monomials, over the basis budget of 10000\n"),
+    ("rigidity rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: rnc:1000000000 in weight -1 builds a basis of 999999997 monomials, over the basis budget of 10000\n"),
+    ("t1 rnc:4 --weights -1000000000..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: weight window -1000000000..0 has 1000000001 weights, over the window budget of 1000\n"),
+    ("t1 veronese:2:1 --weights -2000..-2000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: veronese:2:1 in weight -2000 builds a basis of 1997001 monomials, over the basis budget of 10000\n"),
 ]
 
 

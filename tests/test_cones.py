@@ -1,7 +1,5 @@
 """Catalog-level first/second order counts, verdicts and assemblies."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +8,7 @@ from conedef.cones import (
     OutOfScopeError,
     ProductPolarization,
     RationalNormalCurve,
+    RigidityVerdict,
     SegreQuadric,
     VeroneseSpace,
     corollary_flags,
@@ -233,7 +232,11 @@ def test_closed_form_verdict_matches_a_window_scan(v):
     verdict = rigidity_verdict(v, -12, 4)
     assert (verdict.rigid, verdict.witness, verdict.window_independent) == (scanned is None, scanned, True)
     for m_lo, m_hi in ((-6, 3), (0, 3), (-1, -1)):
-        assert replace(rigidity_verdict(v, m_lo, m_hi), m_lo=-12, m_hi=4) == verdict
+        # equal to the -12..4 verdict in every field but the window asked for
+        assert rigidity_verdict(v, m_lo, m_hi) == RigidityVerdict(
+            verdict.variety, verdict.rigid, verdict.witness, m_lo, m_hi,
+            verdict.window_independent, verdict.note, verdict.certificate,
+        )
 
 
 def test_delpezzo_verdict_is_certificate_only():

@@ -1,0 +1,134 @@
+"""Record semantics: equality by class and fields, hashing and refused
+assignment for frozen records, constructor order and defaults, and the
+validation errors of the constructors."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from conedef.atiyah import CocycleReport
+from conedef.cones import (
+    BlownUpPlane,
+    GradedAssembly,
+    GradedTable,
+    PolarizationFlags,
+    ProductPolarization,
+    RationalNormalCurve,
+    RigidityVerdict,
+    SegreQuadric,
+    VeroneseSpace,
+    WeightZeroReport,
+)
+from conedef.delpezzo import Certificate
+from conedef.linalg import RationalMatrix
+from conedef.polynomials import Polynomial, RationalFunction
+from conedef.projective import SurfaceDivisor
+
+# (class, field values, the same values with one field changed, hashable,
+# the name of the first field):
+# every catalog class, then the result records of the cones layer.  A
+# frozen record hashes like the tuple of its fields, so one holding a dict
+# is unhashable.
+FROZEN = [
+    (RationalNormalCurve, (4,), (5,), True, "d"),
+    (VeroneseSpace, (2, 3), (2, 4), True, "n"),
+    (SegreQuadric, (2,), (3,), True, "d"),
+    (ProductPolarization, (2, 3), (3, 2), True, "a"),
+    (BlownUpPlane, (6,), (5,), True, "r"),
+    (GradedTable, ("rnc:4", 1, -1, 0, {-1: 1, 0: 0}), ("rnc:4", 1, -1, 0, {-1: 1, 0: 1}), False, "variety"),
+    (RigidityVerdict, ("rnc:4", False, (-1, 1), -6, 3, True, "note"), ("rnc:4", False, (-1, 1), -6, 2, True, "note"), True, "variety"),
+    (WeightZeroReport, ("rnc:4", 0, 0, True, 0), ("rnc:4", 0, 0, True, None), True, "variety"),
+    (PolarizationFlags, ("segre:1", -2, 0, 1), ("segre:1", -2, 0, 0), True, "variety"),
+    (GradedAssembly, ("rnc:4", {-1: 1}, 0, {1: 0}, {"zero": "z"}), ("rnc:4", {-1: 1}, 1, {1: 0}, {"zero": "z"}), False, "variety"),
+]
+
+
+@pytest.mark.parametrize("cls,values,changed,hashable,field", FROZEN, ids=[row[0].__name__ for row in FROZEN])
+def test_frozen_records(cls, values, changed, hashable, field):
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b
+    assert a != cls(*changed)
+    assert a != values and a != object()
+    if hashable:
+        assert hash(a) == hash(b)
+        assert len({a, b, cls(*changed)}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert a == b  # nothing above changed it
+    assert repr(a).startswith(f"{cls.__name__}(")
+
+
+def test_equality_needs_the_same_class():
+    assert RationalNormalCurve(2) != SegreQuadric(2)
+    assert RationalNormalCurve(3) != VeroneseSpace(1, 3)  # the same curve, a different entry
+    assert SegreQuadric(2) != ProductPolarization(2, 2)
+    assert {RationalNormalCurve(2), SegreQuadric(2)} == {SegreQuadric(2), RationalNormalCurve(2)}
+
+
+def test_constructor_order_and_defaults():
+    verdict = RigidityVerdict("rnc:4", False, (-1, 1), -6, 3, True, "note")
+    assert verdict.certificate is None
+    assert (verdict.variety, verdict.rigid, verdict.witness, verdict.m_lo, verdict.m_hi) == ("rnc:4", False, (-1, 1), -6, 3)
+    assert (verdict.window_independent, verdict.note) == (True, "note")
+    assert VeroneseSpace(2, 3).n == 2 and VeroneseSpace(2, 3).d == 3
+    assert ProductPolarization(2, 3).bidegree == (2, 3)
+    # a fresh list per instance where the dataclass used a default factory
+    one, two = Certificate("c"), Certificate("c")
+    one.steps.append("step")
+    assert two.steps == [] and one != two
+    report = CocycleReport(3)
+    assert (report.triples, report.multiplicative_ok, report.additive_ok) == ([], True, True)
+    assert (report.degenerate_ok, report.nontrivial_witness) == (True, True)
+    report.triples.append((0, 1, 2))
+    assert CocycleReport(n=3).triples == []
+
+
+def test_mutable_records_compare_but_do_not_hash():
+    m = RationalMatrix.identity(2)
+    assert m == RationalMatrix.identity(2) and m != RationalMatrix.zero(2, 2)
+    f = RationalFunction.from_polynomial(Polynomial.variable(2, 0))
+    assert f == RationalFunction.from_polynomial(Polynomial.variable(2, 0))
+    for record in (m, f, Certificate("c"), CocycleReport(2)):
+        with pytest.raises(TypeError):
+            hash(record)
+    m.rows = [{}, {1: Fraction(1)}]  # assignment stays allowed
+    assert m != RationalMatrix.identity(2)
+    report = CocycleReport(2)
+    report.additive_ok = False
+    assert report != CocycleReport(2)
+
+
+INVALID = [
+    (RationalNormalCurve, (0,), ValueError, "curve degree d must be at least 1"),
+    (VeroneseSpace, (0, 2), ValueError, "need n >= 1 and d >= 1"),
+    (VeroneseSpace, (2, 0), ValueError, "need n >= 1 and d >= 1"),
+    (SegreQuadric, (0,), ValueError, "need d >= 1"),
+    (ProductPolarization, (1, 0), ValueError, "both bidegrees must be at least 1"),
+    (BlownUpPlane, (9,), ValueError, "r must be between 1 and 8"),
+    (BlownUpPlane, (0,), ValueError, "r must be between 1 and 8"),
+    (SurfaceDivisor, (-1, 0, ()), ValueError, "r must be nonnegative"),
+    (SurfaceDivisor, (2, 0, (1,)), ValueError, "expected 2 exceptional coefficients, got 1"),
+    (RationalMatrix, (-1, 0, []), ValueError, "matrix dimensions must be nonnegative"),
+    (RationalMatrix, (2, 1, [{}]), ValueError, "expected 2 rows, got 1"),
+    (RationalMatrix, (1, 1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to Fraction"),
+    (RationalMatrix, (1, 1, [{1: Fraction(1)}]), ValueError, "column index 1 outside range(1)"),
+    (RationalMatrix, (1, 1, [{0: 1}]), ValueError, "entry at column 0 is a int, not a Fraction"),
+    (RationalMatrix, (1, 1, [{0: Fraction(0)}]), ValueError, "stored zero at column 0"),
+    (RationalFunction, (Polynomial.constant(1, 1), Polynomial.constant(2, 1)), ValueError,
+     "numerator and denominator in different variable sets"),
+    (RationalFunction, (Polynomial.constant(1, 1), Polynomial.zero(1)), ZeroDivisionError, "zero denominator"),
+]
+
+
+@pytest.mark.parametrize("cls,args,exc,message", INVALID, ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(INVALID)])
+def test_validation_errors(cls, args, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        cls(*args)
