@@ -24,6 +24,7 @@ from .cones import (
     t1_table,
     t2_table,
 )
+from .projective import OverBudgetError
 
 __version__ = "0.1.0"
 
@@ -34,6 +35,7 @@ __all__ = [
     "GradedTable",
     "InternalConsistencyError",
     "OutOfScopeError",
+    "OverBudgetError",
     "ProductPolarization",
     "RationalNormalCurve",
     "RigidityVerdict",

@@ -11,8 +11,9 @@ one exception is ``t1 --format csv``, which prints its table itself and
 carries no trace, so ``main`` refuses it together with the trace switch.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, curve degree below 2, a trace asked of ``--format csv``, a ``t1``,
-``rigidity``, ``cech`` or ``atiyah`` request over its size budget), 3 for
+window, curve degree below 2, a trace asked of ``--format csv``, a ``t1`` or
+``rigidity`` window, ``jacobian`` request or ``atiyah`` overlap count over
+its budget, or any monomial basis over the model's ``MAX_BASIS``), 3 for
 well-formed requests the engine refuses to answer with bare numbers
 (certificate-only geometries, second-order counts outside the
 curve/surface catalog), 4 when two routes to the same number disagreed at
@@ -32,19 +33,18 @@ from typing import Optional, Sequence
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
 from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
+from .projective import OverBudgetError
 
 SCHEMA_VERSION = "1"
 
-# Size budgets, checked from closed forms before anything is built.  A
-# cech basis of 10**4 monomials prints about 0.3 MB; 165 triple overlaps
-# (n = 10) take about half a second to verify.  A t1 or rigidity window
-# holds at most 10**3 weights, and no weight it computes may build a
-# monomial basis of more than 10**4 monomials (the plane's Euler top map
-# at that size has about 3 * 10**4 rows).
-CECH_MAX_BASIS = 10_000
+# Budgets on loops, checked from closed forms before anything is built (a
+# monomial basis is bounded where it is enumerated, by projective.MAX_BASIS).
+# 165 triple overlaps (n = 10) take about half a second to verify, and a t1
+# or rigidity window holds at most 10**3 weights.  The maps of a jacobian
+# request hold at most 5 * 10**4 entries (_jacobian_entries), a few seconds.
 ATIYAH_MAX_TRIPLES = 165
+JACOBIAN_MAX_ENTRIES = 50_000
 WINDOW_MAX_WEIGHTS = 1_000
-WEIGHT_MAX_BASIS = 10_000
 
 # One usage form per catalog entry, e.g. "veronese:<n>:<d>".
 _DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in cls._fields)]) for name, cls in cones.CATALOG.items()]
@@ -86,16 +86,6 @@ def _check_window_budget(lo: int, hi: int) -> None:
         raise UsageError(f"weight window {lo}..{hi} has {hi - lo + 1} weights, over the window budget of {WINDOW_MAX_WEIGHTS}")
 
 
-def _check_basis_budget(variety: Variety, weights: Sequence[int], order: int) -> None:
-    m = max(weights, key=lambda w: variety.largest_basis(w, order))
-    size = variety.largest_basis(m, order)
-    if size > WEIGHT_MAX_BASIS:
-        raise UsageError(
-            f"{variety.describe()} in weight {m} builds a basis of {size} monomials, "
-            f"over the basis budget of {WEIGHT_MAX_BASIS}"
-        )
-
-
 Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or None
 
 
@@ -103,7 +93,6 @@ def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     _check_window_budget(lo, hi)
-    _check_basis_budget(variety, range(lo, hi + 1), args.order)
     table = (
         cones.t1_table(variety, lo, hi)
         if args.order == 1
@@ -134,12 +123,6 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     _check_window_budget(lo, hi)  # a certificate replays every weight of the window
-    try:
-        witness_weight = variety.closed_form_rigidity()[0]
-    except OutOfScopeError:
-        witness_weight = None  # certificate-only: the window is its whole cost
-    if witness_weight is not None:
-        _check_basis_budget(variety, [witness_weight], 1)
     verdict = cones.rigidity_verdict(variety, lo, hi)
     result: dict = {
         "rigid": verdict.rigid,
@@ -158,11 +141,31 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
     return {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, trace
 
 
+def _jacobian_entries(d: int, m: Optional[int], trace: bool) -> int:
+    """Closed-form bound on the entries of the largest map a jacobian
+    request stacks: the generator Jacobian's C(d, 2)(d + 1) partials for
+    --dump-matrix (m is None); in weight m, the restricted Euler block's
+    d + 1 multiplication maps times their source basis and, with a trace,
+    the graded map's C(d, 2)(d + 1) blocks times its source grade.  Every
+    block counts at least one entry, even where its basis is empty."""
+    partials = comb(d, 2) * (d + 1)
+    if m is None:
+        return partials
+    euler = (d + 1) * max(1, p1.h_dim(1, d * m))
+    return max(euler, partials * max(1, p1.h_dim(0, d * (m + 1)))) if trace else euler
+
+
 def cmd_jacobian(args: argparse.Namespace) -> Reply:
     if args.d < 2:
         raise UsageError("curve degree must be at least 2 (degree 1 has no equations)")
     if (args.weight is None) == (not args.dump_matrix):
         raise UsageError("choose exactly one of --weight <m> or --dump-matrix")
+    entries = _jacobian_entries(args.d, args.weight, args.trace)
+    if entries > JACOBIAN_MAX_ENTRIES:
+        where = "" if args.weight is None else f" in weight {args.weight}"
+        raise UsageError(
+            f"d = {args.d}{where} stacks maps of up to {entries} entries, over the jacobian budget of {JACOBIAN_MAX_ENTRIES}"
+        )
     if args.dump_matrix:
         matrix = jacobian_matrix(args.d)
         result = {
@@ -193,11 +196,8 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
 def cmd_cech(args: argparse.Namespace) -> Reply:
     if args.i not in (0, 1):
         raise UsageError("level must be 0 or 1")
-    dim = p1.h_dim(args.i, args.k)
-    if dim > CECH_MAX_BASIS:
-        raise UsageError(f"level {args.i} in degree {args.k} has {dim} basis monomials, over the cech budget of {CECH_MAX_BASIS}")
     mons = p1.basis(args.i, args.k)
-    result = {"dim": dim, "basis": [[a, b] for a, b in mons]}
+    result = {"dim": p1.h_dim(args.i, args.k), "basis": [[a, b] for a, b in mons]}
     trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
     return {"i": args.i, "k": args.k}, result, trace
 
@@ -287,7 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.trace and getattr(args, "format", "json") == "csv":
             raise UsageError("--format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)")
         reply = args.func(args)
-    except UsageError as exc:
+    except (UsageError, OverBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OutOfScopeError as exc:

@@ -94,12 +94,6 @@ class Variety(FrozenRecord):
         """The replay certificate that stands in for bare counts, if any."""
         return None
 
-    def largest_basis(self, m: int, order: int) -> int:
-        """Size of the largest monomial basis that the weight-m count of the
-        given order builds, from a closed form, so that a request can be
-        refused before anything is built.  A closed-form count builds none."""
-        return 0
-
 
 class RationalNormalCurve(Variety):
     """The line embedded in d-space by degree-d forms."""
@@ -118,9 +112,6 @@ class RationalNormalCurve(Variety):
 
     def t2(self, m: int) -> int:
         return 0  # no second cohomology on a curve
-
-    def largest_basis(self, m: int, order: int) -> int:
-        return p1.h_dim(1, 2 + self.d * m) if order == 1 else 0  # the cross-check's level-1 basis
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         return p1.h_dim(1, self.d * m), 0
@@ -170,10 +161,6 @@ class VeroneseSpace(Variety):
         if self.n == 2:
             return projective.h2_tangent_p2_twist(self.d * m)
         raise OutOfScopeError("second-order counts cover n = 1 and n = 2 only")
-
-    def largest_basis(self, m: int, order: int) -> int:
-        # both orders on the plane chase the Euler top map out of H^2(O(d*m))
-        return projective.hq_pn_line(2, self.d * m, 2) if self.n == 2 else 0
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         k = self.d * m

@@ -27,6 +27,10 @@ class InternalConsistencyError(Exception):
     trustworthy and must not be reported."""
 
 
+class OverBudgetError(Exception):
+    """A monomial basis over :data:`MAX_BASIS` was asked for; nothing was enumerated."""
+
+
 # ----------------------------------------------------------------------
 # Line bundles on projective n-space: the monomial model
 # ----------------------------------------------------------------------
@@ -45,17 +49,33 @@ def hq_pn_line(n: int, k: int, q: int) -> int:
     return 0
 
 
+# The one basis budget.  A cech basis this size prints about 0.3 MB, and the
+# plane's Euler top map out of one has about 3 * 10**4 rows.
+MAX_BASIS = 10_000
+
+
 def _pn_basis(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     """Ordered monomial basis for level 0 (top=False) or level n (top=True)
     of O(k): the n+1 exponents sum to k and are all nonnegative (level 0)
     or all at most -1 (level n), in descending lexicographic order.
 
-    Only qualifying tuples are generated: the leading exponent runs over
-    exactly the values that leave the remaining n exponents a solution."""
+    Every basis of the package is built here, so a basis over the budget
+    is refused here, from its closed-form size, before anything exists."""
+    level = n if top else 0
+    size = hq_pn_line(n, k, level)
+    if size > MAX_BASIS:
+        raise OverBudgetError(f"the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
+    return _pn_monomials(n, k, top)
+
+
+def _pn_monomials(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
+    """The unchecked enumeration behind :func:`_pn_basis`.  Only qualifying
+    tuples are generated: the leading exponent runs over exactly the
+    values that leave the remaining n exponents a solution."""
     leading = range(-1, k + n - 1, -1) if top else range(k, -1, -1)
     if n == 1:
         return [(e, k - e) for e in leading]
-    return [(e,) + rest for e in leading for rest in _pn_basis(n - 1, k - e, top)]
+    return [(e,) + rest for e in leading for rest in _pn_monomials(n - 1, k - e, top)]
 
 
 def _pn_mult_matrix(p: Polynomial, n: int, k: int, top: bool) -> RationalMatrix:

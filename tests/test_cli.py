@@ -17,17 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conedef
-from conedef import cones, p1, presentation, projective
+from conedef import cli, cones, p1, presentation, projective
 from conedef.cli import (
     ATIYAH_MAX_TRIPLES,
-    CECH_MAX_BASIS,
-    WEIGHT_MAX_BASIS,
+    JACOBIAN_MAX_ENTRIES,
     WINDOW_MAX_WEIGHTS,
     UsageError,
     main,
     parse_variety,
     parse_window,
 )
+from conedef.projective import MAX_BASIS
 from conedef.cones import RationalNormalCurve, BlownUpPlane
 
 
@@ -308,20 +308,33 @@ def test_atiyah_n_validation(capsys):
     assert code == 2
 
 
+def _guard_the_enumerator(monkeypatch):
+    """Patch the enumerator behind the basis check so that it raises for
+    any basis over MAX_BASIS: a request that reaches it with such a basis
+    got past the check."""
+    enumerate_monomials = projective._pn_monomials
+
+    def guarded(n, k, top):
+        size = math.comb(n + k, n) if not top else math.comb(-k - 1, n) if k <= -n - 1 else 0
+        if size > MAX_BASIS:
+            raise AssertionError(f"an over-budget basis was enumerated: n={n}, k={k}, top={top}")
+        return enumerate_monomials(n, k, top)
+
+    monkeypatch.setattr(projective, "_pn_monomials", guarded)
+    with pytest.raises(AssertionError, match="over-budget"):  # the guard is live
+        projective._pn_monomials(1, MAX_BASIS, False)
+
+
 def test_cech_budget_refuses_before_building(capsys, monkeypatch):
-    at_budget = run_json(capsys, "cech", "--i", "0", "--k", str(CECH_MAX_BASIS - 1))
-    assert at_budget["result"]["dim"] == CECH_MAX_BASIS
-
-    def refuse(i, k):
-        raise AssertionError("a basis was built for an over-budget request")
-
-    monkeypatch.setattr(p1, "basis", refuse)
-    for k in (CECH_MAX_BASIS, -CECH_MAX_BASIS - 2, 10**18, -(10**18)):
+    _guard_the_enumerator(monkeypatch)
+    at_budget = run_json(capsys, "cech", "--i", "0", "--k", str(MAX_BASIS - 1))
+    assert at_budget["result"]["dim"] == MAX_BASIS == len(at_budget["result"]["basis"])
+    for k in (MAX_BASIS, -MAX_BASIS - 2, 10**18, -(10**18)):
         i = 0 if k > 0 else 1
         code, out, err = run_cli(capsys, "cech", "--i", str(i), "--k", str(k))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"over the cech budget of {CECH_MAX_BASIS}" in err
+        size = k + 1 if i == 0 else -k - 1
+        assert err == f"error: the level-{i} basis of O({k}) on P^1 has {size} monomials, over the basis budget of {MAX_BASIS}\n"
 
 
 def test_atiyah_budget_refuses_before_building(capsys, monkeypatch):
@@ -339,20 +352,20 @@ def test_atiyah_budget_refuses_before_building(capsys, monkeypatch):
 
 
 def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
+    _guard_the_enumerator(monkeypatch)
     at_window = run_json(capsys, "t1", "segre:1", "--weights", f"{1 - WINDOW_MAX_WEIGHTS}..0")
     assert len(at_window["result"]["table"]) == WINDOW_MAX_WEIGHTS
-    m = -3 - WEIGHT_MAX_BASIS  # rnc:1 builds a level-1 basis of -3 - m monomials in weight m
-    assert run_json(capsys, "t1", "rnc:1", "--weights", f"{m}..{m}")["result"]["table"] == {str(m): WEIGHT_MAX_BASIS}
+    m = -3 - MAX_BASIS  # rnc:1 builds a level-1 basis of -3 - m monomials in weight m
+    assert run_json(capsys, "t1", "rnc:1", "--weights", f"{m}..{m}")["result"]["table"] == {str(m): MAX_BASIS}
     # second-order counts on a curve are a closed form and build nothing
     assert run_json(capsys, "t1", "rnc:1000000000", "--order", "2")["result"]["nonzero_weights"] == []
+    # the plane's top-level basis in twist -142 has C(141, 2) = 9870 monomials, in -143 C(142, 2) = 10011
+    assert run_json(capsys, "t1", "veronese:2:1", "--weights", "-142..-142")["result"]["table"] == {"-142": 0}
 
     def refuse(*args):
         raise AssertionError("something was built for an over-budget request")
 
-    monkeypatch.setattr(p1, "basis", refuse)
-    monkeypatch.setattr(projective, "_euler_top_map_p2", refuse)
     monkeypatch.setattr(cones.BlownUpPlane, "certificate", refuse)
-    # the plane's top-level basis in twist -143 has C(142, 2) = 10011 monomials, in -142 C(141, 2) = 9870
     over = [
         (("t1", "rnc:4", "--weights", f"{-WINDOW_MAX_WEIGHTS}..0"), "window"),
         (("t1", "segre:1", "--weights", f"{-(10**18)}..{10**18}"), "window"),
@@ -362,14 +375,51 @@ def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
         (("rigidity", f"rnc:{10**18}"), "basis"),
         (("t1", "veronese:2:1", "--weights", "-143..-143"), "basis"),
         (("t1", "veronese:2:1", "--weights", "-143..-143", "--order", "2"), "basis"),
+        # the jacobian budget admits both; the Euler block's source basis
+        # (2 * 5001 - 1 monomials) and the graded map's target grade (10001)
+        # are refused where they are enumerated
+        (("jacobian", "--d", "2", "--weight", "-5001"), "basis"),
+        (("jacobian", "--d", "2", "--weight", "4998", "--trace"), "basis"),
     ]
     for argv, budget in over:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"over the {budget} budget of {WINDOW_MAX_WEIGHTS if budget == 'window' else WEIGHT_MAX_BASIS}" in err
-    with pytest.raises(AssertionError, match="over-budget"):  # within budget the patched function is reached
-        main(["t1", "veronese:2:1", "--weights", "-142..-142"])
+        assert f"over the {budget} budget of {WINDOW_MAX_WEIGHTS if budget == 'window' else MAX_BASIS}" in err, argv
+
+
+def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
+    entries = cli._jacobian_entries
+    assert entries(46, None, False) <= JACOBIAN_MAX_ENTRIES < entries(47, None, False)  # C(d, 2)(d + 1) partials
+    assert entries(46, -2, True) <= JACOBIAN_MAX_ENTRIES < entries(47, -2, True)
+    assert entries(2, -8333, False) <= JACOBIAN_MAX_ENTRIES < entries(2, -8334, False)  # 3 Euler maps out of 2 * 8333 - 1
+    # the benchmark's jacobian commands (d <= 11, m <= 2) and the README's d = 12 row stay inside
+    assert max(entries(d, m, True) for d in range(2, 13) for m in range(-3, 3)) == entries(12, 2, True) == 31746
+    _guard_the_enumerator(monkeypatch)
+    dump = run_json(capsys, "jacobian", "--d", "46", "--dump-matrix")["result"]
+    assert (dump["rows"], dump["cols"]) == (math.comb(46, 2), 47)
+    assert run_json(capsys, "jacobian", "--d", "46", "--weight", "-2", "--trace")["result"]["t1"] == 0
+
+    def refuse(*args):
+        raise AssertionError("something was built for an over-budget request")
+
+    for name in ("jacobian_matrix", "graded_jacobian_map", "t1_via_normal"):
+        monkeypatch.setattr(cli, name, refuse)
+    over = [
+        ("--d", "2", "--weight", "-1000000000"),
+        ("--d", "3", "--weight", "1000000000", "--trace"),
+        ("--d", "27", "--weight", "300", "--trace"),
+        ("--d", "2", "--weight", "-8334"),
+        ("--d", "47", "--weight", "-2", "--trace"),
+        ("--d", "47", "--dump-matrix"),
+        ("--d", "100000", "--dump-matrix"),
+        ("--d", str(10**18), "--weight", "0"),
+    ]
+    for argv in over:
+        code, out, err = run_cli(capsys, "jacobian", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: d = {argv[1]}") and err.count("\n") == 1
+        assert err.endswith(f"entries, over the jacobian budget of {JACOBIAN_MAX_ENTRIES}\n"), argv
 
 
 # ---- what each command loads ---------------------------------------------
@@ -583,13 +633,16 @@ GOLDEN = [
     ("cech --i 2 --k 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: level must be 0 or 1\n"),
     ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: choose exactly one of --weight <m> or --dump-matrix\n"),
     ("atiyah --n 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: need n >= 2 for a triple overlap\n"),
-    ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: level 1 in degree -1000000000 has 999999999 basis monomials, over the cech budget of 10000\n"),
+    ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-1000000000) on P^1 has 999999999 monomials, over the basis budget of 10000\n"),
     ("atiyah --n 11", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n = 11 has 220 triple overlaps, over the atiyah budget of 165\n"),
     ("t1 rnc:4 --weights -2..-1 --format csv --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)\n"),
-    ("t1 rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: rnc:1000000000 in weight -6 builds a basis of 5999999997 monomials, over the basis budget of 10000\n"),
-    ("rigidity rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: rnc:1000000000 in weight -1 builds a basis of 999999997 monomials, over the basis budget of 10000\n"),
+    ("t1 rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-5999999998) on P^1 has 5999999997 monomials, over the basis budget of 10000\n"),
+    ("rigidity rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-999999998) on P^1 has 999999997 monomials, over the basis budget of 10000\n"),
     ("t1 rnc:4 --weights -1000000000..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: weight window -1000000000..0 has 1000000001 weights, over the window budget of 1000\n"),
-    ("t1 veronese:2:1 --weights -2000..-2000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: veronese:2:1 in weight -2000 builds a basis of 1997001 monomials, over the basis budget of 10000\n"),
+    ("t1 veronese:2:1 --weights -2000..-2000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-2 basis of O(-2000) on P^2 has 1997001 monomials, over the basis budget of 10000\n"),
+    ("jacobian --d 2 --weight -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 2 in weight -1000000000 stacks maps of up to 5999999997 entries, over the jacobian budget of 50000\n"),
+    ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 3 in weight 1000000000 stacks maps of up to 36000000048 entries, over the jacobian budget of 50000\n"),
+    ("jacobian --d 100000 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 100000 stacks maps of up to 499999999950000 entries, over the jacobian budget of 50000\n"),
 ]
 
 
@@ -598,3 +651,25 @@ def test_golden_output(capsys, argv, code, digest, err):
     got_code, out, got_err = run_cli(capsys, *argv.split())
     assert (got_code, got_err) == (code, err)
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def _limit_address_space():
+    import resource  # POSIX only, like the CI runners
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_BUDGET_ROWS = [row for row in GOLDEN if row[1] == 2 and "budget of" in row[3]]
+
+
+@pytest.mark.parametrize("argv,code,digest,err", _BUDGET_ROWS, ids=[row[0].replace(" ", "_") for row in _BUDGET_ROWS])
+def test_budget_refusals_in_a_bounded_process(argv, code, digest, err):
+    """Each refusal again in its own interpreter, with 1 GiB of address
+    space and 30 s: a budget that stops refusing fails here fast instead
+    of exhausting the host."""
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "conedef", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)

@@ -4,7 +4,10 @@ divisor arithmetic on blown-up planes."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conedef import p1, presentation, projective
 from conedef.projective import (
+    MAX_BASIS,
+    OverBudgetError,
     SurfaceDivisor,
     _pn_basis,
     h0_bidegree,
@@ -83,6 +86,30 @@ def test_basis_enumeration_is_ordered_and_complete():
 @settings(max_examples=150, deadline=None)
 def test_basis_generator_matches_enumerate_filter_sort(n, k, top):
     assert _pn_basis(n, k, top) == pn_basis_enumerated(n, k, top)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: p1.basis(1, -(10**18)),
+        lambda: projective.h1_tangent_pn_twist(2, -2000),
+        lambda: presentation.graded_jacobian_map(3, 10**9),
+        lambda: projective.hq_pn_omega1(2, 10**6, 0),
+    ],
+    ids=["line-basis", "plane-euler-top-map", "graded-jacobian", "cotangent-chase"],
+)
+def test_every_route_refuses_a_basis_over_budget(build):
+    with pytest.raises(OverBudgetError, match=f"monomials, over the basis budget of {MAX_BASIS}$"):
+        build()
+
+
+def test_the_basis_budget_is_inclusive():
+    # C(141, 2) = 9870 and C(142, 2) = 10011 level-0 monomials in degrees 139 and 140
+    assert len(_pn_basis(2, 139, top=False)) == 9870
+    assert len(_pn_basis(1, MAX_BASIS - 1, top=False)) == len(_pn_basis(1, -MAX_BASIS - 1, top=True)) == MAX_BASIS
+    for n, k, top in ((2, 140, False), (1, MAX_BASIS, False), (1, -MAX_BASIS - 2, True)):
+        with pytest.raises(OverBudgetError, match=f"^the level-{n if top else 0} basis of O\\({k}\\) on P\\^{n} has"):
+            _pn_basis(n, k, top)
 
 
 # ---- cotangent twists --------------------------------------------------
