@@ -46,8 +46,8 @@ ATIYAH_MAX_TRIPLES = 165
 JACOBIAN_MAX_ENTRIES = 50_000
 WINDOW_MAX_WEIGHTS = 1_000
 
-# One usage form per catalog entry, e.g. "veronese:<n>:<d>".
-_DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in cls._fields)]) for name, cls in cones.CATALOG.items()]
+# One usage form per registry name, aliases included, e.g. "veronese:<n>:<d>".
+_DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
 
 
 class UsageError(Exception):
@@ -56,10 +56,10 @@ class UsageError(Exception):
 
 def parse_variety(descriptor: str) -> Variety:
     name, *values = descriptor.split(":")
-    cls = cones.CATALOG.get(name)
-    if cls is not None and len(values) == len(cls._fields):
+    make, fields = cones.CATALOG.get(name, (None, ()))
+    if make is not None and len(values) == len(fields):
         try:
-            return cls(*[int(x) for x in values])
+            return make(*[int(x) for x in values])
         except ValueError as exc:
             raise UsageError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
     raise UsageError(

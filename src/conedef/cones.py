@@ -4,18 +4,22 @@ small catalog of polarized varieties.
 The catalog covers exactly the geometries the lower-level machinery can
 handle honestly:
 
-* rational normal curves of degree d (the cone over the degree-d curve);
-* the n-space embedded by degree-d forms, n in {1, 2} for second-order
-  counts, any n for first-order ones;
-* a smooth quadric surface / products of two lines with a product
-  polarization of bidegree (a, b);
+* n-space embedded by degree-d forms, n in {1, 2} for second-order
+  counts, any n for first-order ones; the line (n = 1) gives the rational
+  normal curve of degree d;
+* a product of two lines with a product polarization of bidegree (a, b),
+  the smooth quadric surface among them;
 * blown-up planes polarized anticanonically -- for these the engine only
   issues replay certificates (see :mod:`conedef.delpezzo`), never bare
   numbers, because it cannot compute surface tangent cohomology directly.
 
-Each entry is one class implementing the :class:`Variety` protocol, and
-:data:`CATALOG` maps descriptor names to those classes.  The module-level
-functions below dispatch through the protocol methods.
+The count in weight m depends only on the pair (Y, L), so each pair has
+one class implementing the :class:`Variety` protocol: one entry, one
+equality, one hash.  :data:`CATALOG` maps descriptor names to constructors;
+``rnc:<d>`` and ``segre:<d>`` are aliases whose named constructors
+:func:`RationalNormalCurve` and :func:`SegreQuadric` return a
+``VeroneseSpace(1, d)`` and a ``ProductPolarization(d, d)``.  The
+module-level functions below dispatch through the protocol methods.
 
 Weight conventions: the count in weight m is h^1(T_Y (x) L^m) (or h^2
 for second order), the cohomology of the variety's tangent sheaf twisted
@@ -28,17 +32,16 @@ L^-2).  Negative weights are the smoothing directions; the weight-0 piece
 carries the quotient by the scaling vector field when assembled into the
 full graded space.
 
-Rational-normal-curve counts are cross-checked against max(0, -3 - d*m) and
-the Laurent monomial count, plane counts against Bott's formula; a mismatch
-raises.  No rigidity verdict is read off a window: each numeric entry has a
-closed form (the line, Bott, Kunneth) that decides every weight at once.
+Plane counts are cross-checked against Bott's formula; a mismatch raises.
+No rigidity verdict is read off a window: each numeric entry has a closed
+form (the line, Bott, Kunneth) that decides every weight at once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from . import p1, projective
+from . import projective
 from .projective import InternalConsistencyError
 from .records import FrozenRecord
 
@@ -95,61 +98,15 @@ class Variety(FrozenRecord):
         return None
 
 
-class RationalNormalCurve(Variety):
-    """The line embedded in d-space by degree-d forms."""
-
-    __slots__ = _fields = ("d",)
-
-    def __init__(self, d: int) -> None:
-        if d < 1:
-            raise ValueError("curve degree d must be at least 1")
-        self._set(d)
-
-    def t1(self, m: int) -> int:
-        value = p1.h_dim(1, 2 + self.d * m)
-        _rnc_cross_check(self.d, m, value)
-        return value
-
-    def t2(self, m: int) -> int:
-        return 0  # no second cohomology on a curve
-
-    def polarization_cohomology(self, m: int) -> tuple[int, int]:
-        return p1.h_dim(1, self.d * m), 0
-
-    def rule(self, order: int) -> str:
-        if order == 1:
-            return (
-                "closed form on the line: weight m contributes h^1(O(2 + d*m)), cross-checked "
-                "against max(0, -3 - d*m) and the monomial count"
-            )
-        return "curve: no second cohomology"
-
-    def closed_form_rigidity(self) -> tuple[int, str]:
-        # closed form max(0, -3 - d*m): nonzero exactly when d*m <= -4,
-        # so the nonzero weight closest to zero is floor(-4/d).
-        return (
-            (-4) // self.d,
-            "closed form: weight m contributes max(0, -3 - d*m), nonzero for every d at m = floor(-4/d)",
-        )
-
-
-def _rnc_cross_check(d: int, m: int, value: int) -> None:
-    closed = max(0, -3 - d * m)
-    laurent = len(p1.basis(1, 2 + d * m))
-    if value != closed or value != laurent:
-        raise InternalConsistencyError(
-            f"rnc d={d}, m={m}: chase gave {value}, closed form {closed}, monomial count {laurent}"
-        )
-
-
 class VeroneseSpace(Variety):
-    """Projective n-space embedded by all degree-d forms."""
+    """Projective n-space embedded by all degree-d forms; the line (n = 1)
+    gives the rational normal curve of degree d."""
 
     __slots__ = _fields = ("n", "d")
 
     def __init__(self, n: int, d: int) -> None:
         if n < 1 or d < 1:
-            raise ValueError("need n >= 1 and d >= 1")
+            raise ValueError("curve degree d must be at least 1" if n == 1 else "need n >= 1 and d >= 1")
         self._set(n, d)
 
     def t1(self, m: int) -> int:
@@ -176,62 +133,18 @@ class VeroneseSpace(Variety):
 
     def closed_form_rigidity(self) -> tuple[Optional[int], str]:
         if self.n == 1:
-            return RationalNormalCurve(self.d).closed_form_rigidity()
+            # h^1(O(2 + d*m)) = max(0, -3 - d*m) is nonzero exactly when
+            # d*m <= -4, so the nonzero weight closest to zero is floor(-4/d)
+            return (-4) // self.d, "closed form: weight m contributes max(0, -3 - d*m), nonzero for every d at m = floor(-4/d)"
         if self.n == 2:
             m_star = -3 // self.d if 3 % self.d == 0 else None
             return m_star, "Bott on the plane: h^1(T(k)) is 1 at k = -3 and 0 otherwise, so weight m contributes iff d*m = -3"
         return None, "Bott: h^1(T(k)) vanishes for every k on n-space with n >= 3"
 
 
-class _ProductOfLines(Variety):
-    """A product of two lines polarized by the bidegree ``self.bidegree``;
-    the tangent sheaf splits, so every count is Kunneth on line bundles."""
-
-    __slots__ = ()
-
-    def t1(self, m: int) -> int:
-        a, b = self.bidegree
-        return projective.h1_bidegree(2 + m * a, m * b) + projective.h1_bidegree(m * a, 2 + m * b)
-
-    def t2(self, m: int) -> int:
-        a, b = self.bidegree
-        return projective.h2_bidegree(2 + m * a, m * b) + projective.h2_bidegree(m * a, 2 + m * b)
-
-    def polarization_cohomology(self, m: int) -> tuple[int, int]:
-        a, b = self.bidegree
-        return projective.h1_bidegree(m * a, m * b), projective.h2_bidegree(m * a, m * b)
-
-    def rule(self, order: int) -> str:
-        return "Kunneth on the split tangent sheaf of the product of two lines"
-
-    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
-        # O(2+ma, mb) + O(ma, 2+mb) has h^1 only where one entry is >= 0
-        # and the other <= -2, which for m < 0 leaves m = -1 and m = -2
-        lo, hi = sorted(self.bidegree)
-        m_star = -1 if lo <= 2 <= hi else -2 if hi == 1 else None
-        return m_star, (
-            "Kunneth on T = O(2,0) + O(0,2): the nonzero weight nearest zero is -1 when "
-            "min(a,b) <= 2 <= max(a,b), -2 when a = b = 1, and there is none otherwise"
-        )
-
-
-class SegreQuadric(_ProductOfLines):
-    """A product of two lines polarized by the symmetric bidegree (d, d)."""
-
-    __slots__ = _fields = ("d",)
-
-    def __init__(self, d: int) -> None:
-        if d < 1:
-            raise ValueError("need d >= 1")
-        self._set(d)
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.d, self.d)
-
-
-class ProductPolarization(_ProductOfLines):
-    """A product of two lines polarized by bidegree (a, b)."""
+class ProductPolarization(Variety):
+    """A product of two lines polarized by bidegree (a, b); the tangent
+    sheaf splits, so every count is Kunneth on line bundles."""
 
     __slots__ = _fields = ("a", "b")
 
@@ -240,9 +153,29 @@ class ProductPolarization(_ProductOfLines):
             raise ValueError("both bidegrees must be at least 1")
         self._set(a, b)
 
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.a, self.b)
+    def t1(self, m: int) -> int:
+        a, b = self.a, self.b
+        return projective.h1_bidegree(2 + m * a, m * b) + projective.h1_bidegree(m * a, 2 + m * b)
+
+    def t2(self, m: int) -> int:
+        a, b = self.a, self.b
+        return projective.h2_bidegree(2 + m * a, m * b) + projective.h2_bidegree(m * a, 2 + m * b)
+
+    def polarization_cohomology(self, m: int) -> tuple[int, int]:
+        return projective.h1_bidegree(m * self.a, m * self.b), projective.h2_bidegree(m * self.a, m * self.b)
+
+    def rule(self, order: int) -> str:
+        return "Kunneth on the split tangent sheaf of the product of two lines"
+
+    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
+        # O(2+ma, mb) + O(ma, 2+mb) has h^1 only where one entry is >= 0
+        # and the other <= -2, which for m < 0 leaves m = -1 and m = -2
+        lo, hi = sorted((self.a, self.b))
+        m_star = -1 if lo <= 2 <= hi else -2 if hi == 1 else None
+        return m_star, (
+            "Kunneth on T = O(2,0) + O(0,2): the nonzero weight nearest zero is -1 when "
+            "min(a,b) <= 2 <= max(a,b), -2 when a = b = 1, and there is none otherwise"
+        )
 
 
 class BlownUpPlane(Variety):
@@ -275,16 +208,29 @@ class BlownUpPlane(Variety):
         return delpezzo_certificate(self.r, m_lo, m_hi)
 
 
-# The descriptor registry: adding a catalog entry is one class above plus
-# one line here.
-CATALOG: dict[str, type[Variety]] = {
-    "rnc": RationalNormalCurve,
-    "veronese": VeroneseSpace,
-    "segre": SegreQuadric,
-    "product": ProductPolarization,
-    "delpezzo": BlownUpPlane,
+def RationalNormalCurve(d: int) -> VeroneseSpace:
+    """The rational normal curve of degree d: the line embedded by degree-d forms."""
+    return VeroneseSpace(1, d)
+
+
+def SegreQuadric(d: int) -> ProductPolarization:
+    """The product of two lines in the symmetric bidegree (d, d)."""
+    return ProductPolarization(d, d)
+
+
+# The descriptor registry: each name with its constructor and the names of
+# the integers of its descriptor <name>:<field>:...  An entry is one class
+# above plus one line here; an alias of an entry is one line here naming a
+# constructor that returns the entry, so one (Y, L) has one class.
+CATALOG: dict[str, tuple[Callable[..., Variety], tuple[str, ...]]] = {
+    "rnc": (RationalNormalCurve, ("d",)),
+    "veronese": (VeroneseSpace, VeroneseSpace._fields),
+    "segre": (SegreQuadric, ("d",)),
+    "product": (ProductPolarization, ProductPolarization._fields),
+    "delpezzo": (BlownUpPlane, BlownUpPlane._fields),
 }
-_NAMES = {cls: name for name, cls in CATALOG.items()}
+# describe() looks a record up by its class, so an alias's entry prints its canonical name
+_NAMES = {make: name for name, (make, _) in CATALOG.items()}
 
 
 # ----------------------------------------------------------------------

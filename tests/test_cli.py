@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conedef
-from conedef import cli, cones, p1, presentation, projective
+from conedef import cli, cones, presentation, projective
 from conedef.cli import (
     ATIYAH_MAX_TRIPLES,
     JACOBIAN_MAX_ENTRIES,
@@ -28,7 +28,7 @@ from conedef.cli import (
     parse_window,
 )
 from conedef.projective import MAX_BASIS
-from conedef.cones import RationalNormalCurve, BlownUpPlane
+from conedef.cones import BlownUpPlane, ProductPolarization, RationalNormalCurve, VeroneseSpace
 
 
 def run_cli(capsys, *argv):
@@ -53,7 +53,8 @@ def envelope_schema():
 
 
 def test_parse_variety_descriptors():
-    assert parse_variety("rnc:4") == RationalNormalCurve(4)
+    assert parse_variety("rnc:4") == RationalNormalCurve(4) == VeroneseSpace(1, 4)
+    assert parse_variety("segre:2") == ProductPolarization(2, 2)
     assert parse_variety("delpezzo:6") == BlownUpPlane(6)
     for bad in ("rnc", "rnc:x", "veronese:2", "plane:1", "segre:2:2"):
         with pytest.raises(UsageError):
@@ -61,22 +62,30 @@ def test_parse_variety_descriptors():
 
 
 def test_parse_variety_round_trips_describe():
-    for name, cls in cones.CATALOG.items():
-        for values in itertools.product(range(1, 4), repeat=len(cls._fields)):
-            v = cls(*values)
-            assert v.describe().startswith(name + ":")
+    """Every registry name parses to its constructor's entry, and describe()
+    gives the canonical descriptor, which parses back to the same entry: an
+    entry's own name, or for an alias the name of the entry it returns."""
+    canonical = {"rnc": "veronese", "segre": "product"}
+    assert parse_variety("rnc:4").describe() == "veronese:1:4"
+    assert parse_variety("segre:2").describe() == "product:2:2"
+    for name, (make, fields) in cones.CATALOG.items():
+        for values in itertools.product(range(1, 4), repeat=len(fields)):
+            v = parse_variety(":".join([name, *map(str, values)]))
+            assert v == make(*values)
+            assert v.describe().startswith(canonical.get(name, name) + ":")
             assert parse_variety(v.describe()) == v
 
 
 @given(
     command=st.sampled_from([("t1",), ("t1", "--order", "2"), ("rigidity",)]),
     name=st.sampled_from(["rnc", "veronese", "segre", "product", "delpezzo", "plane", "cubicsurface", ""]),
-    values=st.lists(st.integers(-2, 4), max_size=3),
+    values=st.lists(st.one_of(st.integers(-2, 4), st.integers(10**9, 10**18)), max_size=3),
 )
 @settings(max_examples=60, deadline=None)
 def test_descriptor_fuzz_exits_cleanly(envelope_schema, command, name, values):
-    """Any <name>:<ints> descriptor ends in exit 0 with a valid envelope,
-    or in exit 2 or 3 with nothing on stdout."""
+    """Any <name>:<ints> descriptor, small or huge integers, ends in exit 0
+    with a valid envelope, or in exit 2 or 3 with nothing on stdout and one
+    line on stderr."""
     descriptor = ":".join([name, *map(str, values)])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -212,17 +221,21 @@ def test_rigidity_rnc2(capsys):
 
 ALIASES = [
     *((f"segre:{d}", f"product:{d}:{d}") for d in range(1, 7)),
-    *((f"veronese:1:{d}", f"rnc:{d}") for d in range(1, 9)),
+    *((f"veronese:1:{d}", f"rnc:{d}") for d in (*range(1, 9), 10**9)),
 ]
 
 
 @pytest.mark.parametrize("alias,twin", ALIASES, ids=[f"{a}={b}" for a, b in ALIASES])
 def test_aliased_descriptors_print_the_same_verdict(capsys, alias, twin):
     """The symmetric product is the product in bidegree (d, d), and the line
-    embedded by degree-d forms is the rational normal curve of degree d."""
-    result = run_json(capsys, "rigidity", alias)["result"]
-    assert result == run_json(capsys, "rigidity", twin)["result"]
-    assert result["window_independent"] is True
+    embedded by degree-d forms is the rational normal curve of degree d: the
+    two descriptors of one entry print byte-identical stdout, trace
+    included, apart from the variety named in the inputs."""
+    for argv in (("t1", "--trace"), ("t1", "--order", "2", "--trace"), ("rigidity", "--trace")):
+        code, out, err = run_cli(capsys, argv[0], alias, *argv[1:])
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, argv[0], twin, *argv[1:]) == (0, out.replace(f'"variety": "{alias}"', f'"variety": "{twin}"', 1), "")
+    assert json.loads(out)["result"]["window_independent"] is True
 
 
 def test_rigidity_delpezzo_certificate(capsys, envelope_schema):
@@ -355,11 +368,15 @@ def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
     _guard_the_enumerator(monkeypatch)
     at_window = run_json(capsys, "t1", "segre:1", "--weights", f"{1 - WINDOW_MAX_WEIGHTS}..0")
     assert len(at_window["result"]["table"]) == WINDOW_MAX_WEIGHTS
-    m = -3 - MAX_BASIS  # rnc:1 builds a level-1 basis of -3 - m monomials in weight m
-    assert run_json(capsys, "t1", "rnc:1", "--weights", f"{m}..{m}")["result"]["table"] == {str(m): MAX_BASIS}
+    # the line's count is a closed form and builds no basis: in weight m its
+    # level-1 group has -3 - m = MAX_BASIS + 1 monomials
+    m = -4 - MAX_BASIS
+    assert run_json(capsys, "t1", "rnc:1", "--weights", f"{m}..{m}")["result"]["table"] == {str(m): MAX_BASIS + 1}
+    assert run_json(capsys, "rigidity", f"rnc:{10**18}")["result"]["witness"] == {"weight": -1, "dim": 10**18 - 3}
     # second-order counts on a curve are a closed form and build nothing
     assert run_json(capsys, "t1", "rnc:1000000000", "--order", "2")["result"]["nonzero_weights"] == []
-    # the plane's top-level basis in twist -142 has C(141, 2) = 9870 monomials, in -143 C(142, 2) = 10011
+    # the plane's top-level basis in twist -142 has C(141, 2) = 9870 monomials, in -143 C(142, 2) = 10011,
+    # in -144 C(143, 2) = 10153
     assert run_json(capsys, "t1", "veronese:2:1", "--weights", "-142..-142")["result"]["table"] == {"-142": 0}
 
     def refuse(*args):
@@ -371,8 +388,8 @@ def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
         (("t1", "segre:1", "--weights", f"{-(10**18)}..{10**18}"), "window"),
         (("rigidity", "delpezzo:6", "--weights", f"{-WINDOW_MAX_WEIGHTS}..0"), "window"),
         (("rigidity", "veronese:2:1", "--weights", f"{-(10**18)}..0"), "window"),
-        (("t1", "rnc:1", "--weights", f"{m - 1}..{m - 1}"), "basis"),
-        (("rigidity", f"rnc:{10**18}"), "basis"),
+        (("t1", "veronese:2:2", "--weights", "-72..-72"), "basis"),
+        (("t1", f"veronese:2:{10**18}", "--weights", "-1..-1"), "basis"),
         (("t1", "veronese:2:1", "--weights", "-143..-143"), "basis"),
         (("t1", "veronese:2:1", "--weights", "-143..-143", "--order", "2"), "basis"),
         # the jacobian budget admits both; the Euler block's source basis
@@ -496,18 +513,6 @@ def test_every_exported_name_resolves():
         conedef.no_such_name
 
 
-def test_internal_inconsistency_is_exit_4(capsys, monkeypatch):
-    # the rnc cross-check compares the chase with the monomial count; an
-    # empty basis makes the two disagree
-    monkeypatch.setattr(p1, "basis", lambda i, k: [])
-    code, out, err = run_cli(capsys, "t1", "rnc:4", "--weights", "-1..-1")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("internal error: rnc d=4, m=-1:")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 def test_bott_h1_spike_mismatch_is_exit_4(capsys, monkeypatch):
     # the Euler chase on the plane is checked against Bott's h^1 spike at
     # k = -3; moving the spike to k = -4 makes the two disagree there
@@ -549,6 +554,33 @@ def test_normal_route_mismatch_is_exit_4(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: normal route d=4, m=-1:")
     assert err.count("\n") == 1
+
+
+# ---- the README's examples ------------------------------------------------
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The argv of each ``conedef ...`` line in the README's CLI block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    examples = [line.partition("#")[0].split()[1:] for line in block.splitlines() if line.startswith("conedef ")]
+    if not examples:
+        raise ValueError("the README's CLI block has no conedef lines")
+    return examples
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=[" ".join(argv) for argv in README_EXAMPLES])
+def test_readme_cli_examples_run(capsys, envelope_schema, argv):
+    """Every documented example exits 0 and every JSON reply is a valid
+    envelope, so a descriptor the registry drops or renames fails here
+    instead of rotting in the docs."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if "csv" not in argv:
+        jsonschema.validate(json.loads(out), envelope_schema)
 
 
 # ---- envelope discipline ----------------------------------------------
@@ -598,9 +630,9 @@ def test_subprocess_exit_codes():
 # and the exact stderr.  Pins the per-class rule strings, rigidity notes,
 # window_independent flags and the two-route jacobian trace byte for byte.
 GOLDEN = [
-    ("t1 rnc:4 --trace", 0, "343568d188ec38e0e41705327d1a026c2dd9ee67a7380abb13f63342aec7db41", ""),
-    ("t1 rnc:4 --order 2 --trace", 0, "c1b33607613101b788d92fc076fbf1ba544b07930b6544667626ed119f731c5e", ""),
-    ("rigidity rnc:4 --trace", 0, "5c17e864943d45b0f5ade11c0c670e7cbebef77e6ac9d708251965b1f0974b4f", ""),
+    ("t1 rnc:4 --trace", 0, "4ac24f978d97320220b27b1271b7fcd9fb58f312dd4f4c57262a21970d6e80c2", ""),
+    ("t1 rnc:4 --order 2 --trace", 0, "d27b06e0e087d2717fddad535f61edaf0ce27054388f86c707d6bf1745154d4b", ""),
+    ("rigidity rnc:4 --trace", 0, "8869ad2411f9d0de87c2fcc917f36612957d5dfa3dd534e87a11a54c7f666fea", ""),
     ("t1 veronese:1:3 --trace", 0, "aa6c380d955b2a9b209c466b0a2cb68d87be9e2c057a7230e247293816983ace", ""),
     ("t1 veronese:1:3 --order 2 --trace", 0, "7e7f4f6613ad50c033cf63f580eab6842fbba05196555c16bd1178078baef2f5", ""),
     ("rigidity veronese:1:3 --trace", 0, "42dc6a548288fc3d7b28acf05828b8d63d2a0a8997793d0bce16871079fc8463", ""),
@@ -636,10 +668,12 @@ GOLDEN = [
     ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-1000000000) on P^1 has 999999999 monomials, over the basis budget of 10000\n"),
     ("atiyah --n 11", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n = 11 has 220 triple overlaps, over the atiyah budget of 165\n"),
     ("t1 rnc:4 --weights -2..-1 --format csv --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)\n"),
-    ("t1 rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-5999999998) on P^1 has 5999999997 monomials, over the basis budget of 10000\n"),
-    ("rigidity rnc:1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-999999998) on P^1 has 999999997 monomials, over the basis budget of 10000\n"),
+    ("t1 rnc:1000000000", 0, "4ae3f178026613839b11d23a9a81a01e2854e058734d990524b57bf89a130626", ""),
+    ("rigidity rnc:1000000000", 0, "3b54ca1739ea6cee6efc4a175310f185d7957ff03b30c45fac4f7f4a55af8a16", ""),
     ("t1 rnc:4 --weights -1000000000..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: weight window -1000000000..0 has 1000000001 weights, over the window budget of 1000\n"),
     ("t1 veronese:2:1 --weights -2000..-2000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-2 basis of O(-2000) on P^2 has 1997001 monomials, over the basis budget of 10000\n"),
+    ("t1 veronese:2:1 --weights -2000..-2000 --order 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-2 basis of O(-2000) on P^2 has 1997001 monomials, over the basis budget of 10000\n"),
+    ("cech --i 0 --k 1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-0 basis of O(1000000000) on P^1 has 1000000001 monomials, over the basis budget of 10000\n"),
     ("jacobian --d 2 --weight -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 2 in weight -1000000000 stacks maps of up to 5999999997 entries, over the jacobian budget of 50000\n"),
     ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 3 in weight 1000000000 stacks maps of up to 36000000048 entries, over the jacobian budget of 50000\n"),
     ("jacobian --d 100000 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 100000 stacks maps of up to 499999999950000 entries, over the jacobian budget of 50000\n"),

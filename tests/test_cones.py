@@ -215,15 +215,16 @@ def test_veronese_verdicts_hold_in_every_weight():
     assert (higher.rigid, higher.window_independent) == (True, True)
 
 
-SCANNED = [
-    *(RationalNormalCurve(d) for d in range(1, 9)),
-    *(VeroneseSpace(n, d) for n in range(1, 4) for d in range(1, 7)),
-    *(SegreQuadric(d) for d in range(1, 7)),
-    *(ProductPolarization(a, b) for a in range(1, 6) for b in range(1, 6)),
-]
+# keyed by the descriptor each entry is built from, aliases included
+SCANNED = {
+    **{f"rnc:{d}": RationalNormalCurve(d) for d in range(1, 9)},
+    **{f"veronese:{n}:{d}": VeroneseSpace(n, d) for n in range(1, 4) for d in range(1, 7)},
+    **{f"segre:{d}": SegreQuadric(d) for d in range(1, 7)},
+    **{f"product:{a}:{b}": ProductPolarization(a, b) for a in range(1, 6) for b in range(1, 6)},
+}
 
 
-@pytest.mark.parametrize("v", SCANNED, ids=lambda v: v.describe())
+@pytest.mark.parametrize("v", SCANNED.values(), ids=list(SCANNED))
 def test_closed_form_verdict_matches_a_window_scan(v):
     """The closed form against a scan of the counts: the witness is the
     nonzero weight nearest zero over -12..4, or there is none and the cone

@@ -25,9 +25,9 @@ from conedef.linalg import RationalMatrix
 from conedef.polynomials import Polynomial, RationalFunction
 from conedef.projective import SurfaceDivisor
 
-# (class, field values, the same values with one field changed, hashable,
-# the name of the first field):
-# every catalog class, then the result records of the cones layer.  A
+# (class or named constructor, field values, the same values with one
+# field changed, hashable, the name of the first field):
+# every catalog entry and alias, then the result records of the cones layer.  A
 # frozen record hashes like the tuple of its fields, so one holding a dict
 # is unhashable.
 FROZEN = [
@@ -63,14 +63,19 @@ def test_frozen_records(cls, values, changed, hashable, field):
     with pytest.raises(AttributeError):
         a.not_a_field = 1
     assert a == b  # nothing above changed it
-    assert repr(a).startswith(f"{cls.__name__}(")
+    assert repr(a).startswith(f"{type(a).__name__}(")
 
 
 def test_equality_needs_the_same_class():
+    # one (Y, L), one entry: an alias builds the entry it names
+    assert RationalNormalCurve(3) == VeroneseSpace(1, 3) and hash(RationalNormalCurve(3)) == hash(VeroneseSpace(1, 3))
+    assert SegreQuadric(2) == ProductPolarization(2, 2) and hash(SegreQuadric(2)) == hash(ProductPolarization(2, 2))
+    assert {RationalNormalCurve(3), VeroneseSpace(1, 3), SegreQuadric(2), ProductPolarization(2, 2)} == {
+        VeroneseSpace(1, 3), ProductPolarization(2, 2)
+    }
+    # equal field values in different classes stay different entries
+    assert VeroneseSpace(2, 3) != ProductPolarization(2, 3)
     assert RationalNormalCurve(2) != SegreQuadric(2)
-    assert RationalNormalCurve(3) != VeroneseSpace(1, 3)  # the same curve, a different entry
-    assert SegreQuadric(2) != ProductPolarization(2, 2)
-    assert {RationalNormalCurve(2), SegreQuadric(2)} == {SegreQuadric(2), RationalNormalCurve(2)}
 
 
 def test_constructor_order_and_defaults():
@@ -79,7 +84,7 @@ def test_constructor_order_and_defaults():
     assert (verdict.variety, verdict.rigid, verdict.witness, verdict.m_lo, verdict.m_hi) == ("rnc:4", False, (-1, 1), -6, 3)
     assert (verdict.window_independent, verdict.note) == (True, "note")
     assert VeroneseSpace(2, 3).n == 2 and VeroneseSpace(2, 3).d == 3
-    assert ProductPolarization(2, 3).bidegree == (2, 3)
+    assert ProductPolarization(2, 3).a == 2 and ProductPolarization(2, 3).b == 3
     # a fresh list per instance where the dataclass used a default factory
     one, two = Certificate("c"), Certificate("c")
     one.steps.append("step")
@@ -110,7 +115,7 @@ INVALID = [
     (RationalNormalCurve, (0,), ValueError, "curve degree d must be at least 1"),
     (VeroneseSpace, (0, 2), ValueError, "need n >= 1 and d >= 1"),
     (VeroneseSpace, (2, 0), ValueError, "need n >= 1 and d >= 1"),
-    (SegreQuadric, (0,), ValueError, "need d >= 1"),
+    (SegreQuadric, (0,), ValueError, "both bidegrees must be at least 1"),
     (ProductPolarization, (1, 0), ValueError, "both bidegrees must be at least 1"),
     (BlownUpPlane, (9,), ValueError, "r must be between 1 and 8"),
     (BlownUpPlane, (0,), ValueError, "r must be between 1 and 8"),
