@@ -246,7 +246,8 @@ def hstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
     offset = 0
     for b in blocks:
         for row, part in zip(rows, b.rows):
-            row.update((j + offset, x) for j, x in part.items())
+            if part:  # most rows of a stacked block grid are empty
+                row.update((j + offset, x) for j, x in part.items())
         offset += b.ncols
     return RationalMatrix(nrows, offset, rows)
 

@@ -17,13 +17,21 @@ the tests pin down.
 
 Bases are ordered by descending first exponent, so e.g. basis(0, 2) is
 [(2, 0), (1, 1), (0, 2)] and basis(1, -4) is [(-1, -3), (-2, -2), (-3, -1)].
+
+As in :mod:`conedef.projective`, :mod:`conedef.linalg` and
+:mod:`conedef.polynomials` are imported by the functions that build a
+matrix or polynomial, so dimensions and bases load neither.
 """
 
 from __future__ import annotations
 
-from .linalg import RationalMatrix, vstack
-from .polynomials import Polynomial
+from typing import TYPE_CHECKING
+
 from .projective import _pn_basis, _pn_mult_matrix, hq_pn_line
+
+if TYPE_CHECKING:
+    from .linalg import RationalMatrix
+    from .polynomials import Polynomial
 
 Monomial = tuple[int, int]
 
@@ -55,15 +63,23 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
 
 def _curve_monomial(d: int, j: int) -> Polynomial:
     """The j-th degree-d parametrizing monomial x0^(d-j) * x1^j."""
+    from .polynomials import Polynomial
+
     return Polynomial.monomial(2, (d - j, j))
 
 
 def euler_h1_block(d: int, m: int) -> RationalMatrix:
     """Connecting data for the restricted Euler sequence in weight m: the
     stacked multiplication map from level-1 degree m*d into the d+1 copies
-    of level-1 degree m*d + d, one block per parametrizing monomial."""
+    of level-1 degree m*d + d, one block per parametrizing monomial.
+    Where the source h^1(O(m*d)) is 0 every block has no columns, and the
+    stack is the zero map of that shape without building one."""
+    from .linalg import RationalMatrix, vstack
+
     if d < 1:
         raise ValueError("the curve degree d must be at least 1")
+    if h_dim(1, m * d) == 0:
+        return RationalMatrix.zero((d + 1) * h_dim(1, m * d + d), 0)
     return vstack([mult_matrix(_curve_monomial(d, j), 1, m * d) for j in range(d + 1)])
 
 

@@ -17,18 +17,27 @@ Two independent routes to the weight-m deformation count are provided:
   the section count a closed form, corrected by the tangent-sequence
   terms computed by the Cech chase on the line, and checked at run time
   against the line count whenever that chase is exact.
+
+As in :mod:`conedef.projective`, ``fractions``, :mod:`conedef.linalg` and
+:mod:`conedef.polynomials` are imported by the functions that build a
+fraction, matrix or polynomial, so importing this module, as the command
+line does for every command, loads none of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from . import p1
-from .linalg import RationalMatrix, hstack, vstack
-from .polynomials import Polynomial
 from .projective import InternalConsistencyError
 from .records import FrozenRecord
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .linalg import RationalMatrix
+    from .polynomials import Polynomial
 
 Monomial2 = tuple[int, int]
 
@@ -58,6 +67,8 @@ class Presentation(FrozenRecord):
 def build_presentation(d: int) -> Presentation:
     """All 2x2-minor generators q_{ij} = z_i z_{j+1} - z_{i+1} z_j for
     0 <= i < j <= d-1, in lexicographic order of (i, j)."""
+    from .polynomials import Polynomial
+
     _check_degree(d)
     nvars = d + 1
     z = [Polynomial.variable(nvars, t) for t in range(nvars)]
@@ -109,12 +120,16 @@ def s_basis(d: int, k: int) -> list[Monomial2]:
 
 def substitution_images(d: int) -> list[Polynomial]:
     """The parametrization z_i -> x0^(d-i) x1^i as binary monomials."""
+    from .polynomials import Polynomial
+
     return [Polynomial.monomial(2, (d - i, i)) for i in range(d + 1)]
 
 
 def normal_form(d: int, p: Polynomial) -> Polynomial:
     """Image of a z-polynomial in the cone's coordinate ring, written as a
     binary form via the parametrizing substitution."""
+    from .polynomials import Polynomial
+
     if p.nvars != d + 1:
         raise ValueError(f"expected a polynomial in the {d + 1} cone variables")
     if p.is_zero():
@@ -125,6 +140,8 @@ def normal_form(d: int, p: Polynomial) -> Polynomial:
 def coefficients_in_grade(d: int, q: Polynomial, k: int) -> list[Fraction]:
     """Coordinates of a binary form on s_basis(d, k).  The form must be
     supported in degree d*k (the zero form is fine in any grade)."""
+    from fractions import Fraction
+
     mons = s_basis(d, k)
     index = {m: i for i, m in enumerate(mons)}
     out = [Fraction(0)] * len(mons)
@@ -172,6 +189,8 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
     Every partial of a 2x2 minor is 0, z_k, -z_k or -2 z_k, so the
     C(d, 2)(d + 1) cells hold at most 3d distinct partials: each block is
     built once and shared, which is safe because hstack copies rows."""
+    from .linalg import RationalMatrix, hstack, vstack
+
     _check_degree(d)
     src_dim, dst_dim = len(s_basis(d, m + 1)), len(s_basis(d, m + 2))
     if src_dim == 0:
@@ -196,6 +215,8 @@ def euler_derivation_vector(d: int, m: int = 0) -> list[Fraction]:
     """The coordinate vector of the weight-0 derivation sending each z_i to
     itself, in the source ordering of graded_jacobian_map(d, 0).  Only
     weight 0 carries it."""
+    from fractions import Fraction
+
     if m != 0:
         raise ValueError("the scaling derivation lives in weight 0 only")
     src_mons = s_basis(d, 1)

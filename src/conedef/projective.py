@@ -11,15 +11,23 @@ table: they are chased through the standard short exact sequences with the
 connecting ranks computed by exact elimination.  The plane's tangent twists
 are compared with Bott's formula at run time; where another independent
 route exists (Serre duality, Euler characteristics) the tests replay it.
+
+Exact arithmetic is imported where a matrix or polynomial is built, not at
+module level: :mod:`conedef.linalg`, :mod:`conedef.polynomials` and
+``fractions`` are loaded by the first chase, so a closed-form count (the
+line, Kunneth, the bases of the Cech model) never loads them.
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import TYPE_CHECKING
 
-from .linalg import RationalMatrix, Row, hstack, vstack
-from .polynomials import Polynomial
 from .records import FrozenRecord
+
+if TYPE_CHECKING:
+    from .linalg import RationalMatrix, Row
+    from .polynomials import Polynomial
 
 
 class InternalConsistencyError(Exception):
@@ -86,6 +94,8 @@ def _pn_mult_matrix(p: Polynomial, n: int, k: int, top: bool) -> RationalMatrix:
     truncated to zero (only possible at level n).  Because the multiplier
     has nonnegative exponents, a monomial that leaves never returns, so the
     truncated product is still functorial."""
+    from .linalg import RationalMatrix
+
     if p.nvars != n + 1:
         raise ValueError(f"expected a polynomial in the {n + 1} coordinates")
     if p.is_zero():
@@ -109,6 +119,8 @@ def _pn_mult_matrix(p: Polynomial, n: int, k: int, top: bool) -> RationalMatrix:
 
 
 def _coordinates(n: int) -> list[Polynomial]:
+    from .polynomials import Polynomial
+
     return [Polynomial.variable(n + 1, i) for i in range(n + 1)]
 
 
@@ -125,6 +137,8 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
         raise ValueError("cotangent chase implemented for n = 1 and 2 only")
     if not 0 <= q <= n:
         raise ValueError(f"cohomology level {q} out of range for n={n}")
+    from .linalg import hstack
+
     # 0 -> Omega^1(k) -> O(k-1)^(n+1) -> O(k) -> 0.  Line bundles on the
     # line and the plane only have cohomology at levels 0 and n, so each
     # level of Omega^1(k) is read off the level-0 and level-n maps.
@@ -152,6 +166,8 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
 
 def _euler_top_map_p2(k: int) -> RationalMatrix:
     """The stacked top-level multiplication H^2(O(k)) -> H^2(O(k+1))^3."""
+    from .linalg import vstack
+
     return vstack([_pn_mult_matrix(x, 2, k, True) for x in _coordinates(2)])
 
 

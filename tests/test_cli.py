@@ -442,9 +442,9 @@ def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
 # ---- what each command loads ---------------------------------------------
 
 # Runs one command in a fresh interpreter and prints the conedef modules
-# it loaded, and dataclasses or inspect if the import of the package or
-# the command loaded them (not the interpreter's own start-up); --help
-# ends in SystemExit.
+# it loaded, and dataclasses, inspect or fractions if the import of the
+# package or the command loaded them (not the interpreter's own start-up);
+# --help ends in SystemExit.
 _LOADED = """
 import sys
 started = set(sys.modules)
@@ -455,7 +455,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(sys.argv[1:])
     except SystemExit:
         pass
-watched = {"dataclasses", "inspect"} - started
+watched = {"dataclasses", "inspect", "fractions"} - started
 print(" ".join(sorted(m for m in sys.modules if m.startswith("conedef") or m in watched)))
 """
 
@@ -500,6 +500,27 @@ def test_commands_never_load_dataclasses(argv):
     loaded = _modules_loaded_by(argv)
     assert "conedef.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+# A command whose numbers are closed forms, and every refusal, loads
+# these layers and no exact arithmetic.
+_CLOSED_FORM_LAYERS = {
+    "conedef", "conedef.cli", "conedef.cones", "conedef.p1", "conedef.presentation", "conedef.projective",
+    "conedef.records",
+}
+_EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials", "fractions"}
+
+
+@pytest.mark.parametrize("argv", ["--help", "t1 rnc:4", "cech --i 1 --k -4", "t1 delpezzo:3"])
+def test_closed_form_commands_load_no_exact_arithmetic(argv):
+    loaded = _modules_loaded_by(argv)
+    assert {m for m in loaded if m.startswith("conedef")} == _CLOSED_FORM_LAYERS
+    assert not loaded & _EXACT_ARITHMETIC
+
+
+def test_a_command_that_builds_a_matrix_loads_exact_arithmetic():
+    # the plane's Euler chase eliminates a matrix, so the check above is not vacuous
+    assert _EXACT_ARITHMETIC <= _modules_loaded_by("t1 veronese:2:4")
 
 
 def test_every_exported_name_resolves():
@@ -624,11 +645,20 @@ def test_subprocess_exit_codes():
 
 # ---- golden output per catalog class ------------------------------------
 
+# Two of the largest requests the budgets admit, also replayed in a bounded
+# process: the longest Euler block (d + 1 maps with an empty source) and the
+# widest traced graded Jacobian.
+_LARGEST_ADMITTED = [
+    ("jacobian --d 49999 --weight 0", 0, "0132f84cc947205949a0a29e1f4587e30c219cca3ccff3ad721887fc5b46bb9d", ""),
+    ("jacobian --d 46 --weight -1 --trace", 0, "9cf7f70a7df766fe0b63e39b18b39068908f3f34690b5a0c2bb9ca805e7040c6", ""),
+]
+
 # One descriptor per catalog class under the three traced commands, then
 # the jacobian command in both modes, then every subcommand untraced or
-# traced, the csv table and the exit-2 paths: exit code, sha256 of stdout
-# and the exact stderr.  Pins the per-class rule strings, rigidity notes,
-# window_independent flags and the two-route jacobian trace byte for byte.
+# traced, the csv table, the exit-2 paths and the largest admitted
+# requests: exit code, sha256 of stdout and the exact stderr.  Pins the
+# per-class rule strings, rigidity notes, window_independent flags and the
+# two-route jacobian trace byte for byte.
 GOLDEN = [
     ("t1 rnc:4 --trace", 0, "4ac24f978d97320220b27b1271b7fcd9fb58f312dd4f4c57262a21970d6e80c2", ""),
     ("t1 rnc:4 --order 2 --trace", 0, "d27b06e0e087d2717fddad535f61edaf0ce27054388f86c707d6bf1745154d4b", ""),
@@ -677,6 +707,7 @@ GOLDEN = [
     ("jacobian --d 2 --weight -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 2 in weight -1000000000 stacks maps of up to 5999999997 entries, over the jacobian budget of 50000\n"),
     ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 3 in weight 1000000000 stacks maps of up to 36000000048 entries, over the jacobian budget of 50000\n"),
     ("jacobian --d 100000 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 100000 stacks maps of up to 499999999950000 entries, over the jacobian budget of 50000\n"),
+    *_LARGEST_ADMITTED,
 ]
 
 
@@ -693,17 +724,30 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_bounded(argv: str) -> subprocess.CompletedProcess:
+    """One command in its own interpreter, with 1 GiB of address space and 30 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "conedef", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=30, preexec_fn=_limit_address_space,
+    )
+
+
 _BUDGET_ROWS = [row for row in GOLDEN if row[1] == 2 and "budget of" in row[3]]
 
 
 @pytest.mark.parametrize("argv,code,digest,err", _BUDGET_ROWS, ids=[row[0].replace(" ", "_") for row in _BUDGET_ROWS])
 def test_budget_refusals_in_a_bounded_process(argv, code, digest, err):
-    """Each refusal again in its own interpreter, with 1 GiB of address
-    space and 30 s: a budget that stops refusing fails here fast instead
-    of exhausting the host."""
-    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "conedef", *argv.split()],
-        capture_output=True, text=True, env=env, timeout=30, preexec_fn=_limit_address_space,
-    )
+    """Each refusal again in a bounded process: a budget that stops
+    refusing fails here fast instead of exhausting the host."""
+    proc = _run_bounded(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest,err", _LARGEST_ADMITTED, ids=[row[0].replace(" ", "_") for row in _LARGEST_ADMITTED]
+)
+def test_largest_admitted_requests_in_a_bounded_process(argv, code, digest, err):
+    proc = _run_bounded(argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

@@ -96,6 +96,13 @@ def test_stacking():
         vstack([a, M([[1, 2, 3]])])
 
 
+def test_hstack_keeps_columns_of_empty_rows_and_blocks():
+    left = M([[0, 1], [0, 0]])
+    right = M([[0], [5]])
+    assert hstack([left, RationalMatrix.zero(2, 1), right]) == M([[0, 1, 0, 0], [0, 0, 0, 5]])
+    assert hstack([RationalMatrix.zero(2, 0), left]) == left
+
+
 def test_inverse_round_trip():
     m = M([[2, 1], [1, 1]])
     assert m @ m.inverse() == RationalMatrix.identity(2)

@@ -5,7 +5,7 @@ oracles, never from the closed forms under test."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conedef.linalg import RationalMatrix
+from conedef.linalg import RationalMatrix, vstack
 from conedef.p1 import (
     basis,
     euler_h1_block,
@@ -151,6 +151,16 @@ def test_connecting_rank_matters():
     assert block == hand
     assert euler_restricted_h0(2, -2) == 0
     assert euler_restricted_h1(2, -2) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_euler_block_is_the_stacked_multiplication_maps(d, m):
+    """The block is its definition, one multiplication map per
+    parametrizing monomial stacked in order, also where the source is
+    empty and the block is returned without building the maps."""
+    maps = [mult_matrix(Polynomial.monomial(2, (d - j, j)), 1, m * d) for j in range(d + 1)]
+    assert euler_h1_block(d, m) == vstack(maps)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
