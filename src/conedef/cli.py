@@ -1,24 +1,31 @@
 """Command line front end.
 
-Five subcommands, one JSON envelope.  Every envelope carries the same four
-top-level keys in the same order (schema_version, command, inputs, result,
-plus an optional trace), integers only, no timestamps, so repeated runs of
-the same command are byte-identical.  The envelope schema ships with the
-package under ``conedef/schemas/envelope.schema.json``.  Each ``cmd_*``
-returns its inputs, result and trace lines; ``main`` alone reads the trace
-switch (``--trace`` or ``CONEDEF_TRACE=1``) and writes the envelope.  The
-one exception is ``t1 --format csv``, which prints its table itself and
-carries no trace, so ``main`` refuses it together with the trace switch.
+Five subcommands, one JSON envelope whose schema ships as
+``conedef/schemas/envelope.schema.json``, byte-identical from run to run.
+Each ``cmd_*`` returns its inputs, result and trace lines; ``main`` alone
+reads the trace switch (``--trace`` or ``CONEDEF_TRACE=1``) and writes the
+envelope, except that ``t1 --format csv`` prints its table and refuses a trace.
 
-Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, curve degree below 2, a trace asked of ``--format csv``, a ``t1`` or
-``rigidity`` window, ``jacobian`` request or ``atiyah`` overlap count over
-its budget, or any monomial basis over the model's ``MAX_BASIS``), 3 for
-well-formed requests the engine refuses to answer with bare numbers
-(certificate-only geometries, second-order counts outside the
-curve/surface catalog), 4 when two routes to the same number disagreed at
-run time (an internal error, reported as a one-line ``internal error: ...``
-on stderr instead of a number).
+A request is priced from closed forms and refused before anything is built
+when it is over a budget of :mod:`conedef.projective`:
+
+``MAX_BASIS`` = 10^4  monomials in one basis, wherever it is built
+``MAX_COST`` = 10^5   units of work: a nonzero of a map built, a loop step
+
+``t1`` costs the sum of ``Variety.cost(m)`` over its window: a row, plus
+3 h^2(O(dm)) Euler nonzeros on the plane.  A certificate ``rigidity`` costs
+one unit per replayed step, a numeric verdict its witness weight alone.
+``jacobian`` costs C(d, 2)(d + 1) partials for ``--dump-matrix``; in weight
+m, (d + 1) h^1(O(dm)) Euler entries plus, traced, C(d, 2)(d + 1)
+h^0(O(d(m + 1))) graded ones, an empty block counting one.  ``atiyah``
+costs C(n + 1, 3) 3n^2.  The slowest admitted requests found take, end to
+end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.4 s,
+``rigidity delpezzo:8 --weights -16667..0`` 1.6 s, ``jacobian --d 9
+--weight -1100 --trace`` 0.95 s and ``atiyah --n 11`` 0.6 s.
+
+Exit codes: 0 success; 2 a usage error or a request over a budget; 3 a request
+the engine will not answer with bare numbers (certificate-only geometries,
+second-order counts outside the catalog); 4 two routes disagreed at run time.
 """
 
 from __future__ import annotations
@@ -33,18 +40,9 @@ from typing import Optional, Sequence
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
 from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
-from .projective import OverBudgetError
+from .projective import OverBudgetError, check_cost
 
 SCHEMA_VERSION = "1"
-
-# Budgets on loops, checked from closed forms before anything is built (a
-# monomial basis is bounded where it is enumerated, by projective.MAX_BASIS).
-# 165 triple overlaps (n = 10) take about half a second to verify, and a t1
-# or rigidity window holds at most 10**3 weights.  The maps of a jacobian
-# request hold at most 5 * 10**4 entries (_jacobian_entries), a few seconds.
-ATIYAH_MAX_TRIPLES = 165
-JACOBIAN_MAX_ENTRIES = 50_000
-WINDOW_MAX_WEIGHTS = 1_000
 
 # One usage form per registry name, aliases included, e.g. "veronese:<n>:<d>".
 _DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
@@ -81,23 +79,13 @@ def parse_window(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_window_budget(lo: int, hi: int) -> None:
-    if hi - lo + 1 > WINDOW_MAX_WEIGHTS:
-        raise UsageError(f"weight window {lo}..{hi} has {hi - lo + 1} weights, over the window budget of {WINDOW_MAX_WEIGHTS}")
-
-
 Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or None
 
 
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
-    _check_window_budget(lo, hi)
-    table = (
-        cones.t1_table(variety, lo, hi)
-        if args.order == 1
-        else cones.t2_table(variety, lo, hi)
-    )
+    table = (cones.t1_table if args.order == 1 else cones.t2_table)(variety, lo, hi)
     weights = range(lo, hi + 1)
     if args.format == "csv":
         sys.stdout.write("weight,dimension\n")
@@ -122,15 +110,10 @@ def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
 def cmd_rigidity(args: argparse.Namespace) -> Reply:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
-    _check_window_budget(lo, hi)  # a certificate replays every weight of the window
     verdict = cones.rigidity_verdict(variety, lo, hi)
     result: dict = {
         "rigid": verdict.rigid,
-        "witness": (
-            {"weight": verdict.witness[0], "dim": verdict.witness[1]}
-            if verdict.witness is not None
-            else None
-        ),
+        "witness": None if verdict.witness is None else {"weight": verdict.witness[0], "dim": verdict.witness[1]},
         "window": f"{lo}..{hi}",
         "window_independent": verdict.window_independent,
         "note": verdict.note,
@@ -141,31 +124,17 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
     return {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, trace
 
 
-def _jacobian_entries(d: int, m: Optional[int], trace: bool) -> int:
-    """Closed-form bound on the entries of the largest map a jacobian
-    request stacks: the generator Jacobian's C(d, 2)(d + 1) partials for
-    --dump-matrix (m is None); in weight m, the restricted Euler block's
-    d + 1 multiplication maps times their source basis and, with a trace,
-    the graded map's C(d, 2)(d + 1) blocks times its source grade.  Every
-    block counts at least one entry, even where its basis is empty."""
-    partials = comb(d, 2) * (d + 1)
-    if m is None:
-        return partials
-    euler = (d + 1) * max(1, p1.h_dim(1, d * m))
-    return max(euler, partials * max(1, p1.h_dim(0, d * (m + 1)))) if trace else euler
-
-
 def cmd_jacobian(args: argparse.Namespace) -> Reply:
     if args.d < 2:
         raise UsageError("curve degree must be at least 2 (degree 1 has no equations)")
     if (args.weight is None) == (not args.dump_matrix):
         raise UsageError("choose exactly one of --weight <m> or --dump-matrix")
-    entries = _jacobian_entries(args.d, args.weight, args.trace)
-    if entries > JACOBIAN_MAX_ENTRIES:
-        where = "" if args.weight is None else f" in weight {args.weight}"
-        raise UsageError(
-            f"d = {args.d}{where} stacks maps of up to {entries} entries, over the jacobian budget of {JACOBIAN_MAX_ENTRIES}"
-        )
+    partials = comb(args.d, 2) * (args.d + 1)  # priced as in the module docstring
+    if args.weight is None:
+        check_cost(partials)
+    else:
+        euler = (args.d + 1) * max(1, p1.h_dim(1, args.d * args.weight))
+        check_cost(euler + partials * max(1, p1.h_dim(0, args.d * (args.weight + 1))) if args.trace else euler)
     if args.dump_matrix:
         matrix = jacobian_matrix(args.d)
         result = {
@@ -205,9 +174,7 @@ def cmd_cech(args: argparse.Namespace) -> Reply:
 def cmd_atiyah(args: argparse.Namespace) -> Reply:
     if args.n < 2:
         raise UsageError("need n >= 2 for a triple overlap")
-    triples = comb(args.n + 1, 3)
-    if triples > ATIYAH_MAX_TRIPLES:
-        raise UsageError(f"n = {args.n} has {triples} triple overlaps, over the atiyah budget of {ATIYAH_MAX_TRIPLES}")
+    check_cost(comb(args.n + 1, 3) * 3 * args.n**2)
     from .atiyah import atiyah_cocycle_check  # the one command that needs it
 
     report = atiyah_cocycle_check(args.n)
@@ -218,11 +185,7 @@ def cmd_atiyah(args: argparse.Namespace) -> Reply:
         "additive": report.additive_ok,
         "passed": report.passed,
     }
-    trace = (
-        ["transition data: coordinate ratios; equality decided by cross-multiplication"]
-        if args.trace
-        else None
-    )
+    trace = ["transition data: coordinate ratios; equality decided by cross-multiplication"] if args.trace else None
     return {"n": args.n}, result, trace
 
 

@@ -97,6 +97,10 @@ class Variety(FrozenRecord):
         """The replay certificate that stands in for bare counts, if any."""
         return None
 
+    def cost(self, m: int) -> int:
+        """Units of work (see ``projective.MAX_COST``) to answer weight m: its table row."""
+        return 1
+
 
 class VeroneseSpace(Variety):
     """Projective n-space embedded by all degree-d forms; the line (n = 1)
@@ -140,6 +144,9 @@ class VeroneseSpace(Variety):
             m_star = -3 // self.d if 3 % self.d == 0 else None
             return m_star, "Bott on the plane: h^1(T(k)) is 1 at k = -3 and 0 otherwise, so weight m contributes iff d*m = -3"
         return None, "Bott: h^1(T(k)) vanishes for every k on n-space with n >= 3"
+
+    def cost(self, m: int) -> int:  # on the plane, plus 3 Euler blocks of one nonzero per source monomial
+        return 1 + 3 * projective.hq_pn_line(2, self.d * m, 2) if self.n == 2 else 1
 
 
 class ProductPolarization(Variety):
@@ -203,9 +210,15 @@ class BlownUpPlane(Variety):
         return 0, 1 + a * (a + 1) * (9 - self.r) // 2
 
     def certificate(self, m_lo: int, m_hi: int) -> Certificate:
+        projective.priced_window(m_lo, m_hi, self.cost)  # the certificate replays every weight
         from .delpezzo import delpezzo_certificate  # loaded only when a certificate is asked for
 
         return delpezzo_certificate(self.r, m_lo, m_hi)
+
+    def cost(self, m: int) -> int:  # the steps delpezzo_certificate replays in twist m, at least one
+        if m <= -2:
+            return 7 if self.r <= 6 else 6
+        return (2 if m == -1 else 5) if self.r <= 6 else 1
 
 
 def RationalNormalCurve(d: int) -> VeroneseSpace:
@@ -273,7 +286,7 @@ def _check_window(m_lo: int, m_hi: int) -> None:
 def _table(v: Variety, order: int, m_lo: int, m_hi: int) -> GradedTable:
     _check_window(m_lo, m_hi)
     count = t1_weight if order == 1 else t2_weight
-    return GradedTable(v.describe(), order, m_lo, m_hi, {m: count(v, m) for m in range(m_lo, m_hi + 1)})
+    return GradedTable(v.describe(), order, m_lo, m_hi, {m: count(v, m) for m in projective.priced_window(m_lo, m_hi, v.cost)})
 
 
 def t1_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:
@@ -330,6 +343,7 @@ def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdi
         )
         return RigidityVerdict(desc, None, None, m_lo, m_hi, False, note, cert)
     m_star, note = v.closed_form_rigidity()
+    projective.check_cost(0 if m_star is None else v.cost(m_star))  # the one weight it reads
     witness = None if m_star is None else (m_star, t1_weight(v, m_star))
     if witness is not None and witness[1] == 0:
         raise InternalConsistencyError(f"{desc}: the closed form puts a nonzero weight at {m_star}, the count there is 0")

@@ -21,7 +21,7 @@ line, Kunneth, the bases of the Cech model) never loads them.
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .records import FrozenRecord
 
@@ -36,7 +36,7 @@ class InternalConsistencyError(Exception):
 
 
 class OverBudgetError(Exception):
-    """A monomial basis over :data:`MAX_BASIS` was asked for; nothing was enumerated."""
+    """A request over :data:`MAX_COST` or a basis over :data:`MAX_BASIS` was refused; nothing was built."""
 
 
 # ----------------------------------------------------------------------
@@ -57,9 +57,31 @@ def hq_pn_line(n: int, k: int, q: int) -> int:
     return 0
 
 
-# The one basis budget.  A cech basis this size prints about 0.3 MB, and the
-# plane's Euler top map out of one has about 3 * 10**4 rows.
+# The two budgets, checked from closed forms before anything is built: a basis
+# of MAX_BASIS monomials prints about 0.3 MB; MAX_COST units take 0.4-1.6 s.
 MAX_BASIS = 10_000
+MAX_COST = 100_000
+
+
+def check_cost(cost: int) -> None:
+    if cost > MAX_COST:
+        raise OverBudgetError(f"the request costs {cost} units, over the cost budget of {MAX_COST}")
+
+
+def priced_window(m_lo: int, m_hi: int, cost: Callable[[int], int]) -> range:
+    """The weights of a window read at cost(m) >= 1 units each; one longer than MAX_COST is refused before the sum."""
+    if m_hi - m_lo + 1 > MAX_COST:
+        raise OverBudgetError(f"weight window {m_lo}..{m_hi} has {m_hi - m_lo + 1} weights, over the cost budget of {MAX_COST}")
+    check_cost(sum(map(cost, range(m_lo, m_hi + 1))))
+    return range(m_lo, m_hi + 1)
+
+
+def _check_basis(n: int, k: int, top: bool) -> None:
+    """Refuse a basis over MAX_BASIS from its size; the chases call this before loading anything."""
+    level = n if top else 0
+    size = hq_pn_line(n, k, level)
+    if size > MAX_BASIS:
+        raise OverBudgetError(f"the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
 
 
 def _pn_basis(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
@@ -67,12 +89,8 @@ def _pn_basis(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     of O(k): the n+1 exponents sum to k and are all nonnegative (level 0)
     or all at most -1 (level n), in descending lexicographic order.
 
-    Every basis of the package is built here, so a basis over the budget
-    is refused here, from its closed-form size, before anything exists."""
-    level = n if top else 0
-    size = hq_pn_line(n, k, level)
-    if size > MAX_BASIS:
-        raise OverBudgetError(f"the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
+    Every basis of the package is built here, so none over budget exists."""
+    _check_basis(n, k, top)
     return _pn_monomials(n, k, top)
 
 
@@ -137,6 +155,10 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
         raise ValueError("cotangent chase implemented for n = 1 and 2 only")
     if not 0 <= q <= n:
         raise ValueError(f"cohomology level {q} out of range for n={n}")
+    if q <= 1:  # the larger basis of each level built: level-0 maps land in O(k), level-n maps leave O(k-1)
+        _check_basis(n, k, False)
+    if q == n:
+        _check_basis(n, k - 1, True)
     from .linalg import hstack
 
     # 0 -> Omega^1(k) -> O(k-1)^(n+1) -> O(k) -> 0.  Line bundles on the
@@ -166,6 +188,7 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
 
 def _euler_top_map_p2(k: int) -> RationalMatrix:
     """The stacked top-level multiplication H^2(O(k)) -> H^2(O(k+1))^3."""
+    _check_basis(2, k, True)  # the source is the larger basis
     from .linalg import vstack
 
     return vstack([_pn_mult_matrix(x, 2, k, True) for x in _coordinates(2)])

@@ -14,20 +14,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import conedef
 from conedef import cli, cones, presentation, projective
-from conedef.cli import (
-    ATIYAH_MAX_TRIPLES,
-    JACOBIAN_MAX_ENTRIES,
-    WINDOW_MAX_WEIGHTS,
-    UsageError,
-    main,
-    parse_variety,
-    parse_window,
-)
-from conedef.projective import MAX_BASIS
+from conedef.cli import UsageError, main, parse_variety, parse_window
+from conedef.projective import MAX_BASIS, MAX_COST
 from conedef.cones import BlownUpPlane, ProductPolarization, RationalNormalCurve, VeroneseSpace
 
 
@@ -76,22 +68,57 @@ def test_parse_variety_round_trips_describe():
             assert parse_variety(v.describe()) == v
 
 
-@given(
-    command=st.sampled_from([("t1",), ("t1", "--order", "2"), ("rigidity",)]),
-    name=st.sampled_from(["rnc", "veronese", "segre", "product", "delpezzo", "plane", "cubicsurface", ""]),
-    values=st.lists(st.one_of(st.integers(-2, 4), st.integers(10**9, 10**18)), max_size=3),
-)
-@settings(max_examples=60, deadline=None)
-def test_descriptor_fuzz_exits_cleanly(envelope_schema, command, name, values):
-    """Any <name>:<ints> descriptor, small or huge integers, ends in exit 0
-    with a valid envelope, or in exit 2 or 3 with nothing on stdout and one
-    line on stderr."""
-    descriptor = ":".join([name, *map(str, values)])
+# Integers small enough to be answered, near the budgets, and up to 10**18;
+# a size (degree, level, n) is drawn mostly from the small nonnegative ones.
+_INTS = st.one_of(st.integers(-8, 8), st.integers(-150, 150), st.integers(-(10**18), 10**18))
+_SIZES = st.one_of(st.integers(0, 12), _INTS)
+
+
+@st.composite
+def _requests(draw) -> list[str]:
+    """An argv the parser accepts: any subcommand, each of its options
+    present or not, in any order, with any integers."""
+
+    def option(name: str, values) -> list[str]:
+        return draw(st.one_of(st.just([]), values.map(lambda v: [f"--{name}", str(v)])))
+
+    command = draw(st.sampled_from(["t1", "rigidity", "jacobian", "cech", "atiyah"]))
+    opts = [draw(st.sampled_from([[], ["--trace"]]))]
+    if command in ("t1", "rigidity"):
+        name = draw(st.sampled_from([*cones.CATALOG, "plane", ""]))
+        arity = len(cones.CATALOG.get(name, (None, ()))[1])
+        fields = [st.lists(ints, min_size=arity, max_size=arity) for ints in (st.integers(1, 8), _SIZES)]
+        values = draw(st.one_of(*fields, st.lists(_INTS, max_size=3)))
+        head = [command, ":".join([name, *map(str, values)])]
+        # mostly short windows, which are answered, and any lo..hi besides
+        window = st.tuples(_INTS, st.one_of(st.integers(-1, 12), _INTS)).map(lambda w: f"{w[0]}..{w[0] + w[1]}")
+        opts.append(option("weights", window))
+        if command == "t1":
+            opts += [option("order", st.sampled_from([1, 2])), option("format", st.sampled_from(["json", "csv"]))]
+    elif command == "jacobian":
+        head = [command, "--d", str(draw(_SIZES))]
+        opts += [option("weight", _INTS), draw(st.sampled_from([[], ["--dump-matrix"]]))]
+    elif command == "cech":
+        head = [command, "--i", str(draw(_SIZES)), "--k", str(draw(_INTS))]
+    else:
+        head = [command, "--n", str(draw(_SIZES))]
+    return head + [token for opt in draw(st.permutations(opts)) for token in opt]
+
+
+@given(argv=_requests())
+@example(argv=["t1", "veronese:2:1", "--weights", "-142..857"])
+@settings(max_examples=300, deadline=2000)
+def test_grammar_fuzz_exits_cleanly(envelope_schema, argv):
+    """Any request the parser accepts, small or huge integers, ends within
+    the deadline in exit 0 with a valid envelope (or a csv table), or in
+    exit 2 or 3 with nothing on stdout and one line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command[0], descriptor, *command[1:]])
+        code = main(argv)
     assert code in (0, 2, 3), err.getvalue()
-    if code == 0:
+    if code == 0 and "csv" in argv:
+        assert out.getvalue().startswith("weight,dimension\n")
+    elif code == 0:
         jsonschema.validate(json.loads(out.getvalue()), envelope_schema)
     else:
         assert out.getvalue() == ""
@@ -350,24 +377,65 @@ def test_cech_budget_refuses_before_building(capsys, monkeypatch):
         assert err == f"error: the level-{i} basis of O({k}) on P^1 has {size} monomials, over the basis budget of {MAX_BASIS}\n"
 
 
+class _Priced(Exception):
+    """Raised in place of the cost check: it carries the request's cost."""
+
+
+def _cost_of(monkeypatch, *argv: str):
+    """The closed-form cost main computes for a request, or None where the
+    request is refused before it is priced; nothing is built either way."""
+
+    def price(cost):
+        raise _Priced(cost)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "check_cost", price)  # jacobian and atiyah
+        patch.setattr(projective, "check_cost", price)  # the windows and verdicts of cones
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main(list(argv))
+        except _Priced as priced:
+            return priced.args[0]
+    return None
+
+
+def _cost_error(cost: int) -> str:
+    return f"error: the request costs {cost} units, over the cost budget of {MAX_COST}\n"
+
+
+def _window_error(lo: int, hi: int) -> str:
+    return f"error: weight window {lo}..{hi} has {hi - lo + 1} weights, over the cost budget of {MAX_COST}\n"
+
+
+def _basis_error(n: int, k: int, level: int, size: int) -> str:
+    return f"error: the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}\n"
+
+
+def _assert_refused(capsys, argv, err):
+    code, out, got = run_cli(capsys, *argv)
+    assert (code, out, got) == (2, "", err), argv
+
+
 def test_atiyah_budget_refuses_before_building(capsys, monkeypatch):
     import conedef.atiyah
+
+    # C(n + 1, 3) triple overlaps at 3 n^2 units each: n = 11 is the largest admitted
+    assert _cost_of(monkeypatch, "atiyah", "--n", "11") == math.comb(12, 3) * 3 * 11**2 == 79860 <= MAX_COST
+    assert _cost_of(monkeypatch, "atiyah", "--n", "12") == math.comb(13, 3) * 3 * 12**2 == 123552
 
     def refuse(n):
         raise AssertionError("the cocycle check ran for an over-budget request")
 
     monkeypatch.setattr(conedef.atiyah, "atiyah_cocycle_check", refuse)
-    assert math.comb(11, 3) <= ATIYAH_MAX_TRIPLES < math.comb(12, 3)  # n = 10 is the largest allowed
-    for n in (11, 10**18):
-        code, out, err = run_cli(capsys, "atiyah", "--n", str(n))
-        assert (code, out) == (2, "")
-        assert err == f"error: n = {n} has {math.comb(n + 1, 3)} triple overlaps, over the atiyah budget of {ATIYAH_MAX_TRIPLES}\n"
+    for n in (12, 10**18):
+        _assert_refused(capsys, ("atiyah", "--n", str(n)), _cost_error(math.comb(n + 1, 3) * 3 * n**2))
 
 
 def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
     _guard_the_enumerator(monkeypatch)
-    at_window = run_json(capsys, "t1", "segre:1", "--weights", f"{1 - WINDOW_MAX_WEIGHTS}..0")
-    assert len(at_window["result"]["table"]) == WINDOW_MAX_WEIGHTS
+    # a weight of a closed form costs its table row alone: MAX_COST weights are admitted
+    code, out, _ = run_cli(capsys, "t1", "segre:1", "--weights", f"{1 - MAX_COST}..0", "--format", "csv")
+    assert code == 0 and out.count("\n") == MAX_COST + 1
     # the line's count is a closed form and builds no basis: in weight m its
     # level-1 group has -3 - m = MAX_BASIS + 1 monomials
     m = -4 - MAX_BASIS
@@ -376,46 +444,68 @@ def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
     # second-order counts on a curve are a closed form and build nothing
     assert run_json(capsys, "t1", "rnc:1000000000", "--order", "2")["result"]["nonzero_weights"] == []
     # the plane's top-level basis in twist -142 has C(141, 2) = 9870 monomials, in -143 C(142, 2) = 10011,
-    # in -144 C(143, 2) = 10153
+    # in -144 C(143, 2) = 10153; its Euler top map adds 3 nonzeros per monomial to the weight's row
     assert run_json(capsys, "t1", "veronese:2:1", "--weights", "-142..-142")["result"]["table"] == {"-142": 0}
+    assert _cost_of(monkeypatch, "t1", "veronese:2:1", "--weights", "-142..-142") == 1 + 3 * 9870
+    assert _cost_of(monkeypatch, "t1", "veronese:2:1", "--weights", "-142..857") == 1000 + 3 * math.comb(142, 3) == 1402540
+    assert _cost_of(monkeypatch, "t1", "veronese:2:1", "--weights", "-142..-140", "--order", "2") == 87576 <= MAX_COST
+    assert _cost_of(monkeypatch, "t1", "veronese:2:1", "--weights", "-142..-139") == 115936
+    # a certificate replays every weight of its window, step by step: 7 steps in each
+    # twist m <= -2, 2 at m = -1 and 5 at m = 0 for six points
+    assert _cost_of(monkeypatch, "rigidity", "delpezzo:6", "--weights", "-14285..0") == 99995 <= MAX_COST
+    assert _cost_of(monkeypatch, "rigidity", "delpezzo:6", "--weights", "-14286..0") == 100002
+    # a numeric verdict reads its witness weight alone, whatever the window
+    assert _cost_of(monkeypatch, "rigidity", "veronese:2:1", "--weights", f"{-(10**18)}..0") == 1 + 3 * 1
+    assert _cost_of(monkeypatch, "rigidity", "veronese:2:2", "--weights", f"{-(10**18)}..0") == 0
+    wide, narrow = (run_json(capsys, "rigidity", "rnc:4", "--weights", w)["result"] for w in ("-1000000000..0", "-6..3"))
+    assert wide.pop("window") == "-1000000000..0" and narrow.pop("window") == "-6..3"
+    assert wide == narrow and wide["witness"] == {"weight": -1, "dim": 1}
 
     def refuse(*args):
         raise AssertionError("something was built for an over-budget request")
 
-    monkeypatch.setattr(cones.BlownUpPlane, "certificate", refuse)
+    import conedef.delpezzo
+
+    monkeypatch.setattr(conedef.delpezzo, "delpezzo_certificate", refuse)
     over = [
-        (("t1", "rnc:4", "--weights", f"{-WINDOW_MAX_WEIGHTS}..0"), "window"),
-        (("t1", "segre:1", "--weights", f"{-(10**18)}..{10**18}"), "window"),
-        (("rigidity", "delpezzo:6", "--weights", f"{-WINDOW_MAX_WEIGHTS}..0"), "window"),
-        (("rigidity", "veronese:2:1", "--weights", f"{-(10**18)}..0"), "window"),
-        (("t1", "veronese:2:2", "--weights", "-72..-72"), "basis"),
-        (("t1", f"veronese:2:{10**18}", "--weights", "-1..-1"), "basis"),
-        (("t1", "veronese:2:1", "--weights", "-143..-143"), "basis"),
-        (("t1", "veronese:2:1", "--weights", "-143..-143", "--order", "2"), "basis"),
-        # the jacobian budget admits both; the Euler block's source basis
-        # (2 * 5001 - 1 monomials) and the graded map's target grade (10001)
-        # are refused where they are enumerated
-        (("jacobian", "--d", "2", "--weight", "-5001"), "basis"),
-        (("jacobian", "--d", "2", "--weight", "4998", "--trace"), "basis"),
+        (("t1", "rnc:4", "--weights", f"{-MAX_COST}..0"), _window_error(-MAX_COST, 0)),
+        (("t1", "segre:1", "--weights", f"{-(10**18)}..{10**18}"), _window_error(-(10**18), 10**18)),
+        (("rigidity", "delpezzo:6", "--weights", f"{-MAX_COST}..0"), _window_error(-MAX_COST, 0)),
+        (("rigidity", "delpezzo:6", "--weights", "-14286..0"), _cost_error(100002)),
+        (("t1", "veronese:2:1", "--weights", "-142..857"), _cost_error(1402540)),
+        (("t1", "veronese:2:1", "--weights", "-142..-139", "--order", "2"), _cost_error(115936)),
+        (("t1", f"veronese:2:{10**18}", "--weights", "-1..-1"), _cost_error(1 + 3 * math.comb(10**18 - 1, 2))),
+        # the cost budget admits these; the basis they would enumerate is refused
+        (("t1", "veronese:2:2", "--weights", "-72..-72"), _basis_error(2, -144, 2, 10153)),
+        (("t1", "veronese:2:1", "--weights", "-143..-143"), _basis_error(2, -143, 2, 10011)),
+        (("t1", "veronese:2:1", "--weights", "-143..-143", "--order", "2"), _basis_error(2, -143, 2, 10011)),
+        # the Euler block's source basis (2 * 5001 - 1 monomials) and the graded map's target grade (10001)
+        (("jacobian", "--d", "2", "--weight", "-5001"), _basis_error(1, -10002, 1, 10001)),
+        (("jacobian", "--d", "2", "--weight", "4998", "--trace"), _basis_error(1, 10000, 0, 10001)),
     ]
-    for argv, budget in over:
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"over the {budget} budget of {WINDOW_MAX_WEIGHTS if budget == 'window' else MAX_BASIS}" in err, argv
+    for argv, err in over:
+        _assert_refused(capsys, argv, err)
 
 
 def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
-    entries = cli._jacobian_entries
-    assert entries(46, None, False) <= JACOBIAN_MAX_ENTRIES < entries(47, None, False)  # C(d, 2)(d + 1) partials
-    assert entries(46, -2, True) <= JACOBIAN_MAX_ENTRIES < entries(47, -2, True)
-    assert entries(2, -8333, False) <= JACOBIAN_MAX_ENTRIES < entries(2, -8334, False)  # 3 Euler maps out of 2 * 8333 - 1
-    # the benchmark's jacobian commands (d <= 11, m <= 2) and the README's d = 12 row stay inside
-    assert max(entries(d, m, True) for d in range(2, 13) for m in range(-3, 3)) == entries(12, 2, True) == 31746
-    _guard_the_enumerator(monkeypatch)
-    dump = run_json(capsys, "jacobian", "--d", "46", "--dump-matrix")["result"]
-    assert (dump["rows"], dump["cols"]) == (math.comb(46, 2), 47)
-    assert run_json(capsys, "jacobian", "--d", "46", "--weight", "-2", "--trace")["result"]["t1"] == 0
+    # C(d, 2)(d + 1) partials, the d + 1 Euler maps out of h^1(O(d m)) and,
+    # traced, the C(d, 2)(d + 1) graded blocks out of grade m + 1; a block
+    # with an empty source counts one entry
+    priced = {
+        ("--d", "58", "--dump-matrix"): math.comb(58, 2) * 59,
+        ("--d", "59", "--dump-matrix"): math.comb(59, 2) * 60,
+        ("--d", "57", "--weight", "-1", "--trace"): 58 * 56 + math.comb(57, 2) * 58,
+        ("--d", "58", "--weight", "-1", "--trace"): 59 * 57 + math.comb(58, 2) * 59,
+        ("--d", "9", "--weight", "-1111"): 10 * 9998,
+        ("--d", "9", "--weight", "-1112"): 10 * 10007,
+        ("--d", "16", "--weight", "2", "--trace"): 17 + math.comb(16, 2) * 17 * 49,
+        ("--d", "49999", "--weight", "0"): 50000,
+    }
+    for argv, cost in priced.items():
+        assert _cost_of(monkeypatch, "jacobian", *argv) == cost, argv
+    assert [cost <= MAX_COST for cost in priced.values()] == [True, False, True, False, True, False, True, True]
+    dump = run_json(capsys, "jacobian", "--d", "12", "--dump-matrix")["result"]
+    assert (dump["rows"], dump["cols"]) == (math.comb(12, 2), 13)
 
     def refuse(*args):
         raise AssertionError("something was built for an over-budget request")
@@ -423,20 +513,31 @@ def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
     for name in ("jacobian_matrix", "graded_jacobian_map", "t1_via_normal"):
         monkeypatch.setattr(cli, name, refuse)
     over = [
-        ("--d", "2", "--weight", "-1000000000"),
-        ("--d", "3", "--weight", "1000000000", "--trace"),
-        ("--d", "27", "--weight", "300", "--trace"),
-        ("--d", "2", "--weight", "-8334"),
-        ("--d", "47", "--weight", "-2", "--trace"),
-        ("--d", "47", "--dump-matrix"),
-        ("--d", "100000", "--dump-matrix"),
-        ("--d", str(10**18), "--weight", "0"),
+        (("--d", "2", "--weight", "-1000000000"), 3 * 1999999999),
+        (("--d", "3", "--weight", "1000000000", "--trace"), 4 + 12 * 3000000004),
+        (("--d", "27", "--weight", "300", "--trace"), 28 + math.comb(27, 2) * 28 * 8128),
+        (("--d", "9", "--weight", "-1112"), 100070),
+        (("--d", "58", "--weight", "-1", "--trace"), 100890),
+        (("--d", "59", "--dump-matrix"), 102660),
+        (("--d", "100000", "--dump-matrix"), math.comb(100000, 2) * 100001),
+        (("--d", str(10**18), "--weight", "0"), 10**18 + 1),
     ]
-    for argv in over:
-        code, out, err = run_cli(capsys, "jacobian", *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith(f"error: d = {argv[1]}") and err.count("\n") == 1
-        assert err.endswith(f"entries, over the jacobian budget of {JACOBIAN_MAX_ENTRIES}\n"), argv
+    for argv, cost in over:
+        _assert_refused(capsys, ("jacobian", *argv), _cost_error(cost))
+
+
+def test_benchmark_commands_cost_far_under_the_budget(monkeypatch):
+    """Every command of the three benchmark workloads costs at most 2.5 * 10**3
+    units, so the cost budget refuses none of them."""
+    from perfbench import workloads
+
+    costs = [
+        _cost_of(monkeypatch, *command.argv)
+        for workload in workloads.WORKLOADS
+        for seed in (1, 2, 3)
+        for command in workloads.generate(workload, seed)
+    ]
+    assert 1000 < max(cost for cost in costs if cost is not None) <= 2500
 
 
 # ---- what each command loads ---------------------------------------------
@@ -511,7 +612,19 @@ _CLOSED_FORM_LAYERS = {
 _EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials", "fractions"}
 
 
-@pytest.mark.parametrize("argv", ["--help", "t1 rnc:4", "cech --i 1 --k -4", "t1 delpezzo:3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--help",
+        "t1 rnc:4",
+        "cech --i 1 --k -4",
+        "t1 delpezzo:3",
+        # refused by the plane's basis budget after passing the cost budget, and by the cost budget
+        "t1 veronese:2:1 --weights -143..-143",
+        "t1 veronese:2:1 --weights -142..857",
+        "atiyah --n 12",
+    ],
+)
 def test_closed_form_commands_load_no_exact_arithmetic(argv):
     loaded = _modules_loaded_by(argv)
     assert {m for m in loaded if m.startswith("conedef")} == _CLOSED_FORM_LAYERS
@@ -645,12 +758,17 @@ def test_subprocess_exit_codes():
 
 # ---- golden output per catalog class ------------------------------------
 
-# Two of the largest requests the budgets admit, also replayed in a bounded
-# process: the longest Euler block (d + 1 maps with an empty source) and the
-# widest traced graded Jacobian.
+# Large requests the budgets admit, also replayed in a bounded process: the
+# longest Euler block (d + 1 maps with an empty source), a wide traced graded
+# Jacobian, and the slowest request of each command near MAX_COST (0.4-1.6 s
+# end to end on a shared 2-core host; the certificate prints 34 MB).
 _LARGEST_ADMITTED = [
     ("jacobian --d 49999 --weight 0", 0, "0132f84cc947205949a0a29e1f4587e30c219cca3ccff3ad721887fc5b46bb9d", ""),
     ("jacobian --d 46 --weight -1 --trace", 0, "9cf7f70a7df766fe0b63e39b18b39068908f3f34690b5a0c2bb9ca805e7040c6", ""),
+    ("jacobian --d 9 --weight -1100 --trace", 0, "ab1eb37e6cafe1e374cea30eb1ee43f89ef1c170bb4c5d9513f9a8b42a034a0b", ""),
+    ("t1 veronese:2:1 --weights -142..-140", 0, "da413cfee09979ed1318337c58c28c5340ada6ae06456fa9cf84cc0b79034edd", ""),
+    ("rigidity delpezzo:8 --weights -16667..0", 0, "69e814a9cd1fd23094e10f9db42117ddf4f5879e08789d4b05d8a84245ad0035", ""),
+    ("atiyah --n 11", 0, "1be13b211ff0aadf52f5de51a0c3139705004524648a45386cb7af37c34ce967", ""),
 ]
 
 # One descriptor per catalog class under the three traced commands, then
@@ -696,17 +814,20 @@ GOLDEN = [
     ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: choose exactly one of --weight <m> or --dump-matrix\n"),
     ("atiyah --n 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: need n >= 2 for a triple overlap\n"),
     ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-1000000000) on P^1 has 999999999 monomials, over the basis budget of 10000\n"),
-    ("atiyah --n 11", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n = 11 has 220 triple overlaps, over the atiyah budget of 165\n"),
+    ("atiyah --n 12", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 123552 units, over the cost budget of 100000\n"),
     ("t1 rnc:4 --weights -2..-1 --format csv --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)\n"),
     ("t1 rnc:1000000000", 0, "4ae3f178026613839b11d23a9a81a01e2854e058734d990524b57bf89a130626", ""),
     ("rigidity rnc:1000000000", 0, "3b54ca1739ea6cee6efc4a175310f185d7957ff03b30c45fac4f7f4a55af8a16", ""),
-    ("t1 rnc:4 --weights -1000000000..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: weight window -1000000000..0 has 1000000001 weights, over the window budget of 1000\n"),
-    ("t1 veronese:2:1 --weights -2000..-2000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-2 basis of O(-2000) on P^2 has 1997001 monomials, over the basis budget of 10000\n"),
-    ("t1 veronese:2:1 --weights -2000..-2000 --order 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-2 basis of O(-2000) on P^2 has 1997001 monomials, over the basis budget of 10000\n"),
+    ("t1 rnc:4 --weights -1000000000..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: weight window -1000000000..0 has 1000000001 weights, over the cost budget of 100000\n"),
+    ("rigidity rnc:4 --weights -1000000000..0", 0, "4bff1a1b718a66b2d1e5aa1d4cc72f16828957a8402103a682b3b0fca3d95506", ""),
+    ("t1 veronese:2:1 --weights -142..857", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 1402540 units, over the cost budget of 100000\n"),
+    ("t1 veronese:2:1 --weights -143..-143", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-2 basis of O(-143) on P^2 has 10011 monomials, over the basis budget of 10000\n"),
+    ("t1 veronese:2:1 --weights -2000..-2000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 5991004 units, over the cost budget of 100000\n"),
+    ("t1 veronese:2:1 --weights -2000..-2000 --order 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 5991004 units, over the cost budget of 100000\n"),
     ("cech --i 0 --k 1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-0 basis of O(1000000000) on P^1 has 1000000001 monomials, over the basis budget of 10000\n"),
-    ("jacobian --d 2 --weight -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 2 in weight -1000000000 stacks maps of up to 5999999997 entries, over the jacobian budget of 50000\n"),
-    ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 3 in weight 1000000000 stacks maps of up to 36000000048 entries, over the jacobian budget of 50000\n"),
-    ("jacobian --d 100000 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: d = 100000 stacks maps of up to 499999999950000 entries, over the jacobian budget of 50000\n"),
+    ("jacobian --d 2 --weight -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 5999999997 units, over the cost budget of 100000\n"),
+    ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 36000000052 units, over the cost budget of 100000\n"),
+    ("jacobian --d 100000 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 499999999950000 units, over the cost budget of 100000\n"),
     *_LARGEST_ADMITTED,
 ]
 

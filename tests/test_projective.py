@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conedef import p1, presentation, projective
 from conedef.projective import (
     MAX_BASIS,
+    MAX_COST,
     OverBudgetError,
     SurfaceDivisor,
     _pn_basis,
@@ -110,6 +111,17 @@ def test_the_basis_budget_is_inclusive():
     for n, k, top in ((2, 140, False), (1, MAX_BASIS, False), (1, -MAX_BASIS - 2, True)):
         with pytest.raises(OverBudgetError, match=f"^the level-{n if top else 0} basis of O\\({k}\\) on P\\^{n} has"):
             _pn_basis(n, k, top)
+
+
+def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
+    def never(m):
+        raise AssertionError("a window over the budget was priced")
+
+    with pytest.raises(OverBudgetError, match=f"^weight window 1..{MAX_COST + 1} has {MAX_COST + 1} weights, over the cost budget"):
+        projective.priced_window(1, MAX_COST + 1, never)
+    assert projective.priced_window(-2, 1, lambda m: MAX_COST // 4) == range(-2, 2)  # exactly MAX_COST units
+    with pytest.raises(OverBudgetError, match=f"^the request costs {MAX_COST + MAX_COST // 4} units, over the cost budget of {MAX_COST}$"):
+        projective.priced_window(-2, 2, lambda m: MAX_COST // 4)
 
 
 # ---- cotangent twists --------------------------------------------------
