@@ -1,10 +1,14 @@
 """Command line front end.
 
-Five subcommands, one JSON envelope whose schema ships as
-``conedef/schemas/envelope.schema.json``, byte-identical from run to run.
-Each ``cmd_*`` returns its inputs, result and trace lines; ``main`` alone
-reads the trace switch (``--trace`` or ``CONEDEF_TRACE=1``) and writes the
-envelope, except that ``t1 --format csv`` prints its table and refuses a trace.
+Five subcommands, one JSON envelope.  Every envelope carries the same four
+top-level keys in the same order (schema_version, command, inputs, result,
+plus an optional trace), integers only, no timestamps, so repeated runs of
+the same command are byte-identical.  The envelope schema ships with the
+package under ``conedef/schemas/envelope.schema.json``.  Each ``cmd_*``
+returns its inputs, result and trace lines; ``main`` alone reads the trace
+switch (``--trace`` or ``CONEDEF_TRACE=1``) and writes the envelope.  The
+one exception is ``t1 --format csv``, which prints its table itself and
+carries no trace, so ``main`` refuses it together with the trace switch.
 
 A request is priced from closed forms and refused before anything is built
 when it is over a budget of :mod:`conedef.projective`:
@@ -14,8 +18,8 @@ when it is over a budget of :mod:`conedef.projective`:
 
 ``t1`` costs the sum of ``Variety.cost(m)`` over its window: a row, plus
 3 h^2(O(dm)) Euler nonzeros on the plane.  A certificate ``rigidity`` costs
-one unit per replayed step, a numeric verdict its witness weight alone.
-``jacobian`` costs C(d, 2)(d + 1) partials for ``--dump-matrix``; in weight
+one unit per replayed step (``delpezzo._twist_steps``), a numeric verdict
+its witness weight alone.  ``jacobian`` costs C(d, 2)(d + 1) partials for ``--dump-matrix``; in weight
 m, (d + 1) h^1(O(dm)) Euler entries plus, traced, C(d, 2)(d + 1)
 h^0(O(d(m + 1))) graded ones, an empty block counting one.  ``atiyah``
 costs C(n + 1, 3) 3n^2.  The slowest admitted requests found take, end to
@@ -23,9 +27,13 @@ end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.4 s,
 ``rigidity delpezzo:8 --weights -16667..0`` 1.6 s, ``jacobian --d 9
 --weight -1100 --trace`` 0.95 s and ``atiyah --n 11`` 0.6 s.
 
-Exit codes: 0 success; 2 a usage error or a request over a budget; 3 a request
-the engine will not answer with bare numbers (certificate-only geometries,
-second-order counts outside the catalog); 4 two routes disagreed at run time.
+Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
+window, curve degree below 2, a trace asked of ``--format csv``, or a request
+over either budget), 3 for well-formed requests the engine refuses to answer
+with bare numbers (certificate-only geometries, second-order counts outside
+the curve/surface catalog), 4 when two routes to the same number disagreed
+at run time (an internal error, reported as a one-line ``internal error: ...``
+on stderr instead of a number).
 """
 
 from __future__ import annotations
@@ -85,7 +93,11 @@ Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
-    table = (cones.t1_table if args.order == 1 else cones.t2_table)(variety, lo, hi)
+    table = (
+        cones.t1_table(variety, lo, hi)
+        if args.order == 1
+        else cones.t2_table(variety, lo, hi)
+    )
     weights = range(lo, hi + 1)
     if args.format == "csv":
         sys.stdout.write("weight,dimension\n")
@@ -113,7 +125,11 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
     verdict = cones.rigidity_verdict(variety, lo, hi)
     result: dict = {
         "rigid": verdict.rigid,
-        "witness": None if verdict.witness is None else {"weight": verdict.witness[0], "dim": verdict.witness[1]},
+        "witness": (
+            {"weight": verdict.witness[0], "dim": verdict.witness[1]}
+            if verdict.witness is not None
+            else None
+        ),
         "window": f"{lo}..{hi}",
         "window_independent": verdict.window_independent,
         "note": verdict.note,
@@ -185,7 +201,11 @@ def cmd_atiyah(args: argparse.Namespace) -> Reply:
         "additive": report.additive_ok,
         "passed": report.passed,
     }
-    trace = ["transition data: coordinate ratios; equality decided by cross-multiplication"] if args.trace else None
+    trace = (
+        ["transition data: coordinate ratios; equality decided by cross-multiplication"]
+        if args.trace
+        else None
+    )
     return {"n": args.n}, result, trace
 
 

@@ -210,15 +210,9 @@ class BlownUpPlane(Variety):
         return 0, 1 + a * (a + 1) * (9 - self.r) // 2
 
     def certificate(self, m_lo: int, m_hi: int) -> Certificate:
-        projective.priced_window(m_lo, m_hi, self.cost)  # the certificate replays every weight
         from .delpezzo import delpezzo_certificate  # loaded only when a certificate is asked for
 
         return delpezzo_certificate(self.r, m_lo, m_hi)
-
-    def cost(self, m: int) -> int:  # the steps delpezzo_certificate replays in twist m, at least one
-        if m <= -2:
-            return 7 if self.r <= 6 else 6
-        return (2 if m == -1 else 5) if self.r <= 6 else 1
 
 
 def RationalNormalCurve(d: int) -> VeroneseSpace:

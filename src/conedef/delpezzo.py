@@ -37,6 +37,7 @@ from .projective import (
     SurfaceDivisor,
     hq_pn_omega1,
     intersection,
+    priced_window,
     restrict_to_exceptional,
 )
 from .records import FrozenRecord, Record
@@ -315,13 +316,32 @@ def _theorem_block(r: int) -> list[CertStep]:
     ]
 
 
+def _twist_block(r: int, m: int) -> list[CertStep]:
+    """The steps replayed in twist m; :func:`_twist_steps` counts them."""
+    if m <= -2:
+        return _lemma_negative_block_small_r(r, m) if r <= 6 else _lemma_negative_block_large_r(r, m)
+    if r >= 7:
+        return []
+    return _scaling_block(m) if m == -1 else _lemma_positive_block(r, m)
+
+
+def _twist_steps(r: int, m: int) -> int:
+    """The length of ``_twist_block(r, m)``, read off its branches, and at
+    least one: the units of ``projective.MAX_COST`` that twist m costs."""
+    if m <= -2:
+        return 7 if r <= 6 else 6
+    return 1 if r >= 7 else 2 if m == -1 else 5
+
+
 def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     """Build the replay certificate for the blow-up of the plane in r
-    points (1 <= r <= 8), twists m_lo..m_hi of the canonical class."""
+    points (1 <= r <= 8), twists m_lo..m_hi of the canonical class.  A
+    window over the cost budget is refused before any step is built."""
     if not 1 <= r <= 8:
         raise ValueError("r must be between 1 and 8")
     if m_lo > m_hi:
         raise ValueError("empty twist window")
+    priced_window(m_lo, m_hi, lambda m: _twist_steps(r, m))
     cert = Certificate(
         claim=(
             f"replay of the published vanishing argument for the anticanonical cone over the "
@@ -330,17 +350,7 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     )
     cert.steps.extend(_prelude_steps(r))
     for m in range(m_lo, m_hi + 1):
-        if m <= -2:
-            if r <= 6:
-                cert.steps.extend(_lemma_negative_block_small_r(r, m))
-            else:
-                cert.steps.extend(_lemma_negative_block_large_r(r, m))
-        elif m == -1:
-            if r <= 6:
-                cert.steps.extend(_scaling_block(m))
-        else:  # m >= 0
-            if r <= 6:
-                cert.steps.extend(_lemma_positive_block(r, m))
+        cert.steps.extend(_twist_block(r, m))
     if r <= 6:
         cert.steps.extend(_theorem_block(r))
     return cert

@@ -332,19 +332,12 @@ def test_assembly_total_matches_table_sum(d, lo, hi):
 # ---- cost ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("r", range(1, 9))
-def test_certificate_cost_counts_the_steps_of_each_twist(r):
-    """BlownUpPlane.cost(m) is the number of steps the certificate adds for
-    twist m, at least one, so a window is priced without building it."""
-    steps = [len(delpezzo_certificate(r, -8, m).steps) for m in range(-8, 5)]
-    added = [b - a for a, b in zip(steps, steps[1:])]
-    assert [BlownUpPlane(r).cost(m) for m in range(-7, 5)] == [max(1, n) for n in added]
-
-
 def test_library_tables_and_certificates_are_priced_before_building():
     with pytest.raises(OverBudgetError, match="^the request costs 1402540 units"):
         t1_table(VeroneseSpace(2, 1), -142, 857)
     with pytest.raises(OverBudgetError, match="^weight window -1000000..0 has 1000001 weights"):
         rigidity_verdict(BlownUpPlane(6), -(10**6), 0)
+    with pytest.raises(OverBudgetError, match="^the request costs 100002 units"):  # a direct call, too
+        delpezzo_certificate(6, -14286, 0)
     # a numeric verdict reads its witness weight alone
     assert rigidity_verdict(RationalNormalCurve(4), -(10**18), 0).witness == (-1, 1)

@@ -7,6 +7,7 @@ from conedef.delpezzo import (
     CertStep,
     StepStatus,
     Verdict,
+    _twist_steps,
     delpezzo_certificate,
 )
 
@@ -147,6 +148,15 @@ def test_validation():
         delpezzo_certificate(9)
     with pytest.raises(ValueError):
         delpezzo_certificate(6, 2, -2)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_certificate_cost_counts_the_steps_of_each_twist(r):
+    """_twist_steps(r, m) is the number of steps the certificate adds for
+    twist m, at least one, so a window is priced without building it."""
+    steps = [len(delpezzo_certificate(r, -8, m).steps) for m in range(-8, 5)]
+    added = [b - a for a, b in zip(steps, steps[1:])]
+    assert [_twist_steps(r, m) for m in range(-7, 5)] == [max(1, n) for n in added]
 
 
 def test_to_dict_shape():
