@@ -23,9 +23,9 @@ its witness weight alone.  ``jacobian`` costs C(d, 2)(d + 1) partials for ``--du
 m, (d + 1) h^1(O(dm)) Euler entries plus, traced, C(d, 2)(d + 1)
 h^0(O(d(m + 1))) graded ones, an empty block counting one.  ``atiyah``
 costs C(n + 1, 3) 3n^2.  The slowest admitted requests found take, end to
-end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.4 s,
-``rigidity delpezzo:8 --weights -16667..0`` 1.6 s, ``jacobian --d 9
---weight -1100 --trace`` 0.95 s and ``atiyah --n 11`` 0.6 s.
+end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.3 s,
+``rigidity delpezzo:8 --weights -16667..0`` 1.7 s (mostly printing 34 MB),
+``jacobian --d 9 --weight -1100 --trace`` 0.5 s and ``atiyah --n 11`` 0.6 s.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
 window, curve degree below 2, a trace asked of ``--format csv``, or a request

@@ -1,20 +1,30 @@
 """Sparse exact linear algebra over the rationals.
 
-A matrix stores one ``{column: Fraction}`` dict per row and no zeros.  The
-maps this package eliminates are large and nearly empty (2109 x 741 with
-2109 nonzeros for the plane's Euler top map at twist -40, 2442 x 325 with
-6325 nonzeros for the curve's graded Jacobian at d = 12, m = 1), so only
-the nonzeros are stored and swept.  What matters is that every answer is
-exact and that the pivot rule is deterministic, so repeated runs produce
-identical reduced forms.
+A matrix stores one ``{column: entry}`` dict per row and no zeros.  An
+entry is an exact scalar: an ``int`` (not a ``bool``) or a ``Fraction``.
+The maps this package eliminates are large and nearly empty (2109 x 741
+with 2109 nonzeros for the plane's Euler top map at twist -40, 2442 x 325
+with 6325 nonzeros for the curve's graded Jacobian at d = 12, m = 1), so
+only the nonzeros are stored and swept.  Most of them are integer maps
+(every entry of a map that multiplies by a coordinate is 1), so nothing
+here imports ``fractions`` but :meth:`RationalMatrix.rref`: a Fraction
+entry exists only where a caller has loaded it.  What matters is that
+every answer is exact and that the pivot rule is deterministic, so
+repeated runs produce identical reduced forms.
 
-One kernel does all elimination.  Its forward pass inserts the rows in
-order and reduces each by the pivot row of its leading (smallest) column
-until the row is zero or leads in a column no pivot row holds yet; it then
-becomes that column's pivot row, scaled to lead with 1.  The set of pivot
-columns depends only on the row space, so rank, kernel and cokernel need
-nothing more.  The reduced row echelon form adds back-substitution; it is
-unique, so it does not depend on the pivot rule either.  Fill-in stays
+One kernel does all elimination.  Its forward pass is fraction free, in
+the spirit of Bareiss (Math. Comp. 22, 1968): it scales each row to
+integers by the lcm of its denominators, inserts the rows in order and
+reduces each by the pivot row of its leading (smallest) column with the
+integer combination a*row - b*pivot that cancels that column, until the
+row is zero or leads in a column no pivot row holds yet.  It then becomes
+that column's pivot row, primitive (its content divided out) and leading
+with a positive entry; instead of Bareiss's exact division by the previous
+pivot, this content division keeps the pivot rows small.  Scaling a row
+keeps the row space, and the set of pivot columns depends only on the row
+space, so rank, kernel and cokernel need nothing more.  The reduced row
+echelon form adds back-substitution over the rationals; it is unique, so
+it depends neither on the pivot rule nor on the scaling.  Fill-in stays
 inside a connected component of the row/column nonzero pattern, so the
 independent blocks of a map (on the toric entries, its lattice degrees)
 are never mixed and need no separate split.  No magnitude-based pivoting:
@@ -23,31 +33,32 @@ there is no rounding error to fight.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+import sys
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .records import Record
 
-Scalar = Union[int, Fraction]
-Row = dict[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Scalar = Union[int, "Fraction"]
+Row = dict[int, Scalar]
 
 
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact scalars must be int or Fraction, got {type(x).__name__}")
+def _fraction_type() -> type | tuple:
+    """``Fraction`` once ``fractions`` is loaded, else ``()``, which no
+    entry is an instance of: before the import no Fraction exists."""
+    fractions = sys.modules.get("fractions")
+    return () if fractions is None else fractions.Fraction
 
 
 class RationalMatrix(Record):
-    """A rows x cols matrix of Fractions, stored as one ``{column: value}``
-    dict per row holding the nonzero entries only.  Degenerate shapes
-    (0 x n, n x 0) are legal and behave like the corresponding zero maps.
-    Two matrices are equal when their shapes and rows are."""
+    """A rows x cols matrix of exact scalars (int or Fraction), stored as
+    one ``{column: value}`` dict per row holding the nonzero entries only.
+    Degenerate shapes (0 x n, n x 0) are legal and behave like the
+    corresponding zero maps.  Two matrices are equal when their shapes and
+    rows are, so an int entry equals the Fraction of the same value."""
 
     __slots__ = _fields = ("nrows", "ncols", "rows")
 
@@ -56,14 +67,15 @@ class RationalMatrix(Record):
             raise ValueError("matrix dimensions must be nonnegative")
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
+        fraction = _fraction_type()
         for row in rows:
             if not isinstance(row, dict):
                 raise ValueError("each row must be a dict from column index to Fraction")
             for j, x in row.items():
                 if not isinstance(j, int) or not 0 <= j < ncols:
                     raise ValueError(f"column index {j!r} outside range({ncols})")
-                if not isinstance(x, Fraction):
-                    raise ValueError(f"entry at column {j} is a {type(x).__name__}, not a Fraction")
+                if type(x) is not int and not isinstance(x, fraction):
+                    raise ValueError(f"entry at column {j} is a {type(x).__name__}, not an int or a Fraction")
                 if not x:
                     raise ValueError(f"stored zero at column {j}")
         self.nrows = nrows
@@ -82,7 +94,9 @@ class RationalMatrix(Record):
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows in matrix data")
-        sparse = [{j: f for j, x in enumerate(r) if (f := _frac(x))} for r in rows]
+        # only an exact zero is dropped; any other entry is left for __init__ to check
+        fraction = _fraction_type()
+        sparse = [{j: x for j, x in enumerate(r) if x or not (type(x) is int or isinstance(x, fraction))} for r in rows]
         return cls(len(rows), width, sparse)
 
     @classmethod
@@ -91,14 +105,14 @@ class RationalMatrix(Record):
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [{i: _ONE} for i in range(n)])
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     # ---- basics -------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.nrows} x {self.ncols} matrix")
-        return self.rows[i].get(j, _ZERO)
+        return self.rows[i].get(j, 0)
 
     def copy(self) -> "RationalMatrix":
         return RationalMatrix(self.nrows, self.ncols, [dict(row) for row in self.rows])
@@ -120,7 +134,7 @@ class RationalMatrix(Record):
             acc: Row = {}
             for k, a in row.items():
                 for j, b in other.rows[k].items():
-                    acc[j] = acc.get(j, _ZERO) + a * b
+                    acc[j] = acc.get(j, 0) + a * b
             out.append({j: x for j, x in acc.items() if x})
         return RationalMatrix(self.nrows, other.ncols, out)
 
@@ -172,37 +186,73 @@ class RationalMatrix(Record):
         return transform
 
 
-def _echelon(rows: Iterable[Row]) -> dict[int, Row]:
-    """The forward pass: {pivot column: its pivot row, leading with 1}.
-    Copies what it reduces, so the rows passed in are left alone."""
-    pivots: dict[int, Row] = {}
+def _echelon(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
+    """The forward pass over the integers: {pivot column: its pivot row},
+    primitive and leading with a positive entry.  Copies what it reduces,
+    so the rows passed in are left alone."""
+    pivots: dict[int, dict[int, int]] = {}
     for source in rows:
-        row = dict(source)
+        row = _integral(source)
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                scale = row[lead]
-                pivots[lead] = row if scale == 1 else {j: x / scale for j, x in row.items()}
+                pivots[lead] = _primitive(row, lead)
                 break
-            _subtract(row, row[lead], pivot)
+            _cancel(row, lead, pivot)
     return pivots
 
 
-def _back_substitute(pivots: dict[int, Row]) -> list[Row]:
-    """Clear each pivot row at the later pivot columns, last pivot first,
-    and return the rows in order of pivot column.  A row that is already
-    reduced is zero at every pivot column but its own, so subtracting it
-    changes no other pivot entry of the row being cleared."""
-    order = sorted(pivots)
+def _integral(row: Row) -> dict[int, int]:
+    """A copy of the row scaled by the lcm of its denominators."""
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
+        return dict(row)
+    den = lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """The row divided by its content, signed to lead with a positive entry."""
+    content = gcd(*row.values())
+    if row[lead] < 0:
+        content = -content
+    return row if content == 1 else {j: x // content for j, x in row.items()}
+
+
+def _cancel(row: dict[int, int], lead: int, pivot: dict[int, int]) -> None:
+    """row = a * row - b * pivot in place, with b / a = row[lead] / pivot[lead]
+    in lowest terms (a > 0), so the lead column cancels."""
+    a, b = pivot[lead], row[lead]
+    if a != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for j in row:
+                row[j] *= a
+    _subtract(row, b, pivot)
+
+
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> list[Row]:
+    """Turn each pivot row into Fractions leading with 1, clear it at the
+    later pivot columns, last pivot first, and return the rows in order of
+    pivot column.  A row that is already reduced is zero at every pivot
+    column but its own, so subtracting it changes no other pivot entry of
+    the row being cleared."""
+    from fractions import Fraction
+
+    reduced = {lead: {j: Fraction(x, row[lead]) for j, x in row.items()} for lead, row in pivots.items()}
+    order = sorted(reduced)
     for lead in reversed(order):
-        row = pivots[lead]
-        for j in [j for j in row if j != lead and j in pivots]:
-            _subtract(row, row[j], pivots[j])
-    return [pivots[lead] for lead in order]
+        row = reduced[lead]
+        for j in [j for j in row if j != lead and j in reduced]:
+            _subtract(row, row[j], reduced[j])
+    return [reduced[lead] for lead in order]
 
 
-def _subtract(row: Row, factor: Fraction, pivot: Row) -> None:
+def _subtract(row: Row, factor: Scalar, pivot: Row) -> None:
     """row -= factor * pivot in place, dropping the entries that cancel."""
     for j, p in pivot.items():
         x = row.get(j)

@@ -18,9 +18,10 @@ the tests pin down.
 Bases are ordered by descending first exponent, so e.g. basis(0, 2) is
 [(2, 0), (1, 1), (0, 2)] and basis(1, -4) is [(-1, -3), (-2, -2), (-3, -1)].
 
-As in :mod:`conedef.projective`, :mod:`conedef.linalg` and
-:mod:`conedef.polynomials` are imported by the functions that build a
-matrix or polynomial, so dimensions and bases load neither.
+As in :mod:`conedef.projective`, :mod:`conedef.linalg` is imported by the
+functions that build a matrix, so dimensions and bases do not load it, and
+the restricted Euler block multiplies by ``{exponent pair: 1}`` maps, so it
+loads neither :mod:`conedef.polynomials` nor ``fractions``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .projective import _pn_basis, _pn_mult_matrix, hq_pn_line
 if TYPE_CHECKING:
     from .linalg import RationalMatrix
     from .polynomials import Polynomial
+    from .projective import Multiplier
 
 Monomial = tuple[int, int]
 
@@ -58,14 +60,12 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
 
     At level 1 any product monomial leaving the strictly-negative region is
     truncated to zero."""
-    return _pn_mult_matrix(p, 1, k, _top(i))
+    return _pn_mult_matrix(p.terms, 1, k, _top(i))
 
 
-def _curve_monomial(d: int, j: int) -> Polynomial:
+def _curve_monomial(d: int, j: int) -> Multiplier:
     """The j-th degree-d parametrizing monomial x0^(d-j) * x1^j."""
-    from .polynomials import Polynomial
-
-    return Polynomial.monomial(2, (d - j, j))
+    return {(d - j, j): 1}
 
 
 def euler_h1_block(d: int, m: int) -> RationalMatrix:
@@ -80,7 +80,7 @@ def euler_h1_block(d: int, m: int) -> RationalMatrix:
         raise ValueError("the curve degree d must be at least 1")
     if h_dim(1, m * d) == 0:
         return RationalMatrix.zero((d + 1) * h_dim(1, m * d + d), 0)
-    return vstack([mult_matrix(_curve_monomial(d, j), 1, m * d) for j in range(d + 1)])
+    return vstack([_pn_mult_matrix(_curve_monomial(d, j), 1, m * d, True) for j in range(d + 1)])
 
 
 def euler_restricted_h0(d: int, m: int) -> int:

@@ -15,12 +15,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import Scalar, _frac
 from .records import Record
 
+if TYPE_CHECKING:
+    from .linalg import Scalar
+
 Exponents = tuple[int, ...]
+
+
+def _frac(x: Scalar) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"exact scalars must be int or Fraction, got {type(x).__name__}")
 
 
 def degrevlex_cmp(a: Exponents, b: Exponents) -> int:

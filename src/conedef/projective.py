@@ -12,22 +12,25 @@ connecting ranks computed by exact elimination.  The plane's tangent twists
 are compared with Bott's formula at run time; where another independent
 route exists (Serre duality, Euler characteristics) the tests replay it.
 
-Exact arithmetic is imported where a matrix or polynomial is built, not at
-module level: :mod:`conedef.linalg`, :mod:`conedef.polynomials` and
-``fractions`` are loaded by the first chase, so a closed-form count (the
-line, Kunneth, the bases of the Cech model) never loads them.
+A multiplier is an ``{exponent tuple: coefficient}`` map, so a coordinate
+is ``{e_i: 1}`` and the chases build integer matrices without
+:mod:`conedef.polynomials` or ``fractions``.  :mod:`conedef.linalg` is
+imported where a matrix is built, not at module level, so a closed-form
+count (the line, Kunneth, the bases of the Cech model) never loads it.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, Callable
+from operator import add
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
-    from .linalg import RationalMatrix, Row
-    from .polynomials import Polynomial
+    from .linalg import RationalMatrix, Row, Scalar
+
+    Multiplier = Mapping[tuple[int, ...], Scalar]  # {exponent tuple: nonzero coefficient}
 
 
 class InternalConsistencyError(Exception):
@@ -58,7 +61,7 @@ def hq_pn_line(n: int, k: int, q: int) -> int:
 
 
 # The two budgets, checked from closed forms before anything is built: a basis
-# of MAX_BASIS monomials prints about 0.3 MB; MAX_COST units take 0.4-1.6 s.
+# of MAX_BASIS monomials prints about 0.3 MB; MAX_COST units take 0.3-1.7 s.
 MAX_BASIS = 10_000
 MAX_COST = 100_000
 
@@ -104,9 +107,10 @@ def _pn_monomials(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     return [(e,) + rest for e in leading for rest in _pn_monomials(n - 1, k - e, top)]
 
 
-def _pn_mult_matrix(p: Polynomial, n: int, k: int, top: bool) -> RationalMatrix:
-    """Matrix of multiplication by the homogeneous polynomial p from the
-    level-0 (or level-n) monomial model of O(k) to that of O(k + deg p).
+def _pn_mult_matrix(p: Multiplier, n: int, k: int, top: bool) -> RationalMatrix:
+    """Matrix of multiplication by the homogeneous polynomial with terms p
+    from the level-0 (or level-n) monomial model of O(k) to that of
+    O(k + deg p).
 
     A product monomial outside the target basis has left the region; it is
     truncated to zero (only possible at level n).  Because the multiplier
@@ -114,37 +118,43 @@ def _pn_mult_matrix(p: Polynomial, n: int, k: int, top: bool) -> RationalMatrix:
     truncated product is still functorial."""
     from .linalg import RationalMatrix
 
-    if p.nvars != n + 1:
+    if any(len(exps) != n + 1 for exps in p):
         raise ValueError(f"expected a polynomial in the {n + 1} coordinates")
-    if p.is_zero():
+    if not p:
         raise ValueError("multiplication by the zero polynomial has no degree")
-    if not p.is_homogeneous():
+    degrees = {sum(exps) for exps in p}
+    if len(degrees) != 1:
         raise ValueError("multiplier must be homogeneous")
-    if any(e < 0 for exps in p.terms for e in exps):
+    if any(e < 0 for exps in p for e in exps):
         raise ValueError("multiplier must be an honest polynomial, not Laurent")
     src = _pn_basis(n, k, top)
-    dst = _pn_basis(n, k + p.homogeneous_degree(), top)
+    dst = _pn_basis(n, k + degrees.pop(), top)
     index = {mono: row for row, mono in enumerate(dst)}
     rows: list[Row] = [{} for _ in dst]
     # distinct terms of p send one source monomial to distinct products,
     # so each cell is written at most once
     for col, exps in enumerate(src):
-        for mono, coeff in p.terms.items():
-            row = index.get(tuple(a + b for a, b in zip(exps, mono)))
+        for mono, coeff in p.items():
+            row = index.get(tuple(map(add, exps, mono)))
             if row is not None:
                 rows[row][col] = coeff
     return RationalMatrix(len(dst), len(src), rows)
 
 
-def _coordinates(n: int) -> list[Polynomial]:
-    from .polynomials import Polynomial
-
-    return [Polynomial.variable(n + 1, i) for i in range(n + 1)]
+def _coordinates(n: int) -> list[Multiplier]:
+    return [{tuple(int(j == i) for j in range(n + 1)): 1} for i in range(n + 1)]
 
 
 # ----------------------------------------------------------------------
 # Cotangent twists via the coordinate-differential sequence
 # ----------------------------------------------------------------------
+
+
+def _coordinate_map(n: int, k: int, top: bool) -> RationalMatrix:
+    """The map O(k)^(n+1) -> O(k+1) at level 0 or n, one block per coordinate."""
+    from .linalg import hstack
+
+    return hstack([_pn_mult_matrix(x, n, k, top) for x in _coordinates(n)])
 
 
 def hq_pn_omega1(n: int, k: int, q: int) -> int:
@@ -159,7 +169,6 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
         _check_basis(n, k, False)
     if q == n:
         _check_basis(n, k - 1, True)
-    from .linalg import hstack
 
     # 0 -> Omega^1(k) -> O(k-1)^(n+1) -> O(k) -> 0.  Line bundles on the
     # line and the plane only have cohomology at levels 0 and n, so each
@@ -167,11 +176,13 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
     value = 0
     if q <= 1:
         # level 0 is the kernel of the map on sections, and its cokernel
-        # is the part of level 1 that comes from below
-        rank0 = hstack([_pn_mult_matrix(x, n, k - 1, False) for x in _coordinates(n)]).rank()
-        value = (n + 1) * hq_pn_line(n, k - 1, 0) - rank0 if q == 0 else hq_pn_line(n, k, 0) - rank0
+        # is the part of level 1 that comes from below; a map from no
+        # sections has rank 0 by its shape, so it is not built
+        sections = hq_pn_line(n, k - 1, 0)
+        rank0 = _coordinate_map(n, k - 1, False).rank() if sections else 0
+        value = (n + 1) * sections - rank0 if q == 0 else hq_pn_line(n, k, 0) - rank0
     if q == n:
-        phi = hstack([_pn_mult_matrix(x, n, k - 1, True) for x in _coordinates(n)])
+        phi = _coordinate_map(n, k - 1, True)
         if phi.cokernel_dim() != 0:
             raise InternalConsistencyError(
                 f"cotangent chase n={n}, k={k}: the level-{n} map is not onto, "

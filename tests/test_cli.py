@@ -14,7 +14,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, seed, settings, strategies as st
 
 import conedef
 from conedef import cli, cones, presentation, projective
@@ -641,9 +641,27 @@ def test_closed_form_commands_load_no_exact_arithmetic(argv):
     assert not loaded & _EXACT_ARITHMETIC
 
 
+@pytest.mark.parametrize("argv", ["rigidity delpezzo:8 --weights -6..0", "rigidity delpezzo:7"])
+def test_certificates_load_no_exact_arithmetic(argv):
+    """A certificate's plane cotangent steps read a map from no sections
+    as rank 0 by its shape, so replaying one builds no matrix."""
+    loaded = _modules_loaded_by(argv)
+    assert "conedef.delpezzo" in loaded
+    assert not loaded & _EXACT_ARITHMETIC
+
+
+def test_the_plane_chase_loads_the_kernel_only():
+    """The plane's Euler chase multiplies by coordinates, an integer map:
+    it loads linalg but neither polynomials nor fractions."""
+    loaded = _modules_loaded_by("t1 veronese:2:4")
+    assert "conedef.linalg" in loaded
+    assert not loaded & {"conedef.polynomials", "fractions"}
+
+
 def test_a_command_that_builds_a_matrix_loads_exact_arithmetic():
-    # the plane's Euler chase eliminates a matrix, so the check above is not vacuous
-    assert _EXACT_ARITHMETIC <= _modules_loaded_by("t1 veronese:2:4")
+    # the graded Jacobian of a nonempty grade builds polynomials with Fraction
+    # coefficients, so the checks above are not vacuous
+    assert _EXACT_ARITHMETIC <= _modules_loaded_by("jacobian --d 5 --weight 0 --trace")
 
 
 def test_every_exported_name_resolves():
@@ -855,11 +873,11 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _run_bounded(argv: str) -> subprocess.CompletedProcess:
+def _run_bounded(argv: list[str]) -> subprocess.CompletedProcess:
     """One command in its own interpreter, with 1 GiB of address space and 30 s."""
     env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
     return subprocess.run(
-        [sys.executable, "-m", "conedef", *argv.split()],
+        [sys.executable, "-m", "conedef", *argv],
         capture_output=True, text=True, env=env, timeout=30, preexec_fn=_limit_address_space,
     )
 
@@ -871,14 +889,31 @@ _BUDGET_ROWS = [row for row in GOLDEN if row[1] == 2 and "budget of" in row[3]]
 def test_budget_refusals_in_a_bounded_process(argv, code, digest, err):
     """Each refusal again in a bounded process: a budget that stops
     refusing fails here fast instead of exhausting the host."""
-    proc = _run_bounded(argv)
+    proc = _run_bounded(argv.split())
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+@given(sample=st.lists(_requests(), min_size=20, max_size=20))
+@seed(20261018)
+@settings(max_examples=1, deadline=None, database=None, phases=[Phase.generate])
+def test_grammar_fuzz_sample_in_a_bounded_process(sample):
+    """A fixed sample of 20 requests of the grammar fuzz, each in its own
+    interpreter under the refusal rows' limits, where running out of
+    memory or time is a crash, not a clean exit.  The generate phase
+    starts from the minimal draw, 20 copies of ``t1 rnc:1``; assume()
+    rejects it, so the one example run is a random draw."""
+    assume(len({tuple(argv) for argv in sample}) > 1)
+    for argv in sample:
+        proc = _run_bounded(argv)
+        assert proc.returncode in (0, 2, 3), (argv, proc.stderr)
+        if proc.returncode:
+            assert proc.stdout == "" and proc.stderr.count("\n") == 1, (argv, proc.stderr)
 
 
 @pytest.mark.parametrize(
     "argv,code,digest,err", _LARGEST_ADMITTED, ids=[row[0].replace(" ", "_") for row in _LARGEST_ADMITTED]
 )
 def test_largest_admitted_requests_in_a_bounded_process(argv, code, digest, err):
-    proc = _run_bounded(argv)
+    proc = _run_bounded(argv.split())
     assert (proc.returncode, proc.stderr) == (code, err)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

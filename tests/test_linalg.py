@@ -54,7 +54,7 @@ def test_empty_shapes_behave_like_zero_maps():
         (2, [{-1: Fraction(1)}]),  # negative column index
         (2, [{"0": Fraction(1)}]),  # not an integer index
         (2, [{0: Fraction(0)}]),  # stored zero
-        (2, [{0: 1}]),  # an int, not a Fraction
+        (2, [{0: True}]),  # a bool, not an int
         (2, [{0: 0.5}]),  # a float
         (2, [[Fraction(1), Fraction(0)]]),  # a dense row
         (2, [{}, {}]),  # more rows than nrows
@@ -63,6 +63,12 @@ def test_empty_shapes_behave_like_zero_maps():
 def test_sparse_row_invariants_are_refused(ncols, rows):
     with pytest.raises(ValueError):
         RationalMatrix(1, ncols, rows)
+
+
+def test_int_and_fraction_entries_are_accepted():
+    m = RationalMatrix(1, 2, [{0: 1, 1: Fraction(1, 2)}])
+    assert m.rows == [{0: 1, 1: Fraction(1, 2)}]
+    assert m == RationalMatrix(1, 2, [{0: Fraction(1), 1: Fraction(1, 2)}])
 
 
 def test_entry_reads_absent_cells_as_zero_and_checks_bounds():
@@ -203,3 +209,59 @@ def test_planted_blocks_match_sympy(case):
     assert dense(r) == reduced
     assert t @ m == r
     assert sympy_rank(dense(t), t.ncols) == m.nrows
+
+
+# ---- the fraction-free forward pass ------------------------------------
+
+# Entries up to 10**6 in size, as ints or as Fractions with denominators up to 97.
+wide_entry = st.integers(-(10**6), 10**6) | st.fractions(-(10**6), 10**6, max_denominator=97)
+
+
+def _spelled(x, as_fraction: bool):
+    """An integer value as an int or as a Fraction; any other value as it is."""
+    if x.denominator != 1:
+        return x
+    return Fraction(x) if as_fraction else int(x)
+
+
+@st.composite
+def scaled(draw, max_dim=5):
+    """Dense rows that are integer combinations of up to three drawn rows,
+    each multiplied by a content of either sign, so rows are dependent,
+    have non-unit integer content and lead with negative entries; an
+    integer value is spelled as an int or as a Fraction at random."""
+    ncols = draw(st.integers(0, max_dim))
+    base = draw(st.lists(st.lists(wide_entry, min_size=ncols, max_size=ncols), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, max_dim))):
+        weights = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        content = draw(st.sampled_from([1, -1, 2, -6, 97, -(10**6)]))
+        rows.append([_spelled(content * sum(w * b[j] for w, b in zip(weights, base)), draw(st.booleans())) for j in range(ncols)])
+    return rows, ncols
+
+
+@given(scaled())
+@example(([[-2, -4, 6], [3, 6, -9], [0, -5, 10]], 3))
+@example(([[Fraction(-1, 97), Fraction(2, 89)], [-(10**6), 3]], 2))
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_pass_matches_sympy(case):
+    rows, ncols = case
+    m = M(rows, ncols)
+    assert m.rank() == sympy_rank(rows, ncols)
+    assert m.pivot_columns() == sympy_pivot_columns(rows, ncols)
+    assert dense(m.rref()) == sympy_rref(rows, ncols)
+
+
+@given(scaled())
+@settings(max_examples=150, deadline=None)
+def test_int_and_fraction_spellings_reduce_identically(case):
+    """Spelling every integer entry as an int or as a Fraction changes
+    neither the pivot columns nor a byte of the reduced form, which is
+    Fractions throughout."""
+    rows, ncols = case
+    as_ints = M([[_spelled(x, False) for x in row] for row in rows], ncols)
+    as_fractions = M([[_spelled(x, True) for x in row] for row in rows], ncols)
+    assert as_ints.pivot_columns() == as_fractions.pivot_columns()
+    reduced = as_ints.rref()
+    assert repr(reduced) == repr(as_fractions.rref())
+    assert all(type(x) is Fraction for row in reduced.rows for x in row.values())

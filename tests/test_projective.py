@@ -124,6 +124,28 @@ def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
         projective.priced_window(-2, 2, lambda m: MAX_COST // 4)
 
 
+@pytest.mark.parametrize(
+    "multiplier,message",
+    [
+        ({(1, 0): 1}, "expected a polynomial in the 3 coordinates"),
+        ({}, "multiplication by the zero polynomial has no degree"),
+        ({(1, 0, 0): 1, (0, 0, 0): 1}, "multiplier must be homogeneous"),
+        ({(-1, 1, 1): 1}, "multiplier must be an honest polynomial, not Laurent"),
+    ],
+)
+def test_a_multiplier_map_is_refused_like_a_polynomial(multiplier, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        projective._pn_mult_matrix(multiplier, 2, 1, False)
+
+
+def test_a_coordinate_multiplies_into_an_integer_matrix():
+    """x0 from O(1) to O(2) on the plane: ones only, the entries of the
+    Euler and cotangent chases, with no Fraction built."""
+    m = projective._pn_mult_matrix({(1, 0, 0): 1}, 2, 1, False)
+    assert (m.nrows, m.ncols) == (6, 3)
+    assert [(j, type(x), x) for row in m.rows for j, x in row.items()] == [(j, int, 1) for j in range(3)]
+
+
 # ---- cotangent twists --------------------------------------------------
 
 
@@ -145,6 +167,20 @@ def test_omega1_plane_spot_values():
     assert hq_pn_omega1(2, -1, 2) == 0
     assert hq_pn_omega1(2, 0, 0) == 0
     assert hq_pn_omega1(2, 0, 2) == 0
+
+
+def test_a_cotangent_map_from_no_sections_is_not_built(monkeypatch):
+    """Where H^0(O(k - 1)) is empty the level-0 map has rank 0 by its shape:
+    levels 0 and 1 come out of Bott's values without a matrix."""
+
+    def refuse(*args):
+        raise AssertionError("a multiplication matrix was built")
+
+    monkeypatch.setattr(projective, "_pn_mult_matrix", refuse)
+    for k in range(-20, 1):
+        assert hq_pn_omega1(1, k, 0) == bott_hq_omega(1, 1, 0, k)
+        for q in (0, 1):
+            assert hq_pn_omega1(2, k, q) == bott_hq_omega(2, 1, q, k)
 
 
 @pytest.mark.parametrize("k", range(-6, 7))

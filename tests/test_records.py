@@ -125,11 +125,13 @@ INVALID = [
     (RationalMatrix, (2, 1, [{}]), ValueError, "expected 2 rows, got 1"),
     (RationalMatrix, (1, 1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to Fraction"),
     (RationalMatrix, (1, 1, [{1: Fraction(1)}]), ValueError, "column index 1 outside range(1)"),
-    (RationalMatrix, (1, 1, [{0: 1}]), ValueError, "entry at column 0 is a int, not a Fraction"),
+    (RationalMatrix, (1, 1, [{0: "1"}]), ValueError, "entry at column 0 is a str, not an int or a Fraction"),
     (RationalMatrix, (1, 1, [{0: Fraction(0)}]), ValueError, "stored zero at column 0"),
     (RationalFunction, (Polynomial.constant(1, 1), Polynomial.constant(2, 1)), ValueError,
      "numerator and denominator in different variable sets"),
     (RationalFunction, (Polynomial.constant(1, 1), Polynomial.zero(1)), ZeroDivisionError, "zero denominator"),
+    (RationalMatrix, (1, 1, [{0: True}]), ValueError, "entry at column 0 is a bool, not an int or a Fraction"),
+    (RationalMatrix, (1, 1, [{0: 0.5}]), ValueError, "entry at column 0 is a float, not an int or a Fraction"),
 ]
 
 
