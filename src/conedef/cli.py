@@ -24,7 +24,8 @@ m, (d + 1) h^1(O(dm)) Euler entries plus, traced, C(d, 2)(d + 1)
 h^0(O(d(m + 1))) graded ones, an empty block counting one.  ``atiyah``
 costs C(n + 1, 3) 3n^2.  The slowest admitted requests found take, end to
 end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.3 s,
-``rigidity delpezzo:8 --weights -16667..0`` 1.7 s (mostly printing 34 MB),
+``rigidity delpezzo:8 --weights -16667..0`` 1.7 s (mostly printing 34 MB,
+streamed by ``main``: 64 MB peak RSS),
 ``jacobian --d 9 --weight -1100 --trace`` 0.5 s and ``atiyah --n 11`` 0.6 s.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
@@ -284,7 +285,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         env = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs, "result": result}
         if trace is not None:
             env["trace"] = trace
-        sys.stdout.write(json.dumps(env, indent=2) + "\n")
+        json.dump(env, sys.stdout, indent=2)  # streamed: a long certificate is never one string
+        sys.stdout.write("\n")
     return 0
 
 

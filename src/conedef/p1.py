@@ -18,9 +18,10 @@ the tests pin down.
 Bases are ordered by descending first exponent, so e.g. basis(0, 2) is
 [(2, 0), (1, 1), (0, 2)] and basis(1, -4) is [(-1, -3), (-2, -2), (-3, -1)].
 
-As in :mod:`conedef.projective`, :mod:`conedef.linalg` is imported by the
-functions that build a matrix, so dimensions and bases do not load it, and
-the restricted Euler block multiplies by ``{exponent pair: 1}`` maps, so it
+Every matrix here is one call of the block builder
+:func:`conedef.projective._pn_mult_matrix`, which imports
+:mod:`conedef.linalg`, so dimensions and bases do not load it, and the
+restricted Euler block multiplies by ``{exponent pair: 1}`` maps, so it
 loads neither :mod:`conedef.polynomials` nor ``fractions``.
 """
 
@@ -60,7 +61,7 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
 
     At level 1 any product monomial leaving the strictly-negative region is
     truncated to zero."""
-    return _pn_mult_matrix(p.terms, 1, k, _top(i))
+    return _pn_mult_matrix([[p.terms]], 1, k, _top(i))
 
 
 def _curve_monomial(d: int, j: int) -> Multiplier:
@@ -71,16 +72,10 @@ def _curve_monomial(d: int, j: int) -> Multiplier:
 def euler_h1_block(d: int, m: int) -> RationalMatrix:
     """Connecting data for the restricted Euler sequence in weight m: the
     stacked multiplication map from level-1 degree m*d into the d+1 copies
-    of level-1 degree m*d + d, one block per parametrizing monomial.
-    Where the source h^1(O(m*d)) is 0 every block has no columns, and the
-    stack is the zero map of that shape without building one."""
-    from .linalg import RationalMatrix, vstack
-
+    of level-1 degree m*d + d, one block per parametrizing monomial."""
     if d < 1:
         raise ValueError("the curve degree d must be at least 1")
-    if h_dim(1, m * d) == 0:
-        return RationalMatrix.zero((d + 1) * h_dim(1, m * d + d), 0)
-    return vstack([_pn_mult_matrix(_curve_monomial(d, j), 1, m * d, True) for j in range(d + 1)])
+    return _pn_mult_matrix([[_curve_monomial(d, j)] for j in range(d + 1)], 1, m * d, True)
 
 
 def euler_restricted_h0(d: int, m: int) -> int:

@@ -11,8 +11,8 @@ parameters, and the normal-form map substitutes z_i -> x0^(d-i) x1^i.
 Two independent routes to the weight-m deformation count are provided:
 
 * an algebraic one, the graded piece of the Jacobian map from coordinate
-  derivations to the ideal's graded pieces, stacked from the line's
-  multiplication blocks, with rank and kernel computed by elimination;
+  derivations to the ideal's graded pieces, one block map of the line's
+  monomial model, with rank and kernel computed by elimination;
 * a geometric one through the normal bundle, whose splitting type makes
   the section count a closed form, corrected by the tangent-sequence
   terms computed by the Cech chase on the line, and checked at run time
@@ -30,7 +30,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from . import p1
-from .projective import InternalConsistencyError
+from .projective import InternalConsistencyError, _pn_mult_matrix
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
@@ -181,33 +181,23 @@ class GradedJacobian(FrozenRecord):
 
 
 def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
-    """The weight-m graded Jacobian, stacked from the monomial model: block
-    (g, i) multiplies grade m+1 by the normal form of dg/dz_i, landing in
-    grade m+2, and is zero where that partial vanishes.  An empty source
+    """The weight-m graded Jacobian in one block map of the monomial model:
+    block (g, i) multiplies grade m+1 by the normal form of dg/dz_i, landing
+    in grade m+2, and is zero where that partial vanishes.  An empty source
     grade (m <= -2) gives the zero-column matrix without taking a partial.
 
     Every partial of a 2x2 minor is 0, z_k, -z_k or -2 z_k, so the
-    C(d, 2)(d + 1) cells hold at most 3d distinct partials: each block is
-    built once and shared, which is safe because hstack copies rows."""
-    from .linalg import RationalMatrix, hstack, vstack
+    C(d, 2)(d + 1) cells hold at most 3d distinct partials, and each normal
+    form is taken once."""
+    from .linalg import RationalMatrix
 
     _check_degree(d)
-    src_dim, dst_dim = len(s_basis(d, m + 1)), len(s_basis(d, m + 2))
+    src_dim, dst_dim = p1.h_dim(0, d * (m + 1)), p1.h_dim(0, d * (m + 2))
     if src_dim == 0:
         return GradedJacobian(d, m, RationalMatrix.zero(comb(d, 2) * dst_dim, 0), src_dim, dst_dim)
     entries = jacobian_matrix(d).entries
-    blocks: dict[Polynomial, RationalMatrix] = {}
-
-    def block(partial: Polynomial) -> RationalMatrix:
-        found = blocks.get(partial)
-        if found is None:
-            form = normal_form(d, partial)
-            found = blocks[partial] = (
-                RationalMatrix.zero(dst_dim, src_dim) if form.is_zero() else p1.mult_matrix(form, 0, d * (m + 1))
-            )
-        return found
-
-    matrix = vstack([hstack([block(p) for p in row]) for row in entries])
+    forms = {p: normal_form(d, p).terms for p in {p for row in entries for p in row}}
+    matrix = _pn_mult_matrix([[forms[p] for p in row] for row in entries], 1, d * (m + 1), False)
     return GradedJacobian(d, m, matrix, src_dim, dst_dim)
 
 

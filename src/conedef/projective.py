@@ -14,16 +14,20 @@ route exists (Serre duality, Euler characteristics) the tests replay it.
 
 A multiplier is an ``{exponent tuple: coefficient}`` map, so a coordinate
 is ``{e_i: 1}`` and the chases build integer matrices without
-:mod:`conedef.polynomials` or ``fractions``.  :mod:`conedef.linalg` is
-imported where a matrix is built, not at module level, so a closed-form
-count (the line, Kunneth, the bases of the Cech model) never loads it.
+:mod:`conedef.polynomials` or ``fractions``.  Every multiplication map of
+the package is a grid of such blocks built in one pass by
+:func:`_pn_mult_matrix`: the Euler and cotangent chases here, the line's
+restricted Euler block and the curve's graded Jacobian.  It imports
+:mod:`conedef.linalg` only after both bases passed the budget, so a
+closed-form count (the line, Kunneth, the bases of the Cech model) or a
+refusal never loads it.
 """
 
 from __future__ import annotations
 
 from math import comb
 from operator import add
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .records import FrozenRecord
 
@@ -107,38 +111,46 @@ def _pn_monomials(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     return [(e,) + rest for e in leading for rest in _pn_monomials(n - 1, k - e, top)]
 
 
-def _pn_mult_matrix(p: Multiplier, n: int, k: int, top: bool) -> RationalMatrix:
-    """Matrix of multiplication by the homogeneous polynomial with terms p
-    from the level-0 (or level-n) monomial model of O(k) to that of
-    O(k + deg p).
+def _pn_mult_matrix(grid: Sequence[Sequence[Multiplier]], n: int, k: int, top: bool) -> RationalMatrix:
+    """The block map that multiplies block column c by the homogeneous
+    polynomial with terms grid[r][c] into block row r, where ``{}`` is a
+    zero block.  Every block goes from the level-0 (or level-n) monomial
+    model of O(k) to that of O(k + deg), one degree for the whole grid.
 
     A product monomial outside the target basis has left the region; it is
     truncated to zero (only possible at level n).  Because the multiplier
     has nonnegative exponents, a monomial that leaves never returns, so the
-    truncated product is still functorial."""
-    from .linalg import RationalMatrix
-
-    if any(len(exps) != n + 1 for exps in p):
+    truncated product is still functorial.  Each basis is enumerated once
+    (the source first), each nonzero is written once at its block offset,
+    and the matrix is validated once; ``linalg`` loads only after both
+    bases passed the budget."""
+    terms = [exps for row in grid for p in row for exps in p]
+    if set(map(len, terms)) - {n + 1}:
         raise ValueError(f"expected a polynomial in the {n + 1} coordinates")
-    if not p:
+    if not terms:
         raise ValueError("multiplication by the zero polynomial has no degree")
-    degrees = {sum(exps) for exps in p}
+    degrees = set(map(sum, terms))
     if len(degrees) != 1:
         raise ValueError("multiplier must be homogeneous")
-    if any(e < 0 for exps in p for e in exps):
+    if min(map(min, terms)) < 0:
         raise ValueError("multiplier must be an honest polynomial, not Laurent")
     src = _pn_basis(n, k, top)
     dst = _pn_basis(n, k + degrees.pop(), top)
+    from .linalg import RationalMatrix
+
     index = {mono: row for row, mono in enumerate(dst)}
-    rows: list[Row] = [{} for _ in dst]
-    # distinct terms of p send one source monomial to distinct products,
-    # so each cell is written at most once
-    for col, exps in enumerate(src):
-        for mono, coeff in p.items():
-            row = index.get(tuple(map(add, exps, mono)))
-            if row is not None:
-                rows[row][col] = coeff
-    return RationalMatrix(len(dst), len(src), rows)
+    rows: list[Row] = [{} for _ in range(len(grid) * len(dst))]
+    # distinct terms of a block send one source monomial to distinct
+    # products, so each cell is written at most once
+    for r, blocks in enumerate(grid):
+        offset = r * len(dst)
+        for c, p in enumerate(blocks):
+            for col, exps in enumerate(src, c * len(src)):
+                for mono, coeff in p.items():
+                    row = index.get(tuple(map(add, exps, mono)))
+                    if row is not None:
+                        rows[offset + row][col] = coeff
+    return RationalMatrix(len(rows), len(grid[0]) * len(src), rows)
 
 
 def _coordinates(n: int) -> list[Multiplier]:
@@ -152,9 +164,7 @@ def _coordinates(n: int) -> list[Multiplier]:
 
 def _coordinate_map(n: int, k: int, top: bool) -> RationalMatrix:
     """The map O(k)^(n+1) -> O(k+1) at level 0 or n, one block per coordinate."""
-    from .linalg import hstack
-
-    return hstack([_pn_mult_matrix(x, n, k, top) for x in _coordinates(n)])
+    return _pn_mult_matrix([_coordinates(n)], n, k, top)
 
 
 def hq_pn_omega1(n: int, k: int, q: int) -> int:
@@ -199,10 +209,7 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
 
 def _euler_top_map_p2(k: int) -> RationalMatrix:
     """The stacked top-level multiplication H^2(O(k)) -> H^2(O(k+1))^3."""
-    _check_basis(2, k, True)  # the source is the larger basis
-    from .linalg import vstack
-
-    return vstack([_pn_mult_matrix(x, 2, k, True) for x in _coordinates(2)])
+    return _pn_mult_matrix([[x] for x in _coordinates(2)], 2, k, True)
 
 
 def _bott_h1_tangent_p2(k: int) -> int:

@@ -755,6 +755,23 @@ def test_envelope_key_order(capsys):
     assert env["schema_version"] == "1"
 
 
+def test_a_certificate_envelope_is_streamed(monkeypatch):
+    """main writes the envelope piece by piece, never as one string, so a
+    long certificate is not held in memory twice while it is printed."""
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["rigidity", "delpezzo:8", "--weights", "-60..0"]) == 0
+    assert len(json.loads(out.getvalue())["result"]["certificate"]["steps"]) > 60
+    assert max(sizes) * 100 < len(out.getvalue())
+
+
 def test_subprocess_entry_point_matches_in_process(capsys):
     """python -m conedef must produce the identical envelope."""
     code, out, _ = run_cli(capsys, "rigidity", "rnc:2")

@@ -21,6 +21,7 @@ from conedef.projective import (
     intersection,
     restrict_to_exceptional,
 )
+from conedef.linalg import RationalMatrix, hstack, vstack
 from conedef.p1 import h_dim
 
 from oracles import (
@@ -135,13 +136,55 @@ def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
 )
 def test_a_multiplier_map_is_refused_like_a_polynomial(multiplier, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        projective._pn_mult_matrix(multiplier, 2, 1, False)
+        projective._pn_mult_matrix([[multiplier]], 2, 1, False)
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ([], "multiplication by the zero polynomial has no degree"),
+        ([[{}, {}], [{}, {}]], "multiplication by the zero polynomial has no degree"),
+        ([[{(1, 0, 0): 1}], [{(0, 0, 2): 1}]], "multiplier must be homogeneous"),
+    ],
+)
+def test_a_block_grid_is_refused_as_a_whole(grid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        projective._pn_mult_matrix(grid, 2, 1, False)
+
+
+@st.composite
+def _block_maps(draw):
+    """(n, k, top, grid): a rectangular grid of homogeneous multipliers of
+    one degree, some of them zero blocks, with at least one nonzero."""
+    n, top, deg = draw(st.sampled_from((1, 2))), draw(st.booleans()), draw(st.integers(0, 2))
+    k = draw(st.integers(-9, 0) if top else st.integers(-2, 6))
+    monomials = _pn_basis(n, deg, False)  # every exponent tuple of degree deg
+    coeff = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
+    block = st.dictionaries(st.sampled_from(monomials), coeff, max_size=len(monomials))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grid = draw(st.lists(st.lists(block, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = {monomials[0]: 1}
+    return n, k, top, grid
+
+
+@given(_block_maps())
+@settings(max_examples=150, deadline=None)
+def test_a_block_grid_is_its_blocks_stacked(case):
+    """One pass over the grid gives the map that stacking its single-block
+    builds (and zero blocks for {}) gives."""
+    n, k, top, grid = case
+    deg = next(sum(exps) for row in grid for p in row for exps in p)
+    src, dst = len(_pn_basis(n, k, top)), len(_pn_basis(n, k + deg, top))
+    stacked = vstack(
+        [hstack([projective._pn_mult_matrix([[p]], n, k, top) if p else RationalMatrix.zero(dst, src) for p in row]) for row in grid]
+    )
+    assert projective._pn_mult_matrix(grid, n, k, top) == stacked
 
 
 def test_a_coordinate_multiplies_into_an_integer_matrix():
     """x0 from O(1) to O(2) on the plane: ones only, the entries of the
     Euler and cotangent chases, with no Fraction built."""
-    m = projective._pn_mult_matrix({(1, 0, 0): 1}, 2, 1, False)
+    m = projective._pn_mult_matrix([[{(1, 0, 0): 1}]], 2, 1, False)
     assert (m.nrows, m.ncols) == (6, 3)
     assert [(j, type(x), x) for row in m.rows for j, x in row.items()] == [(j, int, 1) for j in range(3)]
 
