@@ -2,8 +2,10 @@
 cones over polarized projective varieties, with replay certificates for
 the published vanishing argument on anticanonical cones.
 
-All arithmetic is exact (integers and fractions); every rank that enters a
-dimension count is computed by elimination, never assumed maximal.
+All arithmetic is exact and integer first: polynomials and matrices hold
+ints, and a Fraction only where a caller passes one in, so no command
+loads ``fractions``.  Every rank that enters a dimension count is computed
+by elimination, never assumed maximal.
 """
 
 from .cones import (

@@ -27,6 +27,12 @@ end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.3 s,
 ``rigidity delpezzo:8 --weights -16667..0`` 1.7 s (mostly printing 34 MB,
 streamed by ``main``: 64 MB peak RSS),
 ``jacobian --d 9 --weight -1100 --trace`` 0.5 s and ``atiyah --n 11`` 0.6 s.
+Timed again on a slower moment of the host, with ``PYTHONUNBUFFERED=1``:
+the certificate 2.0-2.3 s (4.2-4.3 s when each encoder chunk was a write of
+its own), the jacobian 0.6-0.9 s (as before int-first polynomials, which
+leave its Euler block alone), ``atiyah --n 11`` 0.5-0.7 s (1.0-1.4 s with
+Fraction coefficients) and ``jacobian --d 49999 --weight 0`` 0.1 s (0.3-0.4
+s while it built its empty Euler blocks).
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
 window, curve degree below 2, a trace asked of ``--format csv``, or a request
@@ -34,7 +40,9 @@ over either budget), 3 for well-formed requests the engine refuses to answer
 with bare numbers (certificate-only geometries, second-order counts outside
 the curve/surface catalog), 4 when two routes to the same number disagreed
 at run time (an internal error, reported as a one-line ``internal error: ...``
-on stderr instead of a number).
+on stderr instead of a number), 141 (``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE)
+when the reader of stdout went away before the whole reply was written, as in
+``conedef ... | head``: nothing more is written and stderr stays empty.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, islice
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
@@ -52,6 +61,8 @@ from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
 from .projective import OverBudgetError, check_cost
 
 SCHEMA_VERSION = "1"
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
+WRITE_BATCH = 4096  # encoder chunks per write of the envelope, about 50 K characters
 
 # One usage form per registry name, aliases included, e.g. "veronese:<n>:<d>".
 _DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
@@ -262,6 +273,21 @@ def _merge_weight_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        try:
+            return _answer(argv)
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here at the latest, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (``conedef ... | head``): as the Python docs'
+        # note on SIGPIPE advises, point stdout at devnull so that the
+        # interpreter's own final flush cannot fail again, and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+
+
+def _answer(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -285,9 +311,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         env = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs, "result": result}
         if trace is not None:
             env["trace"] = trace
-        json.dump(env, sys.stdout, indent=2)  # streamed: a long certificate is never one string
-        sys.stdout.write("\n")
+        _write_envelope(env, sys.stdout)
     return 0
+
+
+def _write_envelope(env: dict, out: TextIO) -> None:
+    """``json.dump(env, out, indent=2)`` and a newline, with the encoder's
+    small chunks (about 12 characters each) joined :data:`WRITE_BATCH` to
+    a write: a long certificate is never one string, and an unbuffered
+    stdout (``PYTHONUNBUFFERED=1``) is not asked for one system call per
+    chunk."""
+    chunks = chain(json.JSONEncoder(indent=2).iterencode(env), ("\n",))
+    while batch := "".join(islice(chunks, WRITE_BATCH)):
+        out.write(batch)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@ entry is an exact scalar: an ``int`` (not a ``bool``) or a ``Fraction``.
 The maps this package eliminates are large and nearly empty (2109 x 741
 with 2109 nonzeros for the plane's Euler top map at twist -40, 2442 x 325
 with 6325 nonzeros for the curve's graded Jacobian at d = 12, m = 1), so
-only the nonzeros are stored and swept.  Most of them are integer maps
-(every entry of a map that multiplies by a coordinate is 1), so nothing
-here imports ``fractions`` but :meth:`RationalMatrix.rref`: a Fraction
-entry exists only where a caller has loaded it.  What matters is that
+only the nonzeros are stored and swept.  Every map a command builds is an
+integer map (a map that multiplies by a coordinate has entries 1, the
+graded Jacobian the int coefficients of its partials), so nothing here
+imports ``fractions`` but :meth:`RationalMatrix.rref`, and the validity
+check asks :func:`conedef.records.fraction_type`: a Fraction entry exists
+only where a caller has loaded it.  What matters is that
 every answer is exact and that the pivot rule is deterministic, so
 repeated runs produce identical reduced forms.
 
@@ -33,24 +35,16 @@ there is no rounding error to fight.
 
 from __future__ import annotations
 
-import sys
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .records import Record
+from .records import Record, fraction_type
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 Scalar = Union[int, "Fraction"]
 Row = dict[int, Scalar]
-
-
-def _fraction_type() -> type | tuple:
-    """``Fraction`` once ``fractions`` is loaded, else ``()``, which no
-    entry is an instance of: before the import no Fraction exists."""
-    fractions = sys.modules.get("fractions")
-    return () if fractions is None else fractions.Fraction
 
 
 class RationalMatrix(Record):
@@ -67,7 +61,7 @@ class RationalMatrix(Record):
             raise ValueError("matrix dimensions must be nonnegative")
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-        fraction = _fraction_type()
+        fraction = fraction_type()
         for row in rows:
             if not isinstance(row, dict):
                 raise ValueError("each row must be a dict from column index to Fraction")
@@ -95,7 +89,7 @@ class RationalMatrix(Record):
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows in matrix data")
         # only an exact zero is dropped; any other entry is left for __init__ to check
-        fraction = _fraction_type()
+        fraction = fraction_type()
         sparse = [{j: x for j, x in enumerate(r) if x or not (type(x) is int or isinstance(x, fraction))} for r in rows]
         return cls(len(rows), width, sparse)
 

@@ -69,24 +69,35 @@ def _curve_monomial(d: int, j: int) -> Multiplier:
     return {(d - j, j): 1}
 
 
+def _check_curve_degree(d: int) -> None:
+    if d < 1:
+        raise ValueError("the curve degree d must be at least 1")
+
+
 def euler_h1_block(d: int, m: int) -> RationalMatrix:
     """Connecting data for the restricted Euler sequence in weight m: the
     stacked multiplication map from level-1 degree m*d into the d+1 copies
     of level-1 degree m*d + d, one block per parametrizing monomial."""
-    if d < 1:
-        raise ValueError("the curve degree d must be at least 1")
+    _check_curve_degree(d)
     return _pn_mult_matrix([[_curve_monomial(d, j)] for j in range(d + 1)], 1, m * d, True)
 
 
 def euler_restricted_h0(d: int, m: int) -> int:
     """h^0 of the weight-m restricted tangent bundle of the degree-d
     rational normal curve, computed by an exact Euler-sequence chase with
-    the connecting rank actually evaluated."""
-    block = euler_h1_block(d, m)
-    return (d + 1) * h_dim(0, m * d + d) - h_dim(0, m * d) + block.kernel_dim()
+    the connecting rank actually evaluated.  Where h^1(O(m*d)) = 0 (every
+    m >= 0, and m = -1 for d = 1) the block has no columns, so its rank is
+    0 by its shape and it is not built, as in
+    :func:`conedef.projective.hq_pn_omega1`."""
+    _check_curve_degree(d)
+    kernel = euler_h1_block(d, m).kernel_dim() if h_dim(1, m * d) else 0
+    return (d + 1) * h_dim(0, m * d + d) - h_dim(0, m * d) + kernel
 
 
 def euler_restricted_h1(d: int, m: int) -> int:
     """h^1 companion of :func:`euler_restricted_h0`: the cokernel of the
     same stacked multiplication map."""
+    _check_curve_degree(d)
+    if not h_dim(1, m * d):
+        return (d + 1) * h_dim(1, m * d + d)
     return euler_h1_block(d, m).cokernel_dim()

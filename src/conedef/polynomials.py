@@ -1,8 +1,16 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-Coefficients are :class:`fractions.Fraction`; a polynomial is a dict from
-exponent tuples to nonzero coefficients.  Exponents may be negative where a
-caller wants Laurent monomials -- the arithmetic does not care.
+A polynomial is a dict from exponent tuples to nonzero exact scalars: an
+``int``, or a ``Fraction`` where a caller passed one in (a ``bool`` is
+stored as its int; anything else is refused with ``TypeError``).  The
+package's own polynomials never need one: the curve's 2x2 minors have
+coefficients +-1, a derivative multiplies by an exponent, a substitution
+multiplies monomials, and :class:`RationalFunction` cross-multiplies
+instead of dividing, so this module imports no ``fractions``.  An int and
+a Fraction of the same value compare, hash and print alike, so a
+polynomial does not depend on which of the two it holds.  Exponents may be
+negative where a caller wants Laurent monomials -- the arithmetic does not
+care.
 
 Printing uses graded reverse lexicographic order (variables x0 < x1 < ...):
 a term beats another if its total degree is larger, or, at equal degree, if
@@ -13,11 +21,10 @@ relies on for stable golden output.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .records import Record
+from .records import Record, fraction_type
 
 if TYPE_CHECKING:
     from .linalg import Scalar
@@ -25,11 +32,12 @@ if TYPE_CHECKING:
 Exponents = tuple[int, ...]
 
 
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _scalar(x: object) -> Scalar:
+    """An exact scalar as stored: an int (a bool becomes its int) or a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, fraction_type()):
+        return x
     raise TypeError(f"exact scalars must be int or Fraction, got {type(x).__name__}")
 
 
@@ -57,14 +65,14 @@ class Polynomial:
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Scalar] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong length for {nvars} variables")
-            c = _frac(coeff)
+            c = coeff if type(coeff) is int else _scalar(coeff)
             if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = clean.get(exps, 0) + c
                 if clean[exps] == 0:
                     del clean[exps]
         self.terms = clean
@@ -124,8 +132,8 @@ class Polynomial:
             raise ValueError("polynomial is zero or not homogeneous")
         return degs.pop()
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(exps), 0)
 
     def monomials(self) -> list[Exponents]:
         """Exponent tuples in descending degrevlex order."""
@@ -141,7 +149,7 @@ class Polynomial:
         self._check_compatible(other)
         merged = dict(self.terms)
         for e, c in other.terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
+            merged[e] = merged.get(e, 0) + c
         return Polynomial(self.nvars, merged)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -151,14 +159,15 @@ class Polynomial:
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            other = _scalar(other)
             return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_compatible(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.nvars, out)
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
@@ -176,13 +185,13 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             new = list(e)
             new[i] -= 1
-            out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c * e[i]
+            out[tuple(new)] = out.get(tuple(new), 0) + c * e[i]
         return Polynomial(self.nvars, out)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":

@@ -18,10 +18,14 @@ Two independent routes to the weight-m deformation count are provided:
   terms computed by the Cech chase on the line, and checked at run time
   against the line count whenever that chase is exact.
 
-As in :mod:`conedef.projective`, ``fractions``, :mod:`conedef.linalg` and
+As in :mod:`conedef.projective`, :mod:`conedef.linalg` and
 :mod:`conedef.polynomials` are imported by the functions that build a
-fraction, matrix or polynomial, so importing this module, as the command
-line does for every command, loads none of them.
+matrix or a polynomial, so importing this module, as the command line does
+for every command, loads neither.  The generators, their partials and
+their normal forms have int coefficients, so the graded Jacobian is an
+integer matrix and no command loads ``fractions``; only the coordinate
+vectors of :func:`coefficients_in_grade` and
+:func:`euler_derivation_vector` are Fractions.
 """
 
 from __future__ import annotations

@@ -7,9 +7,23 @@ certificates subclass :class:`Record` (or :class:`FrozenRecord`), declare
 ``repr`` and the command line's descriptor parser all read it.  Nothing
 here generates code, so defining a record costs no more than defining any
 other class.
+
+:func:`fraction_type` is the one check for an exact rational that does not
+load ``fractions``: :mod:`conedef.linalg` and :mod:`conedef.polynomials`
+compute over the integers and accept a ``Fraction`` only where a caller
+brought one in.
 """
 
 from __future__ import annotations
+
+import sys
+
+
+def fraction_type() -> type | tuple:
+    """``Fraction`` once ``fractions`` is loaded, else ``()``, which no
+    value is an instance of: before the import no Fraction exists."""
+    fractions = sys.modules.get("fractions")
+    return () if fractions is None else fractions.Fraction
 
 
 class Record:

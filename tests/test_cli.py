@@ -553,27 +553,29 @@ def test_benchmark_commands_cost_far_under_the_budget(monkeypatch):
 # ---- what each command loads ---------------------------------------------
 
 # Runs one command in a fresh interpreter and prints the conedef modules
-# it loaded, and dataclasses, inspect or fractions if the import of the
-# package or the command loaded them (not the interpreter's own start-up);
-# --help ends in SystemExit.
+# it loaded, and dataclasses, inspect or the numeric tower (fractions and
+# the decimal and numbers modules it imports) if the import of the package,
+# the command or the prelude (the first argument, run after start-up)
+# loaded them, not the interpreter's own start-up; --help ends in SystemExit.
 _LOADED = """
 import sys
 started = set(sys.modules)
 import contextlib, io
+exec(sys.argv[1])
 from conedef import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
-        cli.main(sys.argv[1:])
+        cli.main(sys.argv[2:])
     except SystemExit:
         pass
-watched = {"dataclasses", "inspect", "fractions"} - started
+watched = {"dataclasses", "inspect", "fractions", "decimal", "numbers"} - started
 print(" ".join(sorted(m for m in sys.modules if m.startswith("conedef") or m in watched)))
 """
 
 
-def _modules_loaded_by(argv: str) -> set[str]:
+def _modules_loaded_by(argv: str, prelude: str = "") -> set[str]:
     env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv.split()], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _LOADED, prelude, *argv.split()], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
@@ -619,7 +621,8 @@ _CLOSED_FORM_LAYERS = {
     "conedef", "conedef.cli", "conedef.cones", "conedef.p1", "conedef.presentation", "conedef.projective",
     "conedef.records",
 }
-_EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials", "fractions"}
+_NUMERIC_TOWER = {"fractions", "decimal", "numbers"}
+_EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials"} | _NUMERIC_TOWER
 
 
 @pytest.mark.parametrize(
@@ -655,13 +658,28 @@ def test_the_plane_chase_loads_the_kernel_only():
     it loads linalg but neither polynomials nor fractions."""
     loaded = _modules_loaded_by("t1 veronese:2:4")
     assert "conedef.linalg" in loaded
-    assert not loaded & {"conedef.polynomials", "fractions"}
+    assert not loaded & ({"conedef.polynomials"} | _NUMERIC_TOWER)
 
 
 def test_a_command_that_builds_a_matrix_loads_exact_arithmetic():
-    # the graded Jacobian of a nonempty grade builds polynomials with Fraction
-    # coefficients, so the checks above are not vacuous
-    assert _EXACT_ARITHMETIC <= _modules_loaded_by("jacobian --d 5 --weight 0 --trace")
+    # the graded Jacobian of a nonempty grade builds polynomials and a
+    # matrix, and the probe sees the numeric tower once anything in the
+    # command's process imports fractions, so the checks above and below
+    # are not vacuous
+    command = "jacobian --d 5 --weight 0 --trace"
+    assert {"conedef.linalg", "conedef.polynomials"} <= _modules_loaded_by(command)
+    assert _EXACT_ARITHMETIC <= _modules_loaded_by(command, prelude="import fractions")
+
+
+@pytest.mark.parametrize("argv", ["jacobian --d 5 --weight 0 --trace", "jacobian --d 6 --dump-matrix", "atiyah --n 3"])
+def test_polynomial_commands_load_no_fractions(argv):
+    """Every coefficient the package makes is an int (the minors have
+    coefficients +-1, derivatives and substitutions multiply integers, and
+    rational functions cross-multiply), so building polynomials, and the
+    graded Jacobian's integer matrix, loads none of the numeric tower."""
+    loaded = _modules_loaded_by(argv)
+    assert "conedef.polynomials" in loaded
+    assert not loaded & _NUMERIC_TOWER
 
 
 def test_every_exported_name_resolves():
@@ -755,9 +773,17 @@ def test_envelope_key_order(capsys):
     assert env["schema_version"] == "1"
 
 
+def _writes_for(text: str) -> int:
+    """The writes of an envelope: its encoder chunks and the newline, WRITE_BATCH to a write."""
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(json.loads(text))) + 1
+    return -(-chunks // cli.WRITE_BATCH)
+
+
 def test_a_certificate_envelope_is_streamed(monkeypatch):
-    """main writes the envelope piece by piece, never as one string, so a
-    long certificate is not held in memory twice while it is printed."""
+    """main writes the envelope WRITE_BATCH encoder chunks at a time, never
+    as one string, so a long certificate is not held in memory twice while
+    it is printed, and an unbuffered stdout gets a few large writes instead
+    of one per chunk."""
     sizes = []
 
     class Recorder(io.StringIO):
@@ -767,9 +793,61 @@ def test_a_certificate_envelope_is_streamed(monkeypatch):
 
     out = Recorder()
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["rigidity", "delpezzo:8", "--weights", "-60..0"]) == 0
-    assert len(json.loads(out.getvalue())["result"]["certificate"]["steps"]) > 60
-    assert max(sizes) * 100 < len(out.getvalue())
+    assert main(["rigidity", "delpezzo:8", "--weights", "-600..0"]) == 0
+    text = out.getvalue()
+    assert len(json.loads(text)["result"]["certificate"]["steps"]) > 600
+    assert len(sizes) == _writes_for(text) > 10
+    assert max(sizes) * 10 < len(text)
+
+
+# Under PYTHONUNBUFFERED=1 stdout writes through to the raw file, one system
+# call per write.  The child checks that layout, rebuilds it over a raw file
+# that counts its writes, and reports the count on stderr.
+_COUNTED_WRITES = """
+import io, sys
+from conedef import cli
+if sys.stdout.buffer.__class__ is not io.FileIO or not sys.stdout.write_through:
+    sys.exit("stdout is buffered")
+class Counted(io.FileIO):
+    calls = 0
+    def write(self, data):
+        Counted.calls += 1
+        return super().write(data)
+sys.stdout = io.TextIOWrapper(Counted(sys.stdout.fileno(), "w", closefd=False), encoding="utf-8", write_through=True)
+code = cli.main(sys.argv[1:])
+sys.stderr.write(f"{Counted.calls}\\n")
+sys.exit(code)
+"""
+
+
+def test_an_unbuffered_stdout_gets_few_large_writes(capsys):
+    argv = ["rigidity", "delpezzo:8", "--weights", "-300..0"]
+    code, out, _ = run_cli(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent), "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.run([sys.executable, "-c", _COUNTED_WRITES, *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert 1 < int(proc.stderr) <= _writes_for(out)  # against 50,377 encoder chunks
+
+
+@pytest.mark.parametrize("unbuffered", ["0", "1"])
+def test_a_closed_stdout_exits_quietly(unbuffered):
+    """A reader that goes away early (``conedef ... | head``) ends the
+    command with EXIT_CLOSED_STDOUT and nothing on stderr, not a
+    BrokenPipeError traceback.  The envelope is far larger than a pipe's
+    buffer, so the writer meets the closed pipe whatever the timing."""
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered == "1":
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conedef", "rigidity", "delpezzo:8", "--weights", "-3000..0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_CLOSED_STDOUT, b"")
 
 
 def test_subprocess_entry_point_matches_in_process(capsys):

@@ -5,6 +5,7 @@ oracles, never from the closed forms under test."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conedef import p1
 from conedef.linalg import RationalMatrix, vstack
 from conedef.p1 import (
     basis,
@@ -175,6 +176,19 @@ def test_restricted_chase_agrees_with_splitting(d, m):
     assert euler_restricted_h1(d, m) == h1_split
 
 
+@pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 9) for m in range(-1, 3) if h_dim(1, m * d) == 0])
+def test_an_empty_source_builds_no_block(monkeypatch, d, m):
+    """Where h^1(O(m*d)) = 0 the block has no columns, so the chase reads
+    its rank 0 from the shape instead of building d + 1 empty maps."""
+
+    def refuse(d, m):
+        raise AssertionError(f"built the empty block at d={d}, m={m}")
+
+    monkeypatch.setattr(p1, "euler_h1_block", refuse)
+    assert euler_restricted_h0(d, m) == d * line_h0_enumerated(d + 1 + m * d)
+    assert euler_restricted_h1(d, m) == 0
+
+
 @pytest.mark.parametrize("m", range(-2, 7))
 def test_degree_one_curve_is_the_line_itself(m):
     # for d = 1 the "restricted tangent bundle" is the line's own tangent
@@ -185,3 +199,5 @@ def test_degree_one_curve_is_the_line_itself(m):
 def test_degree_validation():
     with pytest.raises(ValueError):
         euler_restricted_h0(0, 0)
+    with pytest.raises(ValueError):
+        euler_restricted_h1(0, 0)

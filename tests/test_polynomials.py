@@ -18,6 +18,23 @@ def test_construction_drops_zero_terms():
     assert not Polynomial.zero(2)
 
 
+@pytest.mark.parametrize("coeff", [0.5, "1", None, 1j])
+def test_inexact_coefficients_are_refused(coeff):
+    with pytest.raises(TypeError, match=f"^exact scalars must be int or Fraction, got {type(coeff).__name__}$"):
+        Polynomial(1, {(0,): coeff})
+    with pytest.raises(TypeError, match="^exact scalars must be int or Fraction"):
+        mono(1) * coeff
+
+
+def test_bool_and_int_coefficients_are_stored_as_ints():
+    p = Polynomial(2, {(1, 0): True, (0, 1): 2})
+    assert p.terms == {(1, 0): 1, (0, 1): 2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(p.coefficient((1, 1))) is int
+    assert Polynomial(2, {(1, 0): False}).is_zero()
+    assert mono(1, 1) * True == mono(1, 1)
+
+
 def test_equality_and_hash():
     a = mono(1, 2) + mono(0, 0, c=3)
     b = Polynomial(2, {(0, 0): 3, (1, 2): 1})
@@ -98,6 +115,31 @@ def test_multiplication_is_commutative(tA, tB):
     a = Polynomial(2, dict(tA))
     b = Polynomial(2, dict(tB))
     assert a * b == b * a
+
+
+_TERMS = st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4)), max_size=5)
+
+
+@given(_TERMS, _TERMS, st.integers(0, 3), st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_int_and_fraction_coefficients_agree(tA, tB, n, i):
+    """The same values held as ints or as Fractions give equal polynomials,
+    with equal hashes and identical printing, under every operation."""
+
+    def both(terms):
+        terms = dict(terms)
+        return Polynomial(2, terms), Polynomial(2, {e: Fraction(c) for e, c in terms.items()})
+
+    (a, fa), (b, fb) = both(tA), both(tB)
+    images = [b * b, a + b]
+    pairs = [
+        (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (a**n, fa**n),
+        (a.derivative(i), fa.derivative(i)), (a.substitute(images), fa.substitute([fb * fb, fa + fb])),
+    ]
+    for p, fp in pairs:
+        assert p == fp and hash(p) == hash(fp)
+        assert p.to_string() == fp.to_string()
+        assert all(type(c) is int for c in p.terms.values())
 
 
 # ---- rational functions ------------------------------------------------
