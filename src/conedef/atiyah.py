@@ -18,10 +18,9 @@ that the cocycle itself is not identically zero are checked as well.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from .polynomials import Polynomial, RationalFunction
-from .records import Record
+from .records import FrozenRecord
 
 
 def _transition_homogeneous(n: int, a: int, b: int) -> RationalFunction:
@@ -47,24 +46,10 @@ def _transition_in_chart(n: int, chart: int, a: int, b: int) -> RationalFunction
     return RationalFunction(coord(a), coord(b))
 
 
-class CocycleReport(Record):
-    __slots__ = _fields = ("n", "triples", "multiplicative_ok", "additive_ok", "degenerate_ok", "nontrivial_witness")
+class CocycleReport(FrozenRecord):
+    """The triple overlaps checked on n-space and the outcome of each identity."""
 
-    def __init__(
-        self,
-        n: int,
-        triples: Optional[list[tuple[int, int, int]]] = None,
-        multiplicative_ok: bool = True,
-        additive_ok: bool = True,
-        degenerate_ok: bool = True,
-        nontrivial_witness: bool = True,
-    ) -> None:
-        self.n = n
-        self.triples = [] if triples is None else triples
-        self.multiplicative_ok = multiplicative_ok
-        self.additive_ok = additive_ok
-        self.degenerate_ok = degenerate_ok
-        self.nontrivial_witness = nontrivial_witness
+    __slots__ = _fields = ("n", "triples", "multiplicative_ok", "additive_ok", "degenerate_ok", "nontrivial_witness")
 
     @property
     def passed(self) -> bool:
@@ -81,15 +66,15 @@ def atiyah_cocycle_check(n: int) -> CocycleReport:
     so that at least one triple overlap exists)."""
     if n < 2:
         raise ValueError("need n >= 2 for a triple overlap")
-    report = CocycleReport(n=n)
-    report.triples = list(itertools.combinations(range(n + 1), 3))
+    triples = list(itertools.combinations(range(n + 1), 3))
+    multiplicative_ok = additive_ok = True
 
-    for (i, j, k) in report.triples:
+    for (i, j, k) in triples:
         gij = _transition_homogeneous(n, i, j)
         gjk = _transition_homogeneous(n, j, k)
         gik = _transition_homogeneous(n, i, k)
         if not (gij * gjk).equals(gik):
-            report.multiplicative_ok = False
+            multiplicative_ok = False
 
         for chart in (i, j, k):
             cij = _transition_in_chart(n, chart, i, j)
@@ -98,14 +83,14 @@ def atiyah_cocycle_check(n: int) -> CocycleReport:
             for l in range(n):
                 residue = cij.dlog(l) + cjk.dlog(l) - cik.dlog(l)
                 if not residue.is_zero():
-                    report.additive_ok = False
+                    additive_ok = False
 
     # g_ii == 1, so its logarithmic differential must vanish identically.
     gii = _transition_in_chart(n, 0, 0, 0)
-    report.degenerate_ok = all(gii.dlog(l).is_zero() for l in range(n))
+    degenerate_ok = all(gii.dlog(l).is_zero() for l in range(n))
 
     # the class itself is not zero: dlog(g_01) has a nonzero coefficient.
     g01 = _transition_in_chart(n, 0, 0, 1)
-    report.nontrivial_witness = any(not g01.dlog(l).is_zero() for l in range(n))
+    nontrivial_witness = any(not g01.dlog(l).is_zero() for l in range(n))
 
-    return report
+    return CocycleReport(n, triples, multiplicative_ok, additive_ok, degenerate_ok, nontrivial_witness)

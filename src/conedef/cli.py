@@ -27,12 +27,6 @@ end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.3 s,
 ``rigidity delpezzo:8 --weights -16667..0`` 1.7 s (mostly printing 34 MB,
 streamed by ``main``: 64 MB peak RSS),
 ``jacobian --d 9 --weight -1100 --trace`` 0.5 s and ``atiyah --n 11`` 0.6 s.
-Timed again on a slower moment of the host, with ``PYTHONUNBUFFERED=1``:
-the certificate 2.0-2.3 s (4.2-4.3 s when each encoder chunk was a write of
-its own), the jacobian 0.6-0.9 s (as before int-first polynomials, which
-leave its Euler block alone), ``atiyah --n 11`` 0.5-0.7 s (1.0-1.4 s with
-Fraction coefficients) and ``jacobian --d 49999 --weight 0`` 0.1 s (0.3-0.4
-s while it built its empty Euler blocks).
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
 window, curve degree below 2, a trace asked of ``--format csv``, or a request

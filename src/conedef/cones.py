@@ -265,9 +265,6 @@ class GradedTable(FrozenRecord):
 
     __slots__ = _fields = ("variety", "order", "m_lo", "m_hi", "entries")
 
-    def __init__(self, variety: str, order: int, m_lo: int, m_hi: int, entries: dict[int, int]) -> None:
-        self._set(variety, order, m_lo, m_hi, entries)
-
     def nonzero_weights(self) -> list[int]:
         return [m for m in sorted(self.entries) if self.entries[m] != 0]
 
@@ -305,19 +302,6 @@ class RigidityVerdict(FrozenRecord):
 
     __slots__ = _fields = ("variety", "rigid", "witness", "m_lo", "m_hi", "window_independent", "note", "certificate")
 
-    def __init__(
-        self,
-        variety: str,
-        rigid: Optional[bool],
-        witness: Optional[tuple[int, int]],
-        m_lo: int,
-        m_hi: int,
-        window_independent: bool,
-        note: str,
-        certificate: Optional[Certificate] = None,
-    ) -> None:
-        self._set(variety, rigid, witness, m_lo, m_hi, window_independent, note, certificate)
-
 
 def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdict:
     """Rigidity of the cone over v as read from the twisted-tangent count
@@ -341,7 +325,7 @@ def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdi
     witness = None if m_star is None else (m_star, t1_weight(v, m_star))
     if witness is not None and witness[1] == 0:
         raise InternalConsistencyError(f"{desc}: the closed form puts a nonzero weight at {m_star}, the count there is 0")
-    return RigidityVerdict(desc, witness is None, witness, m_lo, m_hi, True, note)
+    return RigidityVerdict(desc, witness is None, witness, m_lo, m_hi, True, note, None)
 
 
 # ----------------------------------------------------------------------
@@ -356,9 +340,6 @@ class WeightZeroReport(FrozenRecord):
     computable, the weight-0 count itself."""
 
     __slots__ = _fields = ("variety", "h1_structure", "h2_structure", "criterion_holds", "t1_zero")
-
-    def __init__(self, variety: str, h1_structure: int, h2_structure: int, criterion_holds: bool, t1_zero: Optional[int]) -> None:
-        self._set(variety, h1_structure, h2_structure, criterion_holds, t1_zero)
 
 
 def weight_zero_criterion(v: Variety) -> WeightZeroReport:
@@ -376,9 +357,6 @@ class PolarizationFlags(FrozenRecord):
     by correction terms."""
 
     __slots__ = _fields = ("variety", "m", "h1_polarization", "h2_polarization")
-
-    def __init__(self, variety: str, m: int, h1_polarization: int, h2_polarization: int) -> None:
-        self._set(variety, m, h1_polarization, h2_polarization)
 
     @property
     def clean(self) -> bool:
@@ -399,11 +377,6 @@ class GradedAssembly(FrozenRecord):
     weights, with the role each band plays."""
 
     __slots__ = _fields = ("variety", "negative", "zero", "positive", "roles")
-
-    def __init__(
-        self, variety: str, negative: dict[int, int], zero: int, positive: dict[int, int], roles: dict[str, str]
-    ) -> None:
-        self._set(variety, negative, zero, positive, roles)
 
     def total(self) -> int:
         return sum(self.negative.values()) + self.zero + sum(self.positive.values())

@@ -30,7 +30,6 @@ m = -1 from the scaling-direction discussion around the main statement.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
 
 from . import p1
 from .projective import (
@@ -40,7 +39,7 @@ from .projective import (
     priced_window,
     restrict_to_exceptional,
 )
-from .records import FrozenRecord, Record
+from .records import FrozenRecord
 
 
 class StepStatus(enum.Enum):
@@ -60,17 +59,6 @@ class CertStep(FrozenRecord):
 
     __slots__ = _fields = ("term", "claimed", "computed", "rule", "anchor", "status")
 
-    def __init__(
-        self,
-        term: str,
-        claimed: Optional[Union[int, str]],
-        computed: Optional[Union[int, str]],
-        rule: str,
-        anchor: str,
-        status: StepStatus,
-    ) -> None:
-        self._set(term, claimed, computed, rule, anchor, status)
-
     def to_dict(self) -> dict:
         return {
             "term": self.term,
@@ -82,12 +70,10 @@ class CertStep(FrozenRecord):
         }
 
 
-class Certificate(Record):
-    __slots__ = _fields = ("claim", "steps")
+class Certificate(FrozenRecord):
+    """A claim and its graded steps, in replay order."""
 
-    def __init__(self, claim: str, steps: Optional[list[CertStep]] = None) -> None:
-        self.claim = claim
-        self.steps = [] if steps is None else steps
+    __slots__ = _fields = ("claim", "steps")
 
     @property
     def verdict(self) -> Verdict:
@@ -192,12 +178,12 @@ def _lemma_negative_block_small_r(r: int, m: int) -> list[CertStep]:
             anchor="first cohomology of the tangent sheaf in twist m is dual to first cohomology of the cotangent sheaf twisted by -(m+1)K",
         ),
         CertStep(
-            term=f"[m={m}] claimed ampleness of the auxiliary class -(m+1)K",
-            claimed="positive degree on every exceptional line",
-            computed=f"degree {deg_L_on_E} on each exceptional line",
-            rule="an ample class must restrict to positive degree on every curve; degree computed from the intersection form",
-            anchor="the auxiliary class is ample",
-            status=StepStatus.CONTRADICTED if deg_L_on_E <= 0 else StepStatus.ASSERTED,
+            f"[m={m}] claimed ampleness of the auxiliary class -(m+1)K",
+            "positive degree on every exceptional line",
+            f"degree {deg_L_on_E} on each exceptional line",
+            "an ample class must restrict to positive degree on every curve; degree computed from the intersection form",
+            "the auxiliary class is ample",
+            StepStatus.CONTRADICTED if deg_L_on_E <= 0 else StepStatus.ASSERTED,
         ),
         _checked(
             term=f"[m={m}] restriction of the twisted cotangent summand to an exceptional line",
@@ -342,15 +328,13 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     if m_lo > m_hi:
         raise ValueError("empty twist window")
     priced_window(m_lo, m_hi, lambda m: _twist_steps(r, m))
-    cert = Certificate(
-        claim=(
-            f"replay of the published vanishing argument for the anticanonical cone over the "
-            f"blow-up of the plane in {r} points, twists {m_lo}..{m_hi} of the canonical class"
-        )
-    )
-    cert.steps.extend(_prelude_steps(r))
+    steps = _prelude_steps(r)
     for m in range(m_lo, m_hi + 1):
-        cert.steps.extend(_twist_block(r, m))
+        steps.extend(_twist_block(r, m))
     if r <= 6:
-        cert.steps.extend(_theorem_block(r))
-    return cert
+        steps.extend(_theorem_block(r))
+    claim = (
+        f"replay of the published vanishing argument for the anticanonical cone over the "
+        f"blow-up of the plane in {r} points, twists {m_lo}..{m_hi} of the canonical class"
+    )
+    return Certificate(claim, steps)

@@ -64,7 +64,7 @@ class RationalMatrix(Record):
         fraction = fraction_type()
         for row in rows:
             if not isinstance(row, dict):
-                raise ValueError("each row must be a dict from column index to Fraction")
+                raise ValueError("each row must be a dict from column index to an exact scalar")
             for j, x in row.items():
                 if not isinstance(j, int) or not 0 <= j < ncols:
                     raise ValueError(f"column index {j!r} outside range({ncols})")

@@ -40,7 +40,6 @@ from .records import FrozenRecord
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .linalg import RationalMatrix
     from .polynomials import Polynomial
 
 Monomial2 = tuple[int, int]
@@ -55,9 +54,6 @@ class Presentation(FrozenRecord):
     """Generators of the ideal of the degree-d curve in the z-variables."""
 
     __slots__ = _fields = ("d", "generators")
-
-    def __init__(self, d: int, generators: tuple[Polynomial, ...]) -> None:
-        self._set(d, generators)
 
     @property
     def nvars(self) -> int:
@@ -87,11 +83,6 @@ class PolyMatrix(FrozenRecord):
     """A matrix of polynomials (used for the Jacobian of the generators)."""
 
     __slots__ = _fields = ("nrows", "ncols", "entries", "var_names")
-
-    def __init__(
-        self, nrows: int, ncols: int, entries: tuple[tuple[Polynomial, ...], ...], var_names: tuple[str, ...]
-    ) -> None:
-        self._set(nrows, ncols, entries, var_names)
 
     def to_strings(self) -> list[list[str]]:
         return [[p.to_string(self.var_names) for p in row] for row in self.entries]
@@ -169,9 +160,6 @@ class GradedJacobian(FrozenRecord):
 
     __slots__ = _fields = ("d", "m", "matrix", "source_block_dim", "target_block_dim")
 
-    def __init__(self, d: int, m: int, matrix: RationalMatrix, source_block_dim: int, target_block_dim: int) -> None:
-        self._set(d, m, matrix, source_block_dim, target_block_dim)
-
     @property
     def source_dim(self) -> int:
         return self.matrix.ncols
@@ -238,11 +226,6 @@ class NormalRoute(FrozenRecord):
     the exactness certificate for the sequence chase."""
 
     __slots__ = _fields = ("d", "m", "normal_h0", "restricted_tangent_h0", "curve_tangent_h0", "value", "exact")
-
-    def __init__(
-        self, d: int, m: int, normal_h0: int, restricted_tangent_h0: int, curve_tangent_h0: int, value: int, exact: bool
-    ) -> None:
-        self._set(d, m, normal_h0, restricted_tangent_h0, curve_tangent_h0, value, exact)
 
 
 def t1_via_normal(d: int, m: int) -> NormalRoute:

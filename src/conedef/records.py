@@ -1,12 +1,19 @@
 """Plain slotted records compared, hashed and printed by their field tuple.
 
-The catalog entries, the result records, the matrices and the
-certificates subclass :class:`Record` (or :class:`FrozenRecord`), declare
-``__slots__`` and write their own ``__init__``.  The class attribute
-``_fields`` names the constructor's arguments in order; equality, hashing,
-``repr`` and the command line's descriptor parser all read it.  Nothing
-here generates code, so defining a record costs no more than defining any
-other class.
+The catalog entries, the result records and the certificates subclass
+:class:`FrozenRecord` and declare ``__slots__`` and ``_fields``, the names
+of their fields in order.  Equality, hashing, ``repr``, the one
+constructor and the command line's descriptor parser all read
+``_fields``.  A frozen record is built once, from finished values:
+``FrozenRecord.__init__`` takes one value per field, positionally, and
+refuses any other count.  Only a record that validates its input writes
+its own ``__init__`` and stores its values with ``_set``: the catalog
+entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``) and
+``SurfaceDivisor`` check their integers.  The matrices and rational
+functions (``RationalMatrix``, ``RationalFunction``) check their entries
+in their own constructors too, and subclass the mutable, unhashable
+:class:`Record`.  Nothing here generates code, so defining a record costs
+no more than defining any other class.
 
 :func:`fraction_type` is the one check for an exact rational that does not
 load ``fractions``: :mod:`conedef.linalg` and :mod:`conedef.polynomials`
@@ -55,7 +62,14 @@ class FrozenRecord(Record):
 
     __slots__ = ()
 
+    def __init__(self, *values: object) -> None:
+        self._set(*values)
+
     def _set(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values ({', '.join(self._fields)}), got {len(values)}"
+            )
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 

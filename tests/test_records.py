@@ -1,6 +1,7 @@
 """Record semantics: equality by class and fields, hashing and refused
-assignment for frozen records, constructor order and defaults, and the
-validation errors of the constructors."""
+assignment for frozen records, the one positional constructor (field
+order, no defaults, a wrong count refused), and the validation errors of
+the records that keep their own constructor."""
 
 import re
 from fractions import Fraction
@@ -20,16 +21,21 @@ from conedef.cones import (
     VeroneseSpace,
     WeightZeroReport,
 )
-from conedef.delpezzo import Certificate
+from conedef.delpezzo import Certificate, CertStep, StepStatus
 from conedef.linalg import RationalMatrix
 from conedef.polynomials import Polynomial, RationalFunction
+from conedef.presentation import GradedJacobian, NormalRoute, PolyMatrix, Presentation
 from conedef.projective import SurfaceDivisor
+from conedef.records import FrozenRecord
+
+_X, _Y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+_STEP = CertStep("t", 0, 0, "r", "a", StepStatus.VERIFIED)
 
 # (class or named constructor, field values, the same values with one
-# field changed, hashable, the name of the first field):
-# every catalog entry and alias, then the result records of the cones layer.  A
-# frozen record hashes like the tuple of its fields, so one holding a dict
-# is unhashable.
+# field changed, hashable, the name of the first field): every catalog
+# entry and alias, then the result records of the cones, presentation,
+# delpezzo and atiyah layers.  A frozen record hashes like the tuple of its
+# fields, so one holding a dict, a list or a matrix is unhashable.
 FROZEN = [
     (RationalNormalCurve, (4,), (5,), True, "d"),
     (VeroneseSpace, (2, 3), (2, 4), True, "n"),
@@ -37,10 +43,17 @@ FROZEN = [
     (ProductPolarization, (2, 3), (3, 2), True, "a"),
     (BlownUpPlane, (6,), (5,), True, "r"),
     (GradedTable, ("rnc:4", 1, -1, 0, {-1: 1, 0: 0}), ("rnc:4", 1, -1, 0, {-1: 1, 0: 1}), False, "variety"),
-    (RigidityVerdict, ("rnc:4", False, (-1, 1), -6, 3, True, "note"), ("rnc:4", False, (-1, 1), -6, 2, True, "note"), True, "variety"),
+    (RigidityVerdict, ("rnc:4", False, (-1, 1), -6, 3, True, "note", None), ("rnc:4", False, (-1, 1), -6, 2, True, "note", None), True, "variety"),
     (WeightZeroReport, ("rnc:4", 0, 0, True, 0), ("rnc:4", 0, 0, True, None), True, "variety"),
     (PolarizationFlags, ("segre:1", -2, 0, 1), ("segre:1", -2, 0, 0), True, "variety"),
     (GradedAssembly, ("rnc:4", {-1: 1}, 0, {1: 0}, {"zero": "z"}), ("rnc:4", {-1: 1}, 1, {1: 0}, {"zero": "z"}), False, "variety"),
+    (Presentation, (2, (_X * _Y,)), (2, (_X * _X,)), True, "d"),
+    (PolyMatrix, (1, 2, ((_X, _Y),), ("x", "y")), (1, 2, ((_Y, _X),), ("x", "y")), True, "nrows"),
+    (GradedJacobian, (3, 0, RationalMatrix.identity(2), 1, 1), (3, 0, RationalMatrix.zero(2, 2), 1, 1), False, "d"),
+    (NormalRoute, (3, -1, 0, 0, 0, 1, True), (3, -1, 0, 0, 0, 1, False), True, "d"),
+    (CertStep, ("t", 0, 0, "r", "a", StepStatus.VERIFIED), ("t", 0, 1, "r", "a", StepStatus.CONTRADICTED), True, "term"),
+    (Certificate, ("c", [_STEP]), ("c", []), False, "claim"),
+    (CocycleReport, (2, [(0, 1, 2)], True, True, True, True), (2, [(0, 1, 2)], False, True, True, True), False, "n"),
 ]
 
 
@@ -79,21 +92,20 @@ def test_equality_needs_the_same_class():
 
 
 def test_constructor_order_and_defaults():
-    verdict = RigidityVerdict("rnc:4", False, (-1, 1), -6, 3, True, "note")
-    assert verdict.certificate is None
+    verdict = RigidityVerdict("rnc:4", False, (-1, 1), -6, 3, True, "note", None)
     assert (verdict.variety, verdict.rigid, verdict.witness, verdict.m_lo, verdict.m_hi) == ("rnc:4", False, (-1, 1), -6, 3)
-    assert (verdict.window_independent, verdict.note) == (True, "note")
+    assert (verdict.window_independent, verdict.note, verdict.certificate) == (True, "note", None)
     assert VeroneseSpace(2, 3).n == 2 and VeroneseSpace(2, 3).d == 3
     assert ProductPolarization(2, 3).a == 2 and ProductPolarization(2, 3).b == 3
-    # a fresh list per instance where the dataclass used a default factory
-    one, two = Certificate("c"), Certificate("c")
-    one.steps.append("step")
-    assert two.steps == [] and one != two
-    report = CocycleReport(3)
-    assert (report.triples, report.multiplicative_ok, report.additive_ok) == ([], True, True)
-    assert (report.degenerate_ok, report.nontrivial_witness) == (True, True)
-    report.triples.append((0, 1, 2))
-    assert CocycleReport(n=3).triples == []
+    report = CocycleReport(3, [(0, 1, 2)], True, False, True, True)
+    assert (report.n, report.triples, report.multiplicative_ok, report.additive_ok) == (3, [(0, 1, 2)], True, False)
+    assert (report.degenerate_ok, report.nontrivial_witness, report.passed) == (True, True, False)
+    # no field has a default, and the constructor takes no keywords
+    with pytest.raises(TypeError):
+        RigidityVerdict("rnc:4", False, (-1, 1), -6, 3, True, "note")
+    for make in (lambda: Certificate("c"), lambda: CocycleReport(3), lambda: CocycleReport(n=3), lambda: Certificate(claim="c", steps=[])):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_mutable_records_compare_but_do_not_hash():
@@ -101,14 +113,44 @@ def test_mutable_records_compare_but_do_not_hash():
     assert m == RationalMatrix.identity(2) and m != RationalMatrix.zero(2, 2)
     f = RationalFunction.from_polynomial(Polynomial.variable(2, 0))
     assert f == RationalFunction.from_polynomial(Polynomial.variable(2, 0))
-    for record in (m, f, Certificate("c"), CocycleReport(2)):
+    for record in (m, f):
         with pytest.raises(TypeError):
             hash(record)
     m.rows = [{}, {1: Fraction(1)}]  # assignment stays allowed
     assert m != RationalMatrix.identity(2)
-    report = CocycleReport(2)
-    report.additive_ok = False
-    assert report != CocycleReport(2)
+    # the certificate and the cocycle report are built once and refuse assignment
+    for record, field, value in ((Certificate("c", []), "steps", [_STEP]), (CocycleReport(2, [], True, True, True, True), "additive_ok", False)):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+
+
+def _one_constructor_classes() -> set[type]:
+    """Every FrozenRecord subclass with fields and without an ``__init__``
+    of its own, in the modules imported above (every module that defines a
+    record)."""
+    found, todo = set(), [FrozenRecord]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub._fields and "__init__" not in vars(sub):
+                found.add(sub)
+    return found
+
+
+ONE_CONSTRUCTOR = [row for row in FROZEN if isinstance(row[0], type) and "__init__" not in vars(row[0])]
+
+
+def test_every_one_constructor_class_has_a_row():
+    assert {row[0] for row in ONE_CONSTRUCTOR} == _one_constructor_classes()
+
+
+@pytest.mark.parametrize("cls,values", [row[:2] for row in ONE_CONSTRUCTOR], ids=[row[0].__name__ for row in ONE_CONSTRUCTOR])
+def test_a_wrong_count_is_refused(cls, values):
+    names = ", ".join(cls._fields)
+    for wrong in (values[:-1], values + (None,)):
+        message = f"{cls.__name__} takes {len(values)} values ({names}), got {len(wrong)}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cls(*wrong)
 
 
 INVALID = [
@@ -123,7 +165,7 @@ INVALID = [
     (SurfaceDivisor, (2, 0, (1,)), ValueError, "expected 2 exceptional coefficients, got 1"),
     (RationalMatrix, (-1, 0, []), ValueError, "matrix dimensions must be nonnegative"),
     (RationalMatrix, (2, 1, [{}]), ValueError, "expected 2 rows, got 1"),
-    (RationalMatrix, (1, 1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to Fraction"),
+    (RationalMatrix, (1, 1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to an exact scalar"),
     (RationalMatrix, (1, 1, [{1: Fraction(1)}]), ValueError, "column index 1 outside range(1)"),
     (RationalMatrix, (1, 1, [{0: "1"}]), ValueError, "entry at column 0 is a str, not an int or a Fraction"),
     (RationalMatrix, (1, 1, [{0: Fraction(0)}]), ValueError, "stored zero at column 0"),
