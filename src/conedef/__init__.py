@@ -5,7 +5,10 @@ the published vanishing argument on anticanonical cones.
 All arithmetic is exact and integer first: polynomials and matrices hold
 ints, and a Fraction only where a caller passes one in, so no command
 loads ``fractions``.  Every rank that enters a dimension count is computed
-by elimination, never assumed maximal.
+by elimination, never assumed maximal, with two structural exceptions: a
+map with an empty source or target has rank 0 by its shape, and the
+level-0 map of the curve's restricted Euler sequence is injective, since
+it multiplies sections by nonzero forms.
 """
 
 from .cones import (

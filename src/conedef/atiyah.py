@@ -66,7 +66,7 @@ def atiyah_cocycle_check(n: int) -> CocycleReport:
     so that at least one triple overlap exists)."""
     if n < 2:
         raise ValueError("need n >= 2 for a triple overlap")
-    triples = list(itertools.combinations(range(n + 1), 3))
+    triples = tuple(itertools.combinations(range(n + 1), 3))
     multiplicative_ok = additive_ok = True
 
     for (i, j, k) in triples:

@@ -337,4 +337,4 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
         f"replay of the published vanishing argument for the anticanonical cone over the "
         f"blow-up of the plane in {r} points, twists {m_lo}..{m_hi} of the canonical class"
     )
-    return Certificate(claim, steps)
+    return Certificate(claim, tuple(steps))

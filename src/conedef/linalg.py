@@ -38,7 +38,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .records import Record, fraction_type
+from .records import FrozenRecord, fraction_type
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -47,7 +47,7 @@ Scalar = Union[int, "Fraction"]
 Row = dict[int, Scalar]
 
 
-class RationalMatrix(Record):
+class RationalMatrix(FrozenRecord):
     """A rows x cols matrix of exact scalars (int or Fraction), stored as
     one ``{column: value}`` dict per row holding the nonzero entries only.
     Degenerate shapes (0 x n, n x 0) are legal and behave like the
@@ -72,9 +72,7 @@ class RationalMatrix(Record):
                     raise ValueError(f"entry at column {j} is a {type(x).__name__}, not an int or a Fraction")
                 if not x:
                     raise ValueError(f"stored zero at column {j}")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = rows
+        self._set(nrows, ncols, rows)
 
     # ---- constructors -------------------------------------------------
 

@@ -18,18 +18,21 @@ the tests pin down.
 Bases are ordered by descending first exponent, so e.g. basis(0, 2) is
 [(2, 0), (1, 1), (0, 2)] and basis(1, -4) is [(-1, -3), (-2, -2), (-3, -1)].
 
-Every matrix here is one call of the block builder
+The two matrices here (:func:`mult_matrix`, :func:`euler_h1_block`) are
+one call each of the block builder
 :func:`conedef.projective._pn_mult_matrix`, which imports
-:mod:`conedef.linalg`, so dimensions and bases do not load it, and the
-restricted Euler block multiplies by ``{exponent pair: 1}`` maps, so it
-loads neither :mod:`conedef.polynomials` nor ``fractions``.
+:mod:`conedef.linalg`, so dimensions and bases do not load it.  The
+restricted Euler chase builds no matrix itself: it reads the level-1 map
+through :func:`conedef.projective._level`, which builds no map with an
+empty side, and multiplies by ``{exponent pair: 1}`` maps, so it loads
+neither :mod:`conedef.polynomials` nor ``fractions``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .projective import _pn_basis, _pn_mult_matrix, hq_pn_line
+from .projective import _level, _pn_basis, _pn_mult_matrix, hq_pn_line
 
 if TYPE_CHECKING:
     from .linalg import RationalMatrix
@@ -64,40 +67,34 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
     return _pn_mult_matrix([[p.terms]], 1, k, _top(i))
 
 
-def _curve_monomial(d: int, j: int) -> Multiplier:
-    """The j-th degree-d parametrizing monomial x0^(d-j) * x1^j."""
-    return {(d - j, j): 1}
-
-
-def _check_curve_degree(d: int) -> None:
+def _curve_grid(d: int) -> list[list[Multiplier]]:
+    """One block row per degree-d parametrizing monomial x0^(d-j) * x1^j."""
     if d < 1:
         raise ValueError("the curve degree d must be at least 1")
+    return [[{(d - j, j): 1}] for j in range(d + 1)]
 
 
 def euler_h1_block(d: int, m: int) -> RationalMatrix:
     """Connecting data for the restricted Euler sequence in weight m: the
     stacked multiplication map from level-1 degree m*d into the d+1 copies
-    of level-1 degree m*d + d, one block per parametrizing monomial."""
-    _check_curve_degree(d)
-    return _pn_mult_matrix([[_curve_monomial(d, j)] for j in range(d + 1)], 1, m * d, True)
+    of level-1 degree m*d + d, one block per parametrizing monomial.  The
+    chase below reads its kernel and cokernel through
+    :func:`conedef.projective._level` instead of building it here."""
+    return _pn_mult_matrix(_curve_grid(d), 1, m * d, True)
 
 
 def euler_restricted_h0(d: int, m: int) -> int:
     """h^0 of the weight-m restricted tangent bundle of the degree-d
     rational normal curve, computed by an exact Euler-sequence chase with
-    the connecting rank actually evaluated.  Where h^1(O(m*d)) = 0 (every
-    m >= 0, and m = -1 for d = 1) the block has no columns, so its rank is
-    0 by its shape and it is not built, as in
-    :func:`conedef.projective.hq_pn_omega1`."""
-    _check_curve_degree(d)
-    kernel = euler_h1_block(d, m).kernel_dim() if h_dim(1, m * d) else 0
+    the connecting rank actually evaluated.  The level-0 term stays a
+    closed form: multiplication by a nonzero form is injective on
+    sections, so that map has no kernel, and building it would enumerate
+    the sections of O(m*d + d), over MAX_BASIS already at d = 49999, m = 0."""
+    kernel = _level(_curve_grid(d), 1, m * d, 1)[0]
     return (d + 1) * h_dim(0, m * d + d) - h_dim(0, m * d) + kernel
 
 
 def euler_restricted_h1(d: int, m: int) -> int:
     """h^1 companion of :func:`euler_restricted_h0`: the cokernel of the
-    same stacked multiplication map."""
-    _check_curve_degree(d)
-    if not h_dim(1, m * d):
-        return (d + 1) * h_dim(1, m * d + d)
-    return euler_h1_block(d, m).cokernel_dim()
+    same stacked level-1 multiplication map."""
+    return _level(_curve_grid(d), 1, m * d, 1)[1]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .records import Record, fraction_type
+from .records import FrozenRecord, fraction_type
 
 if TYPE_CHECKING:
     from .linalg import Scalar
@@ -252,7 +252,7 @@ class Polynomial:
         return f"Polynomial({self.to_string()})"
 
 
-class RationalFunction(Record):
+class RationalFunction(FrozenRecord):
     """A quotient of polynomials.  No gcd reduction is ever performed:
     equality is decided by cross-multiplication, which stays exact."""
 
@@ -263,8 +263,7 @@ class RationalFunction(Record):
             raise ValueError("numerator and denominator in different variable sets")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
+        self._set(num, den)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":

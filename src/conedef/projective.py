@@ -7,10 +7,14 @@ class is a combination of exponent tuples that are all nonnegative, a
 top-level class one of tuples that are all at most -1, and everything in
 between vanishes.  :mod:`conedef.p1` is the line's API over the same model
 (n = 1).  Cotangent and tangent twists are never looked up in a
-table: they are chased through the standard short exact sequences with the
-connecting ranks computed by exact elimination.  The plane's tangent twists
-are compared with Bott's formula at run time; where another independent
-route exists (Serre duality, Euler characteristics) the tests replay it.
+table: they are chased through the standard short exact sequences, and
+every chase (the line's restricted Euler sequence too) reads its connecting
+maps through :func:`_level`.  A level strictly between 0 and n carries
+nothing, a map with an empty side has rank 0 by its shape, and every other
+map is built once and its rank computed by exact elimination.  The plane's
+tangent twists are compared with Bott's formula at run time; where another
+independent route exists (Serre duality, Euler characteristics) the tests
+replay it.
 
 A multiplier is an ``{exponent tuple: coefficient}`` map, so a coordinate
 is ``{e_i: 1}`` and the chases build integer matrices without
@@ -19,8 +23,8 @@ the package is a grid of such blocks built in one pass by
 :func:`_pn_mult_matrix`: the Euler and cotangent chases here, the line's
 restricted Euler block and the curve's graded Jacobian.  It imports
 :mod:`conedef.linalg` only after both bases passed the budget, so a
-closed-form count (the line, Kunneth, the bases of the Cech model) or a
-refusal never loads it.
+closed-form count (the line, Kunneth, the bases of the Cech model), a chase
+whose maps all have an empty side, or a refusal never loads it.
 """
 
 from __future__ import annotations
@@ -83,21 +87,17 @@ def priced_window(m_lo: int, m_hi: int, cost: Callable[[int], int]) -> range:
     return range(m_lo, m_hi + 1)
 
 
-def _check_basis(n: int, k: int, top: bool) -> None:
-    """Refuse a basis over MAX_BASIS from its size; the chases call this before loading anything."""
-    level = n if top else 0
-    size = hq_pn_line(n, k, level)
-    if size > MAX_BASIS:
-        raise OverBudgetError(f"the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
-
-
 def _pn_basis(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     """Ordered monomial basis for level 0 (top=False) or level n (top=True)
     of O(k): the n+1 exponents sum to k and are all nonnegative (level 0)
     or all at most -1 (level n), in descending lexicographic order.
 
-    Every basis of the package is built here, so none over budget exists."""
-    _check_basis(n, k, top)
+    Every basis of the package is built here, and one over MAX_BASIS is
+    refused from its closed-form size before it is enumerated."""
+    level = n if top else 0
+    size = hq_pn_line(n, k, level)
+    if size > MAX_BASIS:
+        raise OverBudgetError(f"the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
     return _pn_monomials(n, k, top)
 
 
@@ -157,14 +157,24 @@ def _coordinates(n: int) -> list[Multiplier]:
     return [{tuple(int(j == i) for j in range(n + 1)): 1} for i in range(n + 1)]
 
 
+def _level(grid: Sequence[Sequence[Multiplier]], n: int, k: int, q: int) -> tuple[int, int]:
+    """(kernel, cokernel) of the level-q map of a block grid (see
+    :func:`_pn_mult_matrix`) from O(k)^cols to O(k + deg)^rows on n-space.
+
+    Every chase reads its connecting maps here.  A map with an empty side
+    (every map at a level strictly between 0 and n) has rank 0 by its
+    shape and is not built; any other map is built once and eliminated
+    once.  A level outside 0..n is refused by :func:`hq_pn_line`."""
+    deg = sum(next(exps for row in grid for p in row for exps in p))
+    src = len(grid[0]) * hq_pn_line(n, k, q)
+    dst = len(grid) * hq_pn_line(n, k + deg, q)
+    rank = _pn_mult_matrix(grid, n, k, q == n).rank() if src and dst else 0
+    return src - rank, dst - rank
+
+
 # ----------------------------------------------------------------------
 # Cotangent twists via the coordinate-differential sequence
 # ----------------------------------------------------------------------
-
-
-def _coordinate_map(n: int, k: int, top: bool) -> RationalMatrix:
-    """The map O(k)^(n+1) -> O(k+1) at level 0 or n, one block per coordinate."""
-    return _pn_mult_matrix([_coordinates(n)], n, k, top)
 
 
 def hq_pn_omega1(n: int, k: int, q: int) -> int:
@@ -173,43 +183,21 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
     computed connecting ranks."""
     if n not in (1, 2):
         raise ValueError("cotangent chase implemented for n = 1 and 2 only")
-    if not 0 <= q <= n:
-        raise ValueError(f"cohomology level {q} out of range for n={n}")
-    if q <= 1:  # the larger basis of each level built: level-0 maps land in O(k), level-n maps leave O(k-1)
-        _check_basis(n, k, False)
-    if q == n:
-        _check_basis(n, k - 1, True)
-
-    # 0 -> Omega^1(k) -> O(k-1)^(n+1) -> O(k) -> 0.  Line bundles on the
-    # line and the plane only have cohomology at levels 0 and n, so each
-    # level of Omega^1(k) is read off the level-0 and level-n maps.
-    value = 0
-    if q <= 1:
-        # level 0 is the kernel of the map on sections, and its cokernel
-        # is the part of level 1 that comes from below; a map from no
-        # sections has rank 0 by its shape, so it is not built
-        sections = hq_pn_line(n, k - 1, 0)
-        rank0 = _coordinate_map(n, k - 1, False).rank() if sections else 0
-        value = (n + 1) * sections - rank0 if q == 0 else hq_pn_line(n, k, 0) - rank0
-    if q == n:
-        phi = _coordinate_map(n, k - 1, True)
-        if phi.cokernel_dim() != 0:
-            raise InternalConsistencyError(
-                f"cotangent chase n={n}, k={k}: the level-{n} map is not onto, "
-                "but nothing sits above level n"
-            )
-        value += phi.kernel_dim()
-    return value
+    # 0 -> Omega^1(k) -> O(k-1)^(n+1) -> O(k) -> 0: level q of Omega^1(k) is
+    # the kernel of the level-q map plus the cokernel of the level-(q-1) map
+    grid = [_coordinates(n)]
+    kernel, cokernel = _level(grid, n, k - 1, q)
+    if q == n and cokernel:
+        raise InternalConsistencyError(
+            f"cotangent chase n={n}, k={k}: the level-{n} map is not onto, "
+            "but nothing sits above level n"
+        )
+    return kernel + (_level(grid, n, k - 1, q - 1)[1] if q else 0)
 
 
 # ----------------------------------------------------------------------
 # Tangent twists via the Euler sequence
 # ----------------------------------------------------------------------
-
-
-def _euler_top_map_p2(k: int) -> RationalMatrix:
-    """The stacked top-level multiplication H^2(O(k)) -> H^2(O(k+1))^3."""
-    return _pn_mult_matrix([[x] for x in _coordinates(2)], 2, k, True)
 
 
 def _bott_h1_tangent_p2(k: int) -> int:
@@ -240,9 +228,11 @@ def h1_tangent_pn_twist(n: int, k: int) -> int:
     if n == 1:
         return hq_pn_line(1, 2 + k, 1)
     if n == 2:
-        return _checked_against_bott(1, k, _euler_top_map_p2(k).kernel_dim(), _bott_h1_tangent_p2(k))
+        return _checked_against_bott(1, k, _level([[x] for x in _coordinates(2)], 2, k, 2)[0], _bott_h1_tangent_p2(k))
     # 0 -> O(k) -> O(k+1)^(n+1) -> T(k) -> 0: h^1(T(k)) sits between h^1(O(k+1))
     # and h^2(O(k)), middle cohomology of line bundles, which is 0 for 0 < q < n.
+    # This stays a shape argument: the chase's grid of n + 1 coordinates costs
+    # O(n^2) to write down, and n is unbounded (veronese:100000:2 answers at once).
     return 0
 
 
@@ -250,7 +240,7 @@ def h2_tangent_p2_twist(k: int) -> int:
     """h^2 of the twisted tangent sheaf on the plane: the cokernel of the
     same stacked top-level map used for h^1, checked against Bott's
     formula."""
-    return _checked_against_bott(2, k, _euler_top_map_p2(k).cokernel_dim(), _bott_h2_tangent_p2(k))
+    return _checked_against_bott(2, k, _level([[x] for x in _coordinates(2)], 2, k, 2)[1], _bott_h2_tangent_p2(k))
 
 
 # ----------------------------------------------------------------------

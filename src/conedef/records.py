@@ -9,11 +9,11 @@ constructor and the command line's descriptor parser all read
 refuses any other count.  Only a record that validates its input writes
 its own ``__init__`` and stores its values with ``_set``: the catalog
 entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``) and
-``SurfaceDivisor`` check their integers.  The matrices and rational
-functions (``RationalMatrix``, ``RationalFunction``) check their entries
-in their own constructors too, and subclass the mutable, unhashable
-:class:`Record`.  Nothing here generates code, so defining a record costs
-no more than defining any other class.
+``SurfaceDivisor`` check their integers, and ``RationalMatrix`` and
+``RationalFunction`` check their entries.  A record that holds a dict (a
+matrix's rows, a table's entries) compares by value but does not hash.
+Nothing here generates code, so defining a record costs no more than
+defining any other class.
 
 :func:`fraction_type` is the one check for an exact rational that does not
 load ``fractions``: :mod:`conedef.linalg` and :mod:`conedef.polynomials`
@@ -33,34 +33,14 @@ def fraction_type() -> type | tuple:
     return () if fractions is None else fractions.Fraction
 
 
-class Record:
-    """Equal to another record of the same class whose field values are
-    equal, never to a record of another class; unhashable, because its
-    fields may be reassigned."""
+class FrozenRecord:
+    """A record whose fields are set once, by ``_set`` in ``__init__``, and
+    refuse assignment afterwards.  It equals another record of the same
+    class whose field values are equal, never a record of another class,
+    and hashes by its field values."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({args})"
-
-
-class FrozenRecord(Record):
-    """A record whose fields are set once, by ``_set`` in ``__init__``, and
-    refuse assignment afterwards; it hashes by its field values."""
-
-    __slots__ = ()
 
     def __init__(self, *values: object) -> None:
         self._set(*values)
@@ -79,5 +59,17 @@ class FrozenRecord(Record):
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"

@@ -9,7 +9,7 @@ from conedef.atiyah import atiyah_cocycle_check, _transition_in_chart
 def test_two_space_passes():
     report = atiyah_cocycle_check(2)
     assert report.passed
-    assert report.triples == [(0, 1, 2)]
+    assert report.triples == ((0, 1, 2),)
     assert report.multiplicative_ok
     assert report.additive_ok
     assert report.degenerate_ok

@@ -636,6 +636,9 @@ _EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials"} | _NUMERIC_TOWER
         "t1 veronese:2:1 --weights -143..-143",
         "t1 veronese:2:1 --weights -142..857",
         "atiyah --n 12",
+        # every connecting map of these chases has an empty side, so none is built
+        "rigidity veronese:2:3",
+        "jacobian --d 6 --weight -1",
     ],
 )
 def test_closed_form_commands_load_no_exact_arithmetic(argv):
@@ -882,8 +885,8 @@ def test_subprocess_exit_codes():
 # ---- golden output per catalog class ------------------------------------
 
 # Large requests the budgets admit, also replayed in a bounded process: the
-# longest Euler block (d + 1 maps with an empty source), a wide traced graded
-# Jacobian, and the slowest request of each command near MAX_COST (0.4-1.6 s
+# widest restricted Euler grid (d + 1 blocks, none built: the map's source
+# is empty), a wide traced graded Jacobian, and the slowest request of each command near MAX_COST (0.4-1.6 s
 # end to end on a shared 2-core host; the certificate prints 34 MB).
 _LARGEST_ADMITTED = [
     ("jacobian --d 49999 --weight 0", 0, "0132f84cc947205949a0a29e1f4587e30c219cca3ccff3ad721887fc5b46bb9d", ""),

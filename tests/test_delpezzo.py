@@ -139,6 +139,9 @@ def test_certificates_are_deterministic():
     a = delpezzo_certificate(6).to_dict()
     b = delpezzo_certificate(6).to_dict()
     assert a == b
+    # the steps are a tuple, so a built certificate hashes and nothing can append to it
+    cert = delpezzo_certificate(6)
+    assert cert == delpezzo_certificate(6) and hash(cert) == hash(delpezzo_certificate(6))
 
 
 def test_validation():

@@ -5,7 +5,7 @@ oracles, never from the closed forms under test."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conedef import p1
+from conedef import projective
 from conedef.linalg import RationalMatrix, vstack
 from conedef.p1 import (
     basis,
@@ -176,15 +176,17 @@ def test_restricted_chase_agrees_with_splitting(d, m):
     assert euler_restricted_h1(d, m) == h1_split
 
 
-@pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 9) for m in range(-1, 3) if h_dim(1, m * d) == 0])
+@pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 9) for m in range(-1, 3)])
 def test_an_empty_source_builds_no_block(monkeypatch, d, m):
-    """Where h^1(O(m*d)) = 0 the block has no columns, so the chase reads
-    its rank 0 from the shape instead of building d + 1 empty maps."""
+    """Where h^1(O(m*d)) = 0 the level-1 map has no columns, and at m = -1
+    (d >= 2) its target h^1(O(0)) is empty, so the chase reads its rank 0
+    from the shape instead of building the map."""
 
-    def refuse(d, m):
-        raise AssertionError(f"built the empty block at d={d}, m={m}")
+    def refuse(grid, n, k, top):
+        raise AssertionError(f"built a map with an empty side at d={d}, m={m}")
 
-    monkeypatch.setattr(p1, "euler_h1_block", refuse)
+    assert h_dim(1, m * d) == 0 or h_dim(1, m * d + d) == 0
+    monkeypatch.setattr(projective, "_pn_mult_matrix", refuse)
     assert euler_restricted_h0(d, m) == d * line_h0_enumerated(d + 1 + m * d)
     assert euler_restricted_h1(d, m) == 0
 

@@ -1,6 +1,8 @@
 """Projective space cohomology, tangent/cotangent twists, Kunneth, and
 divisor arithmetic on blown-up planes."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +183,29 @@ def test_a_block_grid_is_its_blocks_stacked(case):
     assert projective._pn_mult_matrix(grid, n, k, top) == stacked
 
 
+@given(_block_maps())
+@settings(max_examples=150, deadline=None)
+def test_a_level_is_the_kernel_and_cokernel_of_its_map(case):
+    """_level reads level 0 and level n off the built map and a middle
+    level as (0, 0); a map with an empty side, a middle level's included,
+    it reads from its shape alone."""
+    n, k, _, grid = case
+
+    def refuse(*args):
+        raise AssertionError("built a map with an empty side")
+
+    for q in range(n + 1):
+        if 0 < q < n:
+            expected, empty = (0, 0), True
+        else:
+            built = projective._pn_mult_matrix(grid, n, k, q == n)
+            expected, empty = (built.kernel_dim(), built.cokernel_dim()), not (built.nrows and built.ncols)
+        assert projective._level(grid, n, k, q) == expected
+        if empty:
+            with mock.patch.object(projective, "_pn_mult_matrix", refuse):
+                assert projective._level(grid, n, k, q) == expected
+
+
 def test_a_coordinate_multiplies_into_an_integer_matrix():
     """x0 from O(1) to O(2) on the plane: ones only, the entries of the
     Euler and cotangent chases, with no Fraction built."""
@@ -245,6 +270,9 @@ def test_omega1_plane_serre_duality(k):
 def test_omega1_unsupported_dimension():
     with pytest.raises(ValueError):
         hq_pn_omega1(3, 0, 1)
+    for n, q in ((1, 2), (2, 3), (2, -1)):
+        with pytest.raises(ValueError, match=f"^cohomology level {q} out of range for n={n}$"):
+            hq_pn_omega1(n, 0, q)
 
 
 # ---- tangent twists ----------------------------------------------------

@@ -7,6 +7,8 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
   enumerator: every basis is priced against ``MAX_BASIS`` first);
 * no ``hstack``/``vstack`` outside ``linalg.py`` (one builder assembles
   every block map);
+* no ``kernel_dim``/``cokernel_dim`` call outside ``linalg.py`` (every
+  chase reads its connecting maps through ``projective._level``);
 * no module-level ``*MAX_*`` name outside ``projective.py`` (the budget
   policy);
 * no module-level import of ``fractions`` in any module, nor of
@@ -142,6 +144,9 @@ RULES: dict[str, Rule] = {
     "dataclasses": _walk_rule(_dataclasses),
     "basis-enumerator": _walk_rule(lambda name, n: name != "projective.py" and "_pn_monomials" in _named(n)),
     "stacking": _walk_rule(lambda name, n: name != "linalg.py" and bool({"hstack", "vstack"} & _named(n))),
+    "kernel-count": _walk_rule(
+        lambda name, n: name != "linalg.py" and isinstance(n, ast.Call) and bool({"kernel_dim", "cokernel_dim"} & _named(n.func))
+    ),
     "budget": _per_module(budget_names),
     "deferred-import": _per_module(deferred_imports),
     "forwarding-init": forwarding_constructors,
@@ -189,6 +194,8 @@ PLANTED = [
         class Result(FrozenRecord):
             pass
     """),
+    ("kernel-count", "p1.py", "# planted\nh1 = block.cokernel_dim()\n"),
+    ("kernel-count", "projective.py", "# planted\nh0 = kernel_dim(m)\n"),
 ]
 
 
