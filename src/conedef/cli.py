@@ -11,22 +11,9 @@ one exception is ``t1 --format csv``, which prints its table itself and
 carries no trace, so ``main`` refuses it together with the trace switch.
 
 A request is priced from closed forms and refused before anything is built
-when it is over a budget of :mod:`conedef.projective`:
-
-``MAX_BASIS`` = 10^4  monomials in one basis, wherever it is built
-``MAX_COST`` = 10^5   units of work: a nonzero of a map built, a loop step
-
-``t1`` costs the sum of ``Variety.cost(m)`` over its window: a row, plus
-3 h^2(O(dm)) Euler nonzeros on the plane.  A certificate ``rigidity`` costs
-one unit per replayed step (``delpezzo._twist_steps``), a numeric verdict
-its witness weight alone.  ``jacobian`` costs C(d, 2)(d + 1) partials for ``--dump-matrix``; in weight
-m, (d + 1) h^1(O(dm)) Euler entries plus, traced, C(d, 2)(d + 1)
-h^0(O(d(m + 1))) graded ones, an empty block counting one.  ``atiyah``
-costs C(n + 1, 3) 3n^2.  The slowest admitted requests found take, end to
-end on a shared 2-core host: ``t1 veronese:2:1 --weights -142..-140`` 0.3 s,
-``rigidity delpezzo:8 --weights -16667..0`` 1.7 s (mostly printing 34 MB,
-streamed by ``main``: 64 MB peak RSS),
-``jacobian --d 9 --weight -1100 --trace`` 0.5 s and ``atiyah --n 11`` 0.6 s.
+when it is over a budget of :mod:`conedef.projective` (``MAX_BASIS``,
+``MAX_COST``).  README's cost table is the one account of what each
+command costs.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
 window, curve degree below 2, a trace asked of ``--format csv``, or a request
@@ -119,7 +106,7 @@ def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     trace = [
         f"order {args.order}: weight-m piece is level-{args.order} tangent cohomology "
         "twisted by the m-th polarization power",
-        f"rule: {variety.rule(args.order)}",
+        f"rule: {variety.rule()}",
         *(f"weight {m}: dimension {table.entries[m]}" for m in weights),
     ] if args.trace else None
     return {"variety": args.variety, "weights": f"{lo}..{hi}", "order": args.order}, result, trace
@@ -142,7 +129,7 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
     }
     if verdict.certificate is not None:
         result["certificate"] = verdict.certificate.to_dict()
-    trace = [f"rule: {variety.rule(1)}"] if args.trace else None
+    trace = [f"rule: {variety.rule()}"] if args.trace else None
     return {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, trace
 
 
@@ -151,7 +138,7 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
         raise UsageError("curve degree must be at least 2 (degree 1 has no equations)")
     if (args.weight is None) == (not args.dump_matrix):
         raise UsageError("choose exactly one of --weight <m> or --dump-matrix")
-    partials = comb(args.d, 2) * (args.d + 1)  # priced as in the module docstring
+    partials = comb(args.d, 2) * (args.d + 1)  # priced as in README's cost table
     if args.weight is None:
         check_cost(partials)
     else:

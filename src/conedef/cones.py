@@ -1,12 +1,11 @@
-"""Graded first and second deformation counts for affine cones over a
-small catalog of polarized varieties.
+"""Graded counts h^q(T_Y (x) L^m), q in {1, 2}, for affine cones over a
+small catalog of polarized varieties (Y, L).
 
 The catalog covers exactly the geometries the lower-level machinery can
 handle honestly:
 
-* n-space embedded by degree-d forms, n in {1, 2} for second-order
-  counts, any n for first-order ones; the line (n = 1) gives the rational
-  normal curve of degree d;
+* n-space embedded by degree-d forms, n in {1, 2} for h^2, any n for
+  h^1; the line (n = 1) gives the rational normal curve of degree d;
 * a product of two lines with a product polarization of bidegree (a, b),
   the smooth quadric surface among them;
 * blown-up planes polarized anticanonically -- for these the engine only
@@ -15,22 +14,25 @@ handle honestly:
 
 The count in weight m depends only on the pair (Y, L), so each pair has
 one class implementing the :class:`Variety` protocol: one entry, one
-equality, one hash.  :data:`CATALOG` maps descriptor names to constructors;
-``rnc:<d>`` and ``segre:<d>`` are aliases whose named constructors
-:func:`RationalNormalCurve` and :func:`SegreQuadric` return a
-``VeroneseSpace(1, d)`` and a ``ProductPolarization(d, d)``.  The
-module-level functions below dispatch through the protocol methods.
+equality, one hash, one count method ``h(q, m)``.  :data:`CATALOG` maps
+descriptor names to constructors; ``rnc:<d>`` and ``segre:<d>`` are
+aliases whose named constructors :func:`RationalNormalCurve` and
+:func:`SegreQuadric` return a ``VeroneseSpace(1, d)`` and a
+``ProductPolarization(d, d)``.  The module-level functions below read the
+protocol methods; the caller picks the order q (``t1_weight`` or
+``t2_weight``, ``t1_table`` or ``t2_table``) and it is passed to ``h``,
+never dispatched again.
 
-Weight conventions: the count in weight m is h^1(T_Y (x) L^m) (or h^2
-for second order), the cohomology of the variety's tangent sheaf twisted
-by the m-th power of the polarization.  It equals the weight-m piece of
-the cone's own T^1 where ``corollary_flags(v, m).clean`` holds, i.e.
-where L^m has neither first nor second cohomology; elsewhere the two can
-differ (the product of two lines in bidegree (1, 1), the threefold node,
-gives 2 here in weight -2 against its T^1 of 1, the gap being the h^2 of
-L^-2).  Negative weights are the smoothing directions; the weight-0 piece
-carries the quotient by the scaling vector field when assembled into the
-full graded space.
+Weight conventions: the count in weight m is h^1(T_Y (x) L^m), the
+cohomology of the variety's tangent sheaf twisted by the m-th power of the
+polarization, and h^2(T_Y (x) L^m) is its obstruction companion (not the
+cone's own T^2).  The h^1 equals the weight-m piece of the cone's own T^1
+where ``corollary_flags(v, m).clean`` holds, i.e. where L^m has neither
+first nor second cohomology; elsewhere the two can differ (the product of
+two lines in bidegree (1, 1), the threefold node, gives 2 here in weight
+-2 against its T^1 of 1, the gap being the h^2 of L^-2).  Negative weights
+are the smoothing directions; the weight-0 piece carries the quotient by
+the scaling vector field when assembled into the full graded space.
 
 Plane counts are cross-checked against Bott's formula; a mismatch raises.
 No rigidity verdict is read off a window: each numeric entry has a closed
@@ -60,6 +62,11 @@ class OutOfScopeError(Exception):
 _CERTIFICATE_ONLY = "blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate"
 
 
+def _check_order(q: int) -> None:
+    if q not in (1, 2):
+        raise ValueError(f"the counts are h^1 and h^2 of the twisted tangent sheaf, not h^{q}")
+
+
 class Variety(FrozenRecord):
     """A catalog entry: a frozen record whose field tuple ``_fields`` names,
     in order, the integers of its descriptor ``<name>:<field>:...``, with
@@ -73,19 +80,23 @@ class Variety(FrozenRecord):
 
     __slots__ = ()
 
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            if type(value) is not int:
+                raise TypeError(f"{type(self).__name__} field {name} must be an int, got {value!r}")
+        super()._set(*values)
+
     def describe(self) -> str:
         return ":".join([_NAMES[type(self)], *map(str, self._values())])
 
-    def t1(self, m: int) -> int:
-        """First tangent cohomology twisted by the m-th polarization power."""
+    def h(self, q: int, m: int) -> int:
+        """h^q(T_Y (x) L^m) for q in {1, 2}: tangent cohomology twisted by
+        the m-th polarization power."""
+        _check_order(q)
         raise OutOfScopeError(_CERTIFICATE_ONLY)
 
-    def t2(self, m: int) -> int:
-        """Second tangent cohomology twisted by the m-th polarization power."""
-        raise OutOfScopeError(_CERTIFICATE_ONLY)
-
-    def rule(self, order: int) -> str:
-        """How the weight-m piece of the given order is computed."""
+    def rule(self) -> str:
+        """How the weight-m count is computed."""
         return "certificate-only"
 
     def closed_form_rigidity(self) -> tuple[Optional[int], str]:
@@ -109,26 +120,24 @@ class VeroneseSpace(Variety):
     __slots__ = _fields = ("n", "d")
 
     def __init__(self, n: int, d: int) -> None:
+        self._set(n, d)
         if n < 1 or d < 1:
             raise ValueError("curve degree d must be at least 1" if n == 1 else "need n >= 1 and d >= 1")
-        self._set(n, d)
 
-    def t1(self, m: int) -> int:
-        return projective.h1_tangent_pn_twist(self.n, self.d * m)
-
-    def t2(self, m: int) -> int:
-        if self.n == 1:
-            return 0
-        if self.n == 2:
-            return projective.h2_tangent_p2_twist(self.d * m)
-        raise OutOfScopeError("second-order counts cover n = 1 and n = 2 only")
+    def h(self, q: int, m: int) -> int:
+        _check_order(q)
+        if q == 1:
+            return projective.h1_tangent_pn_twist(self.n, self.d * m)
+        if self.n > 2:
+            raise OutOfScopeError("second-order counts cover n = 1 and n = 2 only")
+        return projective.h2_tangent_p2_twist(self.d * m) if self.n == 2 else 0
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         k = self.d * m
         h2 = projective.hq_pn_line(self.n, k, 2) if self.n >= 2 else 0
         return projective.hq_pn_line(self.n, k, 1), h2
 
-    def rule(self, order: int) -> str:
+    def rule(self) -> str:
         if self.n == 1:
             return "line model: the tangent sheaf is O(2)"
         if self.n == 2:
@@ -156,22 +165,20 @@ class ProductPolarization(Variety):
     __slots__ = _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
+        self._set(a, b)
         if a < 1 or b < 1:
             raise ValueError("both bidegrees must be at least 1")
-        self._set(a, b)
 
-    def t1(self, m: int) -> int:
-        a, b = self.a, self.b
-        return projective.h1_bidegree(2 + m * a, m * b) + projective.h1_bidegree(m * a, 2 + m * b)
-
-    def t2(self, m: int) -> int:
-        a, b = self.a, self.b
-        return projective.h2_bidegree(2 + m * a, m * b) + projective.h2_bidegree(m * a, 2 + m * b)
+    def h(self, q: int, m: int) -> int:
+        _check_order(q)
+        hq = projective.h1_bidegree if q == 1 else projective.h2_bidegree
+        a, b = m * self.a, m * self.b
+        return hq(2 + a, b) + hq(a, 2 + b)
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         return projective.h1_bidegree(m * self.a, m * self.b), projective.h2_bidegree(m * self.a, m * self.b)
 
-    def rule(self, order: int) -> str:
+    def rule(self) -> str:
         return "Kunneth on the split tangent sheaf of the product of two lines"
 
     def closed_form_rigidity(self) -> tuple[Optional[int], str]:
@@ -191,9 +198,9 @@ class BlownUpPlane(Variety):
     __slots__ = _fields = ("r",)
 
     def __init__(self, r: int) -> None:
+        self._set(r)
         if not 1 <= r <= 8:
             raise ValueError("r must be between 1 and 8")
-        self._set(r)
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         """First cohomology of every anticanonical power vanishes (duality
@@ -250,14 +257,14 @@ def t1_weight(v: Variety, m: int) -> int:
     tangent cohomology twisted by the m-th polarization power.  It is the
     weight-m piece of the cone's T^1 where ``corollary_flags(v, m).clean``
     holds.  Blown-up planes are certificate-only and raise."""
-    return v.t1(m)
+    return v.h(1, m)
 
 
 def t2_weight(v: Variety, m: int) -> int:
-    """Dimension of the weight-m second-order obstruction space (second
-    tangent cohomology twisted by the m-th polarization power).  Only
-    curves and the surfaces with a computable model are in scope."""
-    return v.t2(m)
+    """h^2(T_Y (x) L^m) for the catalog entry v = (Y, L), the companion of
+    :func:`t1_weight`; it is not the cone's T^2.  Only curves, the plane
+    and the products of two lines are in scope."""
+    return v.h(2, m)
 
 
 class GradedTable(FrozenRecord):
@@ -276,8 +283,7 @@ def _check_window(m_lo: int, m_hi: int) -> None:
 
 def _table(v: Variety, order: int, m_lo: int, m_hi: int) -> GradedTable:
     _check_window(m_lo, m_hi)
-    count = t1_weight if order == 1 else t2_weight
-    return GradedTable(v.describe(), order, m_lo, m_hi, {m: count(v, m) for m in projective.priced_window(m_lo, m_hi, v.cost)})
+    return GradedTable(v.describe(), order, m_lo, m_hi, {m: v.h(order, m) for m in projective.priced_window(m_lo, m_hi, v.cost)})
 
 
 def t1_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:

@@ -60,14 +60,7 @@ class CertStep(FrozenRecord):
     __slots__ = _fields = ("term", "claimed", "computed", "rule", "anchor", "status")
 
     def to_dict(self) -> dict:
-        return {
-            "term": self.term,
-            "claimed": self.claimed,
-            "computed": self.computed,
-            "rule": self.rule,
-            "anchor": self.anchor,
-            "status": self.status.value,
-        }
+        return {name: getattr(self, name) for name in self._fields} | {"status": self.status.value}
 
 
 class Certificate(FrozenRecord):

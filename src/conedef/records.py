@@ -8,7 +8,8 @@ constructor and the command line's descriptor parser all read
 ``FrozenRecord.__init__`` takes one value per field, positionally, and
 refuses any other count.  Only a record that validates its input writes
 its own ``__init__`` and stores its values with ``_set``: the catalog
-entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``) and
+entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``),
+whose ``Variety._set`` refuses a field that is not an int, and
 ``SurfaceDivisor`` check their integers, and ``RationalMatrix`` and
 ``RationalFunction`` check their entries.  A record that holds a dict (a
 matrix's rows, a table's entries) compares by value but does not hash.

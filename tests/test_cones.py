@@ -24,7 +24,7 @@ from conedef.delpezzo import Verdict, delpezzo_certificate
 from conedef.projective import OverBudgetError
 from conedef.p1 import h_dim
 
-from oracles import bidegree_h1_enumerated, line_h1_enumerated
+from oracles import bidegree_h1_enumerated, bott_hq_omega, line_h1_enumerated
 
 
 # ---- first-order counts ------------------------------------------------
@@ -93,6 +93,59 @@ def test_product_polarization_asymmetric():
     assert t1_weight(ProductPolarization(2, 2), -1) == 2
     # asymmetric polarizations can contribute in several weights
     assert t1_weight(ProductPolarization(1, 2), -2) == bidegree_h1_enumerated(0, -4) + bidegree_h1_enumerated(-2, -2)
+
+
+def _oracle_h(v, q, m):
+    """h^q(T_Y (x) L^m) by a route independent of the engine: Bott on
+    n-space (the tangent sheaf is Omega^(n-1)(n+1)), enumeration on the
+    line (the tangent sheaf is O(2), and a curve has no h^2), and Kunneth
+    by enumeration on the product of two lines (T = O(2,0) + O(0,2))."""
+    if isinstance(v, ProductPolarization):
+        a, b = m * v.a, m * v.b
+        if q == 1:
+            return bidegree_h1_enumerated(2 + a, b) + bidegree_h1_enumerated(a, 2 + b)
+        return line_h1_enumerated(2 + a) * line_h1_enumerated(b) + line_h1_enumerated(a) * line_h1_enumerated(2 + b)
+    if v.n == 1:
+        return line_h1_enumerated(2 + v.d * m) if q == 1 else 0
+    return bott_hq_omega(v.n, v.n - 1, q, v.d * m + v.n + 1)
+
+
+# every numeric entry with n, d, a, b <= 4 (and n = 5), at each order it computes
+NUMERIC = [
+    *((VeroneseSpace(n, d), q) for n in range(1, 6) for d in range(1, 5) for q in (1, 2) if q == 1 or n <= 2),
+    *((ProductPolarization(a, b), q) for a in range(1, 5) for b in range(1, 5) for q in (1, 2)),
+]
+
+
+@pytest.mark.parametrize("v,q", NUMERIC, ids=[f"{v.describe()}-h{q}" for v, q in NUMERIC])
+def test_counts_match_independent_oracles(v, q):
+    count = t1_weight if q == 1 else t2_weight
+    weights = range(-8, 4)
+    assert [count(v, m) for m in weights] == [_oracle_h(v, q, m) for m in weights]
+
+
+@pytest.mark.parametrize("v", [VeroneseSpace(1, 3), VeroneseSpace(2, 2), VeroneseSpace(3, 2), SegreQuadric(2), BlownUpPlane(6)])
+@pytest.mark.parametrize("q", [-1, 0, 3])
+def test_h_refuses_any_order_but_one_and_two(v, q):
+    with pytest.raises(ValueError, match=f"not h\\^{q}$"):
+        v.h(q, -1)
+
+
+@pytest.mark.parametrize(
+    "make,values",
+    [
+        (VeroneseSpace, (True, 3)),
+        (VeroneseSpace, (2.0, 3)),
+        (VeroneseSpace, (2, "3")),
+        (RationalNormalCurve, (0.5,)),
+        (ProductPolarization, (1, 2.5)),
+        (SegreQuadric, (False,)),
+        (BlownUpPlane, (6.0,)),
+    ],
+)
+def test_catalog_fields_must_be_ints(make, values):
+    with pytest.raises(TypeError, match="must be an int, got"):
+        make(*values)
 
 
 def test_delpezzo_never_returns_bare_numbers():
