@@ -2,71 +2,39 @@
 cones over polarized projective varieties, with replay certificates for
 the published vanishing argument on anticanonical cones.
 
-All arithmetic is exact and integer first: polynomials and matrices hold
-ints, and a Fraction only where a caller passes one in, so no command
-loads ``fractions``.  Every rank that enters a dimension count is computed
-by elimination, never assumed maximal, with two structural exceptions: a
+All arithmetic is exact and integer first: polynomials hold int
+coefficients, the package builds integer matrices, and only reduction to
+echelon form makes a Fraction, so no command loads ``fractions``.  Every
+rank that enters a dimension count is computed by elimination, never
+assumed maximal, with two structural exceptions: a
 map with an empty source or target has rank 0 by its shape, and the
 level-0 map of the curve's restricted Euler sequence is injective, since
 it multiplies sections by nonzero forms.
+
+``_EXPORTS`` maps each defining module to the names exported from it, and
+each resolves on first use, so ``import conedef`` loads none of them.
 """
 
-from .cones import (
-    CATALOG,
-    BlownUpPlane,
-    GradedAssembly,
-    GradedTable,
-    InternalConsistencyError,
-    OutOfScopeError,
-    ProductPolarization,
-    RationalNormalCurve,
-    RigidityVerdict,
-    SegreQuadric,
-    Variety,
-    VeroneseSpace,
-    pinkham_assembly,
-    rigidity_verdict,
-    t1_table,
-    t2_table,
-)
-from .projective import OverBudgetError
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATALOG",
-    "BlownUpPlane",
-    "GradedAssembly",
-    "GradedTable",
-    "InternalConsistencyError",
-    "OutOfScopeError",
-    "OverBudgetError",
-    "ProductPolarization",
-    "RationalNormalCurve",
-    "RigidityVerdict",
-    "SegreQuadric",
-    "Variety",
-    "VeroneseSpace",
-    "pinkham_assembly",
-    "rigidity_verdict",
-    "t1_table",
-    "t2_table",
-    "Certificate",
-    "CertStep",
-    "StepStatus",
-    "Verdict",
-    "delpezzo_certificate",
-    "__version__",
-]
-
-# The del Pezzo layer is imported on first use, so a command that never
-# asks for a certificate does not pay for loading it.
-_DELPEZZO = {"Certificate", "CertStep", "StepStatus", "Verdict", "delpezzo_certificate"}
+_EXPORTS = {
+    "cones": ("CATALOG", "BlownUpPlane", "GradedAssembly", "GradedTable", "OutOfScopeError", "ProductPolarization",
+              "RationalNormalCurve", "RigidityVerdict", "SegreQuadric", "Variety", "VeroneseSpace",
+              "pinkham_assembly", "rigidity_verdict", "t1_table", "t2_table"),
+    "projective": ("InternalConsistencyError", "OverBudgetError"),
+    "delpezzo": ("Certificate", "CertStep", "StepStatus", "Verdict", "delpezzo_certificate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):
-    if name in _DELPEZZO:
-        from . import delpezzo
-
-        return getattr(delpezzo, name)
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_HOME]

@@ -18,7 +18,7 @@ command costs.
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
 window, curve degree below 2, a trace asked of ``--format csv``, or a request
 over either budget), 3 for well-formed requests the engine refuses to answer
-with bare numbers (certificate-only geometries, second-order counts outside
+with bare numbers (certificate-only geometries, h^2(T_Y (x) L^m) outside
 the curve/surface catalog), 4 when two routes to the same number disagreed
 at run time (an internal error, reported as a one-line ``internal error: ...``
 on stderr instead of a number), 141 (``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE)
@@ -104,8 +104,7 @@ def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
         "nonzero_weights": table.nonzero_weights(),
     }
     trace = [
-        f"order {args.order}: weight-m piece is level-{args.order} tangent cohomology "
-        "twisted by the m-th polarization power",
+        f"order {args.order}: weight m counts h^{args.order}(T_Y (x) L^m)",
         f"rule: {variety.rule()}",
         *(f"weight {m}: dimension {table.entries[m]}" for m in weights),
     ] if args.trace else None
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     traced = argparse.ArgumentParser(add_help=False)
     traced.add_argument("--trace", action="store_true", help="include a computation trace (or set CONEDEF_TRACE=1)")
 
-    p_t1 = sub.add_parser("t1", parents=[traced], help="graded first/second order deformation table")
+    p_t1 = sub.add_parser("t1", parents=[traced], help="weight table of h^q(T_Y (x) L^m), q = --order")
     p_t1.add_argument("variety", help=" | ".join(_DESCRIPTORS))
     p_t1.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default -6..3)")
     p_t1.add_argument("--order", type=int, choices=(1, 2), default=1)

@@ -129,7 +129,7 @@ class VeroneseSpace(Variety):
         if q == 1:
             return projective.h1_tangent_pn_twist(self.n, self.d * m)
         if self.n > 2:
-            raise OutOfScopeError("second-order counts cover n = 1 and n = 2 only")
+            raise OutOfScopeError("h^2(T_Y (x) L^m) is computed for n = 1 and n = 2 only")
         return projective.h2_tangent_p2_twist(self.d * m) if self.n == 2 else 0
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
@@ -248,7 +248,7 @@ _NAMES = {make: name for name, (make, _) in CATALOG.items()}
 
 
 # ----------------------------------------------------------------------
-# First- and second-order counts
+# The counts h^1 and h^2 of T_Y (x) L^m
 # ----------------------------------------------------------------------
 
 

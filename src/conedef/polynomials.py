@@ -1,16 +1,13 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-A polynomial is a dict from exponent tuples to nonzero exact scalars: an
-``int``, or a ``Fraction`` where a caller passed one in (a ``bool`` is
-stored as its int; anything else is refused with ``TypeError``).  The
-package's own polynomials never need one: the curve's 2x2 minors have
+A polynomial is a dict from exponent tuples to nonzero ``int``
+coefficients (a ``bool`` is stored as its int; anything else, a
+``Fraction`` or a ``float`` included, is refused with ``TypeError``).  No
+coefficient the package makes needs more: the curve's 2x2 minors have
 coefficients +-1, a derivative multiplies by an exponent, a substitution
 multiplies monomials, and :class:`RationalFunction` cross-multiplies
-instead of dividing, so this module imports no ``fractions``.  An int and
-a Fraction of the same value compare, hash and print alike, so a
-polynomial does not depend on which of the two it holds.  Exponents may be
-negative where a caller wants Laurent monomials -- the arithmetic does not
-care.
+instead of dividing.  Exponents may be negative where a caller wants
+Laurent monomials -- the arithmetic does not care.
 
 Printing uses graded reverse lexicographic order (variables x0 < x1 < ...):
 a term beats another if its total degree is larger, or, at equal degree, if
@@ -22,23 +19,18 @@ relies on for stable golden output.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .records import FrozenRecord, fraction_type
-
-if TYPE_CHECKING:
-    from .linalg import Scalar
+from .records import FrozenRecord
 
 Exponents = tuple[int, ...]
 
 
-def _scalar(x: object) -> Scalar:
-    """An exact scalar as stored: an int (a bool becomes its int) or a Fraction."""
+def _scalar(x: object) -> int:
+    """A coefficient as stored: an int (a bool becomes its int)."""
     if isinstance(x, int):
         return int(x)
-    if isinstance(x, fraction_type()):
-        return x
-    raise TypeError(f"exact scalars must be int or Fraction, got {type(x).__name__}")
+    raise TypeError(f"polynomial coefficients must be int, got {type(x).__name__}")
 
 
 def degrevlex_cmp(a: Exponents, b: Exponents) -> int:
@@ -61,11 +53,11 @@ class Polynomial:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[Exponents, Scalar] = {}
+        clean: dict[Exponents, int] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(map(int, exps))
             if len(exps) != nvars:
@@ -84,7 +76,7 @@ class Polynomial:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, c: Scalar) -> "Polynomial":
+    def constant(cls, nvars: int, c: int) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -96,7 +88,7 @@ class Polynomial:
         return cls(nvars, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
+    def monomial(cls, nvars: int, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
         return cls(nvars, {tuple(exps): coeff})
 
     # ---- predicates / structure --------------------------------------
@@ -132,7 +124,7 @@ class Polynomial:
             raise ValueError("polynomial is zero or not homogeneous")
         return degs.pop()
 
-    def coefficient(self, exps: Sequence[int]) -> Scalar:
+    def coefficient(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
     def monomials(self) -> list[Exponents]:
@@ -158,19 +150,19 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
+    def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = _scalar(other)
             return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_compatible(other)
-        out: dict[Exponents, Scalar] = {}
+        out: dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.nvars, out)
 
-    def __rmul__(self, other: Scalar) -> "Polynomial":
+    def __rmul__(self, other: int) -> "Polynomial":
         return self * other
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -185,7 +177,7 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        out: dict[Exponents, Scalar] = {}
+        out: dict[Exponents, int] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue

@@ -23,9 +23,9 @@ As in :mod:`conedef.projective`, :mod:`conedef.linalg` and
 matrix or a polynomial, so importing this module, as the command line does
 for every command, loads neither.  The generators, their partials and
 their normal forms have int coefficients, so the graded Jacobian is an
-integer matrix and no command loads ``fractions``; only the coordinate
-vectors of :func:`coefficients_in_grade` and
-:func:`euler_derivation_vector` are Fractions.
+integer matrix, the coordinate vectors of :func:`coefficients_in_grade` and
+:func:`euler_derivation_vector` are int lists, and no command loads
+``fractions``.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .projective import InternalConsistencyError, _pn_mult_matrix
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .polynomials import Polynomial
 
 Monomial2 = tuple[int, int]
@@ -132,14 +130,12 @@ def normal_form(d: int, p: Polynomial) -> Polynomial:
     return p.substitute(substitution_images(d))
 
 
-def coefficients_in_grade(d: int, q: Polynomial, k: int) -> list[Fraction]:
+def coefficients_in_grade(d: int, q: Polynomial, k: int) -> list[int]:
     """Coordinates of a binary form on s_basis(d, k).  The form must be
     supported in degree d*k (the zero form is fine in any grade)."""
-    from fractions import Fraction
-
     mons = s_basis(d, k)
     index = {m: i for i, m in enumerate(mons)}
-    out = [Fraction(0)] * len(mons)
+    out = [0] * len(mons)
     for exps, coeff in q.terms.items():
         if exps not in index:
             raise ValueError(f"monomial {exps} is not in the grade-{k} piece")
@@ -193,19 +189,17 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
     return GradedJacobian(d, m, matrix, src_dim, dst_dim)
 
 
-def euler_derivation_vector(d: int, m: int = 0) -> list[Fraction]:
+def euler_derivation_vector(d: int, m: int = 0) -> list[int]:
     """The coordinate vector of the weight-0 derivation sending each z_i to
     itself, in the source ordering of graded_jacobian_map(d, 0).  Only
     weight 0 carries it."""
-    from fractions import Fraction
-
     if m != 0:
         raise ValueError("the scaling derivation lives in weight 0 only")
     src_mons = s_basis(d, 1)
-    vec = [Fraction(0)] * ((d + 1) * len(src_mons))
+    vec = [0] * ((d + 1) * len(src_mons))
     for i in range(d + 1):
         mono = (d - i, i)
-        vec[i * len(src_mons) + src_mons.index(mono)] = Fraction(1)
+        vec[i * len(src_mons) + src_mons.index(mono)] = 1
     return vec
 
 

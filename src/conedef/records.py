@@ -17,9 +17,9 @@ Nothing here generates code, so defining a record costs no more than
 defining any other class.
 
 :func:`fraction_type` is the one check for an exact rational that does not
-load ``fractions``: :mod:`conedef.linalg` and :mod:`conedef.polynomials`
-compute over the integers and accept a ``Fraction`` only where a caller
-brought one in.
+load ``fractions``: :mod:`conedef.linalg` computes over the integers and
+holds a ``Fraction`` entry only where a caller brought one in or reduction
+to echelon form made one.  A polynomial holds int coefficients only.
 """
 
 from __future__ import annotations

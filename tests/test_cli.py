@@ -9,7 +9,7 @@ import math
 import os
 import subprocess
 import sys
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 import jsonschema
@@ -226,7 +226,7 @@ def test_t1_delpezzo_is_out_of_scope(capsys):
 def test_t1_t2_higher_veronese_out_of_scope(capsys):
     code, _, _ = run_cli(capsys, "t1", "veronese:3:2", "--order", "2")
     assert code == 3
-    # first-order is fine there
+    # h^1 is computed there
     env = run_json(capsys, "t1", "veronese:3:2", "--weights", "-2..0")
     assert env["result"]["table"] == {"-2": 0, "-1": 0, "0": 0}
 
@@ -443,7 +443,7 @@ def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
     m = -4 - MAX_BASIS
     assert run_json(capsys, "t1", "rnc:1", "--weights", f"{m}..{m}")["result"]["table"] == {str(m): MAX_BASIS + 1}
     assert run_json(capsys, "rigidity", f"rnc:{10**18}")["result"]["witness"] == {"weight": -1, "dim": 10**18 - 3}
-    # second-order counts on a curve are a closed form and build nothing
+    # h^2 counts on a curve are a closed form and build nothing
     assert run_json(capsys, "t1", "rnc:1000000000", "--order", "2")["result"]["nonzero_weights"] == []
     # the plane's top-level basis in twist -142 has C(141, 2) = 9870 monomials, in -143 C(142, 2) = 10011,
     # in -144 C(143, 2) = 10153; its Euler top map adds 3 nonzeros per monomial to the weight's row
@@ -696,6 +696,26 @@ def test_every_exported_name_resolves():
         conedef.no_such_name
 
 
+def test_the_root_loads_nothing_and_resolves_each_name_to_its_home():
+    """``import conedef`` loads no module of the package; each export is
+    the object of the module ``_EXPORTS`` keys it by, which defines it
+    rather than re-exports it, and ``__all__`` names it once."""
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
+    probe = "import sys, conedef; print(*(m for m in sys.modules if m.startswith('conedef.')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+    assert len(set(conedef.__all__)) == len(conedef.__all__)
+    assert set(conedef.__all__) <= set(dir(conedef))
+    exported = [name for names in conedef._EXPORTS.values() for name in names]
+    assert sorted(conedef.__all__) == sorted([*exported, "__version__"])
+    for module, names in conedef._EXPORTS.items():
+        home = import_module(f"conedef.{module}")
+        for name in names:
+            value = getattr(conedef, name)
+            assert value is getattr(home, name), name
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name  # CATALOG, a dict, has none
+
+
 def test_bott_h1_spike_mismatch_is_exit_4(capsys, monkeypatch):
     # the Euler chase on the plane is checked against Bott's h^1 spike at
     # k = -3; moving the spike to k = -4 makes the two disagree there
@@ -904,23 +924,23 @@ _LARGEST_ADMITTED = [
 # per-class rule strings, rigidity notes, window_independent flags and the
 # two-route jacobian trace byte for byte.
 GOLDEN = [
-    ("t1 rnc:4 --trace", 0, "4ac24f978d97320220b27b1271b7fcd9fb58f312dd4f4c57262a21970d6e80c2", ""),
-    ("t1 rnc:4 --order 2 --trace", 0, "d27b06e0e087d2717fddad535f61edaf0ce27054388f86c707d6bf1745154d4b", ""),
+    ("t1 rnc:4 --trace", 0, "c4645d86babfcb0247cc7bdfb93d298fa3a7d54939ba0a9afade2206399389d2", ""),
+    ("t1 rnc:4 --order 2 --trace", 0, "d09465907d507ee317f167c838f5532d2e86d2c9f1d9a9c4712c79c9cc85c12f", ""),
     ("rigidity rnc:4 --trace", 0, "8869ad2411f9d0de87c2fcc917f36612957d5dfa3dd534e87a11a54c7f666fea", ""),
-    ("t1 veronese:1:3 --trace", 0, "aa6c380d955b2a9b209c466b0a2cb68d87be9e2c057a7230e247293816983ace", ""),
-    ("t1 veronese:1:3 --order 2 --trace", 0, "7e7f4f6613ad50c033cf63f580eab6842fbba05196555c16bd1178078baef2f5", ""),
+    ("t1 veronese:1:3 --trace", 0, "8a0f430b58bdd849a13327828c1329854def81628b2c34bc358d43944c6a9fe4", ""),
+    ("t1 veronese:1:3 --order 2 --trace", 0, "4bc37db696f7b05a2aff53eabd7c62f8899128c2f5e20284fe24f571e584994a", ""),
     ("rigidity veronese:1:3 --trace", 0, "42dc6a548288fc3d7b28acf05828b8d63d2a0a8997793d0bce16871079fc8463", ""),
-    ("t1 veronese:2:3 --trace", 0, "800fd2adc8a039e59dc0d0a8ea1238d5b1d8006617650b9de931ff260645e7c0", ""),
-    ("t1 veronese:2:3 --order 2 --trace", 0, "4c5fe7d074aceceabdd2c9723ced321204a7959ed7a50df5d694778e19f2f81a", ""),
+    ("t1 veronese:2:3 --trace", 0, "f731ae0bbeaec0979c4230e257f4f18e341c34fcd4f9b74693922eaeac01680c", ""),
+    ("t1 veronese:2:3 --order 2 --trace", 0, "cc3078013985bb12a4b11315f7f805fb2b574c1b1082f8244492ef01f760ffea", ""),
     ("rigidity veronese:2:3 --trace", 0, "13f8f44131ddbb32b781dff8a86dbaa7741b7c7beb515838ee98e8256545df1a", ""),
-    ("t1 veronese:3:2 --trace", 0, "7d88d9c168173b06905787b0aa471435d61cca577da77e8219eb7645b457a81f", ""),
-    ("t1 veronese:3:2 --order 2 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: second-order counts cover n = 1 and n = 2 only\n"),
+    ("t1 veronese:3:2 --trace", 0, "82c5e43fd9fa35329d273e6757e89002f5c2d6055e874f9f51ef10a35b3fe7db", ""),
+    ("t1 veronese:3:2 --order 2 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: h^2(T_Y (x) L^m) is computed for n = 1 and n = 2 only\n"),
     ("rigidity veronese:3:2 --trace", 0, "f3ef44b6113ad2398bb0c4deb1d1b1f39784190abd3217b6e06229f663ace4fb", ""),
-    ("t1 segre:2 --trace", 0, "a021f1aaa73f3c7df0245ada57878033ba191a2cb3d8414c5fde89850cbb1489", ""),
-    ("t1 segre:2 --order 2 --trace", 0, "28d9950e3b33a5ef48f16fd2c01daa58bcc4a17b205bfd0ca5d630abafe125d4", ""),
+    ("t1 segre:2 --trace", 0, "b80ebdd2462688fe7bc0ae2cc40a33db53e4df2fe8b9e4b2d3e3ee20bf20a0dc", ""),
+    ("t1 segre:2 --order 2 --trace", 0, "e1fddac24e0af16090bfd60c2f276d51b9802f52e25df4593e085e3bd3cd7eb1", ""),
     ("rigidity segre:2 --trace", 0, "50d1d559157c4d4aee96da45b2e61abc9923baf8dacce49bf059de717a4e5ddf", ""),
-    ("t1 product:2:3 --trace", 0, "55c07bea01e3d2981c84a2a5b4cd75c974df3aab3dcfe148afd0bba4df76c2a9", ""),
-    ("t1 product:2:3 --order 2 --trace", 0, "2a09e22a60fea6ba6509c3aa5c3cc117f23f6b60ed13460bd2c844d20f8d121e", ""),
+    ("t1 product:2:3 --trace", 0, "d50499b07a800910d0a24ae38cdd875c34f0de7259adb2565d13fcf96b057e27", ""),
+    ("t1 product:2:3 --order 2 --trace", 0, "65a806780903f2501f0c721ae0770fa9465046eeb463489e2f32e5af608f9407", ""),
     ("rigidity product:2:3 --trace", 0, "6097f6f06b289dac55bd647d91da93d99d1fcc5bc44d4b3f3b47c55524bd4761", ""),
     ("t1 delpezzo:6 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),
     ("t1 delpezzo:6 --order 2 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),

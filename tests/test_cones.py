@@ -1,4 +1,4 @@
-"""Catalog-level first/second order counts, verdicts and assemblies."""
+"""Catalog-level counts h^1 and h^2 of T_Y (x) L^m, verdicts and assemblies."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +27,7 @@ from conedef.p1 import h_dim
 from oracles import bidegree_h1_enumerated, bott_hq_omega, line_h1_enumerated
 
 
-# ---- first-order counts ------------------------------------------------
+# ---- h^1(T_Y (x) L^m) --------------------------------------------------
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -189,7 +189,7 @@ def test_empty_window_rejected():
         t1_table(RationalNormalCurve(3), 2, -2)
 
 
-# ---- second-order counts ----------------------------------------------
+# ---- h^2(T_Y (x) L^m) --------------------------------------------------
 
 
 def test_t2_curves_vanish():

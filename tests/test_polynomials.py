@@ -14,15 +14,17 @@ def mono(*exps, c=1):
 
 def test_construction_drops_zero_terms():
     p = Polynomial(2, {(1, 0): 1, (0, 1): 0})
-    assert p.terms == {(1, 0): Fraction(1)}
+    assert p.terms == {(1, 0): 1}
     assert not Polynomial.zero(2)
 
 
-@pytest.mark.parametrize("coeff", [0.5, "1", None, 1j])
+@pytest.mark.parametrize("coeff", [0.5, "1", None, 1j, Fraction(1, 3), Fraction(2)], ids=str)
 def test_inexact_coefficients_are_refused(coeff):
-    with pytest.raises(TypeError, match=f"^exact scalars must be int or Fraction, got {type(coeff).__name__}$"):
+    """Coefficients are ints: anything else, a Fraction included (an
+    integral one too), is refused on construction and as a scalar factor."""
+    with pytest.raises(TypeError, match=f"^polynomial coefficients must be int, got {type(coeff).__name__}$"):
         Polynomial(1, {(0,): coeff})
-    with pytest.raises(TypeError, match="^exact scalars must be int or Fraction"):
+    with pytest.raises(TypeError, match=f"^polynomial coefficients must be int, got {type(coeff).__name__}$"):
         mono(1) * coeff
 
 
@@ -56,7 +58,8 @@ def test_multiplication_and_power():
 def test_scalar_multiplication():
     p = mono(1, 1)
     assert 3 * p == Polynomial(2, {(1, 1): 3})
-    assert Fraction(1, 2) * p == Polynomial(2, {(1, 1): Fraction(1, 2)})
+    with pytest.raises(TypeError, match="^polynomial coefficients must be int, got Fraction$"):
+        Fraction(1, 2) * p
 
 
 def test_derivative():
@@ -94,8 +97,8 @@ def test_degrevlex_chain():
 
 
 def test_to_string_formatting():
-    p = Polynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): Fraction(1, 3)})
-    assert p.to_string() == "x0^2 - 2*x0*x1 + 1/3*x1^2"
+    p = Polynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 3})
+    assert p.to_string() == "x0^2 - 2*x0*x1 + 3*x1^2"
     assert Polynomial.zero(2).to_string() == "0"
     assert Polynomial(1, {(0,): -4}).to_string() == "-4"
 
@@ -115,31 +118,6 @@ def test_multiplication_is_commutative(tA, tB):
     a = Polynomial(2, dict(tA))
     b = Polynomial(2, dict(tB))
     assert a * b == b * a
-
-
-_TERMS = st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4)), max_size=5)
-
-
-@given(_TERMS, _TERMS, st.integers(0, 3), st.integers(0, 1))
-@settings(max_examples=60, deadline=None)
-def test_int_and_fraction_coefficients_agree(tA, tB, n, i):
-    """The same values held as ints or as Fractions give equal polynomials,
-    with equal hashes and identical printing, under every operation."""
-
-    def both(terms):
-        terms = dict(terms)
-        return Polynomial(2, terms), Polynomial(2, {e: Fraction(c) for e, c in terms.items()})
-
-    (a, fa), (b, fb) = both(tA), both(tB)
-    images = [b * b, a + b]
-    pairs = [
-        (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (a**n, fa**n),
-        (a.derivative(i), fa.derivative(i)), (a.substitute(images), fa.substitute([fb * fb, fa + fb])),
-    ]
-    for p, fp in pairs:
-        assert p == fp and hash(p) == hash(fp)
-        assert p.to_string() == fp.to_string()
-        assert all(type(c) is int for c in p.terms.values())
 
 
 # ---- rational functions ------------------------------------------------

@@ -15,7 +15,9 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
   ``conedef.polynomials`` where a command's integer chase loads the module
   (``projective``, ``p1``, ``cones``, ``cli``);
 * no ``FrozenRecord`` subclass whose ``__init__`` only forwards its
-  arguments to ``self._set`` (``FrozenRecord`` has that constructor).
+  arguments to ``self._set`` (``FrozenRecord`` has that constructor);
+* no module-level import of a ``conedef`` module in ``__init__.py`` (the
+  package root resolves every export on first use).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -105,6 +107,14 @@ def deferred_imports(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
             yield node.lineno, "module-level import of deferred exact arithmetic"
 
 
+def lazy_root(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
+    if name != "__init__.py":
+        return
+    for node in tree.body:
+        if any(m == "conedef" or m.startswith("conedef.") for m in _imported(node)):
+            yield node.lineno, "module-level import of a conedef module in the package root"
+
+
 def _is_set_call(stmt: ast.stmt) -> bool:
     call = getattr(stmt, "value", None) if isinstance(stmt, ast.Expr) else None
     func = getattr(call, "func", None)
@@ -150,6 +160,7 @@ RULES: dict[str, Rule] = {
     "budget": _per_module(budget_names),
     "deferred-import": _per_module(deferred_imports),
     "forwarding-init": forwarding_constructors,
+    "lazy-root": _per_module(lazy_root),
 }
 
 
@@ -196,6 +207,8 @@ PLANTED = [
     """),
     ("kernel-count", "p1.py", "# planted\nh1 = block.cokernel_dim()\n"),
     ("kernel-count", "projective.py", "# planted\nh0 = kernel_dim(m)\n"),
+    ("lazy-root", "__init__.py", "# planted\nfrom .cones import CATALOG\n"),
+    ("lazy-root", "__init__.py", "# planted\nimport conedef.delpezzo\n"),
 ]
 
 
