@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cones": ("CATALOG", "BlownUpPlane", "GradedAssembly", "GradedTable", "OutOfScopeError", "ProductPolarization",
-              "RationalNormalCurve", "RigidityVerdict", "SegreQuadric", "Variety", "VeroneseSpace",
-              "pinkham_assembly", "rigidity_verdict", "t1_table", "t2_table"),
+              "RigidityVerdict", "Variety", "VeroneseSpace", "pinkham_assembly", "rigidity_verdict", "t1_table",
+              "t2_table"),
     "projective": ("InternalConsistencyError", "OverBudgetError"),
     "delpezzo": ("Certificate", "CertStep", "StepStatus", "Verdict", "delpezzo_certificate"),
 }

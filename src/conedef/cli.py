@@ -210,10 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     traced = argparse.ArgumentParser(add_help=False)
     traced.add_argument("--trace", action="store_true", help="include a computation trace (or set CONEDEF_TRACE=1)")
 
-    p_t1 = sub.add_parser("t1", parents=[traced], help="weight table of h^q(T_Y (x) L^m), q = --order")
+    p_t1 = sub.add_parser(
+        "t1", parents=[traced], help="weight table of h^q(T_Y (x) L^m), q = --order",
+        description="weight table of h^q(T_Y (x) L^m): for each weight m of the window, the q-th cohomology "
+        "of the tangent sheaf of Y twisted by the m-th power of the polarization L, with q = --order",
+    )
     p_t1.add_argument("variety", help=" | ".join(_DESCRIPTORS))
     p_t1.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default -6..3)")
-    p_t1.add_argument("--order", type=int, choices=(1, 2), default=1)
+    p_t1.add_argument("--order", type=int, choices=(1, 2), default=1, help="q of h^q(T_Y (x) L^m) (default 1)")
     p_t1.add_argument("--format", choices=("json", "csv"), default="json")
     p_t1.set_defaults(func=cmd_t1)
 

@@ -21,10 +21,16 @@ quotes the claim being replayed so a reader can locate it, and the "rule"
 names the computation used to grade it.
 
 Twists are indexed by the integer m in the twisting class m*K (K the
-canonical class), matching how the replayed argument is organized: m >= 0
-steps come from the argument's first lemma (at most 6 points blown up),
-m <= -2 from its second (at most 6 points) or third (7 or 8 points), and
-m = -1 from the scaling-direction discussion around the main statement.
+canonical class), matching how the replayed argument is organized.  Each
+lemma's steps are one table, a tuple of step builders (K, m) -> CertStep:
+``_POSITIVE`` for m >= 0 from the argument's first lemma (at most 6 points
+blown up), ``_NEGATIVE_SMALL_R`` and ``_NEGATIVE_LARGE_R`` for m <= -2
+from its second (at most 6 points) and third (7 or 8 points), and
+``_SCALING`` for m = -1 from the scaling-direction discussion around the
+main statement.  ``_twist_block`` picks the table of twist m (none for
+m >= -1 at 7 or 8 points), and the table's length is what the twist costs,
+so a window is priced from the tables it will replay.  The assembly steps
+for at most 6 points are the constant ``_THEOREM``.
 """
 
 from __future__ import annotations
@@ -92,6 +98,12 @@ class Certificate(FrozenRecord):
         }
 
 
+# The grading rules that more than one step cites.
+_LINE = "line cohomology closed form"
+_RESTRICTION = "restriction degree from the intersection form"
+_CHASE = "sequence chase as stated; inputs above"
+
+
 def _checked(term: str, claimed, computed, rule: str, anchor: str) -> CertStep:
     status = StepStatus.VERIFIED if claimed == computed else StepStatus.CONTRADICTED
     return CertStep(term, claimed, computed, rule, anchor, status)
@@ -101,231 +113,172 @@ def _asserted(term: str, anchor: str, rule: str = "structural step, not machine-
     return CertStep(term, None, None, rule, anchor, StepStatus.ASSERTED)
 
 
-def _prelude_steps(r: int) -> list[CertStep]:
-    K = SurfaceDivisor.canonical(r)
-    steps = [
-        _checked(
-            term="self-intersection of the canonical class",
-            claimed=9 - r,
-            computed=intersection(K, K),
-            rule="intersection form in the (H; E_1..E_r) basis",
-            anchor="K^2 = 9 - r on the blow-up of the plane in r points",
-        ),
-        _checked(
-            term="degree of the canonical class on an exceptional line",
-            claimed=-1,
-            computed=restrict_to_exceptional(K, 1),
-            rule="restriction degree from the intersection form",
-            anchor="K restricts to degree -1 on each exceptional line",
-        ),
-    ]
-    return steps
+def _ampleness(K: SurfaceDivisor, m: int) -> CertStep:
+    degree = -(m + 1) * restrict_to_exceptional(K, 1)  # of the auxiliary class -(m+1)K on an exceptional line
+    return CertStep(
+        f"[m={m}] claimed ampleness of the auxiliary class -(m+1)K",
+        "positive degree on every exceptional line",
+        f"degree {degree} on each exceptional line",
+        "an ample class must restrict to positive degree on every curve; degree computed from the intersection form",
+        "the auxiliary class is ample",
+        StepStatus.CONTRADICTED if degree <= 0 else StepStatus.ASSERTED,
+    )
 
 
-def _lemma_positive_block(r: int, m: int) -> list[CertStep]:
-    """Replay for twist m >= 0 (argument stated for r <= 6): push the
-    tangent sheaf through the blow-up and kill the exceptional terms."""
-    K = SurfaceDivisor.canonical(r)
-    twist_deg = 1 + m * restrict_to_exceptional(K, 1)
-    steps = [
-        _asserted(
-            term=f"[m={m}] blow-up tangent sequence",
-            anchor="0 -> T_Y -> pullback of the plane tangent sheaf -> degree-one sheaves on the exceptional lines -> 0",
-        ),
-        _checked(
-            term=f"[m={m}] twist degree on each exceptional line",
-            claimed=1 - m,
-            computed=twist_deg,
-            rule="restriction degree from the intersection form",
-            anchor="the exceptional summand twists to degree 1 - m",
-        ),
-        _checked(
-            term=f"[m={m}] first cohomology of the line bundle of degree 1 - m",
-            claimed=0,
-            computed=p1.h_dim(1, 1 - m),
-            rule="line cohomology closed form",
-            anchor="for all m >= 0 the degree-(1-m) line bundle has no first cohomology",
-        ),
-        _asserted(
-            term=f"[m={m}] vanishing of the pulled-back plane term",
-            anchor="the projection formula reduces the pulled-back term to the plane, where it vanishes",
-        ),
-        _asserted(
-            term=f"[m={m}] conclusion for the twisted tangent sheaf",
-            anchor="the long exact sequence then gives the claimed vanishing in twist m",
-            rule="sequence chase as stated; inputs above",
-        ),
-    ]
-    return steps
+# Twist m >= 0 (argument stated for r <= 6): push the tangent sheaf through
+# the blow-up and kill the exceptional terms.
+_POSITIVE = (
+    lambda K, m: _asserted(
+        f"[m={m}] blow-up tangent sequence",
+        "0 -> T_Y -> pullback of the plane tangent sheaf -> degree-one sheaves on the exceptional lines -> 0",
+    ),
+    lambda K, m: _checked(
+        f"[m={m}] twist degree on each exceptional line", 1 - m, 1 + m * restrict_to_exceptional(K, 1),
+        _RESTRICTION, "the exceptional summand twists to degree 1 - m",
+    ),
+    lambda K, m: _checked(
+        f"[m={m}] first cohomology of the line bundle of degree 1 - m", 0, p1.h_dim(1, 1 - m),
+        _LINE, "for all m >= 0 the degree-(1-m) line bundle has no first cohomology",
+    ),
+    lambda K, m: _asserted(
+        f"[m={m}] vanishing of the pulled-back plane term",
+        "the projection formula reduces the pulled-back term to the plane, where it vanishes",
+    ),
+    lambda K, m: _asserted(
+        f"[m={m}] conclusion for the twisted tangent sheaf",
+        "the long exact sequence then gives the claimed vanishing in twist m", _CHASE,
+    ),
+)
+
+# Twist m <= -2, r <= 6: Serre duality to the cotangent side, then an
+# ampleness claim plus exceptional-line vanishing.
+_NEGATIVE_SMALL_R = (
+    lambda K, m: _asserted(
+        f"[m={m}] duality reduction to the cotangent side",
+        "first cohomology of the tangent sheaf in twist m is dual to first cohomology of the cotangent sheaf twisted by -(m+1)K",
+    ),
+    _ampleness,
+    lambda K, m: _checked(
+        f"[m={m}] restriction of the twisted cotangent summand to an exceptional line", m,
+        -1 - (m + 1) * restrict_to_exceptional(K, 1), _RESTRICTION, "the exceptional summand restricts to degree m",
+    ),
+    lambda K, m: _checked(
+        f"[m={m}] sections of the line bundle of degree {m}", 0, p1.h_dim(0, m),
+        _LINE, "no global sections in degree m <= -2",
+    ),
+    lambda K, m: _checked(
+        f"[m={m}] first cohomology of the line bundle of degree {m}", 0, p1.h_dim(1, m),
+        _LINE, "both cohomology groups of the exceptional term vanish",
+    ),
+    lambda K, m: _asserted(
+        f"[m={m}] vanishing of the pulled-back cotangent term",
+        "the projection formula reduces the pulled-back cotangent term to the plane",
+    ),
+    lambda K, m: _asserted(
+        f"[m={m}] conclusion for the twisted tangent sheaf",
+        "the dual group vanishes, giving the claimed vanishing in twist m", _CHASE,
+    ),
+)
+
+# Twist m <= -2, r in {7, 8}: duality with the class (1-m)K, exceptional
+# degree m-2, and a plane cotangent vanishing.
+_NEGATIVE_LARGE_R = (
+    lambda K, m: _asserted(
+        f"[m={m}] duality reduction to the cotangent sheaf twisted by (1-m)K",
+        "the dual group is the first cohomology of the cotangent sheaf twisted by (1-m)K",
+    ),
+    lambda K, m: _checked(
+        f"[m={m}] restriction of the twisted cotangent summand to an exceptional line", m - 2,
+        -1 + (1 - m) * restrict_to_exceptional(K, 1), _RESTRICTION, "the exceptional summand restricts to degree m - 2",
+    ),
+    lambda K, m: _checked(
+        f"[m={m}] first cohomology of the line bundle of degree {m - 2}", 0, p1.h_dim(1, m - 2),
+        _LINE, "degree at most -4, hence no contribution",
+    ),
+    lambda K, m: _asserted(
+        f"[m={m}] projection-formula identification with a plane cotangent group",
+        "pushing forward identifies the remaining term with cotangent cohomology on the plane",
+    ),
+    lambda K, m: _checked(
+        f"[m={m}] first cohomology of the plane cotangent sheaf twisted by {-3 * (1 - m)}", 0,
+        hq_pn_omega1(2, -3 * (1 - m), 1), "cotangent chase on the plane with computed connecting ranks",
+        "the plane cotangent term vanishes in this twist range",
+    ),
+    lambda K, m: _asserted(
+        f"[m={m}] conclusion for the twisted tangent sheaf",
+        "combining the two vanishing statements gives the claim in twist m", _CHASE,
+    ),
+)
+
+# Twist m = -1: the graded piece carrying the scaling vector field.
+# Nothing here is a computation this engine can replay.
+_SCALING = (
+    lambda K, m: _asserted(
+        f"[m={m}] identification of the untwisted tangent cohomology with the twist-(-1) group",
+        "the first tangent cohomology of the surface is identified with its twist by -K",
+    ),
+    lambda K, m: _asserted(
+        f"[m={m}] scaling direction spans the twist-(-1) contribution",
+        "the derivation generating the torus action spans this graded piece, so the quotient vanishes",
+    ),
+)
+
+# The graded assembly claimed for r <= 6: every step is structural.
+_THEOREM = (
+    _asserted(
+        "graded decomposition of the cone's first deformation space",
+        "a short exact sequence splits the deformation space into a quotient in twist -1 and a sum over twists m >= 0",
+    ),
+    _asserted(
+        "duality for the nonnegative-twist block",
+        "each nonnegative twist is dual to a cotangent group twisted by -(m+1)K",
+    ),
+    _asserted(
+        "ampleness-based vanishing of the dual cotangent block",
+        "vanishing for cotangent twists by ample classes is invoked for the whole block",
+    ),
+    _asserted(
+        "conclusion: the anticanonical cone admits no graded deformations",
+        "combining the blocks, every graded piece of the deformation space vanishes",
+    ),
+)
 
 
-def _lemma_negative_block_small_r(r: int, m: int) -> list[CertStep]:
-    """Replay for twist m <= -2, r <= 6: Serre duality to the cotangent
-    side, then an ampleness claim plus exceptional-line vanishing."""
-    K = SurfaceDivisor.canonical(r)
-    L = (-(m + 1)) * K  # the auxiliary class the argument calls ample
-    deg_L_on_E = restrict_to_exceptional(L, 1)
-    steps = [
-        _asserted(
-            term=f"[m={m}] duality reduction to the cotangent side",
-            anchor="first cohomology of the tangent sheaf in twist m is dual to first cohomology of the cotangent sheaf twisted by -(m+1)K",
-        ),
-        CertStep(
-            f"[m={m}] claimed ampleness of the auxiliary class -(m+1)K",
-            "positive degree on every exceptional line",
-            f"degree {deg_L_on_E} on each exceptional line",
-            "an ample class must restrict to positive degree on every curve; degree computed from the intersection form",
-            "the auxiliary class is ample",
-            StepStatus.CONTRADICTED if deg_L_on_E <= 0 else StepStatus.ASSERTED,
-        ),
-        _checked(
-            term=f"[m={m}] restriction of the twisted cotangent summand to an exceptional line",
-            claimed=m,
-            computed=-1 + deg_L_on_E,
-            rule="restriction degree from the intersection form",
-            anchor="the exceptional summand restricts to degree m",
-        ),
-        _checked(
-            term=f"[m={m}] sections of the line bundle of degree {m}",
-            claimed=0,
-            computed=p1.h_dim(0, m),
-            rule="line cohomology closed form",
-            anchor="no global sections in degree m <= -2",
-        ),
-        _checked(
-            term=f"[m={m}] first cohomology of the line bundle of degree {m}",
-            claimed=0,
-            computed=p1.h_dim(1, m),
-            rule="line cohomology closed form",
-            anchor="both cohomology groups of the exceptional term vanish",
-        ),
-        _asserted(
-            term=f"[m={m}] vanishing of the pulled-back cotangent term",
-            anchor="the projection formula reduces the pulled-back cotangent term to the plane",
-        ),
-        _asserted(
-            term=f"[m={m}] conclusion for the twisted tangent sheaf",
-            anchor="the dual group vanishes, giving the claimed vanishing in twist m",
-            rule="sequence chase as stated; inputs above",
-        ),
-    ]
-    return steps
-
-
-def _lemma_negative_block_large_r(r: int, m: int) -> list[CertStep]:
-    """Replay for twist m <= -2, r in {7, 8}: duality with the class
-    (1-m)K, exceptional degree m-2, and a plane cotangent vanishing."""
-    K = SurfaceDivisor.canonical(r)
-    dual_twist = (1 - m) * K
-    deg_on_E = -1 + restrict_to_exceptional(dual_twist, 1)
-    plane_twist = -3 * (1 - m)
-    steps = [
-        _asserted(
-            term=f"[m={m}] duality reduction to the cotangent sheaf twisted by (1-m)K",
-            anchor="the dual group is the first cohomology of the cotangent sheaf twisted by (1-m)K",
-        ),
-        _checked(
-            term=f"[m={m}] restriction of the twisted cotangent summand to an exceptional line",
-            claimed=m - 2,
-            computed=deg_on_E,
-            rule="restriction degree from the intersection form",
-            anchor="the exceptional summand restricts to degree m - 2",
-        ),
-        _checked(
-            term=f"[m={m}] first cohomology of the line bundle of degree {m - 2}",
-            claimed=0,
-            computed=p1.h_dim(1, m - 2),
-            rule="line cohomology closed form",
-            anchor="degree at most -4, hence no contribution",
-        ),
-        _asserted(
-            term=f"[m={m}] projection-formula identification with a plane cotangent group",
-            anchor="pushing forward identifies the remaining term with cotangent cohomology on the plane",
-        ),
-        _checked(
-            term=f"[m={m}] first cohomology of the plane cotangent sheaf twisted by {plane_twist}",
-            claimed=0,
-            computed=hq_pn_omega1(2, plane_twist, 1),
-            rule="cotangent chase on the plane with computed connecting ranks",
-            anchor="the plane cotangent term vanishes in this twist range",
-        ),
-        _asserted(
-            term=f"[m={m}] conclusion for the twisted tangent sheaf",
-            anchor="combining the two vanishing statements gives the claim in twist m",
-            rule="sequence chase as stated; inputs above",
-        ),
-    ]
-    return steps
-
-
-def _scaling_block(m: int = -1) -> list[CertStep]:
-    """The m = -1 discussion: the graded piece carrying the scaling vector
-    field.  Nothing here is a computation this engine can replay."""
-    return [
-        _asserted(
-            term=f"[m={m}] identification of the untwisted tangent cohomology with the twist-(-1) group",
-            anchor="the first tangent cohomology of the surface is identified with its twist by -K",
-        ),
-        _asserted(
-            term=f"[m={m}] scaling direction spans the twist-(-1) contribution",
-            anchor="the derivation generating the torus action spans this graded piece, so the quotient vanishes",
-        ),
-    ]
-
-
-def _theorem_block(r: int) -> list[CertStep]:
-    """The graded assembly claimed for r <= 6: every step is structural."""
-    return [
-        _asserted(
-            term="graded decomposition of the cone's first deformation space",
-            anchor="a short exact sequence splits the deformation space into a quotient in twist -1 and a sum over twists m >= 0",
-        ),
-        _asserted(
-            term="duality for the nonnegative-twist block",
-            anchor="each nonnegative twist is dual to a cotangent group twisted by -(m+1)K",
-        ),
-        _asserted(
-            term="ampleness-based vanishing of the dual cotangent block",
-            anchor="vanishing for cotangent twists by ample classes is invoked for the whole block",
-        ),
-        _asserted(
-            term="conclusion: the anticanonical cone admits no graded deformations",
-            anchor="combining the blocks, every graded piece of the deformation space vanishes",
-        ),
-    ]
-
-
-def _twist_block(r: int, m: int) -> list[CertStep]:
-    """The steps replayed in twist m; :func:`_twist_steps` counts them."""
+def _twist_block(r: int, m: int) -> tuple:
+    """The step builders replayed in twist m."""
     if m <= -2:
-        return _lemma_negative_block_small_r(r, m) if r <= 6 else _lemma_negative_block_large_r(r, m)
+        return _NEGATIVE_SMALL_R if r <= 6 else _NEGATIVE_LARGE_R
     if r >= 7:
-        return []
-    return _scaling_block(m) if m == -1 else _lemma_positive_block(r, m)
-
-
-def _twist_steps(r: int, m: int) -> int:
-    """The length of ``_twist_block(r, m)``, read off its branches, and at
-    least one: the units of ``projective.MAX_COST`` that twist m costs."""
-    if m <= -2:
-        return 7 if r <= 6 else 6
-    return 1 if r >= 7 else 2 if m == -1 else 5
+        return ()
+    return _SCALING if m == -1 else _POSITIVE
 
 
 def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     """Build the replay certificate for the blow-up of the plane in r
-    points (1 <= r <= 8), twists m_lo..m_hi of the canonical class.  A
-    window over the cost budget is refused before any step is built."""
+    points (1 <= r <= 8), twists m_lo..m_hi of the canonical class.  Twist
+    m costs the length of its block, and at least one unit of
+    ``projective.MAX_COST``; a window over that budget is refused before
+    any step is built."""
     if not 1 <= r <= 8:
         raise ValueError("r must be between 1 and 8")
     if m_lo > m_hi:
         raise ValueError("empty twist window")
-    priced_window(m_lo, m_hi, lambda m: _twist_steps(r, m))
-    steps = _prelude_steps(r)
+    priced_window(m_lo, m_hi, lambda m: max(1, len(_twist_block(r, m))))
+    K = SurfaceDivisor.canonical(r)
+    steps = [
+        _checked(
+            "self-intersection of the canonical class", 9 - r, intersection(K, K),
+            "intersection form in the (H; E_1..E_r) basis", "K^2 = 9 - r on the blow-up of the plane in r points",
+        ),
+        _checked(
+            "degree of the canonical class on an exceptional line", -1, restrict_to_exceptional(K, 1),
+            _RESTRICTION, "K restricts to degree -1 on each exceptional line",
+        ),
+    ]
     for m in range(m_lo, m_hi + 1):
-        steps.extend(_twist_block(r, m))
+        steps.extend(step(K, m) for step in _twist_block(r, m))
     if r <= 6:
-        steps.extend(_theorem_block(r))
+        steps.extend(_THEOREM)
     claim = (
         f"replay of the published vanishing argument for the anticanonical cone over the "
         f"blow-up of the plane in {r} points, twists {m_lo}..{m_hi} of the canonical class"

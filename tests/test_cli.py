@@ -20,7 +20,7 @@ import conedef
 from conedef import cli, cones, presentation, projective
 from conedef.cli import UsageError, main, parse_variety, parse_window
 from conedef.projective import MAX_BASIS, MAX_COST
-from conedef.cones import BlownUpPlane, ProductPolarization, RationalNormalCurve, VeroneseSpace
+from conedef.cones import BlownUpPlane, ProductPolarization, VeroneseSpace
 
 
 def run_cli(capsys, *argv):
@@ -45,7 +45,7 @@ def envelope_schema():
 
 
 def test_parse_variety_descriptors():
-    assert parse_variety("rnc:4") == RationalNormalCurve(4) == VeroneseSpace(1, 4)
+    assert parse_variety("rnc:4") == VeroneseSpace(1, 4)
     assert parse_variety("segre:2") == ProductPolarization(2, 2)
     assert parse_variety("delpezzo:6") == BlownUpPlane(6)
     for bad in ("rnc", "rnc:x", "veronese:2", "plane:1", "segre:2:2"):
@@ -133,6 +133,17 @@ def test_parse_window():
     for bad in ("3..-3", "1..", "a..b", "1-3"):
         with pytest.raises(UsageError):
             parse_window(bad)
+
+
+def test_t1_help_names_the_quantity_it_prints(capsys):
+    """``t1 --help`` says what each weight's dimension counts and what
+    ``--order`` selects, not only ``conedef --help``'s one-line summary."""
+    with pytest.raises(SystemExit) as exc:
+        main(["t1", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal's width
+    assert "weight table of h^q(T_Y (x) L^m): for each weight m of the window" in text
+    assert "--order {1,2} q of h^q(T_Y (x) L^m)" in text
 
 
 # ---- t1 ----------------------------------------------------------------
@@ -470,8 +481,9 @@ def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
 
     import conedef.delpezzo
 
-    monkeypatch.setattr(conedef.delpezzo, "_prelude_steps", refuse)
-    monkeypatch.setattr(conedef.delpezzo, "_twist_block", refuse)
+    # a certificate builds its steps as CertSteps, from the canonical class
+    monkeypatch.setattr(conedef.delpezzo, "CertStep", refuse)
+    monkeypatch.setattr(projective.SurfaceDivisor, "canonical", refuse)
     over = [
         (("t1", "rnc:4", "--weights", f"{-MAX_COST}..0"), _window_error(-MAX_COST, 0)),
         (("t1", "segre:1", "--weights", f"{-(10**18)}..{10**18}"), _window_error(-(10**18), 10**18)),
@@ -945,6 +957,11 @@ GOLDEN = [
     ("t1 delpezzo:6 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),
     ("t1 delpezzo:6 --order 2 --trace", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "out of scope: blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate\n"),
     ("rigidity delpezzo:6 --trace", 0, "0270764ab7f8f574c9e2d686e32fef8753a5add37dde230f97f2d1d6405298ab", ""),
+    # the r >= 7 negative block, with the empty blocks at m >= -1
+    ("rigidity delpezzo:7 --trace", 0, "5f0ec9114df2de07f91910f3fb49b53c551789013dc626f102b7822627515cf1", ""),
+    ("rigidity delpezzo:8 --weights -9..5 --trace", 0, "dd67e21fd288af76af46dfcd1f64c81c88e6b6e1ed37e32ae9a5bf1dfd317d79", ""),
+    # the positive block alone, then the theorem steps
+    ("rigidity delpezzo:2 --weights 0..4 --trace", 0, "22c96e00279961cb9fe75c2de65547bbd06fa1dadecc462dd43ba517c95fe330", ""),
     ("jacobian --d 4 --weight -1 --trace", 0, "744060bdaea791f30dced30dabf2634a8ecc74c6a26e242cf1c232eaeff394e3", ""),
     ("jacobian --d 6 --weight 2 --trace", 0, "d63682031a4a2eec15941948f22eaac05b208f068f7996e758b6c4317fb0434b", ""),
     ("jacobian --d 7 --weight -2 --trace", 0, "3f13c867a44179757d2f1a5c099df5f6bbccd7bbf1368b21dc95e5d5c37c05e5", ""),

@@ -33,15 +33,15 @@ from oracles import bidegree_h1_enumerated, bott_hq_omega, line_h1_enumerated
 @pytest.mark.parametrize("d", range(1, 13))
 @pytest.mark.parametrize("m", range(-6, 4))
 def test_rnc_weights_match_independent_enumeration(d, m):
-    assert t1_weight(RationalNormalCurve(d), m) == line_h1_enumerated(2 + d * m)
+    assert t1_weight(VeroneseSpace(1, d), m) == line_h1_enumerated(2 + d * m)
 
 
 def test_rnc_spot_values():
-    assert t1_weight(RationalNormalCurve(4), -1) == 1
-    assert t1_weight(RationalNormalCurve(4), -2) == 5
-    assert t1_weight(RationalNormalCurve(3), -2) == 3
-    assert t1_weight(RationalNormalCurve(4), 0) == 0
-    assert t1_weight(RationalNormalCurve(2), -2) == 1
+    assert t1_weight(VeroneseSpace(1, 4), -1) == 1
+    assert t1_weight(VeroneseSpace(1, 4), -2) == 5
+    assert t1_weight(VeroneseSpace(1, 3), -2) == 3
+    assert t1_weight(VeroneseSpace(1, 4), 0) == 0
+    assert t1_weight(VeroneseSpace(1, 2), -2) == 1
 
 
 def test_veronese_curve_case_reduces_to_line():
@@ -65,20 +65,20 @@ def test_veronese_higher_space_vanishes():
 
 def test_segre_kunneth_values():
     # the split tangent sheaf contributes exactly when m*d = -2
-    v = SegreQuadric(1)
+    v = ProductPolarization(1, 1)
     assert t1_weight(v, -2) == 2
     assert t1_weight(v, -1) == 0
-    v2 = SegreQuadric(2)
+    v2 = ProductPolarization(2, 2)
     assert t1_weight(v2, -1) == 2
     assert t1_weight(v2, -2) == 0
-    v3 = SegreQuadric(3)
+    v3 = ProductPolarization(3, 3)
     assert all(t1_weight(v3, m) == 0 for m in range(-6, 4))
 
 
 @given(d=st.integers(1, 6), m=st.integers(-6, 2))
 @settings(max_examples=80, deadline=None)
 def test_segre_nonzero_iff_product_is_minus_two(d, m):
-    value = t1_weight(SegreQuadric(d), m)
+    value = t1_weight(ProductPolarization(d, d), m)
     if m * d == -2:
         assert value == 2
     else:
@@ -124,7 +124,7 @@ def test_counts_match_independent_oracles(v, q):
     assert [count(v, m) for m in weights] == [_oracle_h(v, q, m) for m in weights]
 
 
-@pytest.mark.parametrize("v", [VeroneseSpace(1, 3), VeroneseSpace(2, 2), VeroneseSpace(3, 2), SegreQuadric(2), BlownUpPlane(6)])
+@pytest.mark.parametrize("v", [VeroneseSpace(1, 3), VeroneseSpace(2, 2), VeroneseSpace(3, 2), ProductPolarization(2, 2), BlownUpPlane(6)])
 @pytest.mark.parametrize("q", [-1, 0, 3])
 def test_h_refuses_any_order_but_one_and_two(v, q):
     with pytest.raises(ValueError, match=f"not h\\^{q}$"):
@@ -174,19 +174,19 @@ def test_catalog_validation():
 
 
 def test_rnc_table_window():
-    table = t1_table(RationalNormalCurve(4), -3, 1)
+    table = t1_table(VeroneseSpace(1, 4), -3, 1)
     assert table.entries == {-3: 9, -2: 5, -1: 1, 0: 0, 1: 0}
     assert table.nonzero_weights() == [-3, -2, -1]
 
 
 def test_segre_two_table():
-    table = t1_table(SegreQuadric(2), -4, 1)
+    table = t1_table(ProductPolarization(2, 2), -4, 1)
     assert table.entries == {-4: 0, -3: 0, -2: 0, -1: 2, 0: 0, 1: 0}
 
 
 def test_empty_window_rejected():
     with pytest.raises(ValueError):
-        t1_table(RationalNormalCurve(3), 2, -2)
+        t1_table(VeroneseSpace(1, 3), 2, -2)
 
 
 # ---- h^2(T_Y (x) L^m) --------------------------------------------------
@@ -195,7 +195,7 @@ def test_empty_window_rejected():
 def test_t2_curves_vanish():
     for d in range(1, 8):
         for m in range(-4, 3):
-            assert t2_weight(RationalNormalCurve(d), m) == 0
+            assert t2_weight(VeroneseSpace(1, d), m) == 0
     assert t2_weight(VeroneseSpace(1, 3), -2) == 0
 
 
@@ -209,12 +209,12 @@ def test_t2_plane_spot_values():
 
 def test_t2_quadric_by_weight():
     # near zero the obstruction space is empty; deeper twists fill it in
-    assert t2_weight(SegreQuadric(2), 0) == 0
-    assert t2_weight(SegreQuadric(2), -1) == 0
-    assert t2_weight(SegreQuadric(2), -2) == 2 * (
+    assert t2_weight(ProductPolarization(2, 2), 0) == 0
+    assert t2_weight(ProductPolarization(2, 2), -1) == 0
+    assert t2_weight(ProductPolarization(2, 2), -2) == 2 * (
         line_h1_enumerated(-2) * line_h1_enumerated(-4)
     )
-    assert t2_weight(SegreQuadric(1), -4) == (
+    assert t2_weight(ProductPolarization(1, 1), -4) == (
         line_h1_enumerated(-2) * line_h1_enumerated(-4)
         + line_h1_enumerated(-4) * line_h1_enumerated(-2)
     )
@@ -223,7 +223,7 @@ def test_t2_quadric_by_weight():
 def test_t2_out_of_scope():
     with pytest.raises(OutOfScopeError):
         t2_weight(VeroneseSpace(3, 2), -1)
-    table = t2_table(SegreQuadric(2), -2, 0)
+    table = t2_table(ProductPolarization(2, 2), -2, 0)
     assert table.order == 2
 
 
@@ -232,29 +232,29 @@ def test_t2_out_of_scope():
 
 def test_rnc_always_flexible():
     for d in (1, 2, 3, 4, 5, 10):
-        verdict = rigidity_verdict(RationalNormalCurve(d))
+        verdict = rigidity_verdict(VeroneseSpace(1, d))
         assert verdict.rigid is False
         assert verdict.window_independent
         w, dim = verdict.witness
         assert dim == max(0, -3 - d * w) > 0
         # no nonzero weight sits strictly between the witness and zero
         for m in range(w + 1, 1):
-            assert t1_weight(RationalNormalCurve(d), m) == 0
+            assert t1_weight(VeroneseSpace(1, d), m) == 0
 
 
 def test_rnc_witnesses():
-    assert rigidity_verdict(RationalNormalCurve(2)).witness == (-2, 1)
-    assert rigidity_verdict(RationalNormalCurve(3)).witness == (-2, 3)
-    assert rigidity_verdict(RationalNormalCurve(4)).witness == (-1, 1)
-    assert rigidity_verdict(RationalNormalCurve(5)).witness == (-1, 2)
+    assert rigidity_verdict(VeroneseSpace(1, 2)).witness == (-2, 1)
+    assert rigidity_verdict(VeroneseSpace(1, 3)).witness == (-2, 3)
+    assert rigidity_verdict(VeroneseSpace(1, 4)).witness == (-1, 1)
+    assert rigidity_verdict(VeroneseSpace(1, 5)).witness == (-1, 2)
 
 
 def test_segre_verdicts():
-    v1 = rigidity_verdict(SegreQuadric(1))
+    v1 = rigidity_verdict(ProductPolarization(1, 1))
     assert (v1.rigid, v1.witness) == (False, (-2, 2))
-    v2 = rigidity_verdict(SegreQuadric(2))
+    v2 = rigidity_verdict(ProductPolarization(2, 2))
     assert (v2.rigid, v2.witness) == (False, (-1, 2))
-    v3 = rigidity_verdict(SegreQuadric(3))
+    v3 = rigidity_verdict(ProductPolarization(3, 3))
     assert v3.rigid is True and v3.window_independent
 
 
@@ -271,9 +271,9 @@ def test_veronese_verdicts_hold_in_every_weight():
 
 # keyed by the descriptor each entry is built from, aliases included
 SCANNED = {
-    **{f"rnc:{d}": RationalNormalCurve(d) for d in range(1, 9)},
+    **{f"rnc:{d}": VeroneseSpace(1, d) for d in range(1, 9)},
     **{f"veronese:{n}:{d}": VeroneseSpace(n, d) for n in range(1, 4) for d in range(1, 7)},
-    **{f"segre:{d}": SegreQuadric(d) for d in range(1, 7)},
+    **{f"segre:{d}": ProductPolarization(d, d) for d in range(1, 7)},
     **{f"product:{a}:{b}": ProductPolarization(a, b) for a in range(1, 6) for b in range(1, 6)},
 }
 
@@ -306,27 +306,27 @@ def test_delpezzo_verdict_is_certificate_only():
 
 
 def test_weight_zero_reports():
-    for v in (RationalNormalCurve(4), VeroneseSpace(2, 3), SegreQuadric(2), BlownUpPlane(5)):
+    for v in (VeroneseSpace(1, 4), VeroneseSpace(2, 3), ProductPolarization(2, 2), BlownUpPlane(5)):
         report = weight_zero_criterion(v)
         assert report.h1_structure == 0
         assert report.h2_structure == 0
         assert report.criterion_holds
-    assert weight_zero_criterion(RationalNormalCurve(4)).t1_zero == 0
+    assert weight_zero_criterion(VeroneseSpace(1, 4)).t1_zero == 0
     assert weight_zero_criterion(BlownUpPlane(5)).t1_zero is None
 
 
 def test_corollary_flags_clean_cases():
-    flags = corollary_flags(RationalNormalCurve(4), -1)
+    flags = corollary_flags(VeroneseSpace(1, 4), -1)
     assert (flags.h1_polarization, flags.h2_polarization) == (3, 0)
     assert not flags.clean
-    assert corollary_flags(RationalNormalCurve(4), 1).clean
+    assert corollary_flags(VeroneseSpace(1, 4), 1).clean
 
 
 def test_corollary_flags_quadric_explains_the_double_count():
     """At the weight where the product cone's classical count is one, the
     polarization itself carries a second cohomology class -- the flag that
     the twisted-tangent number (2) is not the cone's literal count."""
-    flags = corollary_flags(SegreQuadric(1), -2)
+    flags = corollary_flags(ProductPolarization(1, 1), -2)
     assert flags.h2_polarization == 1
     assert not flags.clean
 
@@ -347,7 +347,7 @@ def test_corollary_flags_delpezzo_closed_forms():
 
 
 def test_assembly_rnc4():
-    asm = pinkham_assembly(RationalNormalCurve(4), -2, 2)
+    asm = pinkham_assembly(VeroneseSpace(1, 4), -2, 2)
     assert asm.negative == {-2: 5, -1: 1}
     assert asm.zero == 0
     assert asm.positive == {1: 0, 2: 0}
@@ -355,20 +355,20 @@ def test_assembly_rnc4():
 
 
 def test_assembly_conic_carries_its_witness():
-    asm = pinkham_assembly(RationalNormalCurve(2), -2, 2)
+    asm = pinkham_assembly(VeroneseSpace(1, 2), -2, 2)
     assert asm.negative == {-2: 1, -1: 0}
     assert asm.total() == 1
 
 
 def test_assembly_quadric_cone():
-    asm = pinkham_assembly(SegreQuadric(1), -3, 1)
+    asm = pinkham_assembly(ProductPolarization(1, 1), -3, 1)
     assert asm.negative == {-3: 0, -2: 2, -1: 0}
     assert asm.zero == 0
 
 
 def test_assembly_window_must_contain_zero():
     with pytest.raises(ValueError):
-        pinkham_assembly(RationalNormalCurve(4), -3, -1)
+        pinkham_assembly(VeroneseSpace(1, 4), -3, -1)
     with pytest.raises(OutOfScopeError):
         pinkham_assembly(BlownUpPlane(6), -2, 2)
 
@@ -376,7 +376,7 @@ def test_assembly_window_must_contain_zero():
 @given(d=st.integers(1, 8), lo=st.integers(-5, 0), hi=st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_assembly_total_matches_table_sum(d, lo, hi):
-    v = RationalNormalCurve(d)
+    v = VeroneseSpace(1, d)
     asm = pinkham_assembly(v, lo, hi)
     table = t1_table(v, lo, hi)
     assert asm.total() == sum(table.entries.values())
@@ -393,4 +393,4 @@ def test_library_tables_and_certificates_are_priced_before_building():
     with pytest.raises(OverBudgetError, match="^the request costs 100002 units"):  # a direct call, too
         delpezzo_certificate(6, -14286, 0)
     # a numeric verdict reads its witness weight alone
-    assert rigidity_verdict(RationalNormalCurve(4), -(10**18), 0).witness == (-1, 1)
+    assert rigidity_verdict(VeroneseSpace(1, 4), -(10**18), 0).witness == (-1, 1)

@@ -2,12 +2,12 @@
 
 import pytest
 
+from conedef import delpezzo
 from conedef.delpezzo import (
     Certificate,
     CertStep,
     StepStatus,
     Verdict,
-    _twist_steps,
     delpezzo_certificate,
 )
 
@@ -154,12 +154,16 @@ def test_validation():
 
 
 @pytest.mark.parametrize("r", range(1, 9))
-def test_certificate_cost_counts_the_steps_of_each_twist(r):
-    """_twist_steps(r, m) is the number of steps the certificate adds for
-    twist m, at least one, so a window is priced without building it."""
+def test_certificate_cost_counts_the_steps_of_each_twist(r, monkeypatch):
+    """The price delpezzo_certificate puts on twist m is the number of
+    steps the certificate adds for it, at least one, so a window is priced
+    without building it."""
     steps = [len(delpezzo_certificate(r, -8, m).steps) for m in range(-8, 5)]
     added = [b - a for a, b in zip(steps, steps[1:])]
-    assert [_twist_steps(r, m) for m in range(-7, 5)] == [max(1, n) for n in added]
+    priced = []
+    monkeypatch.setattr(delpezzo, "priced_window", lambda lo, hi, cost: priced.extend(map(cost, range(lo, hi + 1))))
+    delpezzo_certificate(r, -7, 4)
+    assert priced == [max(1, n) for n in added]
 
 
 def test_to_dict_shape():
