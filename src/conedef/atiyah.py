@@ -49,7 +49,7 @@ def _transition_in_chart(n: int, chart: int, a: int, b: int) -> RationalFunction
 class CocycleReport(FrozenRecord):
     """The triple overlaps checked on n-space and the outcome of each identity."""
 
-    __slots__ = _fields = ("n", "triples", "multiplicative_ok", "additive_ok", "degenerate_ok", "nontrivial_witness")
+    __slots__ = _fields = ("triples", "multiplicative_ok", "additive_ok", "degenerate_ok", "nontrivial_witness")
 
     @property
     def passed(self) -> bool:
@@ -93,4 +93,4 @@ def atiyah_cocycle_check(n: int) -> CocycleReport:
     g01 = _transition_in_chart(n, 0, 0, 1)
     nontrivial_witness = any(not g01.dlog(l).is_zero() for l in range(n))
 
-    return CocycleReport(n, triples, multiplicative_ok, additive_ok, degenerate_ok, nontrivial_witness)
+    return CocycleReport(triples, multiplicative_ok, additive_ok, degenerate_ok, nontrivial_witness)

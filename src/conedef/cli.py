@@ -95,18 +95,18 @@ def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     if args.format == "csv":
         sys.stdout.write("weight,dimension\n")
         for m in weights:
-            sys.stdout.write(f"{m},{table.entries[m]}\n")
+            sys.stdout.write(f"{m},{table[m]}\n")
         return None
     result = {
         "order": args.order,
         "window": f"{lo}..{hi}",
-        "table": {str(m): table.entries[m] for m in weights},
-        "nonzero_weights": table.nonzero_weights(),
+        "table": {str(m): table[m] for m in weights},
+        "nonzero_weights": [m for m in weights if table[m]],
     }
     trace = [
         f"order {args.order}: weight m counts h^{args.order}(T_Y (x) L^m)",
         f"rule: {variety.rule()}",
-        *(f"weight {m}: dimension {table.entries[m]}" for m in weights),
+        *(f"weight {m}: dimension {table[m]}" for m in weights),
     ] if args.trace else None
     return {"variety": args.variety, "weights": f"{lo}..{hi}", "order": args.order}, result, trace
 
@@ -187,7 +187,7 @@ def cmd_atiyah(args: argparse.Namespace) -> Reply:
 
     report = atiyah_cocycle_check(args.n)
     result = {
-        "n": report.n,
+        "n": args.n,
         "triples_checked": len(report.triples),
         "multiplicative": report.multiplicative_ok,
         "additive": report.additive_ok,
@@ -209,21 +209,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     traced = argparse.ArgumentParser(add_help=False)
     traced.add_argument("--trace", action="store_true", help="include a computation trace (or set CONEDEF_TRACE=1)")
+    windowed = argparse.ArgumentParser(add_help=False)
+    windowed.add_argument("variety", help=" | ".join(_DESCRIPTORS))
+    windowed.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default -6..3)")
 
     p_t1 = sub.add_parser(
-        "t1", parents=[traced], help="weight table of h^q(T_Y (x) L^m), q = --order",
+        "t1", parents=[traced, windowed], help="weight table of h^q(T_Y (x) L^m), q = --order",
         description="weight table of h^q(T_Y (x) L^m): for each weight m of the window, the q-th cohomology "
         "of the tangent sheaf of Y twisted by the m-th power of the polarization L, with q = --order",
     )
-    p_t1.add_argument("variety", help=" | ".join(_DESCRIPTORS))
-    p_t1.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default -6..3)")
     p_t1.add_argument("--order", type=int, choices=(1, 2), default=1, help="q of h^q(T_Y (x) L^m) (default 1)")
     p_t1.add_argument("--format", choices=("json", "csv"), default="json")
     p_t1.set_defaults(func=cmd_t1)
 
-    p_rig = sub.add_parser("rigidity", parents=[traced], help="rigidity verdict with witness or replay certificate")
-    p_rig.add_argument("variety")
-    p_rig.add_argument("--weights", default="-6..3")
+    p_rig = sub.add_parser("rigidity", parents=[traced, windowed], help="rigidity verdict with witness or replay certificate")
     p_rig.set_defaults(func=cmd_rigidity)
 
     p_jac = sub.add_parser("jacobian", parents=[traced], help="determinantal presentation data for the degree-d curve cone")

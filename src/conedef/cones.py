@@ -86,9 +86,6 @@ class Variety(FrozenRecord):
                 raise TypeError(f"{type(self).__name__} field {name} must be an int, got {value!r}")
         super()._set(*values)
 
-    def describe(self) -> str:
-        return ":".join([_NAMES[type(self)], *map(str, self._values())])
-
     def h(self, q: int, m: int) -> int:
         """h^q(T_Y (x) L^m) for q in {1, 2}: tangent cohomology twisted by
         the m-th polarization power."""
@@ -243,8 +240,6 @@ CATALOG: dict[str, tuple[Callable[..., Variety], tuple[str, ...]]] = {
     "product": (ProductPolarization, ProductPolarization._fields),
     "delpezzo": (BlownUpPlane, BlownUpPlane._fields),
 }
-# describe() looks a record up by its class, so an alias's entry prints its canonical name
-_NAMES = {make: name for name, (make, _) in CATALOG.items()}
 
 
 # ----------------------------------------------------------------------
@@ -267,30 +262,22 @@ def t2_weight(v: Variety, m: int) -> int:
     return v.h(2, m)
 
 
-class GradedTable(FrozenRecord):
-    """Weight-indexed dimensions over an inclusive window."""
-
-    __slots__ = _fields = ("variety", "order", "m_lo", "m_hi", "entries")
-
-    def nonzero_weights(self) -> list[int]:
-        return [m for m in sorted(self.entries) if self.entries[m] != 0]
-
-
 def _check_window(m_lo: int, m_hi: int) -> None:
     if m_lo > m_hi:
         raise ValueError(f"weight window {m_lo}..{m_hi} is empty")
 
 
-def _table(v: Variety, order: int, m_lo: int, m_hi: int) -> GradedTable:
+def _table(v: Variety, order: int, m_lo: int, m_hi: int) -> dict[int, int]:
+    """{weight: h^order(T_Y (x) L^weight)} over the inclusive window, priced before the first count."""
     _check_window(m_lo, m_hi)
-    return GradedTable(v.describe(), order, m_lo, m_hi, {m: v.h(order, m) for m in projective.priced_window(m_lo, m_hi, v.cost)})
+    return {m: v.h(order, m) for m in projective.priced_window(m_lo, m_hi, v.cost)}
 
 
-def t1_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:
+def t1_table(v: Variety, m_lo: int, m_hi: int) -> dict[int, int]:
     return _table(v, 1, m_lo, m_hi)
 
 
-def t2_table(v: Variety, m_lo: int, m_hi: int) -> GradedTable:
+def t2_table(v: Variety, m_lo: int, m_hi: int) -> dict[int, int]:
     return _table(v, 2, m_lo, m_hi)
 
 
@@ -304,9 +291,11 @@ class RigidityVerdict(FrozenRecord):
     certificate-only varieties; ``witness`` is (weight, dimension) of the
     nonzero graded piece closest to zero when one exists;
     ``window_independent`` is true for every numeric verdict (a closed form
-    valid in every weight) and false for a certificate (the window only)."""
+    valid in every weight) and false for a certificate (the window only).
+    A numeric verdict does not read the window, so it equals the verdict
+    of any other window."""
 
-    __slots__ = _fields = ("variety", "rigid", "witness", "m_lo", "m_hi", "window_independent", "note", "certificate")
+    __slots__ = _fields = ("rigid", "witness", "window_independent", "note", "certificate")
 
 
 def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdict:
@@ -317,21 +306,19 @@ def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdi
     verdict, speaks for the cone's own T^1 only at weights where
     ``corollary_flags(v, m).clean`` holds."""
     _check_window(m_lo, m_hi)
-    desc = v.describe()
-
     cert = v.certificate(m_lo, m_hi)
     if cert is not None:
         note = (
             "certificate-only geometry: the engine replays the published argument "
             f"step by step (verdict {cert.verdict.value}) and does not adjudicate rigidity itself"
         )
-        return RigidityVerdict(desc, None, None, m_lo, m_hi, False, note, cert)
+        return RigidityVerdict(None, None, False, note, cert)
     m_star, note = v.closed_form_rigidity()
     projective.check_cost(0 if m_star is None else v.cost(m_star))  # the one weight it reads
     witness = None if m_star is None else (m_star, t1_weight(v, m_star))
     if witness is not None and witness[1] == 0:
-        raise InternalConsistencyError(f"{desc}: the closed form puts a nonzero weight at {m_star}, the count there is 0")
-    return RigidityVerdict(desc, witness is None, witness, m_lo, m_hi, True, note, None)
+        raise InternalConsistencyError(f"{v!r}: the closed form puts a nonzero weight at {m_star}, the count there is 0")
+    return RigidityVerdict(witness is None, witness, True, note, None)
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +332,7 @@ class WeightZeroReport(FrozenRecord):
     cohomology (both must vanish for the clean graded picture) and, when
     computable, the weight-0 count itself."""
 
-    __slots__ = _fields = ("variety", "h1_structure", "h2_structure", "criterion_holds", "t1_zero")
+    __slots__ = _fields = ("h1_structure", "h2_structure", "criterion_holds", "t1_zero")
 
 
 def weight_zero_criterion(v: Variety) -> WeightZeroReport:
@@ -354,7 +341,7 @@ def weight_zero_criterion(v: Variety) -> WeightZeroReport:
         t1z: Optional[int] = t1_weight(v, 0)
     except OutOfScopeError:
         t1z = None  # certificate-only geometries give no bare count
-    return WeightZeroReport(v.describe(), h1o, h2o, h1o == 0 and h2o == 0, t1z)
+    return WeightZeroReport(h1o, h2o, h1o == 0 and h2o == 0, t1z)
 
 
 class PolarizationFlags(FrozenRecord):
@@ -362,7 +349,7 @@ class PolarizationFlags(FrozenRecord):
     where the cone count and the twisted tangent cohomology could differ
     by correction terms."""
 
-    __slots__ = _fields = ("variety", "m", "h1_polarization", "h2_polarization")
+    __slots__ = _fields = ("h1_polarization", "h2_polarization")
 
     @property
     def clean(self) -> bool:
@@ -370,7 +357,7 @@ class PolarizationFlags(FrozenRecord):
 
 
 def corollary_flags(v: Variety, m: int) -> PolarizationFlags:
-    return PolarizationFlags(v.describe(), m, *v.polarization_cohomology(m))
+    return PolarizationFlags(*v.polarization_cohomology(m))
 
 
 # ----------------------------------------------------------------------
@@ -382,24 +369,23 @@ class GradedAssembly(FrozenRecord):
     """The graded first-order space split into negative, zero and positive
     weights, with the role each band plays."""
 
-    __slots__ = _fields = ("variety", "negative", "zero", "positive", "roles")
-
-    def total(self) -> int:
-        return sum(self.negative.values()) + self.zero + sum(self.positive.values())
+    __slots__ = _fields = ("negative", "zero", "positive", "roles")
 
 
 def pinkham_assembly(v: Variety, m_lo: int, m_hi: int) -> GradedAssembly:
     """Assemble the graded space over a window that must contain weight 0.
-    Certificate-only varieties raise (their pieces are never bare numbers)."""
+    The window is priced as one :func:`t1_table`, whose counts the three
+    bands split.  Certificate-only varieties raise (their pieces are never
+    bare numbers)."""
     _check_window(m_lo, m_hi)
     if not (m_lo <= 0 <= m_hi):
         raise ValueError("the assembly window must contain weight 0")
-    negative = {m: t1_weight(v, m) for m in range(m_lo, 0)}
-    zero = t1_weight(v, 0)
-    positive = {m: t1_weight(v, m) for m in range(1, m_hi + 1)}
+    table = t1_table(v, m_lo, m_hi)
+    negative = {m: table[m] for m in range(m_lo, 0)}
+    positive = {m: table[m] for m in range(1, m_hi + 1)}
     roles = {
         "negative": "smoothing directions (the weights a smoothing can see)",
         "zero": "equisingular piece; in the full cone space this band is taken modulo the scaling vector field",
         "positive": "directions that only deform the cone positively; trivial for a rigid polarized structure",
     }
-    return GradedAssembly(v.describe(), negative, zero, positive, roles)
+    return GradedAssembly(negative, table[0], positive, roles)

@@ -154,7 +154,7 @@ class GradedJacobian(FrozenRecord):
     generator.  Source blocks are ordered by variable, target blocks by
     generator."""
 
-    __slots__ = _fields = ("d", "m", "matrix", "source_block_dim", "target_block_dim")
+    __slots__ = _fields = ("matrix", "source_block_dim", "target_block_dim")
 
     @property
     def source_dim(self) -> int:
@@ -182,11 +182,11 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
     _check_degree(d)
     src_dim, dst_dim = p1.h_dim(0, d * (m + 1)), p1.h_dim(0, d * (m + 2))
     if src_dim == 0:
-        return GradedJacobian(d, m, RationalMatrix.zero(comb(d, 2) * dst_dim, 0), src_dim, dst_dim)
+        return GradedJacobian(RationalMatrix.zero(comb(d, 2) * dst_dim, 0), src_dim, dst_dim)
     entries = jacobian_matrix(d).entries
     forms = {p: normal_form(d, p).terms for p in {p for row in entries for p in row}}
     matrix = _pn_mult_matrix([[forms[p] for p in row] for row in entries], 1, d * (m + 1), False)
-    return GradedJacobian(d, m, matrix, src_dim, dst_dim)
+    return GradedJacobian(matrix, src_dim, dst_dim)
 
 
 def euler_derivation_vector(d: int, m: int = 0) -> list[int]:
@@ -219,7 +219,7 @@ class NormalRoute(FrozenRecord):
     """Normal-bundle computation of the weight-m deformation count, with
     the exactness certificate for the sequence chase."""
 
-    __slots__ = _fields = ("d", "m", "normal_h0", "restricted_tangent_h0", "curve_tangent_h0", "value", "exact")
+    __slots__ = _fields = ("normal_h0", "restricted_tangent_h0", "curve_tangent_h0", "value", "exact")
 
 
 def t1_via_normal(d: int, m: int) -> NormalRoute:
@@ -237,4 +237,4 @@ def t1_via_normal(d: int, m: int) -> NormalRoute:
     line = p1.h_dim(1, 2 + d * m)
     if exact and value != line:
         raise InternalConsistencyError(f"normal route d={d}, m={m}: exact chase gave {value}, line count {line}")
-    return NormalRoute(d, m, n_h0, rt_h0, ct_h0, value, exact)
+    return NormalRoute(n_h0, rt_h0, ct_h0, value, exact)

@@ -200,19 +200,21 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _bott_h1_tangent_p2(k: int) -> int:
-    return 1 if k == -3 else 0  # Bott's formula for h^1(T(k)) on the plane
-
-
-def _bott_h2_tangent_p2(k: int) -> int:
-    # Bott and Serre duality: h^2(T(k)) = h^0(Omega^1(j)) = (j+1)(j-1) for j = -k-3 >= 2
+def _bott_tangent_p2(k: int) -> tuple[int, int]:
+    """(h^1, h^2) of T(k) on the plane by Bott's formula: h^1 is 1 at k = -3
+    and 0 elsewhere, and by Serre duality h^2(T(k)) = h^0(Omega^1(j)) =
+    (j+1)(j-1) for j = -k-3 >= 2, else 0."""
     j = -k - 3
-    return (j + 1) * (j - 1) if j >= 2 else 0
+    return (1 if k == -3 else 0), ((j + 1) * (j - 1) if j >= 2 else 0)
 
 
-def _checked_against_bott(q: int, k: int, chase: int, bott: int) -> int:
+def _tangent_p2(k: int) -> tuple[int, int]:
+    """(h^1, h^2) of T(k) on the plane: the kernel and cokernel of the stacked
+    top-level map of the Euler sequence, checked as a pair against Bott's."""
+    chase = _level([[x] for x in _coordinates(2)], 2, k, 2)
+    bott = _bott_tangent_p2(k)
     if chase != bott:
-        raise InternalConsistencyError(f"tangent chase on the plane, k={k}: the Euler chase gives h^{q} = {chase}, Bott {bott}")
+        raise InternalConsistencyError(f"tangent chase on the plane, k={k}: the Euler chase gives (h^1, h^2) = {chase}, Bott {bott}")
     return chase
 
 
@@ -228,7 +230,7 @@ def h1_tangent_pn_twist(n: int, k: int) -> int:
     if n == 1:
         return hq_pn_line(1, 2 + k, 1)
     if n == 2:
-        return _checked_against_bott(1, k, _level([[x] for x in _coordinates(2)], 2, k, 2)[0], _bott_h1_tangent_p2(k))
+        return _tangent_p2(k)[0]
     # 0 -> O(k) -> O(k+1)^(n+1) -> T(k) -> 0: h^1(T(k)) sits between h^1(O(k+1))
     # and h^2(O(k)), middle cohomology of line bundles, which is 0 for 0 < q < n.
     # This stays a shape argument: the chase's grid of n + 1 coordinates costs
@@ -240,7 +242,7 @@ def h2_tangent_p2_twist(k: int) -> int:
     """h^2 of the twisted tangent sheaf on the plane: the cokernel of the
     same stacked top-level map used for h^1, checked against Bott's
     formula."""
-    return _checked_against_bott(2, k, _level([[x] for x in _coordinates(2)], 2, k, 2)[1], _bott_h2_tangent_p2(k))
+    return _tangent_p2(k)[1]
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +293,6 @@ class SurfaceDivisor(FrozenRecord):
     def canonical(cls, r: int) -> "SurfaceDivisor":
         """The canonical class: -3H + E_1 + ... + E_r."""
         return cls(r, -3, (1,) * r)
-
-    def __rmul__(self, c: int) -> "SurfaceDivisor":
-        if not isinstance(c, int):
-            raise TypeError("divisor classes only scale by integers")
-        return SurfaceDivisor(self.r, c * self.h, tuple(c * a for a in self.e))
 
     def _check(self, other: "SurfaceDivisor") -> None:
         if self.r != other.r:

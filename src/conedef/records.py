@@ -12,7 +12,9 @@ entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``),
 whose ``Variety._set`` refuses a field that is not an int, and
 ``SurfaceDivisor`` check their integers, and ``RationalMatrix`` and
 ``RationalFunction`` check their entries.  A record that holds a dict (a
-matrix's rows, a table's entries) compares by value but does not hash.
+matrix's rows, an assembly's bands) compares by value but does not hash.
+A result record holds what its function computed, not the arguments it
+was called with.
 Nothing here generates code, so defining a record costs no more than
 defining any other class.
 

@@ -53,19 +53,20 @@ def test_parse_variety_descriptors():
             parse_variety(bad)
 
 
-def test_parse_variety_round_trips_describe():
-    """Every registry name parses to its constructor's entry, and describe()
-    gives the canonical descriptor, which parses back to the same entry: an
-    entry's own name, or for an alias the name of the entry it returns."""
-    canonical = {"rnc": "veronese", "segre": "product"}
-    assert parse_variety("rnc:4").describe() == "veronese:1:4"
-    assert parse_variety("segre:2").describe() == "product:2:2"
+def test_parse_variety_round_trips_each_entry():
+    """Every registry name parses to its constructor's entry, and the entry's
+    canonical descriptor (the name of its class's row, then its fields)
+    parses back to an equal entry with the same hash: an alias builds the
+    entry it names."""
+    canonical = {make: name for name, (make, _) in cones.CATALOG.items() if isinstance(make, type)}
+    assert parse_variety("rnc:4") == parse_variety("veronese:1:4")
+    assert parse_variety("segre:2") == parse_variety("product:2:2")
     for name, (make, fields) in cones.CATALOG.items():
         for values in itertools.product(range(1, 4), repeat=len(fields)):
             v = parse_variety(":".join([name, *map(str, values)]))
             assert v == make(*values)
-            assert v.describe().startswith(canonical.get(name, name) + ":")
-            assert parse_variety(v.describe()) == v
+            again = parse_variety(":".join([canonical[type(v)], *(str(getattr(v, f)) for f in v._fields)]))
+            assert again == v and hash(again) == hash(v)
 
 
 # Integers small enough to be answered, near the budgets, and up to 10**18;
@@ -144,6 +145,18 @@ def test_t1_help_names_the_quantity_it_prints(capsys):
     text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal's width
     assert "weight table of h^q(T_Y (x) L^m): for each weight m of the window" in text
     assert "--order {1,2} q of h^q(T_Y (x) L^m)" in text
+
+
+def test_rigidity_help_says_what_it_reads(capsys, monkeypatch):
+    """``rigidity --help`` describes the variety and the window it reads, as
+    ``t1 --help`` does: both subcommands declare them once, in one parent."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["rigidity", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "delpezzo:<r>" in text
+    assert "--weights WEIGHTS inclusive weight window lo..hi (default -6..3)" in text
 
 
 # ---- t1 ----------------------------------------------------------------
@@ -729,10 +742,10 @@ def test_the_root_loads_nothing_and_resolves_each_name_to_its_home():
 
 
 def test_bott_h1_spike_mismatch_is_exit_4(capsys, monkeypatch):
-    # the Euler chase on the plane is checked against Bott's h^1 spike at
-    # k = -3; moving the spike to k = -4 makes the two disagree there
-    bott = projective._bott_h1_tangent_p2
-    monkeypatch.setattr(projective, "_bott_h1_tangent_p2", lambda k: bott(k + 1))
+    # the Euler chase on the plane is checked against Bott's pair (h^1, h^2);
+    # moving the h^1 spike from k = -3 to k = -4 makes the two disagree at -3
+    bott = projective._bott_tangent_p2
+    monkeypatch.setattr(projective, "_bott_tangent_p2", lambda k: (bott(k + 1)[0], bott(k)[1]))
     code, out, err = run_cli(capsys, "t1", "veronese:2:3")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: tangent chase on the plane, k=-3:")
@@ -742,8 +755,8 @@ def test_bott_h1_spike_mismatch_is_exit_4(capsys, monkeypatch):
 def test_bott_h2_mismatch_is_exit_4(capsys, monkeypatch):
     # the cokernel of the same chase is checked against Bott's h^2 form;
     # shifting j = -k-3 by one breaks it at the first weight, k = -18
-    bott = projective._bott_h2_tangent_p2
-    monkeypatch.setattr(projective, "_bott_h2_tangent_p2", lambda k: bott(k - 1))
+    bott = projective._bott_tangent_p2
+    monkeypatch.setattr(projective, "_bott_tangent_p2", lambda k: (bott(k)[0], bott(k - 1)[1]))
     code, out, err = run_cli(capsys, "t1", "veronese:2:3", "--order", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: tangent chase on the plane, k=-18:")
@@ -755,7 +768,7 @@ def test_closed_form_witness_without_a_count_is_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(cones.VeroneseSpace, "closed_form_rigidity", lambda self: (-2, "shifted"))
     code, out, err = run_cli(capsys, "rigidity", "veronese:2:3")
     assert (code, out) == (4, "")
-    assert err.startswith("internal error: veronese:2:3: the closed form puts a nonzero weight at -2")
+    assert err.startswith("internal error: VeroneseSpace(n=2, d=3): the closed form puts a nonzero weight at -2")
     assert err.count("\n") == 1
 
 

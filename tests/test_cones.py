@@ -8,7 +8,6 @@ from conedef.cones import (
     OutOfScopeError,
     ProductPolarization,
     RationalNormalCurve,
-    RigidityVerdict,
     SegreQuadric,
     VeroneseSpace,
     corollary_flags,
@@ -21,7 +20,7 @@ from conedef.cones import (
     weight_zero_criterion,
 )
 from conedef.delpezzo import Verdict, delpezzo_certificate
-from conedef.projective import OverBudgetError
+from conedef.projective import MAX_COST, OverBudgetError
 from conedef.p1 import h_dim
 
 from oracles import bidegree_h1_enumerated, bott_hq_omega, line_h1_enumerated
@@ -110,14 +109,15 @@ def _oracle_h(v, q, m):
     return bott_hq_omega(v.n, v.n - 1, q, v.d * m + v.n + 1)
 
 
-# every numeric entry with n, d, a, b <= 4 (and n = 5), at each order it computes
-NUMERIC = [
-    *((VeroneseSpace(n, d), q) for n in range(1, 6) for d in range(1, 5) for q in (1, 2) if q == 1 or n <= 2),
-    *((ProductPolarization(a, b), q) for a in range(1, 5) for b in range(1, 5) for q in (1, 2)),
-]
+# every numeric entry with n, d, a, b <= 4 (and n = 5), at each order it
+# computes, keyed by its descriptor and order
+NUMERIC = {
+    **{f"veronese:{n}:{d}-h{q}": (VeroneseSpace(n, d), q) for n in range(1, 6) for d in range(1, 5) for q in (1, 2) if q == 1 or n <= 2},
+    **{f"product:{a}:{b}-h{q}": (ProductPolarization(a, b), q) for a in range(1, 5) for b in range(1, 5) for q in (1, 2)},
+}
 
 
-@pytest.mark.parametrize("v,q", NUMERIC, ids=[f"{v.describe()}-h{q}" for v, q in NUMERIC])
+@pytest.mark.parametrize("v,q", NUMERIC.values(), ids=list(NUMERIC))
 def test_counts_match_independent_oracles(v, q):
     count = t1_weight if q == 1 else t2_weight
     weights = range(-8, 4)
@@ -174,14 +174,11 @@ def test_catalog_validation():
 
 
 def test_rnc_table_window():
-    table = t1_table(VeroneseSpace(1, 4), -3, 1)
-    assert table.entries == {-3: 9, -2: 5, -1: 1, 0: 0, 1: 0}
-    assert table.nonzero_weights() == [-3, -2, -1]
+    assert t1_table(VeroneseSpace(1, 4), -3, 1) == {-3: 9, -2: 5, -1: 1, 0: 0, 1: 0}
 
 
 def test_segre_two_table():
-    table = t1_table(ProductPolarization(2, 2), -4, 1)
-    assert table.entries == {-4: 0, -3: 0, -2: 0, -1: 2, 0: 0, 1: 0}
+    assert t1_table(ProductPolarization(2, 2), -4, 1) == {-4: 0, -3: 0, -2: 0, -1: 2, 0: 0, 1: 0}
 
 
 def test_empty_window_rejected():
@@ -223,8 +220,7 @@ def test_t2_quadric_by_weight():
 def test_t2_out_of_scope():
     with pytest.raises(OutOfScopeError):
         t2_weight(VeroneseSpace(3, 2), -1)
-    table = t2_table(ProductPolarization(2, 2), -2, 0)
-    assert table.order == 2
+    assert t2_table(ProductPolarization(2, 2), -2, 0) == {-2: 6, -1: 0, 0: 0}
 
 
 # ---- rigidity verdicts -------------------------------------------------
@@ -282,16 +278,20 @@ SCANNED = {
 def test_closed_form_verdict_matches_a_window_scan(v):
     """The closed form against a scan of the counts: the witness is the
     nonzero weight nearest zero over -12..4, or there is none and the cone
-    is rigid; and the verdict does not depend on the window asked for."""
+    is rigid."""
     scanned = next(((m, dim) for m in range(4, -13, -1) if (dim := t1_weight(v, m)) != 0), None)
     verdict = rigidity_verdict(v, -12, 4)
     assert (verdict.rigid, verdict.witness, verdict.window_independent) == (scanned is None, scanned, True)
-    for m_lo, m_hi in ((-6, 3), (0, 3), (-1, -1)):
-        # equal to the -12..4 verdict in every field but the window asked for
-        assert rigidity_verdict(v, m_lo, m_hi) == RigidityVerdict(
-            verdict.variety, verdict.rigid, verdict.witness, m_lo, m_hi,
-            verdict.window_independent, verdict.note, verdict.certificate,
-        )
+
+
+@pytest.mark.parametrize("v", SCANNED.values(), ids=list(SCANNED))
+def test_numeric_verdict_is_one_record_whatever_the_window(v):
+    """A numeric verdict holds in every weight and stores no window, so the
+    verdicts of any two windows are equal records."""
+    verdict = rigidity_verdict(v, -6, 3)
+    assert verdict.window_independent and verdict.certificate is None
+    for m_lo, m_hi in ((-1000, 1000), (-12, 4), (0, 3), (-1, -1)):
+        assert rigidity_verdict(v, m_lo, m_hi) == verdict
 
 
 def test_delpezzo_verdict_is_certificate_only():
@@ -351,13 +351,12 @@ def test_assembly_rnc4():
     assert asm.negative == {-2: 5, -1: 1}
     assert asm.zero == 0
     assert asm.positive == {1: 0, 2: 0}
-    assert asm.total() == 6
 
 
 def test_assembly_conic_carries_its_witness():
     asm = pinkham_assembly(VeroneseSpace(1, 2), -2, 2)
     assert asm.negative == {-2: 1, -1: 0}
-    assert asm.total() == 1
+    assert (asm.zero, asm.positive) == (0, {1: 0, 2: 0})
 
 
 def test_assembly_quadric_cone():
@@ -378,8 +377,8 @@ def test_assembly_window_must_contain_zero():
 def test_assembly_total_matches_table_sum(d, lo, hi):
     v = VeroneseSpace(1, d)
     asm = pinkham_assembly(v, lo, hi)
-    table = t1_table(v, lo, hi)
-    assert asm.total() == sum(table.entries.values())
+    total = sum(asm.negative.values()) + asm.zero + sum(asm.positive.values())
+    assert total == sum(t1_table(v, lo, hi).values())
 
 
 # ---- cost ----------------------------------------------------------------
@@ -394,3 +393,12 @@ def test_library_tables_and_certificates_are_priced_before_building():
         delpezzo_certificate(6, -14286, 0)
     # a numeric verdict reads its witness weight alone
     assert rigidity_verdict(VeroneseSpace(1, 4), -(10**18), 0).witness == (-1, 1)
+
+
+def test_assembly_is_priced_as_one_table():
+    # one weight over the budget's window length, refused before any count
+    with pytest.raises(OverBudgetError, match=f"^weight window -{MAX_COST}..0 has {MAX_COST + 1} weights"):
+        pinkham_assembly(VeroneseSpace(1, 4), -MAX_COST, 0)
+    # and by the entry's own cost: the plane's Euler blocks over -100..0
+    with pytest.raises(OverBudgetError, match="^the request costs 485201 units"):
+        pinkham_assembly(VeroneseSpace(2, 1), -100, 0)

@@ -385,7 +385,7 @@ def test_canonical_on_exceptional():
     K = SurfaceDivisor.canonical(6)
     for i in range(1, 7):
         assert restrict_to_exceptional(K, i) == -1
-        assert restrict_to_exceptional((-1) * K, i) == 1
+        assert restrict_to_exceptional(SurfaceDivisor(6, 3, (-1,) * 6), i) == 1
 
 
 def test_exceptional_self_intersection():
@@ -400,10 +400,6 @@ def test_exceptional_self_intersection():
 
 def test_divisor_arithmetic():
     K = SurfaceDivisor.canonical(3)
-    assert 2 * K == SurfaceDivisor(3, -6, (2, 2, 2))
-    assert 0 * K == SurfaceDivisor(3, 0, (0, 0, 0))
-    with pytest.raises(TypeError):
-        0.5 * K
     with pytest.raises(ValueError):
         intersection(K, SurfaceDivisor.canonical(4))
     with pytest.raises(ValueError):
@@ -423,6 +419,7 @@ def test_intersection_is_symmetric_bilinear(h1, h2, e1, e2, c):
     d1 = SurfaceDivisor(3, h1, tuple(e1))
     d2 = SurfaceDivisor(3, h2, tuple(e2))
     assert intersection(d1, d2) == intersection(d2, d1)
-    assert intersection(c * d1, d2) == c * intersection(d1, d2)
+    scaled = SurfaceDivisor(3, c * h1, tuple(c * a for a in e1))
+    assert intersection(scaled, d2) == c * intersection(d1, d2)
     total = SurfaceDivisor(3, h1 + h2, tuple(a + b for a, b in zip(e1, e2)))
     assert intersection(total, d2) == intersection(d1, d2) + intersection(d2, d2)

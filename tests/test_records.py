@@ -12,7 +12,6 @@ from conedef.atiyah import CocycleReport
 from conedef.cones import (
     BlownUpPlane,
     GradedAssembly,
-    GradedTable,
     PolarizationFlags,
     ProductPolarization,
     RationalNormalCurve,
@@ -44,18 +43,17 @@ FROZEN = [
     (SegreQuadric, (2,), (3,), True, "d"),
     (ProductPolarization, (2, 3), (3, 2), True, "a"),
     (BlownUpPlane, (6,), (5,), True, "r"),
-    (GradedTable, ("rnc:4", 1, -1, 0, {-1: 1, 0: 0}), ("rnc:4", 1, -1, 0, {-1: 1, 0: 1}), False, "variety"),
-    (RigidityVerdict, ("rnc:4", False, (-1, 1), -6, 3, True, "note", None), ("rnc:4", False, (-1, 1), -6, 2, True, "note", None), True, "variety"),
-    (WeightZeroReport, ("rnc:4", 0, 0, True, 0), ("rnc:4", 0, 0, True, None), True, "variety"),
-    (PolarizationFlags, ("segre:1", -2, 0, 1), ("segre:1", -2, 0, 0), True, "variety"),
-    (GradedAssembly, ("rnc:4", {-1: 1}, 0, {1: 0}, {"zero": "z"}), ("rnc:4", {-1: 1}, 1, {1: 0}, {"zero": "z"}), False, "variety"),
+    (RigidityVerdict, (False, (-1, 1), True, "note", None), (False, (-2, 1), True, "note", None), True, "rigid"),
+    (WeightZeroReport, (0, 0, True, 0), (0, 0, True, None), True, "h1_structure"),
+    (PolarizationFlags, (0, 1), (0, 0), True, "h1_polarization"),
+    (GradedAssembly, ({-1: 1}, 0, {1: 0}, {"zero": "z"}), ({-1: 1}, 1, {1: 0}, {"zero": "z"}), False, "negative"),
     (Presentation, (2, (_X * _Y,)), (2, (_X * _X,)), True, "d"),
     (PolyMatrix, (1, 2, ((_X, _Y),), ("x", "y")), (1, 2, ((_Y, _X),), ("x", "y")), True, "nrows"),
-    (GradedJacobian, (3, 0, RationalMatrix.identity(2), 1, 1), (3, 0, RationalMatrix.zero(2, 2), 1, 1), False, "d"),
-    (NormalRoute, (3, -1, 0, 0, 0, 1, True), (3, -1, 0, 0, 0, 1, False), True, "d"),
+    (GradedJacobian, (RationalMatrix.identity(2), 1, 1), (RationalMatrix.zero(2, 2), 1, 1), False, "matrix"),
+    (NormalRoute, (0, 0, 0, 1, True), (0, 0, 0, 1, False), True, "normal_h0"),
     (CertStep, ("t", 0, 0, "r", "a", StepStatus.VERIFIED), ("t", 0, 1, "r", "a", StepStatus.CONTRADICTED), True, "term"),
     (Certificate, ("c", (_STEP,)), ("c", ()), True, "claim"),
-    (CocycleReport, (2, ((0, 1, 2),), True, True, True, True), (2, ((0, 1, 2),), False, True, True, True), True, "n"),
+    (CocycleReport, (((0, 1, 2),), True, True, True, True), (((0, 1, 2),), False, True, True, True), True, "triples"),
     (RationalMatrix, (2, 2, [{0: 1}, {1: 1}]), (2, 2, [{}, {1: Fraction(1)}]), False, "nrows"),
     (RationalFunction, (_X, _Y), (_Y, _X), True, "num"),
 ]
@@ -96,18 +94,18 @@ def test_equality_needs_the_same_class():
 
 
 def test_constructor_order_and_defaults():
-    verdict = RigidityVerdict("rnc:4", False, (-1, 1), -6, 3, True, "note", None)
-    assert (verdict.variety, verdict.rigid, verdict.witness, verdict.m_lo, verdict.m_hi) == ("rnc:4", False, (-1, 1), -6, 3)
+    verdict = RigidityVerdict(False, (-1, 1), True, "note", None)
+    assert (verdict.rigid, verdict.witness) == (False, (-1, 1))
     assert (verdict.window_independent, verdict.note, verdict.certificate) == (True, "note", None)
     assert VeroneseSpace(2, 3).n == 2 and VeroneseSpace(2, 3).d == 3
     assert ProductPolarization(2, 3).a == 2 and ProductPolarization(2, 3).b == 3
-    report = CocycleReport(3, ((0, 1, 2),), True, False, True, True)
-    assert (report.n, report.triples, report.multiplicative_ok, report.additive_ok) == (3, ((0, 1, 2),), True, False)
+    report = CocycleReport(((0, 1, 2),), True, False, True, True)
+    assert (report.triples, report.multiplicative_ok, report.additive_ok) == (((0, 1, 2),), True, False)
     assert (report.degenerate_ok, report.nontrivial_witness, report.passed) == (True, True, False)
     # no field has a default, and the constructor takes no keywords
     with pytest.raises(TypeError):
-        RigidityVerdict("rnc:4", False, (-1, 1), -6, 3, True, "note")
-    for make in (lambda: Certificate("c"), lambda: CocycleReport(3), lambda: CocycleReport(n=3), lambda: Certificate(claim="c", steps=())):
+        RigidityVerdict(False, (-1, 1), True, "note")
+    for make in (lambda: Certificate("c"), lambda: CocycleReport(()), lambda: CocycleReport(triples=()), lambda: Certificate(claim="c", steps=())):
         with pytest.raises(TypeError):
             make()
 
