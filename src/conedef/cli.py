@@ -144,11 +144,12 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
         euler = (args.d + 1) * max(1, p1.h_dim(1, args.d * args.weight))
         check_cost(euler + partials * max(1, p1.h_dim(0, args.d * (args.weight + 1))) if args.trace else euler)
     if args.dump_matrix:
-        matrix = jacobian_matrix(args.d)
+        rows = jacobian_matrix(args.d)
+        names = [f"z{t}" for t in range(args.d + 1)]
         result = {
-            "rows": matrix.nrows,
-            "cols": matrix.ncols,
-            "entries": matrix.to_strings(),
+            "rows": len(rows),
+            "cols": args.d + 1,
+            "entries": [[p.to_string(names) for p in row] for row in rows],
         }
         trace = ["one row per quadric generator in lexicographic pair order, one column per variable"] if args.trace else None
         return {"d": args.d}, result, trace
@@ -174,7 +175,7 @@ def cmd_cech(args: argparse.Namespace) -> Reply:
     if args.i not in (0, 1):
         raise UsageError("level must be 0 or 1")
     mons = p1.basis(args.i, args.k)
-    result = {"dim": p1.h_dim(args.i, args.k), "basis": [[a, b] for a, b in mons]}
+    result = {"dim": len(mons), "basis": [[a, b] for a, b in mons]}
     trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
     return {"i": args.i, "k": args.k}, result, trace
 

@@ -7,6 +7,10 @@ standard 2 x d array, listed in lexicographic (i, j) order.  The cone's
 coordinate ring is identified grade by grade with binary forms: the k-th
 graded piece is spanned by the monomials of degree d*k in the two
 parameters, and the normal-form map substitutes z_i -> x0^(d-i) x1^i.
+The builders return plain values: :func:`build_presentation` the tuple of
+generators and :func:`jacobian_matrix` the tuple of rows of partials, each
+a polynomial in d + 1 variables.  Variable t is z_t by position; only the
+command line prints the names.
 
 Two independent routes to the weight-m deformation count are provided:
 
@@ -48,52 +52,21 @@ def _check_degree(d: int) -> None:
         raise ValueError("the presentation needs curve degree d >= 2 (d = 1 is a line with no equations)")
 
 
-class Presentation(FrozenRecord):
-    """Generators of the ideal of the degree-d curve in the z-variables."""
-
-    __slots__ = _fields = ("d", "generators")
-
-    @property
-    def nvars(self) -> int:
-        return self.d + 1
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(f"z{i}" for i in range(self.d + 1))
-
-
-def build_presentation(d: int) -> Presentation:
+def build_presentation(d: int) -> tuple[Polynomial, ...]:
     """All 2x2-minor generators q_{ij} = z_i z_{j+1} - z_{i+1} z_j for
-    0 <= i < j <= d-1, in lexicographic order of (i, j)."""
+    0 <= i < j <= d-1, in lexicographic order of (i, j), as polynomials in
+    the d + 1 variables z_0..z_d."""
     from .polynomials import Polynomial
 
     _check_degree(d)
-    nvars = d + 1
-    z = [Polynomial.variable(nvars, t) for t in range(nvars)]
-    gens: list[Polynomial] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            gens.append(z[i] * z[j + 1] - z[i + 1] * z[j])
-    return Presentation(d, tuple(gens))
+    z = [Polynomial.variable(d + 1, t) for t in range(d + 1)]
+    return tuple(z[i] * z[j + 1] - z[i + 1] * z[j] for i in range(d) for j in range(i + 1, d))
 
 
-class PolyMatrix(FrozenRecord):
-    """A matrix of polynomials (used for the Jacobian of the generators)."""
-
-    __slots__ = _fields = ("nrows", "ncols", "entries", "var_names")
-
-    def to_strings(self) -> list[list[str]]:
-        return [[p.to_string(self.var_names) for p in row] for row in self.entries]
-
-
-def jacobian_matrix(d: int) -> PolyMatrix:
+def jacobian_matrix(d: int) -> tuple[tuple[Polynomial, ...], ...]:
     """Partial derivatives of the generators: one row per generator (in
-    presentation order), one column per variable z_0..z_d."""
-    pres = build_presentation(d)
-    rows = tuple(
-        tuple(g.derivative(i) for i in range(pres.nvars)) for g in pres.generators
-    )
-    return PolyMatrix(len(pres.generators), pres.nvars, rows, pres.var_names)
+    presentation order), one entry per variable z_0..z_d."""
+    return tuple(tuple(g.derivative(i) for i in range(d + 1)) for g in build_presentation(d))
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +127,7 @@ class GradedJacobian(FrozenRecord):
     generator.  Source blocks are ordered by variable, target blocks by
     generator."""
 
-    __slots__ = _fields = ("matrix", "source_block_dim", "target_block_dim")
+    __slots__ = _fields = ("matrix",)
 
     @property
     def source_dim(self) -> int:
@@ -180,13 +153,11 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
     from .linalg import RationalMatrix
 
     _check_degree(d)
-    src_dim, dst_dim = p1.h_dim(0, d * (m + 1)), p1.h_dim(0, d * (m + 2))
-    if src_dim == 0:
-        return GradedJacobian(RationalMatrix.zero(comb(d, 2) * dst_dim, 0), src_dim, dst_dim)
-    entries = jacobian_matrix(d).entries
-    forms = {p: normal_form(d, p).terms for p in {p for row in entries for p in row}}
-    matrix = _pn_mult_matrix([[forms[p] for p in row] for row in entries], 1, d * (m + 1), False)
-    return GradedJacobian(matrix, src_dim, dst_dim)
+    if p1.h_dim(0, d * (m + 1)) == 0:
+        return GradedJacobian(RationalMatrix.zero(comb(d, 2) * p1.h_dim(0, d * (m + 2)), 0))
+    rows = jacobian_matrix(d)
+    forms = {p: normal_form(d, p).terms for p in {p for row in rows for p in row}}
+    return GradedJacobian(_pn_mult_matrix([[forms[p] for p in row] for row in rows], 1, d * (m + 1), False))
 
 
 def euler_derivation_vector(d: int, m: int = 0) -> list[int]:
@@ -228,7 +199,6 @@ def t1_via_normal(d: int, m: int) -> NormalRoute:
     restricted-tangent chase reports a vanishing level-1 cokernel.  Then
     h^1(T_ambient|_C(m)) = 0, so h^1 of its quotient N(m) vanishes too and
     the value must be h^1(T_C(m)) = h^1(O(2 + d*m)); else it raises."""
-    _check_degree(d)
     n_h0 = normal_bundle_h0(d, m)
     rt_h0 = p1.euler_restricted_h0(d, m)
     ct_h0 = p1.h_dim(0, 2 + d * m)

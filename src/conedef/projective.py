@@ -92,13 +92,17 @@ def _pn_basis(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     of O(k): the n+1 exponents sum to k and are all nonnegative (level 0)
     or all at most -1 (level n), in descending lexicographic order.
 
-    Every basis of the package is built here, and one over MAX_BASIS is
-    refused from its closed-form size before it is enumerated."""
+    Every basis of the package is built here.  One over MAX_BASIS is
+    refused from its closed-form size before it is enumerated, and the
+    enumeration is checked against that size."""
     level = n if top else 0
     size = hq_pn_line(n, k, level)
     if size > MAX_BASIS:
         raise OverBudgetError(f"the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
-    return _pn_monomials(n, k, top)
+    monomials = _pn_monomials(n, k, top)
+    if len(monomials) != size:
+        raise InternalConsistencyError(f"level-{level} basis of O({k}) on P^{n}: enumerated {len(monomials)} monomials, closed form {size}")
+    return monomials
 
 
 def _pn_monomials(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
@@ -283,13 +287,6 @@ class SurfaceDivisor(FrozenRecord):
         self._set(r, h, e)
 
     @classmethod
-    def exceptional(cls, r: int, i: int) -> "SurfaceDivisor":
-        _check_exceptional_index(r, i)
-        e = [0] * r
-        e[i - 1] = 1
-        return cls(r, 0, tuple(e))
-
-    @classmethod
     def canonical(cls, r: int) -> "SurfaceDivisor":
         """The canonical class: -3H + E_1 + ... + E_r."""
         return cls(r, -3, (1,) * r)
@@ -297,11 +294,6 @@ class SurfaceDivisor(FrozenRecord):
     def _check(self, other: "SurfaceDivisor") -> None:
         if self.r != other.r:
             raise ValueError("divisors live on blow-ups at different numbers of points")
-
-
-def _check_exceptional_index(r: int, i: int) -> None:
-    if not 1 <= i <= r:
-        raise ValueError(f"exceptional index must satisfy 1 <= i <= r, got i={i}, r={r}")
 
 
 def intersection(d1: SurfaceDivisor, d2: SurfaceDivisor) -> int:
@@ -312,6 +304,8 @@ def intersection(d1: SurfaceDivisor, d2: SurfaceDivisor) -> int:
 
 def restrict_to_exceptional(d: SurfaceDivisor, i: int) -> int:
     """Degree of the restriction of the divisor class to the i-th
-    exceptional line (1-based), i.e. its intersection with E_i."""
-    _check_exceptional_index(d.r, i)
-    return intersection(d, SurfaceDivisor.exceptional(d.r, i))
+    exceptional line (1-based), i.e. its intersection with E_i, read off
+    directly: E_i meets H in 0 and E_j in -1 if j = i, else 0."""
+    if not 1 <= i <= d.r:
+        raise ValueError(f"exceptional index must satisfy 1 <= i <= r, got i={i}, r={d.r}")
+    return -d.e[i - 1]

@@ -157,6 +157,22 @@ def sympy_rref(data: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     ]
 
 
+# ---- the generator Jacobian and its graded pieces by sympy differentiation
+
+
+def jacobian_rows_sympy(d: int) -> list[list[dict[tuple[int, ...], int]]]:
+    """The Jacobian of the degree-d curve's 2x2 minors z_i z_(j+1) - z_(i+1) z_j
+    (pairs i < j in lexicographic order): one row per minor, one
+    ``{exponent tuple: int coefficient}`` dict per variable z_0..z_d, holding
+    sympy's derivative of the minor by that variable (``{}`` where it is 0)."""
+    z = sympy.symbols(f"z0:{d + 1}")
+    minors = [z[i] * z[j + 1] - z[i + 1] * z[j] for i in range(d) for j in range(i + 1, d)]
+    return [
+        [{exps: int(c) for exps, c in sympy.Poly(sympy.diff(minor, zt), *z).as_dict().items()} for zt in z]
+        for minor in minors
+    ]
+
+
 # ---- the graded Jacobian by sympy differentiation ----------------------
 
 

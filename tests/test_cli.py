@@ -784,6 +784,16 @@ def test_normal_route_mismatch_is_exit_4(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_basis_short_of_its_closed_form_is_exit_4(capsys, monkeypatch):
+    # the enumeration behind every basis loses one monomial: the basis no
+    # longer matches the closed-form size it was priced at
+    enumerate_monomials = projective._pn_monomials
+    monkeypatch.setattr(projective, "_pn_monomials", lambda n, k, top: enumerate_monomials(n, k, top)[1:])
+    code, out, err = run_cli(capsys, "cech", "--i", "1", "--k", "-4")
+    assert (code, out) == (4, "")
+    assert err == "internal error: level-1 basis of O(-4) on P^1: enumerated 2 monomials, closed form 3\n"
+
+
 # ---- the README's examples ------------------------------------------------
 
 

@@ -18,29 +18,33 @@ from conedef.presentation import (
 )
 from conedef.p1 import euler_restricted_h0, euler_restricted_h1, h_dim
 
-from oracles import JACOBIAN_D4_GOLDEN, graded_jacobian_sympy, line_h0_enumerated
+from oracles import JACOBIAN_D4_GOLDEN, graded_jacobian_sympy, jacobian_rows_sympy, line_h0_enumerated
+
+
+def z_strings(rows):
+    """The printed form of each entry, in the variables z0..zd."""
+    return [[p.to_string([f"z{t}" for t in range(p.nvars)]) for p in row] for row in rows]
 
 
 # ---- generators --------------------------------------------------------
 
 
 def test_generator_count_and_order():
-    pres = build_presentation(4)
-    assert len(pres.generators) == 6
+    gens = build_presentation(4)
+    assert type(gens) is tuple and len(gens) == 6
 
 
 def test_conic_generator():
-    pres = build_presentation(2)
     z0 = Polynomial.variable(3, 0)
     z1 = Polynomial.variable(3, 1)
     z2 = Polynomial.variable(3, 2)
-    assert pres.generators == (z0 * z2 - z1 * z1,)
+    assert build_presentation(2) == (z0 * z2 - z1 * z1,)
 
 
 def test_twisted_cubic_generators():
-    pres = build_presentation(3)
-    assert len(pres.generators) == 3
-    strings = [g.to_string(pres.var_names) for g in pres.generators]
+    gens = build_presentation(3)
+    assert len(gens) == 3 and all(g.nvars == 4 for g in gens)
+    [strings] = z_strings([gens])
     # graded reverse lex puts the square terms first (z1^2 beats z0*z2)
     assert strings == ["-z1^2 + z0*z2", "-z1*z2 + z0*z3", "-z2^2 + z1*z3"]
 
@@ -56,20 +60,28 @@ def test_degree_below_two_rejected():
 
 
 def test_jacobian_golden_degree_four():
-    assert jacobian_matrix(4).to_strings() == JACOBIAN_D4_GOLDEN
+    assert z_strings(jacobian_matrix(4)) == JACOBIAN_D4_GOLDEN
 
 
 def test_jacobian_degree_two():
-    assert jacobian_matrix(2).to_strings() == [["z2", "-2*z1", "z0"]]
+    assert z_strings(jacobian_matrix(2)) == [["z2", "-2*z1", "z0"]]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_jacobian_matches_sympy(d):
+    """Every partial, term by term, against sympy's differentiation of the
+    minors: pins row order, column order, signs and the -2 coefficients."""
+    rows = jacobian_matrix(d)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert [[p.terms for p in row] for row in rows] == jacobian_rows_sympy(d)
+    assert all(p.nvars == d + 1 for row in rows for p in row)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_jacobian_contracts_to_twice_generators(d):
     """Euler's relation for quadrics: sum_i z_i * dq/dz_i = 2q."""
-    pres = build_presentation(d)
-    jac = jacobian_matrix(d)
     z = [Polynomial.variable(d + 1, i) for i in range(d + 1)]
-    for row, gen in zip(jac.entries, pres.generators):
+    for row, gen in zip(jacobian_matrix(d), build_presentation(d)):
         contracted = Polynomial.zero(d + 1)
         for zi, entry in zip(z, row):
             contracted = contracted + zi * entry
@@ -97,8 +109,7 @@ def test_normal_form_examples():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_normal_form_annihilates_generators(d):
-    pres = build_presentation(d)
-    for gen in pres.generators:
+    for gen in build_presentation(d):
         assert normal_form(d, gen).is_zero()
 
 
@@ -116,8 +127,8 @@ def test_coefficients_in_grade():
 def test_graded_shape_weight_minus_one():
     g = graded_jacobian_map(4, -1)
     assert (g.source_dim, g.target_dim) == (5, 30)
-    assert g.source_block_dim == 1
-    assert g.target_block_dim == 5
+    # one grade-0 monomial per variable, one grade-1 block of 5 per generator
+    assert (g.source_dim // 5, g.target_dim // 6) == (len(s_basis(4, 0)), len(s_basis(4, 1))) == (1, 5)
 
 
 def test_graded_empty_source_in_low_weight():
@@ -165,7 +176,7 @@ def test_graded_blocks_built_once_per_distinct_partial(monkeypatch, d, m):
 
     monkeypatch.setattr(presentation, "normal_form", counting)
     graded_jacobian_map(d, m)
-    partials = {p for row in jacobian_matrix(d).entries for p in row}
+    partials = {p for row in jacobian_matrix(d) for p in row}
     assert len(calls) == len(set(calls)) == len(partials) <= 3 * d
 
 

@@ -389,8 +389,8 @@ def test_canonical_on_exceptional():
 
 
 def test_exceptional_self_intersection():
-    E1 = SurfaceDivisor.exceptional(5, 1)
-    E2 = SurfaceDivisor.exceptional(5, 2)
+    E1 = SurfaceDivisor(5, 0, (1, 0, 0, 0, 0))
+    E2 = SurfaceDivisor(5, 0, (0, 1, 0, 0, 0))
     assert intersection(E1, E1) == -1
     assert intersection(E1, E2) == 0
     H = SurfaceDivisor(5, 1, (0,) * 5)
@@ -423,3 +423,14 @@ def test_intersection_is_symmetric_bilinear(h1, h2, e1, e2, c):
     assert intersection(scaled, d2) == c * intersection(d1, d2)
     total = SurfaceDivisor(3, h1 + h2, tuple(a + b for a, b in zip(e1, e2)))
     assert intersection(total, d2) == intersection(d1, d2) + intersection(d2, d2)
+
+
+@given(h=st.integers(-5, 5), e=st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_restriction_is_intersection_with_the_exceptional_line(h, e):
+    """The restriction is read off a coefficient; the intersection form with
+    E_i, built by the constructor, is the second route."""
+    d = SurfaceDivisor(4, h, tuple(e))
+    for i in range(1, 5):
+        exceptional = SurfaceDivisor(4, 0, tuple(int(j == i) for j in range(1, 5)))
+        assert restrict_to_exceptional(d, i) == intersection(d, exceptional)

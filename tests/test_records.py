@@ -23,7 +23,7 @@ from conedef.cones import (
 from conedef.delpezzo import Certificate, CertStep, StepStatus
 from conedef.linalg import RationalMatrix
 from conedef.polynomials import Polynomial, RationalFunction
-from conedef.presentation import GradedJacobian, NormalRoute, PolyMatrix, Presentation
+from conedef.presentation import GradedJacobian, NormalRoute
 from conedef.projective import SurfaceDivisor
 from conedef.records import FrozenRecord
 
@@ -47,9 +47,7 @@ FROZEN = [
     (WeightZeroReport, (0, 0, True, 0), (0, 0, True, None), True, "h1_structure"),
     (PolarizationFlags, (0, 1), (0, 0), True, "h1_polarization"),
     (GradedAssembly, ({-1: 1}, 0, {1: 0}, {"zero": "z"}), ({-1: 1}, 1, {1: 0}, {"zero": "z"}), False, "negative"),
-    (Presentation, (2, (_X * _Y,)), (2, (_X * _X,)), True, "d"),
-    (PolyMatrix, (1, 2, ((_X, _Y),), ("x", "y")), (1, 2, ((_Y, _X),), ("x", "y")), True, "nrows"),
-    (GradedJacobian, (RationalMatrix.identity(2), 1, 1), (RationalMatrix.zero(2, 2), 1, 1), False, "matrix"),
+    (GradedJacobian, (RationalMatrix.identity(2),), (RationalMatrix.zero(2, 2),), False, "matrix"),
     (NormalRoute, (0, 0, 0, 1, True), (0, 0, 0, 1, False), True, "normal_h0"),
     (CertStep, ("t", 0, 0, "r", "a", StepStatus.VERIFIED), ("t", 0, 1, "r", "a", StepStatus.CONTRADICTED), True, "term"),
     (Certificate, ("c", (_STEP,)), ("c", ()), True, "claim"),
