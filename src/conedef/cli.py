@@ -16,14 +16,15 @@ when it is over a budget of :mod:`conedef.projective` (``MAX_BASIS``,
 command costs.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, curve degree below 2, a trace asked of ``--format csv``, or a request
-over either budget), 3 for well-formed requests the engine refuses to answer
-with bare numbers (certificate-only geometries, h^2(T_Y (x) L^m) outside
-the curve/surface catalog), 4 when two routes to the same number disagreed
-at run time (an internal error, reported as a one-line ``internal error: ...``
-on stderr instead of a number), 141 (``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE)
-when the reader of stdout went away before the whole reply was written, as in
-``conedef ... | head``: nothing more is written and stderr stays empty.
+window, curve degree below 2, a trace asked of ``--format csv``, a request
+over either budget, a count too long to print), 3 for well-formed requests
+the engine refuses to answer with bare numbers (certificate-only geometries,
+h^2(T_Y (x) L^m) outside the curve/surface catalog), 4 when two routes to the
+same number disagreed at run time (an internal error, reported as a one-line
+``internal error: ...`` on stderr instead of a number), 141
+(``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE) when the reader of stdout went away
+before the whole reply was written, as in ``conedef ... | head``: nothing
+more is written and stderr stays empty.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import os
 import sys
 from itertools import chain, islice
 from math import comb
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
@@ -80,33 +81,39 @@ def parse_window(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_printable(counts: Iterable[tuple[int, int]]) -> None:
+    """Refuse, before anything is written, a count with more digits than this interpreter prints
+    (``sys.get_int_max_str_digits``, 0 for no limit): every input fits, a product of two may not."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m, count = max(counts, key=lambda pair: pair[1], default=(None, 0))
+    if limit and count >= 10**limit:
+        raise UsageError(f"the count at weight {m} has more than {limit} digits, over this interpreter's "
+                         "limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)")
+
+
 Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or None
 
 
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
-    table = (
-        cones.t1_table(variety, lo, hi)
-        if args.order == 1
-        else cones.t2_table(variety, lo, hi)
-    )
-    weights = range(lo, hi + 1)
+    table = (cones.t1_table if args.order == 1 else cones.t2_table)(variety, lo, hi)  # in window order
+    _check_printable(table.items())
     if args.format == "csv":
         sys.stdout.write("weight,dimension\n")
-        for m in weights:
-            sys.stdout.write(f"{m},{table[m]}\n")
+        for m, count in table.items():
+            sys.stdout.write(f"{m},{count}\n")
         return None
     result = {
         "order": args.order,
         "window": f"{lo}..{hi}",
-        "table": {str(m): table[m] for m in weights},
-        "nonzero_weights": [m for m in weights if table[m]],
+        "table": {str(m): count for m, count in table.items()},
+        "nonzero_weights": [m for m, count in table.items() if count],
     }
     trace = [
         f"order {args.order}: weight m counts h^{args.order}(T_Y (x) L^m)",
         f"rule: {variety.rule()}",
-        *(f"weight {m}: dimension {table[m]}" for m in weights),
+        *(f"weight {m}: dimension {count}" for m, count in table.items()),
     ] if args.trace else None
     return {"variety": args.variety, "weights": f"{lo}..{hi}", "order": args.order}, result, trace
 
@@ -115,13 +122,10 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     verdict = cones.rigidity_verdict(variety, lo, hi)
+    _check_printable([verdict.witness] if verdict.witness is not None else [])
     result: dict = {
         "rigid": verdict.rigid,
-        "witness": (
-            {"weight": verdict.witness[0], "dim": verdict.witness[1]}
-            if verdict.witness is not None
-            else None
-        ),
+        "witness": None if verdict.witness is None else dict(zip(("weight", "dim"), verdict.witness)),
         "window": f"{lo}..{hi}",
         "window_independent": verdict.window_independent,
         "note": verdict.note,

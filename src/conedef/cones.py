@@ -41,6 +41,7 @@ form (the line, Bott, Kunneth) that decides every weight at once.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import projective
@@ -262,14 +263,8 @@ def t2_weight(v: Variety, m: int) -> int:
     return v.h(2, m)
 
 
-def _check_window(m_lo: int, m_hi: int) -> None:
-    if m_lo > m_hi:
-        raise ValueError(f"weight window {m_lo}..{m_hi} is empty")
-
-
 def _table(v: Variety, order: int, m_lo: int, m_hi: int) -> dict[int, int]:
     """{weight: h^order(T_Y (x) L^weight)} over the inclusive window, priced before the first count."""
-    _check_window(m_lo, m_hi)
     return {m: v.h(order, m) for m in projective.priced_window(m_lo, m_hi, v.cost)}
 
 
@@ -287,15 +282,22 @@ def t2_table(v: Variety, m_lo: int, m_hi: int) -> dict[int, int]:
 
 
 class RigidityVerdict(FrozenRecord):
-    """Outcome of the rigidity question for a cone.  ``rigid`` is None for
-    certificate-only varieties; ``witness`` is (weight, dimension) of the
-    nonzero graded piece closest to zero when one exists;
-    ``window_independent`` is true for every numeric verdict (a closed form
-    valid in every weight) and false for a certificate (the window only).
-    A numeric verdict does not read the window, so it equals the verdict
-    of any other window."""
+    """Outcome of the rigidity question for a cone: ``witness`` is (weight,
+    dimension) of the nonzero graded piece closest to zero, if any, and
+    ``certificate`` the replay certificate of a certificate-only variety,
+    for which ``rigid`` is None and ``window_independent`` false (it speaks
+    for its window only).  A numeric verdict is a closed form valid in every
+    weight: it does not read the window, so any two windows give one record."""
 
-    __slots__ = _fields = ("rigid", "witness", "window_independent", "note", "certificate")
+    __slots__ = _fields = ("witness", "note", "certificate")
+
+    @property
+    def rigid(self) -> Optional[bool]:
+        return None if self.certificate is not None else self.witness is None
+
+    @property
+    def window_independent(self) -> bool:
+        return self.certificate is None
 
 
 def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdict:
@@ -305,20 +307,20 @@ def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdi
     closed form whatever the window, as witness.  The count, and so the
     verdict, speaks for the cone's own T^1 only at weights where
     ``corollary_flags(v, m).clean`` holds."""
-    _check_window(m_lo, m_hi)
+    projective.check_window(m_lo, m_hi)  # a numeric verdict prices no window
     cert = v.certificate(m_lo, m_hi)
     if cert is not None:
         note = (
             "certificate-only geometry: the engine replays the published argument "
             f"step by step (verdict {cert.verdict.value}) and does not adjudicate rigidity itself"
         )
-        return RigidityVerdict(None, None, False, note, cert)
+        return RigidityVerdict(None, note, cert)
     m_star, note = v.closed_form_rigidity()
     projective.check_cost(0 if m_star is None else v.cost(m_star))  # the one weight it reads
     witness = None if m_star is None else (m_star, t1_weight(v, m_star))
     if witness is not None and witness[1] == 0:
         raise InternalConsistencyError(f"{v!r}: the closed form puts a nonzero weight at {m_star}, the count there is 0")
-    return RigidityVerdict(witness is None, witness, True, note, None)
+    return RigidityVerdict(witness, note, None)
 
 
 # ----------------------------------------------------------------------
@@ -332,16 +334,19 @@ class WeightZeroReport(FrozenRecord):
     cohomology (both must vanish for the clean graded picture) and, when
     computable, the weight-0 count itself."""
 
-    __slots__ = _fields = ("h1_structure", "h2_structure", "criterion_holds", "t1_zero")
+    __slots__ = _fields = ("h1_structure", "h2_structure", "t1_zero")
+
+    @property
+    def criterion_holds(self) -> bool:
+        return self.h1_structure == 0 and self.h2_structure == 0
 
 
 def weight_zero_criterion(v: Variety) -> WeightZeroReport:
-    h1o, h2o = v.polarization_cohomology(0)
     try:
         t1z: Optional[int] = t1_weight(v, 0)
     except OutOfScopeError:
         t1z = None  # certificate-only geometries give no bare count
-    return WeightZeroReport(h1o, h2o, h1o == 0 and h2o == 0, t1z)
+    return WeightZeroReport(*v.polarization_cohomology(0), t1z)
 
 
 class PolarizationFlags(FrozenRecord):
@@ -367,9 +372,14 @@ def corollary_flags(v: Variety, m: int) -> PolarizationFlags:
 
 class GradedAssembly(FrozenRecord):
     """The graded first-order space split into negative, zero and positive
-    weights, with the role each band plays."""
+    weights; ``roles`` names the role each band plays."""
 
-    __slots__ = _fields = ("negative", "zero", "positive", "roles")
+    __slots__ = _fields = ("negative", "zero", "positive")
+    roles = MappingProxyType({
+        "negative": "smoothing directions (the weights a smoothing can see)",
+        "zero": "equisingular piece; in the full cone space this band is taken modulo the scaling vector field",
+        "positive": "directions that only deform the cone positively; trivial for a rigid polarized structure",
+    })
 
 
 def pinkham_assembly(v: Variety, m_lo: int, m_hi: int) -> GradedAssembly:
@@ -377,15 +387,9 @@ def pinkham_assembly(v: Variety, m_lo: int, m_hi: int) -> GradedAssembly:
     The window is priced as one :func:`t1_table`, whose counts the three
     bands split.  Certificate-only varieties raise (their pieces are never
     bare numbers)."""
-    _check_window(m_lo, m_hi)
     if not (m_lo <= 0 <= m_hi):
         raise ValueError("the assembly window must contain weight 0")
     table = t1_table(v, m_lo, m_hi)
     negative = {m: table[m] for m in range(m_lo, 0)}
     positive = {m: table[m] for m in range(1, m_hi + 1)}
-    roles = {
-        "negative": "smoothing directions (the weights a smoothing can see)",
-        "zero": "equisingular piece; in the full cone space this band is taken modulo the scaling vector field",
-        "positive": "directions that only deform the cone positively; trivial for a rigid polarized structure",
-    }
-    return GradedAssembly(negative, table[0], positive, roles)
+    return GradedAssembly(negative, table[0], positive)

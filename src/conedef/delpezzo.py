@@ -261,8 +261,6 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     any step is built."""
     if not 1 <= r <= 8:
         raise ValueError("r must be between 1 and 8")
-    if m_lo > m_hi:
-        raise ValueError("empty twist window")
     priced_window(m_lo, m_hi, lambda m: max(1, len(_twist_block(r, m))))
     K = SurfaceDivisor.canonical(r)
     steps = [

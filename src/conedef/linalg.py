@@ -48,19 +48,16 @@ Row = dict[int, Scalar]
 
 
 class RationalMatrix(FrozenRecord):
-    """A rows x cols matrix of exact scalars (int or Fraction), stored as
-    one ``{column: value}`` dict per row holding the nonzero entries only.
-    Degenerate shapes (0 x n, n x 0) are legal and behave like the
-    corresponding zero maps.  Two matrices are equal when their shapes and
-    rows are, so an int entry equals the Fraction of the same value."""
+    """A matrix of exact scalars (int or Fraction) stored as its column count
+    and one ``{column: value}`` dict of nonzero entries per row, so ``nrows``
+    is ``len(rows)``; 0 x n and n x 0 are zero maps.  Two matrices are equal
+    when their column counts and rows are: an int equals the same Fraction."""
 
-    __slots__ = _fields = ("nrows", "ncols", "rows")
+    __slots__ = _fields = ("ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: list[Row]) -> None:
-        if nrows < 0 or ncols < 0:
+    def __init__(self, ncols: int, rows: list[Row]) -> None:
+        if ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(rows) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         fraction = fraction_type()
         for row in rows:
             if not isinstance(row, dict):
@@ -72,7 +69,11 @@ class RationalMatrix(FrozenRecord):
                     raise ValueError(f"entry at column {j} is a {type(x).__name__}, not an int or a Fraction")
                 if not x:
                     raise ValueError(f"stored zero at column {j}")
-        self._set(nrows, ncols, rows)
+        self._set(ncols, rows)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
 
     # ---- constructors -------------------------------------------------
 
@@ -81,23 +82,21 @@ class RationalMatrix(FrozenRecord):
         """Build from dense nested sequences.  ``ncols`` is only needed when
         ``rows`` is empty (a 0 x n matrix has no rows to infer n from)."""
         rows = [list(r) for r in rows]
-        if not rows:
-            return cls(0, ncols or 0, [])
-        width = len(rows[0])
+        width = len(rows[0]) if rows else ncols or 0
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows in matrix data")
         # only an exact zero is dropped; any other entry is left for __init__ to check
         fraction = fraction_type()
         sparse = [{j: x for j, x in enumerate(r) if x or not (type(x) is int or isinstance(x, fraction))} for r in rows]
-        return cls(len(rows), width, sparse)
+        return cls(width, sparse)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls(nrows, ncols, [{} for _ in range(nrows)])
+        return cls(ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [{i: 1} for i in range(n)])
+        return cls(n, [{i: 1} for i in range(n)])
 
     # ---- basics -------------------------------------------------------
 
@@ -107,20 +106,18 @@ class RationalMatrix(FrozenRecord):
         return self.rows[i].get(j, 0)
 
     def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.nrows, self.ncols, [dict(row) for row in self.rows])
+        return RationalMatrix(self.ncols, [dict(row) for row in self.rows])
 
     def transpose(self) -> "RationalMatrix":
         cols: list[Row] = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self.rows):
             for j, x in row.items():
                 cols[j][i] = x
-        return RationalMatrix(self.ncols, self.nrows, cols)
+        return RationalMatrix(self.nrows, cols)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
-            raise ValueError(
-                f"shape mismatch: ({self.nrows}x{self.ncols}) @ ({other.nrows}x{other.ncols})"
-            )
+            raise ValueError(f"shape mismatch: ({self.nrows}x{self.ncols}) @ ({other.nrows}x{other.ncols})")
         out: list[Row] = []
         for row in self.rows:
             acc: Row = {}
@@ -128,7 +125,7 @@ class RationalMatrix(FrozenRecord):
                 for j, b in other.rows[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             out.append({j: x for j, x in acc.items() if x})
-        return RationalMatrix(self.nrows, other.ncols, out)
+        return RationalMatrix(other.ncols, out)
 
     def is_zero(self) -> bool:
         return not any(self.rows)
@@ -140,7 +137,7 @@ class RationalMatrix(FrozenRecord):
         and below, zero rows last).  Deterministic; does not modify self."""
         reduced = _back_substitute(_echelon(self.rows))
         reduced += [{} for _ in range(self.nrows - len(reduced))]
-        return RationalMatrix(self.nrows, self.ncols, reduced)
+        return RationalMatrix(self.ncols, reduced)
 
     def rref_with_transform(self) -> tuple["RationalMatrix", "RationalMatrix"]:
         """Return (R, T) with R = T @ self in reduced row echelon form and
@@ -152,10 +149,7 @@ class RationalMatrix(FrozenRecord):
         reduced = hstack([self, RationalMatrix.identity(self.nrows)]).rref()
         left = [{j: x for j, x in row.items() if j < n} for row in reduced.rows]
         right = [{j - n: x for j, x in row.items() if j >= n} for row in reduced.rows]
-        return (
-            RationalMatrix(self.nrows, n, left),
-            RationalMatrix(self.nrows, self.nrows, right),
-        )
+        return RationalMatrix(n, left), RationalMatrix(self.nrows, right)
 
     def pivot_columns(self) -> list[int]:
         return sorted(_echelon(self.rows))
@@ -288,10 +282,9 @@ def hstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
     offset = 0
     for b in blocks:
         for row, part in zip(rows, b.rows):
-            if part:  # most rows of a stacked block grid are empty
-                row.update((j + offset, x) for j, x in part.items())
+            row.update((j + offset, x) for j, x in part.items())
         offset += b.ncols
-    return RationalMatrix(nrows, offset, rows)
+    return RationalMatrix(offset, rows)
 
 
 def vstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
@@ -303,5 +296,4 @@ def vstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
     for b in blocks:
         if b.ncols != ncols:
             raise ValueError("vstack: column counts differ")
-    rows = [dict(row) for b in blocks for row in b.rows]
-    return RationalMatrix(len(rows), ncols, rows)
+    return RationalMatrix(ncols, [dict(row) for b in blocks for row in b.rows])

@@ -187,10 +187,14 @@ def normal_bundle_h0(d: int, m: int) -> int:
 
 
 class NormalRoute(FrozenRecord):
-    """Normal-bundle computation of the weight-m deformation count, with
-    the exactness certificate for the sequence chase."""
+    """The normal-bundle route to the weight-m count: three section counts,
+    their alternating sum ``value`` and whether the sequence chase is exact."""
 
-    __slots__ = _fields = ("normal_h0", "restricted_tangent_h0", "curve_tangent_h0", "value", "exact")
+    __slots__ = _fields = ("normal_h0", "restricted_tangent_h0", "curve_tangent_h0", "exact")
+
+    @property
+    def value(self) -> int:
+        return self.normal_h0 - self.restricted_tangent_h0 + self.curve_tangent_h0
 
 
 def t1_via_normal(d: int, m: int) -> NormalRoute:
@@ -199,12 +203,9 @@ def t1_via_normal(d: int, m: int) -> NormalRoute:
     restricted-tangent chase reports a vanishing level-1 cokernel.  Then
     h^1(T_ambient|_C(m)) = 0, so h^1 of its quotient N(m) vanishes too and
     the value must be h^1(T_C(m)) = h^1(O(2 + d*m)); else it raises."""
-    n_h0 = normal_bundle_h0(d, m)
-    rt_h0 = p1.euler_restricted_h0(d, m)
-    ct_h0 = p1.h_dim(0, 2 + d * m)
-    value = n_h0 - rt_h0 + ct_h0
-    exact = p1.euler_restricted_h1(d, m) == 0
+    h0s = normal_bundle_h0(d, m), p1.euler_restricted_h0(d, m), p1.h_dim(0, 2 + d * m)
+    route = NormalRoute(*h0s, p1.euler_restricted_h1(d, m) == 0)
     line = p1.h_dim(1, 2 + d * m)
-    if exact and value != line:
-        raise InternalConsistencyError(f"normal route d={d}, m={m}: exact chase gave {value}, line count {line}")
-    return NormalRoute(n_h0, rt_h0, ct_h0, value, exact)
+    if route.exact and route.value != line:
+        raise InternalConsistencyError(f"normal route d={d}, m={m}: exact chase gave {route.value}, line count {line}")
+    return route

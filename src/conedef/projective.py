@@ -79,8 +79,14 @@ def check_cost(cost: int) -> None:
         raise OverBudgetError(f"the request costs {cost} units, over the cost budget of {MAX_COST}")
 
 
+def check_window(m_lo: int, m_hi: int) -> None:
+    if m_lo > m_hi:
+        raise ValueError(f"weight window {m_lo}..{m_hi} is empty")
+
+
 def priced_window(m_lo: int, m_hi: int, cost: Callable[[int], int]) -> range:
-    """The weights of a window read at cost(m) >= 1 units each; one longer than MAX_COST is refused before the sum."""
+    """The weights of a nonempty window read at cost(m) >= 1 units each; one longer than MAX_COST is refused before the sum."""
+    check_window(m_lo, m_hi)
     if m_hi - m_lo + 1 > MAX_COST:
         raise OverBudgetError(f"weight window {m_lo}..{m_hi} has {m_hi - m_lo + 1} weights, over the cost budget of {MAX_COST}")
     check_cost(sum(map(cost, range(m_lo, m_hi + 1))))
@@ -154,7 +160,7 @@ def _pn_mult_matrix(grid: Sequence[Sequence[Multiplier]], n: int, k: int, top: b
                     row = index.get(tuple(map(add, exps, mono)))
                     if row is not None:
                         rows[offset + row][col] = coeff
-    return RationalMatrix(len(rows), len(grid[0]) * len(src), rows)
+    return RationalMatrix(len(grid[0]) * len(src), rows)
 
 
 def _coordinates(n: int) -> list[Multiplier]:
@@ -274,31 +280,25 @@ def h2_bidegree(a: int, b: int) -> int:
 
 class SurfaceDivisor(FrozenRecord):
     """A divisor class h*H + sum_i e_i * E_i on the blow-up of the plane in
-    r points, in the standard orthogonal basis (H; E_1..E_r) where H^2 = 1,
-    E_i^2 = -1 and H.E_i = 0."""
+    r = len(e) points, in the standard orthogonal basis (H; E_1..E_r) where
+    H^2 = 1, E_i^2 = -1 and H.E_i = 0."""
 
-    __slots__ = _fields = ("r", "h", "e")
+    __slots__ = _fields = ("h", "e")
 
-    def __init__(self, r: int, h: int, e: tuple[int, ...]) -> None:
-        if not 0 <= r:
-            raise ValueError("r must be nonnegative")
-        if len(e) != r:
-            raise ValueError(f"expected {r} exceptional coefficients, got {len(e)}")
-        self._set(r, h, e)
+    @property
+    def r(self) -> int:
+        return len(self.e)
 
     @classmethod
     def canonical(cls, r: int) -> "SurfaceDivisor":
         """The canonical class: -3H + E_1 + ... + E_r."""
-        return cls(r, -3, (1,) * r)
-
-    def _check(self, other: "SurfaceDivisor") -> None:
-        if self.r != other.r:
-            raise ValueError("divisors live on blow-ups at different numbers of points")
+        return cls(-3, (1,) * r)
 
 
 def intersection(d1: SurfaceDivisor, d2: SurfaceDivisor) -> int:
     """Intersection number in the orthogonal basis: h1*h2 - sum e1_i*e2_i."""
-    d1._check(d2)
+    if d1.r != d2.r:
+        raise ValueError("divisors live on blow-ups at different numbers of points")
     return d1.h * d2.h - sum(a * b for a, b in zip(d1.e, d2.e))
 
 

@@ -9,12 +9,12 @@ constructor and the command line's descriptor parser all read
 refuses any other count.  Only a record that validates its input writes
 its own ``__init__`` and stores its values with ``_set``: the catalog
 entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``),
-whose ``Variety._set`` refuses a field that is not an int, and
-``SurfaceDivisor`` check their integers, and ``RationalMatrix`` and
-``RationalFunction`` check their entries.  A record that holds a dict (a
-matrix's rows, an assembly's bands) compares by value but does not hash.
-A result record holds what its function computed, not the arguments it
-was called with.
+whose ``Variety._set`` refuses a field that is not an int, check their
+integers, and ``RationalMatrix`` and ``RationalFunction`` their entries.
+A record that holds a dict (a matrix's rows) compares by value but does
+not hash.  A result record holds what its function computed, not its
+arguments, and a record stores each value once: what follows from its
+fields is a property, so no record can contradict itself.
 Nothing here generates code, so defining a record costs no more than
 defining any other class.
 

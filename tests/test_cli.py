@@ -227,6 +227,36 @@ def test_csv_refuses_the_trace_env_var(capsys, monkeypatch):
     assert err.startswith("error: --format csv cannot carry a trace") and err.count("\n") == 1
 
 
+@pytest.fixture
+def int_print_limit():
+    """``sys.set_int_max_str_digits`` for one test, restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_a_count_too_long_to_print_is_refused_before_any_output(capsys, int_print_limit):
+    """Every input fits the interpreter's limit for converting an int to a
+    string, but a count can be the product of two inputs.  Such a count is
+    refused with exit 2 and an empty stdout (no csv header either), and
+    printed in full once the limit is lifted."""
+    int_print_limit(640)  # the smallest limit Python accepts
+    n = "9" * 400
+    window = f"--weights=-{n}..-{n}"
+    refusal = "over this interpreter's limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)\n"
+    for argv in (
+        ("t1", f"rnc:{n}", window),
+        ("t1", f"rnc:{n}", window, "--trace"),
+        ("t1", f"rnc:{n}", window, "--format", "csv"),
+        ("t1", f"product:{n}:{n}", window, "--order", "2"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: the count at weight -{n} has more than 640 digits, {refusal}"), argv
+    # a product's witness is 2 (b - 1) at weight -1, one digit longer than b
+    assert run_cli(capsys, "rigidity", "product:1:" + "9" * 640) == (2, "", f"error: the count at weight -1 has more than 640 digits, {refusal}")
+    int_print_limit(0)
+    assert run_json(capsys, "t1", f"rnc:{n}", window)["result"]["table"] == {f"-{n}": int(n) ** 2 - 3}
+
+
 def test_t1_inverted_window_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "t1", "rnc:4", "--weights", "3..-3")
     assert code == 2

@@ -182,8 +182,21 @@ def test_segre_two_table():
 
 
 def test_empty_window_rejected():
-    with pytest.raises(ValueError):
-        t1_table(VeroneseSpace(1, 3), 2, -2)
+    """The priced window refuses an empty window for a table and a
+    certificate, and rigidity_verdict asks the same rule, since a numeric
+    verdict prices no window; an assembly's window must contain weight 0."""
+    refused = (
+        lambda: t1_table(VeroneseSpace(1, 3), 2, -2),
+        lambda: t2_table(ProductPolarization(1, 2), 2, -2),
+        lambda: delpezzo_certificate(6, 2, -2),
+        lambda: rigidity_verdict(VeroneseSpace(1, 3), 2, -2),
+        lambda: rigidity_verdict(BlownUpPlane(6), 2, -2),
+    )
+    for refuse in refused:
+        with pytest.raises(ValueError, match="^weight window 2..-2 is empty$"):
+            refuse()
+    with pytest.raises(ValueError, match="^the assembly window must contain weight 0$"):
+        pinkham_assembly(VeroneseSpace(1, 3), 2, -2)
 
 
 # ---- h^2(T_Y (x) L^m) --------------------------------------------------

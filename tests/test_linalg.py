@@ -36,7 +36,8 @@ def test_proportional_rows_collapse():
 
 def test_empty_shapes_behave_like_zero_maps():
     # a map from a 3-dimensional space to the zero space
-    wide = RationalMatrix(0, 3, [])
+    wide = RationalMatrix(3, [])
+    assert (wide.nrows, wide.ncols) == (0, 3)
     assert wide.rank() == 0
     assert wide.kernel_dim() == 3
     assert wide.cokernel_dim() == 0
@@ -57,18 +58,18 @@ def test_empty_shapes_behave_like_zero_maps():
         (2, [{0: True}]),  # a bool, not an int
         (2, [{0: 0.5}]),  # a float
         (2, [[Fraction(1), Fraction(0)]]),  # a dense row
-        (2, [{}, {}]),  # more rows than nrows
+        (2, [{}, {1: 0}]),  # a stored zero in a later row
     ],
 )
 def test_sparse_row_invariants_are_refused(ncols, rows):
     with pytest.raises(ValueError):
-        RationalMatrix(1, ncols, rows)
+        RationalMatrix(ncols, rows)
 
 
 def test_int_and_fraction_entries_are_accepted():
-    m = RationalMatrix(1, 2, [{0: 1, 1: Fraction(1, 2)}])
+    m = RationalMatrix(2, [{0: 1, 1: Fraction(1, 2)}])
     assert m.rows == [{0: 1, 1: Fraction(1, 2)}]
-    assert m == RationalMatrix(1, 2, [{0: Fraction(1), 1: Fraction(1, 2)}])
+    assert m == RationalMatrix(2, [{0: Fraction(1), 1: Fraction(1, 2)}])
 
 
 def test_entry_reads_absent_cells_as_zero_and_checks_bounds():

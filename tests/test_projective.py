@@ -10,6 +10,7 @@ from conedef import p1, presentation, projective
 from conedef.projective import (
     MAX_BASIS,
     MAX_COST,
+    InternalConsistencyError,
     OverBudgetError,
     SurfaceDivisor,
     _pn_basis,
@@ -125,6 +126,9 @@ def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
     assert projective.priced_window(-2, 1, lambda m: MAX_COST // 4) == range(-2, 2)  # exactly MAX_COST units
     with pytest.raises(OverBudgetError, match=f"^the request costs {MAX_COST + MAX_COST // 4} units, over the cost budget of {MAX_COST}$"):
         projective.priced_window(-2, 2, lambda m: MAX_COST // 4)
+    for lo, hi in ((1, 0), (3, -3), (MAX_COST + 1, 1)):  # an empty window, too
+        with pytest.raises(ValueError, match=f"^weight window {lo}..{hi} is empty$"):
+            projective.priced_window(lo, hi, never)
 
 
 @pytest.mark.parametrize(
@@ -235,6 +239,22 @@ def test_omega1_plane_spot_values():
     assert hq_pn_omega1(2, -1, 2) == 0
     assert hq_pn_omega1(2, 0, 0) == 0
     assert hq_pn_omega1(2, 0, 2) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_top_cotangent_map_that_is_not_onto_is_an_internal_error(n, monkeypatch):
+    """Nothing sits above level n, so the level-n map of the coordinate
+    differentials must be onto; a nonzero top cokernel is refused."""
+    level = projective._level
+
+    def not_onto(grid, dim, k, q):
+        kernel, cokernel = level(grid, dim, k, q)
+        return (kernel, 1) if q == dim else (kernel, cokernel)
+
+    monkeypatch.setattr(projective, "_level", not_onto)
+    message = f"cotangent chase n={n}, k=-2: the level-{n} map is not onto, but nothing sits above level n"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        hq_pn_omega1(n, -2, n)
 
 
 def test_a_cotangent_map_from_no_sections_is_not_built(monkeypatch):
@@ -385,15 +405,15 @@ def test_canonical_on_exceptional():
     K = SurfaceDivisor.canonical(6)
     for i in range(1, 7):
         assert restrict_to_exceptional(K, i) == -1
-        assert restrict_to_exceptional(SurfaceDivisor(6, 3, (-1,) * 6), i) == 1
+        assert restrict_to_exceptional(SurfaceDivisor(3, (-1,) * 6), i) == 1
 
 
 def test_exceptional_self_intersection():
-    E1 = SurfaceDivisor(5, 0, (1, 0, 0, 0, 0))
-    E2 = SurfaceDivisor(5, 0, (0, 1, 0, 0, 0))
+    E1 = SurfaceDivisor(0, (1, 0, 0, 0, 0))
+    E2 = SurfaceDivisor(0, (0, 1, 0, 0, 0))
     assert intersection(E1, E1) == -1
     assert intersection(E1, E2) == 0
-    H = SurfaceDivisor(5, 1, (0,) * 5)
+    H = SurfaceDivisor(1, (0,) * 5)
     assert intersection(H, H) == 1
     assert intersection(H, E1) == 0
 
@@ -416,12 +436,12 @@ def test_divisor_arithmetic():
 )
 @settings(max_examples=50, deadline=None)
 def test_intersection_is_symmetric_bilinear(h1, h2, e1, e2, c):
-    d1 = SurfaceDivisor(3, h1, tuple(e1))
-    d2 = SurfaceDivisor(3, h2, tuple(e2))
+    d1 = SurfaceDivisor(h1, tuple(e1))
+    d2 = SurfaceDivisor(h2, tuple(e2))
     assert intersection(d1, d2) == intersection(d2, d1)
-    scaled = SurfaceDivisor(3, c * h1, tuple(c * a for a in e1))
+    scaled = SurfaceDivisor(c * h1, tuple(c * a for a in e1))
     assert intersection(scaled, d2) == c * intersection(d1, d2)
-    total = SurfaceDivisor(3, h1 + h2, tuple(a + b for a, b in zip(e1, e2)))
+    total = SurfaceDivisor(h1 + h2, tuple(a + b for a, b in zip(e1, e2)))
     assert intersection(total, d2) == intersection(d1, d2) + intersection(d2, d2)
 
 
@@ -430,7 +450,7 @@ def test_intersection_is_symmetric_bilinear(h1, h2, e1, e2, c):
 def test_restriction_is_intersection_with_the_exceptional_line(h, e):
     """The restriction is read off a coefficient; the intersection form with
     E_i, built by the constructor, is the second route."""
-    d = SurfaceDivisor(4, h, tuple(e))
+    d = SurfaceDivisor(h, tuple(e))
     for i in range(1, 5):
-        exceptional = SurfaceDivisor(4, 0, tuple(int(j == i) for j in range(1, 5)))
+        exceptional = SurfaceDivisor(0, tuple(int(j == i) for j in range(1, 5)))
         assert restrict_to_exceptional(d, i) == intersection(d, exceptional)

@@ -1,7 +1,7 @@
 """Record semantics: equality by class and fields, hashing and refused
 assignment for frozen records, the one positional constructor (field
-order, no defaults, a wrong count refused), and the validation errors of
-the records that keep their own constructor."""
+order, no defaults, a wrong count refused), the validation errors of the
+records that keep their own constructor, and the derived properties."""
 
 import re
 from fractions import Fraction
@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conedef.atiyah import CocycleReport
+from conedef.cli import parse_variety
 from conedef.cones import (
     BlownUpPlane,
     GradedAssembly,
@@ -19,11 +20,14 @@ from conedef.cones import (
     SegreQuadric,
     VeroneseSpace,
     WeightZeroReport,
+    pinkham_assembly,
+    rigidity_verdict,
+    weight_zero_criterion,
 )
 from conedef.delpezzo import Certificate, CertStep, StepStatus
 from conedef.linalg import RationalMatrix
 from conedef.polynomials import Polynomial, RationalFunction
-from conedef.presentation import GradedJacobian, NormalRoute
+from conedef.presentation import GradedJacobian, NormalRoute, graded_jacobian_map, t1_via_normal
 from conedef.projective import SurfaceDivisor
 from conedef.records import FrozenRecord
 
@@ -33,7 +37,7 @@ _STEP = CertStep("t", 0, 0, "r", "a", StepStatus.VERIFIED)
 # (class or named constructor, field values, the same values with one
 # field changed, hashable, the name of the first field): every catalog
 # entry and alias, the result records of the cones, presentation, delpezzo
-# and atiyah layers, then the matrices and rational functions.  A frozen
+# and atiyah layers, then the matrices, rational functions and divisors.  A frozen
 # record hashes like the tuple of its fields, so one holding a dict, a list
 # or a matrix is unhashable; the certificate and the cocycle report hold
 # tuples and hash.
@@ -43,17 +47,18 @@ FROZEN = [
     (SegreQuadric, (2,), (3,), True, "d"),
     (ProductPolarization, (2, 3), (3, 2), True, "a"),
     (BlownUpPlane, (6,), (5,), True, "r"),
-    (RigidityVerdict, (False, (-1, 1), True, "note", None), (False, (-2, 1), True, "note", None), True, "rigid"),
-    (WeightZeroReport, (0, 0, True, 0), (0, 0, True, None), True, "h1_structure"),
+    (RigidityVerdict, ((-1, 1), "note", None), ((-2, 1), "note", None), True, "witness"),
+    (WeightZeroReport, (0, 0, 0), (0, 0, None), True, "h1_structure"),
     (PolarizationFlags, (0, 1), (0, 0), True, "h1_polarization"),
-    (GradedAssembly, ({-1: 1}, 0, {1: 0}, {"zero": "z"}), ({-1: 1}, 1, {1: 0}, {"zero": "z"}), False, "negative"),
+    (GradedAssembly, ({-1: 1}, 0, {1: 0}), ({-1: 1}, 1, {1: 0}), False, "negative"),
     (GradedJacobian, (RationalMatrix.identity(2),), (RationalMatrix.zero(2, 2),), False, "matrix"),
-    (NormalRoute, (0, 0, 0, 1, True), (0, 0, 0, 1, False), True, "normal_h0"),
+    (NormalRoute, (0, 0, 1, True), (0, 0, 1, False), True, "normal_h0"),
     (CertStep, ("t", 0, 0, "r", "a", StepStatus.VERIFIED), ("t", 0, 1, "r", "a", StepStatus.CONTRADICTED), True, "term"),
     (Certificate, ("c", (_STEP,)), ("c", ()), True, "claim"),
     (CocycleReport, (((0, 1, 2),), True, True, True, True), (((0, 1, 2),), False, True, True, True), True, "triples"),
-    (RationalMatrix, (2, 2, [{0: 1}, {1: 1}]), (2, 2, [{}, {1: Fraction(1)}]), False, "nrows"),
+    (RationalMatrix, (2, [{0: 1}, {1: 1}]), (2, [{}, {1: Fraction(1)}]), False, "ncols"),
     (RationalFunction, (_X, _Y), (_Y, _X), True, "num"),
+    (SurfaceDivisor, (1, (0, 1)), (1, (1, 0)), True, "h"),
 ]
 
 
@@ -92,9 +97,8 @@ def test_equality_needs_the_same_class():
 
 
 def test_constructor_order_and_defaults():
-    verdict = RigidityVerdict(False, (-1, 1), True, "note", None)
-    assert (verdict.rigid, verdict.witness) == (False, (-1, 1))
-    assert (verdict.window_independent, verdict.note, verdict.certificate) == (True, "note", None)
+    verdict = RigidityVerdict((-1, 1), "note", None)
+    assert (verdict.witness, verdict.note, verdict.certificate) == ((-1, 1), "note", None)
     assert VeroneseSpace(2, 3).n == 2 and VeroneseSpace(2, 3).d == 3
     assert ProductPolarization(2, 3).a == 2 and ProductPolarization(2, 3).b == 3
     report = CocycleReport(((0, 1, 2),), True, False, True, True)
@@ -102,7 +106,11 @@ def test_constructor_order_and_defaults():
     assert (report.degenerate_ok, report.nontrivial_witness, report.passed) == (True, True, False)
     # no field has a default, and the constructor takes no keywords
     with pytest.raises(TypeError):
-        RigidityVerdict(False, (-1, 1), True, "note")
+        RigidityVerdict((-1, 1), "note")
+    # "rigid", a witness, no certificate yet window-dependent: the derived
+    # values are no longer fields, so this verdict cannot be built
+    with pytest.raises(TypeError):
+        RigidityVerdict(True, (-1, 1), False, "x", None)
     for make in (lambda: Certificate("c"), lambda: CocycleReport(()), lambda: CocycleReport(triples=()), lambda: Certificate(claim="c", steps=())):
         with pytest.raises(TypeError):
             make()
@@ -145,19 +153,20 @@ INVALID = [
     (ProductPolarization, (1, 0), ValueError, "both bidegrees must be at least 1"),
     (BlownUpPlane, (9,), ValueError, "r must be between 1 and 8"),
     (BlownUpPlane, (0,), ValueError, "r must be between 1 and 8"),
-    (SurfaceDivisor, (-1, 0, ()), ValueError, "r must be nonnegative"),
-    (SurfaceDivisor, (2, 0, (1,)), ValueError, "expected 2 exceptional coefficients, got 1"),
-    (RationalMatrix, (-1, 0, []), ValueError, "matrix dimensions must be nonnegative"),
-    (RationalMatrix, (2, 1, [{}]), ValueError, "expected 2 rows, got 1"),
-    (RationalMatrix, (1, 1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to an exact scalar"),
-    (RationalMatrix, (1, 1, [{1: Fraction(1)}]), ValueError, "column index 1 outside range(1)"),
-    (RationalMatrix, (1, 1, [{0: "1"}]), ValueError, "entry at column 0 is a str, not an int or a Fraction"),
-    (RationalMatrix, (1, 1, [{0: Fraction(0)}]), ValueError, "stored zero at column 0"),
+    (RationalMatrix, (-1, []), ValueError, "matrix dimensions must be nonnegative"),
+    (RationalMatrix, (1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to an exact scalar"),
+    (RationalMatrix, (1, [{1: Fraction(1)}]), ValueError, "column index 1 outside range(1)"),
+    (RationalMatrix, (1, [{0: "1"}]), ValueError, "entry at column 0 is a str, not an int or a Fraction"),
+    (RationalMatrix, (1, [{0: Fraction(0)}]), ValueError, "stored zero at column 0"),
+    # the column count is the one stored dimension, and every row is checked against it
+    (RationalMatrix, (2, [{0: 1}, {-1: 1}]), ValueError, "column index -1 outside range(2)"),
+    (RationalMatrix, (2, [{0: 1}, {1: 0}]), ValueError, "stored zero at column 1"),
+    (RationalMatrix, (0, [{0: 1}]), ValueError, "column index 0 outside range(0)"),
     (RationalFunction, (Polynomial.constant(1, 1), Polynomial.constant(2, 1)), ValueError,
      "numerator and denominator in different variable sets"),
     (RationalFunction, (Polynomial.constant(1, 1), Polynomial.zero(1)), ZeroDivisionError, "zero denominator"),
-    (RationalMatrix, (1, 1, [{0: True}]), ValueError, "entry at column 0 is a bool, not an int or a Fraction"),
-    (RationalMatrix, (1, 1, [{0: 0.5}]), ValueError, "entry at column 0 is a float, not an int or a Fraction"),
+    (RationalMatrix, (1, [{0: True}]), ValueError, "entry at column 0 is a bool, not an int or a Fraction"),
+    (RationalMatrix, (1, [{0: 0.5}]), ValueError, "entry at column 0 is a float, not an int or a Fraction"),
 ]
 
 
@@ -165,3 +174,38 @@ INVALID = [
 def test_validation_errors(cls, args, exc, message):
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):
         cls(*args)
+
+
+_CATALOG = (
+    [f"rnc:{d}" for d in range(1, 9)]
+    + [f"segre:{d}" for d in range(1, 5)]
+    + [f"product:{a}:{b}" for a in range(1, 5) for b in range(1, 5)]
+    + [f"veronese:{n}:{d}" for n in range(1, 4) for d in range(1, 5)]
+    + [f"delpezzo:{r}" for r in range(1, 9)]
+)
+
+
+def test_each_derived_property_equals_its_definition():
+    """A record stores each value once; every value that follows from its
+    fields is a property.  Each property is read here against its definition
+    on the records the library builds."""
+    for descriptor in _CATALOG:
+        v = parse_variety(descriptor)
+        verdict = rigidity_verdict(v)
+        assert verdict.rigid is (None if verdict.certificate is not None else verdict.witness is None), descriptor
+        assert verdict.window_independent is (verdict.certificate is None), descriptor
+        report = weight_zero_criterion(v)
+        assert report.criterion_holds is (report.h1_structure == 0 and report.h2_structure == 0), descriptor
+    for d in range(2, 9):
+        for m in range(-3, 3):
+            route = t1_via_normal(d, m)
+            assert route.value == route.normal_h0 - route.restricted_tangent_h0 + route.curve_tangent_h0, (d, m)
+            matrix = graded_jacobian_map(d, m).matrix
+            assert matrix.nrows == len(matrix.rows), (d, m)
+    for r in range(9):
+        assert SurfaceDivisor.canonical(r).r == len(SurfaceDivisor.canonical(r).e) == r
+    # the band roles are one constant, shared by every assembly and read-only
+    assert pinkham_assembly(VeroneseSpace(1, 4), -2, 2).roles is GradedAssembly.roles
+    assert set(GradedAssembly.roles) == set(GradedAssembly._fields)
+    with pytest.raises(TypeError):
+        GradedAssembly.roles["zero"] = "changed"
