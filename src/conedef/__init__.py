@@ -20,7 +20,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cones": ("CATALOG", "BlownUpPlane", "GradedAssembly", "OutOfScopeError", "ProductPolarization", "RigidityVerdict",
+    "cones": ("CATALOG", "BlownUpPlane", "OutOfScopeError", "ProductPolarization", "RigidityVerdict",
               "Variety", "VeroneseSpace", "pinkham_assembly", "rigidity_verdict", "t1_table", "t2_table"),
     "projective": ("InternalConsistencyError", "OverBudgetError"),
     "delpezzo": ("Certificate", "CertStep", "StepStatus", "Verdict", "delpezzo_certificate"),

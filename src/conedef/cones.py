@@ -41,7 +41,6 @@ form (the line, Bott, Kunneth) that decides every weight at once.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import projective
@@ -324,29 +323,8 @@ def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdi
 
 
 # ----------------------------------------------------------------------
-# Hypothesis bookkeeping
+# Hypothesis bookkeeping and graded assembly
 # ----------------------------------------------------------------------
-
-
-class WeightZeroReport(FrozenRecord):
-    """Sanity data for the identification of cone deformations with
-    twisted tangent cohomology: the structure sheaf's first and second
-    cohomology (both must vanish for the clean graded picture) and, when
-    computable, the weight-0 count itself."""
-
-    __slots__ = _fields = ("h1_structure", "h2_structure", "t1_zero")
-
-    @property
-    def criterion_holds(self) -> bool:
-        return self.h1_structure == 0 and self.h2_structure == 0
-
-
-def weight_zero_criterion(v: Variety) -> WeightZeroReport:
-    try:
-        t1z: Optional[int] = t1_weight(v, 0)
-    except OutOfScopeError:
-        t1z = None  # certificate-only geometries give no bare count
-    return WeightZeroReport(*v.polarization_cohomology(0), t1z)
 
 
 class PolarizationFlags(FrozenRecord):
@@ -365,31 +343,29 @@ def corollary_flags(v: Variety, m: int) -> PolarizationFlags:
     return PolarizationFlags(*v.polarization_cohomology(m))
 
 
-# ----------------------------------------------------------------------
-# Graded assembly
-# ----------------------------------------------------------------------
+def weight_zero_criterion(v: Variety) -> tuple[PolarizationFlags, Optional[int]]:
+    """The pair (``corollary_flags(v, 0)``, the weight-0 count).  The flags
+    are the structure sheaf's h^1 and h^2, which must both vanish for the
+    clean graded picture; the count is None for a certificate-only
+    geometry, which gives no bare count."""
+    try:
+        return corollary_flags(v, 0), t1_weight(v, 0)
+    except OutOfScopeError:
+        return corollary_flags(v, 0), None
 
 
-class GradedAssembly(FrozenRecord):
-    """The graded first-order space split into negative, zero and positive
-    weights; ``roles`` names the role each band plays."""
-
-    __slots__ = _fields = ("negative", "zero", "positive")
-    roles = MappingProxyType({
-        "negative": "smoothing directions (the weights a smoothing can see)",
-        "zero": "equisingular piece; in the full cone space this band is taken modulo the scaling vector field",
-        "positive": "directions that only deform the cone positively; trivial for a rigid polarized structure",
-    })
-
-
-def pinkham_assembly(v: Variety, m_lo: int, m_hi: int) -> GradedAssembly:
-    """Assemble the graded space over a window that must contain weight 0.
-    The window is priced as one :func:`t1_table`, whose counts the three
-    bands split.  Certificate-only varieties raise (their pieces are never
-    bare numbers)."""
+def pinkham_assembly(v: Variety, m_lo: int, m_hi: int) -> tuple[dict[int, int], int, dict[int, int]]:
+    """The graded space over a window that must contain weight 0, split
+    into (negative, zero, positive): the negative weights are the smoothing
+    directions (the weights a smoothing can see); weight 0 is the
+    equisingular piece, which in the full cone space is taken modulo the
+    scaling vector field; the positive weights only deform the cone
+    positively and are trivial for a rigid polarized structure.  The window
+    is priced as one :func:`t1_table`, whose counts the three bands split.
+    Certificate-only varieties raise (their pieces are never bare numbers)."""
     if not (m_lo <= 0 <= m_hi):
         raise ValueError("the assembly window must contain weight 0")
     table = t1_table(v, m_lo, m_hi)
     negative = {m: table[m] for m in range(m_lo, 0)}
     positive = {m: table[m] for m in range(1, m_hi + 1)}
-    return GradedAssembly(negative, table[0], positive)
+    return negative, table[0], positive

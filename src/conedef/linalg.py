@@ -28,9 +28,8 @@ space, so rank, kernel and cokernel need nothing more.  The reduced row
 echelon form adds back-substitution over the rationals; it is unique, so
 it depends neither on the pivot rule nor on the scaling.  Fill-in stays
 inside a connected component of the row/column nonzero pattern, so the
-independent blocks of a map (on the toric entries, its lattice degrees)
-are never mixed and need no separate split.  No magnitude-based pivoting:
-there is no rounding error to fight.
+independent blocks of a map are never mixed and need no separate split.
+No magnitude-based pivoting: there is no rounding error to fight.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class RationalMatrix(FrozenRecord):
             if not isinstance(row, dict):
                 raise ValueError("each row must be a dict from column index to an exact scalar")
             for j, x in row.items():
-                if not isinstance(j, int) or not 0 <= j < ncols:
+                if type(j) is not int or not 0 <= j < ncols:
                     raise ValueError(f"column index {j!r} outside range({ncols})")
                 if type(x) is not int and not isinstance(x, fraction):
                     raise ValueError(f"entry at column {j} is a {type(x).__name__}, not an int or a Fraction")

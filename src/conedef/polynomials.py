@@ -1,13 +1,15 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-A polynomial is a dict from exponent tuples to nonzero ``int``
+A polynomial is a dict from exponent tuples of ``int`` to nonzero ``int``
 coefficients (a ``bool`` is stored as its int; anything else, a
 ``Fraction`` or a ``float`` included, is refused with ``TypeError``).  No
 coefficient the package makes needs more: the curve's 2x2 minors have
 coefficients +-1, a derivative multiplies by an exponent, a substitution
 multiplies monomials, and :class:`RationalFunction` cross-multiplies
 instead of dividing.  Exponents may be negative where a caller wants
-Laurent monomials -- the arithmetic does not care.
+Laurent monomials -- the arithmetic does not care -- but are never
+coerced: an exponent that is not an ``int``, a ``bool`` or a ``float``
+included, is refused with ``TypeError``.
 
 Printing uses graded reverse lexicographic order (variables x0 < x1 < ...):
 a term beats another if its total degree is larger, or, at equal degree, if
@@ -59,14 +61,13 @@ class Polynomial:
         self.nvars = nvars
         clean: dict[Exponents, int] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(map(int, exps))
+            if type(exps) is not tuple or any(type(e) is not int for e in exps):
+                raise TypeError(f"exponents must be a tuple of ints, got {exps!r}")
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong length for {nvars} variables")
             c = coeff if type(coeff) is int else _scalar(coeff)
-            if c != 0:
-                clean[exps] = clean.get(exps, 0) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+            if c:
+                clean[exps] = c
         self.terms = clean
 
     # ---- constructors -------------------------------------------------

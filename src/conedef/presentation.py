@@ -160,12 +160,10 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
     return GradedJacobian(_pn_mult_matrix([[forms[p] for p in row] for row in rows], 1, d * (m + 1), False))
 
 
-def euler_derivation_vector(d: int, m: int = 0) -> list[int]:
+def euler_derivation_vector(d: int) -> list[int]:
     """The coordinate vector of the weight-0 derivation sending each z_i to
     itself, in the source ordering of graded_jacobian_map(d, 0).  Only
     weight 0 carries it."""
-    if m != 0:
-        raise ValueError("the scaling derivation lives in weight 0 only")
     src_mons = s_basis(d, 1)
     vec = [0] * ((d + 1) * len(src_mons))
     for i in range(d + 1):

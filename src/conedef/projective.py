@@ -292,6 +292,8 @@ class SurfaceDivisor(FrozenRecord):
     @classmethod
     def canonical(cls, r: int) -> "SurfaceDivisor":
         """The canonical class: -3H + E_1 + ... + E_r."""
+        if r < 0:
+            raise ValueError("r must be nonnegative")
         return cls(-3, (1,) * r)
 
 

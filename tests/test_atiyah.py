@@ -3,6 +3,7 @@
 import pytest
 import sympy
 
+from conedef import atiyah
 from conedef.atiyah import atiyah_cocycle_check, _transition_in_chart
 
 
@@ -52,3 +53,29 @@ def test_cocycle_is_not_trivially_zero():
     """Guard against a vacuous check: individual summands are nonzero."""
     c01 = _transition_in_chart(2, 0, 0, 1)
     assert any(not c01.dlog(l).is_zero() for l in range(2))
+
+
+def _squared_02(transition):
+    """``transition`` with g_02 squared: the cocycle identities fail on the
+    triple (0, 1, 2), while g_00 and g_01, which the degenerate and witness
+    checks read, are left as they are."""
+
+    def broken(*args):
+        g = transition(*args)
+        return g * g if args[-2:] == (0, 2) else g
+
+    return broken
+
+
+def test_a_broken_multiplicative_identity_fails(monkeypatch):
+    monkeypatch.setattr(atiyah, "_transition_homogeneous", _squared_02(atiyah._transition_homogeneous))
+    report = atiyah_cocycle_check(2)
+    assert not report.multiplicative_ok
+    assert not report.passed
+
+
+def test_a_broken_additive_identity_fails(monkeypatch):
+    monkeypatch.setattr(atiyah, "_transition_in_chart", _squared_02(atiyah._transition_in_chart))
+    report = atiyah_cocycle_check(2)
+    assert (report.additive_ok, report.passed) == (False, False)
+    assert report.multiplicative_ok and report.degenerate_ok and report.nontrivial_witness

@@ -320,12 +320,12 @@ def test_delpezzo_verdict_is_certificate_only():
 
 def test_weight_zero_reports():
     for v in (VeroneseSpace(1, 4), VeroneseSpace(2, 3), ProductPolarization(2, 2), BlownUpPlane(5)):
-        report = weight_zero_criterion(v)
-        assert report.h1_structure == 0
-        assert report.h2_structure == 0
-        assert report.criterion_holds
-    assert weight_zero_criterion(VeroneseSpace(1, 4)).t1_zero == 0
-    assert weight_zero_criterion(BlownUpPlane(5)).t1_zero is None
+        flags, _ = weight_zero_criterion(v)
+        assert flags == corollary_flags(v, 0)
+        assert (flags.h1_polarization, flags.h2_polarization) == (0, 0)
+        assert flags.clean
+    assert weight_zero_criterion(VeroneseSpace(1, 4))[1] == 0
+    assert weight_zero_criterion(BlownUpPlane(5))[1] is None
 
 
 def test_corollary_flags_clean_cases():
@@ -360,22 +360,20 @@ def test_corollary_flags_delpezzo_closed_forms():
 
 
 def test_assembly_rnc4():
-    asm = pinkham_assembly(VeroneseSpace(1, 4), -2, 2)
-    assert asm.negative == {-2: 5, -1: 1}
-    assert asm.zero == 0
-    assert asm.positive == {1: 0, 2: 0}
+    negative, zero, positive = pinkham_assembly(VeroneseSpace(1, 4), -2, 2)
+    assert negative == {-2: 5, -1: 1}
+    assert zero == 0
+    assert positive == {1: 0, 2: 0}
 
 
 def test_assembly_conic_carries_its_witness():
-    asm = pinkham_assembly(VeroneseSpace(1, 2), -2, 2)
-    assert asm.negative == {-2: 1, -1: 0}
-    assert (asm.zero, asm.positive) == (0, {1: 0, 2: 0})
+    assert pinkham_assembly(VeroneseSpace(1, 2), -2, 2) == ({-2: 1, -1: 0}, 0, {1: 0, 2: 0})
 
 
 def test_assembly_quadric_cone():
-    asm = pinkham_assembly(ProductPolarization(1, 1), -3, 1)
-    assert asm.negative == {-3: 0, -2: 2, -1: 0}
-    assert asm.zero == 0
+    negative, zero, _ = pinkham_assembly(ProductPolarization(1, 1), -3, 1)
+    assert negative == {-3: 0, -2: 2, -1: 0}
+    assert zero == 0
 
 
 def test_assembly_window_must_contain_zero():
@@ -389,8 +387,8 @@ def test_assembly_window_must_contain_zero():
 @settings(max_examples=40, deadline=None)
 def test_assembly_total_matches_table_sum(d, lo, hi):
     v = VeroneseSpace(1, d)
-    asm = pinkham_assembly(v, lo, hi)
-    total = sum(asm.negative.values()) + asm.zero + sum(asm.positive.values())
+    negative, zero, positive = pinkham_assembly(v, lo, hi)
+    total = sum(negative.values()) + zero + sum(positive.values())
     assert total == sum(t1_table(v, lo, hi).values())
 
 

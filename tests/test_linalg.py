@@ -59,6 +59,7 @@ def test_empty_shapes_behave_like_zero_maps():
         (2, [{0: 0.5}]),  # a float
         (2, [[Fraction(1), Fraction(0)]]),  # a dense row
         (2, [{}, {1: 0}]),  # a stored zero in a later row
+        (2, [{True: 1}]),  # a bool index, not an int
     ],
 )
 def test_sparse_row_invariants_are_refused(ncols, rows):

@@ -37,6 +37,19 @@ def test_bool_and_int_coefficients_are_stored_as_ints():
     assert mono(1, 1) * True == mono(1, 1)
 
 
+@pytest.mark.parametrize("exps", [(1.5,), (1.0,), (True,), "1"], ids=repr)
+def test_exponents_must_be_a_tuple_of_ints(exps):
+    """An exponent key is stored as given, never coerced, so x^1.5 is
+    refused rather than read as x."""
+    with pytest.raises(TypeError, match="^exponents must be a tuple of ints, got "):
+        Polynomial(1, {exps: 1})
+
+
+def test_exponent_tuple_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match=r"^exponent tuple \(1, 0\) has wrong length for 1 variables$"):
+        Polynomial(1, {(1, 0): 1})
+
+
 def test_equality_and_hash():
     a = mono(1, 2) + mono(0, 0, c=3)
     b = Polynomial(2, {(0, 0): 3, (1, 2): 1})

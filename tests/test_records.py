@@ -12,15 +12,12 @@ from conedef.atiyah import CocycleReport
 from conedef.cli import parse_variety
 from conedef.cones import (
     BlownUpPlane,
-    GradedAssembly,
     PolarizationFlags,
     ProductPolarization,
     RationalNormalCurve,
     RigidityVerdict,
     SegreQuadric,
     VeroneseSpace,
-    WeightZeroReport,
-    pinkham_assembly,
     rigidity_verdict,
     weight_zero_criterion,
 )
@@ -48,9 +45,7 @@ FROZEN = [
     (ProductPolarization, (2, 3), (3, 2), True, "a"),
     (BlownUpPlane, (6,), (5,), True, "r"),
     (RigidityVerdict, ((-1, 1), "note", None), ((-2, 1), "note", None), True, "witness"),
-    (WeightZeroReport, (0, 0, 0), (0, 0, None), True, "h1_structure"),
     (PolarizationFlags, (0, 1), (0, 0), True, "h1_polarization"),
-    (GradedAssembly, ({-1: 1}, 0, {1: 0}), ({-1: 1}, 1, {1: 0}), False, "negative"),
     (GradedJacobian, (RationalMatrix.identity(2),), (RationalMatrix.zero(2, 2),), False, "matrix"),
     (NormalRoute, (0, 0, 1, True), (0, 0, 1, False), True, "normal_h0"),
     (CertStep, ("t", 0, 0, "r", "a", StepStatus.VERIFIED), ("t", 0, 1, "r", "a", StepStatus.CONTRADICTED), True, "term"),
@@ -167,6 +162,7 @@ INVALID = [
     (RationalFunction, (Polynomial.constant(1, 1), Polynomial.zero(1)), ZeroDivisionError, "zero denominator"),
     (RationalMatrix, (1, [{0: True}]), ValueError, "entry at column 0 is a bool, not an int or a Fraction"),
     (RationalMatrix, (1, [{0: 0.5}]), ValueError, "entry at column 0 is a float, not an int or a Fraction"),
+    (SurfaceDivisor.canonical, (-1,), ValueError, "r must be nonnegative"),
 ]
 
 
@@ -194,8 +190,8 @@ def test_each_derived_property_equals_its_definition():
         verdict = rigidity_verdict(v)
         assert verdict.rigid is (None if verdict.certificate is not None else verdict.witness is None), descriptor
         assert verdict.window_independent is (verdict.certificate is None), descriptor
-        report = weight_zero_criterion(v)
-        assert report.criterion_holds is (report.h1_structure == 0 and report.h2_structure == 0), descriptor
+        flags, _ = weight_zero_criterion(v)
+        assert flags.clean is (flags.h1_polarization == 0 and flags.h2_polarization == 0), descriptor
     for d in range(2, 9):
         for m in range(-3, 3):
             route = t1_via_normal(d, m)
@@ -204,8 +200,3 @@ def test_each_derived_property_equals_its_definition():
             assert matrix.nrows == len(matrix.rows), (d, m)
     for r in range(9):
         assert SurfaceDivisor.canonical(r).r == len(SurfaceDivisor.canonical(r).e) == r
-    # the band roles are one constant, shared by every assembly and read-only
-    assert pinkham_assembly(VeroneseSpace(1, 4), -2, 2).roles is GradedAssembly.roles
-    assert set(GradedAssembly.roles) == set(GradedAssembly._fields)
-    with pytest.raises(TypeError):
-        GradedAssembly.roles["zero"] = "changed"
