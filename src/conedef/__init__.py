@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cones": ("CATALOG", "BlownUpPlane", "OutOfScopeError", "ProductPolarization", "RigidityVerdict",
               "Variety", "VeroneseSpace", "pinkham_assembly", "rigidity_verdict", "t1_table", "t2_table"),
-    "projective": ("InternalConsistencyError", "OverBudgetError"),
+    "projective": ("InternalConsistencyError", "OverBudgetError", "RequestError"),
     "delpezzo": ("Certificate", "CertStep", "StepStatus", "Verdict", "delpezzo_certificate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

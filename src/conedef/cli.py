@@ -4,11 +4,19 @@ Five subcommands, one JSON envelope.  Every envelope carries the same four
 top-level keys in the same order (schema_version, command, inputs, result,
 plus an optional trace), integers only, no timestamps, so repeated runs of
 the same command are byte-identical.  The envelope schema ships with the
-package under ``conedef/schemas/envelope.schema.json``.  Each ``cmd_*``
-returns its inputs, result and trace lines; ``main`` alone reads the trace
-switch (``--trace`` or ``CONEDEF_TRACE=1``) and writes the envelope.  The
-one exception is ``t1 --format csv``, which prints its table itself and
-carries no trace, so ``main`` refuses it together with the trace switch.
+package under ``conedef/schemas/envelope.schema.json``.  The command line
+is the one input: no module of the package reads the environment.  Each
+``cmd_*`` returns its inputs, result and trace lines, and ``main`` writes
+the envelope.  The one exception is ``t1 --format csv``, which prints its table
+itself and carries no trace, so ``cmd_t1`` refuses it together with
+``--trace`` before it reads the descriptor.
+
+A rule that the library checks before it builds anything (a nonempty
+weight window, a cohomology level of 0 or 1) is not repeated here: the
+library's :class:`~conedef.projective.RequestError`, of which
+:class:`UsageError` is the command line's own kind, maps to exit 2.  The
+curve degree of ``jacobian`` and the ``n`` of ``atiyah`` are checked here:
+each command's closed-form price reads them before its builder loads.
 
 A request is priced from closed forms and refused before anything is built
 when it is over a budget of :mod:`conedef.projective` (``MAX_BASIS``,
@@ -16,10 +24,11 @@ when it is over a budget of :mod:`conedef.projective` (``MAX_BASIS``,
 command costs.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, curve degree below 2, a trace asked of ``--format csv``, a request
-over either budget, a count too long to print), 3 for well-formed requests
-the engine refuses to answer with bare numbers (certificate-only geometries,
-h^2(T_Y (x) L^m) outside the curve/surface catalog), 4 when two routes to the
+window, cohomology level other than 0 or 1, curve degree below 2, a trace
+asked of ``--format csv``, a request over either budget, a count too long
+to print), 3 for well-formed requests the engine refuses to answer with
+bare numbers (certificate-only geometries, h^2(T_Y (x) L^m) outside the
+curve/surface catalog), 4 when two routes to the
 same number disagreed at run time (an internal error, reported as a one-line
 ``internal error: ...`` on stderr instead of a number), 141
 (``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE) when the reader of stdout went away
@@ -40,7 +49,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
 from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
-from .projective import OverBudgetError, check_cost
+from .projective import OverBudgetError, RequestError, check_cost
 
 SCHEMA_VERSION = "1"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
@@ -50,7 +59,7 @@ WRITE_BATCH = 4096  # encoder chunks per write of the envelope, about 50 K chara
 _DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
 
 
-class UsageError(Exception):
+class UsageError(RequestError):
     """Bad command line input (maps to exit code 2)."""
 
 
@@ -76,8 +85,6 @@ def parse_window(spec: str) -> tuple[int, int]:
         lo, hi = int(lo_str), int(hi_str)
     except ValueError as exc:
         raise UsageError(f"bad weight window {spec!r}: {exc}") from exc
-    if lo > hi:
-        raise UsageError(f"weight window {spec!r} is empty (lo > hi)")
     return lo, hi
 
 
@@ -95,6 +102,8 @@ Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or
 
 
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
+    if args.trace and args.format == "csv":
+        raise UsageError("--format csv cannot carry a trace (drop --trace, or use --format json)")
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     table = (cones.t1_table if args.order == 1 else cones.t2_table)(variety, lo, hi)  # in window order
@@ -176,8 +185,6 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
 
 
 def cmd_cech(args: argparse.Namespace) -> Reply:
-    if args.i not in (0, 1):
-        raise UsageError("level must be 0 or 1")
     mons = p1.basis(args.i, args.k)
     result = {"dim": len(mons), "basis": [[a, b] for a, b in mons]}
     trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
@@ -213,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     traced = argparse.ArgumentParser(add_help=False)
-    traced.add_argument("--trace", action="store_true", help="include a computation trace (or set CONEDEF_TRACE=1)")
+    traced.add_argument("--trace", action="store_true", help="include a computation trace")
     windowed = argparse.ArgumentParser(add_help=False)
     windowed.add_argument("variety", help=" | ".join(_DESCRIPTORS))
-    windowed.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default -6..3)")
+    windowed.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default %(default)s)")
 
     p_t1 = sub.add_parser(
         "t1", parents=[traced, windowed], help="weight table of h^q(T_Y (x) L^m), q = --order",
@@ -280,12 +287,9 @@ def _answer(argv: Optional[Sequence[str]]) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_weight_values(list(argv)))
-    args.trace = args.trace or os.environ.get("CONEDEF_TRACE") == "1"
     try:
-        if args.trace and getattr(args, "format", "json") == "csv":
-            raise UsageError("--format csv cannot carry a trace (drop --trace and CONEDEF_TRACE, or use --format json)")
         reply = args.func(args)
-    except (UsageError, OverBudgetError) as exc:
+    except (RequestError, OverBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OutOfScopeError as exc:

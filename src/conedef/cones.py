@@ -282,13 +282,18 @@ def t2_table(v: Variety, m_lo: int, m_hi: int) -> dict[int, int]:
 
 class RigidityVerdict(FrozenRecord):
     """Outcome of the rigidity question for a cone: ``witness`` is (weight,
-    dimension) of the nonzero graded piece closest to zero, if any, and
+    dimension) of the nonzero graded piece closest to zero, if any, or
     ``certificate`` the replay certificate of a certificate-only variety,
-    for which ``rigid`` is None and ``window_independent`` false (it speaks
-    for its window only).  A numeric verdict is a closed form valid in every
+    never both.  With a certificate ``rigid`` is None and
+    ``window_independent`` false (it speaks for its window only).  A numeric verdict is a closed form valid in every
     weight: it does not read the window, so any two windows give one record."""
 
     __slots__ = _fields = ("witness", "note", "certificate")
+
+    def __init__(self, witness: Optional[tuple[int, int]], note: str, certificate: Optional[Certificate]) -> None:
+        if witness is not None and certificate is not None:
+            raise ValueError("a verdict holds a witness or a certificate, not both")
+        self._set(witness, note, certificate)
 
     @property
     def rigid(self) -> Optional[bool]:

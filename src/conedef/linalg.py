@@ -62,7 +62,9 @@ class RationalMatrix(FrozenRecord):
             if not isinstance(row, dict):
                 raise ValueError("each row must be a dict from column index to an exact scalar")
             for j, x in row.items():
-                if type(j) is not int or not 0 <= j < ncols:
+                if type(j) is not int:
+                    raise ValueError(f"column index {j!r} is a {type(j).__name__}, not an int")
+                if not 0 <= j < ncols:
                     raise ValueError(f"column index {j!r} outside range({ncols})")
                 if type(x) is not int and not isinstance(x, fraction):
                     raise ValueError(f"entry at column {j} is a {type(x).__name__}, not an int or a Fraction")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .projective import _level, _pn_basis, _pn_mult_matrix, hq_pn_line
+from .projective import RequestError, _level, _pn_basis, _pn_mult_matrix, hq_pn_line
 
 if TYPE_CHECKING:
     from .linalg import RationalMatrix
@@ -44,7 +44,7 @@ Monomial = tuple[int, int]
 
 def _top(i: int) -> bool:
     if i not in (0, 1):
-        raise ValueError(f"cohomology level must be 0 or 1, got {i}")
+        raise RequestError(f"cohomology level must be 0 or 1, got {i}")
     return i == 1
 
 

@@ -9,7 +9,8 @@ multiplies monomials, and :class:`RationalFunction` cross-multiplies
 instead of dividing.  Exponents may be negative where a caller wants
 Laurent monomials -- the arithmetic does not care -- but are never
 coerced: an exponent that is not an ``int``, a ``bool`` or a ``float``
-included, is refused with ``TypeError``.
+included, is refused with ``TypeError``, in a term and in a key asked of
+:meth:`Polynomial.coefficient` alike.
 
 Printing uses graded reverse lexicographic order (variables x0 < x1 < ...):
 a term beats another if its total degree is larger, or, at equal degree, if
@@ -33,6 +34,13 @@ def _scalar(x: object) -> int:
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"polynomial coefficients must be int, got {type(x).__name__}")
+
+
+def _exponents(exps: object) -> Exponents:
+    """An exponent key as stored: a tuple of ints, never coerced."""
+    if type(exps) is not tuple or any(type(e) is not int for e in exps):
+        raise TypeError(f"exponents must be a tuple of ints, got {exps!r}")
+    return exps
 
 
 def degrevlex_cmp(a: Exponents, b: Exponents) -> int:
@@ -61,9 +69,7 @@ class Polynomial:
         self.nvars = nvars
         clean: dict[Exponents, int] = {}
         for exps, coeff in (terms or {}).items():
-            if type(exps) is not tuple or any(type(e) is not int for e in exps):
-                raise TypeError(f"exponents must be a tuple of ints, got {exps!r}")
-            if len(exps) != nvars:
+            if len(_exponents(exps)) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong length for {nvars} variables")
             c = coeff if type(coeff) is int else _scalar(coeff)
             if c:
@@ -125,8 +131,8 @@ class Polynomial:
             raise ValueError("polynomial is zero or not homogeneous")
         return degs.pop()
 
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
+    def coefficient(self, exps: Exponents) -> int:
+        return self.terms.get(_exponents(exps), 0)
 
     def monomials(self) -> list[Exponents]:
         """Exponent tuples in descending degrevlex order."""

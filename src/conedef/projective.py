@@ -50,6 +50,11 @@ class OverBudgetError(Exception):
     """A request over :data:`MAX_COST` or a basis over :data:`MAX_BASIS` was refused; nothing was built."""
 
 
+class RequestError(ValueError):
+    """A request refused for its form (an empty weight window, a cohomology level
+    other than 0 or 1 on the line) before anything was built."""
+
+
 # ----------------------------------------------------------------------
 # Line bundles on projective n-space: the monomial model
 # ----------------------------------------------------------------------
@@ -81,7 +86,7 @@ def check_cost(cost: int) -> None:
 
 def check_window(m_lo: int, m_hi: int) -> None:
     if m_lo > m_hi:
-        raise ValueError(f"weight window {m_lo}..{m_hi} is empty")
+        raise RequestError(f"weight window {m_lo}..{m_hi} is empty")
 
 
 def priced_window(m_lo: int, m_hi: int, cost: Callable[[int], int]) -> range:

@@ -10,7 +10,8 @@ refuses any other count.  Only a record that validates its input writes
 its own ``__init__`` and stores its values with ``_set``: the catalog
 entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``),
 whose ``Variety._set`` refuses a field that is not an int, check their
-integers, and ``RationalMatrix`` and ``RationalFunction`` their entries.
+integers, ``RationalMatrix`` and ``RationalFunction`` their entries, and
+``RigidityVerdict`` that it holds a witness or a certificate, not both.
 A record that holds a dict (a matrix's rows) compares by value but does
 not hash.  A result record holds what its function computed, not its
 arguments, and a record stores each value once: what follows from its

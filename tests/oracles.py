@@ -4,8 +4,10 @@ Nothing in here imports the package under test.  Each oracle recomputes a
 quantity by a different route than the implementation uses: counting
 lattice points instead of evaluating closed forms, sympy elimination
 instead of the package's own, an extended-binomial Euler characteristic
-instead of any cohomology chase, and Bott's closed form for twisted
-differential forms instead of the Euler-sequence chase.
+instead of any cohomology chase, Bott's closed form for twisted
+differential forms instead of the Euler-sequence chase, and Pinkham's
+closed form for the T^1 of the rational normal curve cone instead of any
+map.
 """
 
 from __future__ import annotations
@@ -205,6 +207,20 @@ def graded_jacobian_sympy(d: int, m: int) -> list[list[int]]:
                 for r, mono in enumerate(dst):
                     cells[g * len(dst) + r][t * len(src) + s] = int(terms.get(mono, 0))
     return cells
+
+
+# ---- Pinkham's T^1 of the rational normal curve cone -------------------
+
+
+def rnc_cone_t1_pinkham(d: int, m: int) -> int:
+    """Dimension of the weight-m piece of the literal T^1 of the cone over
+    the degree-d rational normal curve, as Pinkham computed it (Deformations
+    of algebraic varieties with G_m action, Asterisque 20, 1974): 2d - 4 in
+    weight -1 for d >= 3, and for the quadric cone (d = 2, a hypersurface)
+    1 in weight -2; 0 in every other weight."""
+    if d == 2:
+        return 1 if m == -2 else 0
+    return 2 * d - 4 if m == -1 else 0
 
 
 # ---- Kunneth by direct bicohomology enumeration -----------------------

@@ -1,5 +1,6 @@
 """Polynomial substrate: arithmetic, ordering, rational functions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,15 @@ def test_exponents_must_be_a_tuple_of_ints(exps):
     refused rather than read as x."""
     with pytest.raises(TypeError, match="^exponents must be a tuple of ints, got "):
         Polynomial(1, {exps: 1})
+
+
+@pytest.mark.parametrize("exps", [(1.0, 0), (True, False), [1, 0]], ids=repr)
+def test_a_coefficient_key_must_be_a_tuple_of_ints(exps):
+    """A key the constructor refuses is refused when asked for a coefficient
+    too, not coerced and looked up: x0 has no coefficient at (1.0, 0)."""
+    with pytest.raises(TypeError, match=f"^exponents must be a tuple of ints, got {re.escape(repr(exps))}$"):
+        Polynomial.variable(2, 0).coefficient(exps)
+    assert Polynomial.variable(2, 0).coefficient((1, 0)) == 1
 
 
 def test_exponent_tuple_of_the_wrong_length_is_refused():

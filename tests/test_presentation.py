@@ -18,7 +18,13 @@ from conedef.presentation import (
 )
 from conedef.p1 import euler_restricted_h0, euler_restricted_h1, h_dim
 
-from oracles import JACOBIAN_D4_GOLDEN, graded_jacobian_sympy, jacobian_rows_sympy, line_h0_enumerated
+from oracles import (
+    JACOBIAN_D4_GOLDEN,
+    graded_jacobian_sympy,
+    jacobian_rows_sympy,
+    line_h0_enumerated,
+    rnc_cone_t1_pinkham,
+)
 
 
 def z_strings(rows):
@@ -203,6 +209,15 @@ def test_graded_rank_is_deterministic():
 def test_normal_bundle_sections_by_enumeration(d):
     for m in range(-3, 2):
         assert normal_bundle_h0(d, m) == (d - 1) * line_h0_enumerated(d + 2 + m * d)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_normal_sections_less_the_graded_jacobian_rank_is_pinkhams_t1(d):
+    """h^0(N(m)) less the rank of the weight-m graded Jacobian is the
+    weight-m piece of the cone's literal T^1: Pinkham's 2d - 4 at m = -1
+    (1 at m = -2 for the quadric cone) and 0 at every other weight."""
+    for m in range(-6, 4):
+        assert normal_bundle_h0(d, m) - graded_jacobian_map(d, m).rank() == rnc_cone_t1_pinkham(d, m), (d, m)
 
 
 def test_flagship_two_route_count():

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conedef
 from conedef import p1, presentation, projective
 from conedef.projective import (
     MAX_BASIS,
@@ -129,6 +130,24 @@ def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
     for lo, hi in ((1, 0), (3, -3), (MAX_COST + 1, 1)):  # an empty window, too
         with pytest.raises(ValueError, match=f"^weight window {lo}..{hi} is empty$"):
             projective.priced_window(lo, hi, never)
+
+
+def test_a_request_refused_for_its_form_is_a_request_error():
+    """An empty window and a line level other than 0 or 1 are refused before
+    anything is built, as the one type the command line maps to exit 2 (a
+    ValueError, so a caller that catches that still does)."""
+    from conedef import cli
+
+    refusals = [
+        (lambda: projective.check_window(3, -3), "weight window 3..-3 is empty"),
+        (lambda: p1.basis(2, 0), "cohomology level must be 0 or 1, got 2"),
+        (lambda: p1.basis(-1, 0), "cohomology level must be 0 or 1, got -1"),
+    ]
+    for refuse, message in refusals:
+        with pytest.raises(projective.RequestError, match=f"^{message}$"):
+            refuse()
+    assert issubclass(projective.RequestError, ValueError) and issubclass(cli.UsageError, projective.RequestError)
+    assert conedef.RequestError is projective.RequestError
 
 
 @pytest.mark.parametrize(

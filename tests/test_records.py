@@ -163,6 +163,9 @@ INVALID = [
     (RationalMatrix, (1, [{0: True}]), ValueError, "entry at column 0 is a bool, not an int or a Fraction"),
     (RationalMatrix, (1, [{0: 0.5}]), ValueError, "entry at column 0 is a float, not an int or a Fraction"),
     (SurfaceDivisor.canonical, (-1,), ValueError, "r must be nonnegative"),
+    (RationalMatrix, (2, [{True: 1}]), ValueError, "column index True is a bool, not an int"),
+    # a numeric verdict and a certificate verdict are two kinds: no verdict is both
+    (RigidityVerdict, ((-1, 1), "x", Certificate("c", ())), ValueError, "a verdict holds a witness or a certificate, not both"),
 ]
 
 

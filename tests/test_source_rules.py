@@ -17,7 +17,9 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
 * no ``FrozenRecord`` subclass whose ``__init__`` only forwards its
   arguments to ``self._set`` (``FrozenRecord`` has that constructor);
 * no module-level import of a ``conedef`` module in ``__init__.py`` (the
-  package root resolves every export on first use).
+  package root resolves every export on first use);
+* no ``environ``, ``getenv`` or ``putenv`` anywhere (the command line is
+  the one input: the package reads no environment variable).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -161,6 +163,7 @@ RULES: dict[str, Rule] = {
     "deferred-import": _per_module(deferred_imports),
     "forwarding-init": forwarding_constructors,
     "lazy-root": _per_module(lazy_root),
+    "environment": _walk_rule(lambda name, n: bool({"environ", "getenv", "putenv"} & _named(n))),
 }
 
 
@@ -209,6 +212,7 @@ PLANTED = [
     ("kernel-count", "projective.py", "# planted\nh0 = kernel_dim(m)\n"),
     ("lazy-root", "__init__.py", "# planted\nfrom .cones import CATALOG\n"),
     ("lazy-root", "__init__.py", "# planted\nimport conedef.delpezzo\n"),
+    ("environment", "cli.py", "# planted\ntrace = os.environ.get(\"CONEDEF_TRACE\") == \"1\"\n"),
 ]
 
 
