@@ -13,22 +13,32 @@ function arithmetic with equality by cross-multiplication:
 
 The degenerate identity g_ii == 1 (so its dlog vanishes) and a witness
 that the cocycle itself is not identically zero are checked as well.
+
+:func:`atiyah_cocycle_check` checks its ``n >= 2`` and its price before
+anything is built, and :mod:`conedef.polynomials` is imported by the
+functions that build a transition, so a refused request loads no exact
+arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
+from typing import TYPE_CHECKING
 
-from .polynomials import Polynomial, RationalFunction
+from .projective import RequestError, check_cost
 from .records import FrozenRecord
+
+if TYPE_CHECKING:
+    from .polynomials import Polynomial, RationalFunction
 
 
 def _transition_homogeneous(n: int, a: int, b: int) -> RationalFunction:
     """g_ab = X_a / X_b in the n+1 homogeneous coordinates."""
-    num = [0] * (n + 1)
-    den = [0] * (n + 1)
-    num[a] = 1
-    den[b] = 1
+    from .polynomials import RationalFunction
+
+    num = [int(l == a) for l in range(n + 1)]
+    den = [int(l == b) for l in range(n + 1)]
     return RationalFunction.monomial_quotient(n + 1, num, den)
 
 
@@ -36,6 +46,8 @@ def _transition_in_chart(n: int, chart: int, a: int, b: int) -> RationalFunction
     """g_ab written in the affine coordinates of ``chart``: the coordinate
     X_l / X_chart becomes variable number ``others.index(l)``, and the
     chart's own coordinate is the constant 1."""
+    from .polynomials import Polynomial, RationalFunction
+
     others = [l for l in range(n + 1) if l != chart]
 
     def coord(l: int) -> Polynomial:
@@ -63,9 +75,12 @@ class CocycleReport(FrozenRecord):
 
 def atiyah_cocycle_check(n: int) -> CocycleReport:
     """Run the full cocycle verification on projective n-space (n >= 2,
-    so that at least one triple overlap exists)."""
+    so that at least one triple overlap exists), priced at C(n + 1, 3) * 3n^2
+    units: n dlog coefficients in n variables in each of the 3 charts of
+    every triple overlap."""
     if n < 2:
-        raise ValueError("need n >= 2 for a triple overlap")
+        raise RequestError("need n >= 2 for a triple overlap")
+    check_cost(comb(n + 1, 3) * 3 * n**2)
     triples = tuple(itertools.combinations(range(n + 1), 3))
     multiplicative_ok = additive_ok = True
 

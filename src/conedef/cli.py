@@ -11,26 +11,25 @@ the envelope.  The one exception is ``t1 --format csv``, which prints its table
 itself and carries no trace, so ``cmd_t1`` refuses it together with
 ``--trace`` before it reads the descriptor.
 
-A rule that the library checks before it builds anything (a nonempty
-weight window, a cohomology level of 0 or 1) is not repeated here: the
-library's :class:`~conedef.projective.RequestError`, of which
-:class:`UsageError` is the command line's own kind, maps to exit 2.  The
-curve degree of ``jacobian`` and the ``n`` of ``atiyah`` are checked here:
-each command's closed-form price reads them before its builder loads.
-
-A request is priced from closed forms and refused before anything is built
-when it is over a budget of :mod:`conedef.projective` (``MAX_BASIS``,
-``MAX_COST``).  README's cost table is the one account of what each
+The command line prices nothing and repeats no rule of the library.  Each
+library call checks its request's form (a nonempty weight window, a
+cohomology level of 0 or 1, a curve degree of at least 2, n >= 2 for the
+cocycle check) and prices it from closed forms against the budgets of
+:mod:`conedef.projective` (``MAX_BASIS``, ``MAX_COST``) before it builds
+anything, and refuses it with a :class:`~conedef.projective.RequestError`;
+``OverBudgetError`` and :class:`UsageError`, the command line's own kind,
+are two kinds of it.  README's cost table is the one account of what each
 command costs.
 
-Exit codes: 0 success, 2 usage error (unparseable arguments, empty weight
-window, cohomology level other than 0 or 1, curve degree below 2, a trace
-asked of ``--format csv``, a request over either budget, a count too long
-to print), 3 for well-formed requests the engine refuses to answer with
-bare numbers (certificate-only geometries, h^2(T_Y (x) L^m) outside the
-curve/surface catalog), 4 when two routes to the
-same number disagreed at run time (an internal error, reported as a one-line
-``internal error: ...`` on stderr instead of a number), 141
+Exit codes: 0 success, 2 usage error (unparseable arguments, which
+argparse refuses, or a ``RequestError``: an empty weight window, a
+cohomology level other than 0 or 1, a curve degree below 2, n below 2, a
+trace asked of ``--format csv``, a request over either budget, a count too
+long to print), 3 for well-formed requests the engine refuses to answer
+with bare numbers (certificate-only geometries, h^2(T_Y (x) L^m) outside
+the curve/surface catalog), 4 when two routes to the same number disagreed
+at run time (an internal error, reported as a one-line ``internal error:
+...`` on stderr instead of a number), 141
 (``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE) when the reader of stdout went away
 before the whole reply was written, as in ``conedef ... | head``: nothing
 more is written and stderr stays empty.
@@ -43,13 +42,12 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from math import comb
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
 from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
-from .projective import OverBudgetError, RequestError, check_cost
+from .projective import RequestError
 
 SCHEMA_VERSION = "1"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
@@ -146,16 +144,8 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
 
 
 def cmd_jacobian(args: argparse.Namespace) -> Reply:
-    if args.d < 2:
-        raise UsageError("curve degree must be at least 2 (degree 1 has no equations)")
     if (args.weight is None) == (not args.dump_matrix):
         raise UsageError("choose exactly one of --weight <m> or --dump-matrix")
-    partials = comb(args.d, 2) * (args.d + 1)  # priced as in README's cost table
-    if args.weight is None:
-        check_cost(partials)
-    else:
-        euler = (args.d + 1) * max(1, p1.h_dim(1, args.d * args.weight))
-        check_cost(euler + partials * max(1, p1.h_dim(0, args.d * (args.weight + 1))) if args.trace else euler)
     if args.dump_matrix:
         rows = jacobian_matrix(args.d)
         names = [f"z{t}" for t in range(args.d + 1)]
@@ -192,9 +182,6 @@ def cmd_cech(args: argparse.Namespace) -> Reply:
 
 
 def cmd_atiyah(args: argparse.Namespace) -> Reply:
-    if args.n < 2:
-        raise UsageError("need n >= 2 for a triple overlap")
-    check_cost(comb(args.n + 1, 3) * 3 * args.n**2)
     from .atiyah import atiyah_cocycle_check  # the one command that needs it
 
     report = atiyah_cocycle_check(args.n)
@@ -289,7 +276,7 @@ def _answer(argv: Optional[Sequence[str]]) -> int:
     args = parser.parse_args(_merge_weight_values(list(argv)))
     try:
         reply = args.func(args)
-    except (RequestError, OverBudgetError) as exc:
+    except RequestError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OutOfScopeError as exc:

@@ -259,6 +259,8 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     m costs the length of its block, and at least one unit of
     ``projective.MAX_COST``; a window over that budget is refused before
     any step is built."""
+    if type(r) is not int:
+        raise TypeError(f"r must be an int, got {r!r}")
     if not 1 <= r <= 8:
         raise ValueError("r must be between 1 and 8")
     priced_window(m_lo, m_hi, lambda m: max(1, len(_twist_block(r, m))))

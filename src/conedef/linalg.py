@@ -93,6 +93,8 @@ class RationalMatrix(FrozenRecord):
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
+        if nrows < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         return cls(ncols, [{} for _ in range(nrows)])
 
     @classmethod

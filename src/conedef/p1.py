@@ -18,8 +18,13 @@ the tests pin down.
 Bases are ordered by descending first exponent, so e.g. basis(0, 2) is
 [(2, 0), (1, 1), (0, 2)] and basis(1, -4) is [(-1, -3), (-2, -2), (-3, -1)].
 
-The two matrices here (:func:`mult_matrix`, :func:`euler_h1_block`) are
-one call each of the block builder
+The curve's restricted Euler grid is priced before anything is built, at
+(d + 1) * max(1, h^1(O(dm))) units for weight m, so
+:func:`euler_h1_block`, :func:`euler_restricted_h0` and
+:func:`euler_restricted_h1` (and the normal route of
+:mod:`conedef.presentation` that reads the last two) refuse a request over
+``MAX_COST`` themselves.  The two matrices here (:func:`mult_matrix`,
+:func:`euler_h1_block`) are one call each of the block builder
 :func:`conedef.projective._pn_mult_matrix`, which imports
 :mod:`conedef.linalg`, so dimensions and bases do not load it.  The
 restricted Euler chase builds no matrix itself: it reads the level-1 map
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .projective import RequestError, _level, _pn_basis, _pn_mult_matrix, hq_pn_line
+from .projective import RequestError, _level, _pn_basis, _pn_mult_matrix, check_cost, hq_pn_line
 
 if TYPE_CHECKING:
     from .linalg import RationalMatrix
@@ -67,10 +72,13 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
     return _pn_mult_matrix([[p.terms]], 1, k, _top(i))
 
 
-def _curve_grid(d: int) -> list[list[Multiplier]]:
-    """One block row per degree-d parametrizing monomial x0^(d-j) * x1^j."""
+def _curve_grid(d: int, m: int) -> list[list[Multiplier]]:
+    """One block row per degree-d parametrizing monomial x0^(d-j) * x1^j,
+    priced before anything is built at the (d + 1) * max(1, h^1(O(d m)))
+    entries of its level-1 map out of weight m (an empty source counts one)."""
     if d < 1:
         raise ValueError("the curve degree d must be at least 1")
+    check_cost((d + 1) * max(1, h_dim(1, d * m)))
     return [[{(d - j, j): 1}] for j in range(d + 1)]
 
 
@@ -80,7 +88,7 @@ def euler_h1_block(d: int, m: int) -> RationalMatrix:
     of level-1 degree m*d + d, one block per parametrizing monomial.  The
     chase below reads its kernel and cokernel through
     :func:`conedef.projective._level` instead of building it here."""
-    return _pn_mult_matrix(_curve_grid(d), 1, m * d, True)
+    return _pn_mult_matrix(_curve_grid(d, m), 1, m * d, True)
 
 
 def euler_restricted_h0(d: int, m: int) -> int:
@@ -90,11 +98,11 @@ def euler_restricted_h0(d: int, m: int) -> int:
     closed form: multiplication by a nonzero form is injective on
     sections, so that map has no kernel, and building it would enumerate
     the sections of O(m*d + d), over MAX_BASIS already at d = 49999, m = 0."""
-    kernel = _level(_curve_grid(d), 1, m * d, 1)[0]
+    kernel = _level(_curve_grid(d, m), 1, m * d, 1)[0]
     return (d + 1) * h_dim(0, m * d + d) - h_dim(0, m * d) + kernel
 
 
 def euler_restricted_h1(d: int, m: int) -> int:
     """h^1 companion of :func:`euler_restricted_h0`: the cokernel of the
     same stacked level-1 multiplication map."""
-    return _level(_curve_grid(d), 1, m * d, 1)[1]
+    return _level(_curve_grid(d, m), 1, m * d, 1)[1]

@@ -22,10 +22,17 @@ Two independent routes to the weight-m deformation count are provided:
   terms computed by the Cech chase on the line, and checked at run time
   against the line count whenever that chase is exact.
 
-As in :mod:`conedef.projective`, :mod:`conedef.linalg` and
-:mod:`conedef.polynomials` are imported by the functions that build a
-matrix or a polynomial, so importing this module, as the command line does
-for every command, loads neither.  The generators, their partials and
+Each builder checks its curve degree (d >= 2, a
+:class:`~conedef.projective.RequestError` below it) and prices its request
+from a closed form before it builds anything: C(d, 2)(d + 1) partials for
+:func:`build_presentation` and so :func:`jacobian_matrix`, times the
+h^0(O(d(m + 1))) source monomials (at least one) for
+:func:`graded_jacobian_map`; :func:`t1_via_normal` is priced by the line's
+curve grid in :mod:`conedef.p1`.  As in :mod:`conedef.projective`,
+:mod:`conedef.linalg` and :mod:`conedef.polynomials` are imported by the
+functions that build a matrix or a polynomial, after the price, so
+importing this module, as the command line does for every command, or a
+refused request loads neither.  The generators, their partials and
 their normal forms have int coefficients, so the graded Jacobian is an
 integer matrix, the coordinate vectors of :func:`coefficients_in_grade` and
 :func:`euler_derivation_vector` are int lists, and no command loads
@@ -38,7 +45,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from . import p1
-from .projective import InternalConsistencyError, _pn_mult_matrix
+from .projective import InternalConsistencyError, RequestError, _pn_mult_matrix, check_cost
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
@@ -49,16 +56,18 @@ Monomial2 = tuple[int, int]
 
 def _check_degree(d: int) -> None:
     if d < 2:
-        raise ValueError("the presentation needs curve degree d >= 2 (d = 1 is a line with no equations)")
+        raise RequestError("the presentation needs curve degree d >= 2 (d = 1 is a line with no equations)")
 
 
 def build_presentation(d: int) -> tuple[Polynomial, ...]:
     """All 2x2-minor generators q_{ij} = z_i z_{j+1} - z_{i+1} z_j for
     0 <= i < j <= d-1, in lexicographic order of (i, j), as polynomials in
-    the d + 1 variables z_0..z_d."""
+    the d + 1 variables z_0..z_d.  Priced at their C(d, 2)(d + 1) partials
+    before anything is built, so :func:`jacobian_matrix` inherits the price."""
+    _check_degree(d)
+    check_cost(comb(d, 2) * (d + 1))
     from .polynomials import Polynomial
 
-    _check_degree(d)
     z = [Polynomial.variable(d + 1, t) for t in range(d + 1)]
     return tuple(z[i] * z[j + 1] - z[i + 1] * z[j] for i in range(d) for j in range(i + 1, d))
 
@@ -149,11 +158,15 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
 
     Every partial of a 2x2 minor is 0, z_k, -z_k or -2 z_k, so the
     C(d, 2)(d + 1) cells hold at most 3d distinct partials, and each normal
-    form is taken once."""
-    from .linalg import RationalMatrix
-
+    form is taken once.  The map is priced before anything is built, an
+    empty source too, at C(d, 2)(d + 1) * max(1, h^0(O(d(m + 1)))) units:
+    one per cell and source monomial."""
     _check_degree(d)
-    if p1.h_dim(0, d * (m + 1)) == 0:
+    source = p1.h_dim(0, d * (m + 1))
+    check_cost(comb(d, 2) * (d + 1) * max(1, source))
+    if source == 0:
+        from .linalg import RationalMatrix
+
         return GradedJacobian(RationalMatrix.zero(comb(d, 2) * p1.h_dim(0, d * (m + 2)), 0))
     rows = jacobian_matrix(d)
     forms = {p: normal_form(d, p).terms for p in {p for row in rows for p in row}}
@@ -167,8 +180,7 @@ def euler_derivation_vector(d: int) -> list[int]:
     src_mons = s_basis(d, 1)
     vec = [0] * ((d + 1) * len(src_mons))
     for i in range(d + 1):
-        mono = (d - i, i)
-        vec[i * len(src_mons) + src_mons.index(mono)] = 1
+        vec[i * len(src_mons) + src_mons.index((d - i, i))] = 1
     return vec
 
 

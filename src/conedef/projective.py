@@ -46,13 +46,15 @@ class InternalConsistencyError(Exception):
     trustworthy and must not be reported."""
 
 
-class OverBudgetError(Exception):
-    """A request over :data:`MAX_COST` or a basis over :data:`MAX_BASIS` was refused; nothing was built."""
-
-
 class RequestError(ValueError):
-    """A request refused for its form (an empty weight window, a cohomology level
-    other than 0 or 1 on the line) before anything was built."""
+    """A request refused before anything was built: for its form (an empty weight
+    window, a cohomology level other than 0 or 1 on the line, a curve degree
+    below 2 for the presentation, n < 2 for the cocycle check) or, as an
+    :class:`OverBudgetError`, for its size.  The command line maps it to exit 2."""
+
+
+class OverBudgetError(RequestError):
+    """A request over :data:`MAX_COST` or a basis over :data:`MAX_BASIS` was refused; nothing was built."""
 
 
 # ----------------------------------------------------------------------

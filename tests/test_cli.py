@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from importlib import import_module, resources
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, seed, settings, strategies as st
 
 import conedef
-from conedef import cli, cones, presentation, projective
+from conedef import atiyah, cli, cones, p1, presentation, projective
 from conedef.cli import UsageError, main, parse_variety, parse_window
 from conedef.projective import MAX_BASIS, MAX_COST
 from conedef.cones import BlownUpPlane, ProductPolarization, VeroneseSpace
@@ -435,22 +436,49 @@ class _Priced(Exception):
     """Raised in place of the cost check: it carries the request's cost."""
 
 
-def _cost_of(monkeypatch, *argv: str):
-    """The closed-form cost main computes for a request, or None where the
-    request is refused before it is priced; nothing is built either way."""
+# The library's bindings of projective.check_cost: the windows and verdicts of
+# cones and delpezzo, the presentation, the line's curve grid and the cocycle check.
+_PRICING = (projective, presentation, p1, atiyah)
+
+
+def _priced(monkeypatch, price, call, *args) -> None:
+    """call(*args) with ``price`` in place of every binding of the cost check."""
+    with monkeypatch.context() as patch:
+        for module in _PRICING:
+            patch.setattr(module, "check_cost", price)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            call(*args)
+
+
+def _price_of(monkeypatch, call, *args):
+    """The closed-form cost of the first priced call that call(*args) makes,
+    or None where it is refused before it is priced; nothing is built either
+    way."""
 
     def price(cost):
         raise _Priced(cost)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "check_cost", price)  # jacobian and atiyah
-        patch.setattr(projective, "check_cost", price)  # the windows and verdicts of cones
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                main(list(argv))
-        except _Priced as priced:
-            return priced.args[0]
+    try:
+        _priced(monkeypatch, price, call, *args)
+    except _Priced as priced:
+        return priced.args[0]
     return None
+
+
+def _cost_of(monkeypatch, *argv: str):
+    return _price_of(monkeypatch, main, list(argv))
+
+
+def _forbid_building(monkeypatch):
+    """Make building any matrix or polynomial fail the test."""
+    from conedef.linalg import RationalMatrix
+    from conedef.polynomials import Polynomial
+
+    def refuse(*args):
+        raise AssertionError("something was built for an over-budget request")
+
+    monkeypatch.setattr(RationalMatrix, "__init__", refuse)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
 
 
 def _cost_error(cost: int) -> str:
@@ -471,16 +499,10 @@ def _assert_refused(capsys, argv, err):
 
 
 def test_atiyah_budget_refuses_before_building(capsys, monkeypatch):
-    import conedef.atiyah
-
     # C(n + 1, 3) triple overlaps at 3 n^2 units each: n = 11 is the largest admitted
     assert _cost_of(monkeypatch, "atiyah", "--n", "11") == math.comb(12, 3) * 3 * 11**2 == 79860 <= MAX_COST
     assert _cost_of(monkeypatch, "atiyah", "--n", "12") == math.comb(13, 3) * 3 * 12**2 == 123552
-
-    def refuse(n):
-        raise AssertionError("the cocycle check ran for an over-budget request")
-
-    monkeypatch.setattr(conedef.atiyah, "atiyah_cocycle_check", refuse)
+    _forbid_building(monkeypatch)
     for n in (12, 10**18):
         _assert_refused(capsys, ("atiyah", "--n", str(n)), _cost_error(math.comb(n + 1, 3) * 3 * n**2))
 
@@ -546,41 +568,47 @@ def test_t1_and_rigidity_budgets_refuse_before_building(capsys, monkeypatch):
 
 
 def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
-    # C(d, 2)(d + 1) partials, the d + 1 Euler maps out of h^1(O(d m)) and,
-    # traced, the C(d, 2)(d + 1) graded blocks out of grade m + 1; a block
-    # with an empty source counts one entry
+    # the first priced call of a request: the C(d, 2)(d + 1) partials of
+    # --dump-matrix, or the d + 1 Euler maps out of h^1(O(d m)) of the normal
+    # route; a map with an empty source counts one entry
     priced = {
         ("--d", "58", "--dump-matrix"): math.comb(58, 2) * 59,
         ("--d", "59", "--dump-matrix"): math.comb(59, 2) * 60,
-        ("--d", "57", "--weight", "-1", "--trace"): 58 * 56 + math.comb(57, 2) * 58,
-        ("--d", "58", "--weight", "-1", "--trace"): 59 * 57 + math.comb(58, 2) * 59,
+        ("--d", "58", "--weight", "-1", "--trace"): 59 * 57,
         ("--d", "9", "--weight", "-1111"): 10 * 9998,
         ("--d", "9", "--weight", "-1112"): 10 * 10007,
-        ("--d", "16", "--weight", "2", "--trace"): 17 + math.comb(16, 2) * 17 * 49,
+        ("--d", "16", "--weight", "2", "--trace"): 17,
         ("--d", "49999", "--weight", "0"): 50000,
     }
     for argv, cost in priced.items():
         assert _cost_of(monkeypatch, "jacobian", *argv) == cost, argv
-    assert [cost <= MAX_COST for cost in priced.values()] == [True, False, True, False, True, False, True, True]
+    assert [cost <= MAX_COST for cost in priced.values()] == [True, False, True, True, False, True, True]
+    # --trace makes a second priced call, the graded map: C(d, 2)(d + 1) blocks
+    # out of grade m + 1, each call held to MAX_COST on its own
+    graded = {
+        (58, -1): math.comb(58, 2) * 59,
+        (59, -1): math.comb(59, 2) * 60,
+        (16, 2): math.comb(16, 2) * 17 * 49,
+        (59, -2): math.comb(59, 2) * 60,
+    }
+    for (d, m), cost in graded.items():
+        assert _price_of(monkeypatch, presentation.graded_jacobian_map, d, m) == cost, (d, m)
+    assert [cost <= MAX_COST for cost in graded.values()] == [True, False, True, False]
     # the largest admitted requests run, and enumerate no basis over MAX_BASIS
     _guard_the_enumerator(monkeypatch)
     for d in (46, 58):
         dump = run_json(capsys, "jacobian", "--d", str(d), "--dump-matrix")["result"]
         assert (dump["rows"], dump["cols"]) == (math.comb(d, 2), d + 1)
     assert run_json(capsys, "jacobian", "--d", "46", "--weight", "-2", "--trace")["result"]["t1"] == 0
-    assert run_json(capsys, "jacobian", "--d", "57", "--weight", "-1", "--trace")["result"]["t1"] == 54
+    assert run_json(capsys, "jacobian", "--d", "58", "--weight", "-1", "--trace")["result"]["t1"] == 55
 
-    def refuse(*args):
-        raise AssertionError("something was built for an over-budget request")
-
-    for name in ("jacobian_matrix", "graded_jacobian_map", "t1_via_normal"):
-        monkeypatch.setattr(cli, name, refuse)
+    _forbid_building(monkeypatch)
     over = [
         (("--d", "2", "--weight", "-1000000000"), 3 * 1999999999),
-        (("--d", "3", "--weight", "1000000000", "--trace"), 4 + 12 * 3000000004),
-        (("--d", "27", "--weight", "300", "--trace"), 28 + math.comb(27, 2) * 28 * 8128),
+        (("--d", "3", "--weight", "1000000000", "--trace"), 12 * 3000000004),
+        (("--d", "27", "--weight", "300", "--trace"), math.comb(27, 2) * 28 * 8128),
         (("--d", "9", "--weight", "-1112"), 100070),
-        (("--d", "58", "--weight", "-1", "--trace"), 100890),
+        (("--d", "59", "--weight", "-1", "--trace"), 102660),
         (("--d", "59", "--dump-matrix"), 102660),
         (("--d", "100000", "--dump-matrix"), math.comb(100000, 2) * 100001),
         (("--d", str(10**18), "--weight", "0"), 10**18 + 1),
@@ -590,17 +618,17 @@ def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
 
 
 def test_benchmark_commands_cost_far_under_the_budget(monkeypatch):
-    """Every command of the three benchmark workloads costs at most 2.5 * 10**3
-    units, so the cost budget refuses none of them."""
+    """Every priced call that a command of the three benchmark workloads
+    makes costs at most 2.5 * 10**3 units, so the cost budget refuses none of
+    them."""
     from perfbench import workloads
 
-    costs = [
-        _cost_of(monkeypatch, *command.argv)
-        for workload in workloads.WORKLOADS
-        for seed in (1, 2, 3)
-        for command in workloads.generate(workload, seed)
-    ]
-    assert 1000 < max(cost for cost in costs if cost is not None) <= 2500
+    check, costs = projective.check_cost, []
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for command in workloads.generate(workload, seed):
+                _priced(monkeypatch, lambda cost: (costs.append(cost), check(cost)), main, list(command.argv))
+    assert 1000 < max(costs) <= 2500
 
 
 # ---- what each command loads ---------------------------------------------
@@ -688,7 +716,6 @@ _EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials"} | _NUMERIC_TOWER
         # refused by the plane's basis budget after passing the cost budget, and by the cost budget
         "t1 veronese:2:1 --weights -143..-143",
         "t1 veronese:2:1 --weights -142..857",
-        "atiyah --n 12",
         # every connecting map of these chases has an empty side, so none is built
         "rigidity veronese:2:3",
         "jacobian --d 6 --weight -1",
@@ -698,6 +725,56 @@ def test_closed_form_commands_load_no_exact_arithmetic(argv):
     loaded = _modules_loaded_by(argv)
     assert {m for m in loaded if m.startswith("conedef")} == _CLOSED_FORM_LAYERS
     assert not loaded & _EXACT_ARITHMETIC
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "atiyah --n 12",
+        "atiyah --n 1",
+        "jacobian --d 1 --weight 0",
+        "jacobian --d 1 --dump-matrix",
+        "jacobian --d 59 --dump-matrix",
+        "jacobian --d 9 --weight -1112 --trace",
+        "jacobian --d 59 --weight -1 --trace",
+        "jacobian --d 3 --weight 1000000000 --trace",
+    ],
+)
+def test_refused_commands_load_no_exact_arithmetic(argv):
+    """A refused ``atiyah`` or ``jacobian`` loads no exact arithmetic; a
+    refused ``atiyah`` loads its own module, which prices the request."""
+    loaded = _modules_loaded_by(argv)
+    assert {m for m in loaded if m.startswith("conedef")} <= _CLOSED_FORM_LAYERS | {"conedef.atiyah"}
+    assert not loaded & _EXACT_ARITHMETIC
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "atiyah.atiyah_cocycle_check(12)",
+        "atiyah.atiyah_cocycle_check(1)",
+        "presentation.build_presentation(1)",
+        "presentation.jacobian_matrix(59)",
+        "presentation.graded_jacobian_map(1, 0)",
+        "presentation.graded_jacobian_map(16, 3)",
+        "presentation.t1_via_normal(500, -2)",
+        "p1.euler_h1_block(500, -2)",
+    ],
+)
+def test_refused_library_calls_load_no_exact_arithmetic(call):
+    """Each builder checks its request and prices it before it imports
+    polynomials or linalg, and refuses it as a RequestError."""
+    prelude = textwrap.dedent(f"""
+        from conedef import atiyah, p1, presentation
+        from conedef.projective import RequestError
+        try:
+            {call}
+        except RequestError:
+            pass
+        else:
+            raise AssertionError("admitted")
+    """)
+    assert not _modules_loaded_by("--help", prelude) & _EXACT_ARITHMETIC
 
 
 @pytest.mark.parametrize("argv", ["rigidity delpezzo:8 --weights -6..0", "rigidity delpezzo:7"])
@@ -1040,7 +1117,7 @@ GOLDEN = [
     ("t1 veronese:2:1 --weights -2000..-2000 --order 2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 5991004 units, over the cost budget of 100000\n"),
     ("cech --i 0 --k 1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-0 basis of O(1000000000) on P^1 has 1000000001 monomials, over the basis budget of 10000\n"),
     ("jacobian --d 2 --weight -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 5999999997 units, over the cost budget of 100000\n"),
-    ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 36000000052 units, over the cost budget of 100000\n"),
+    ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 36000000048 units, over the cost budget of 100000\n"),
     ("jacobian --d 100000 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 499999999950000 units, over the cost budget of 100000\n"),
     *_LARGEST_ADMITTED,
 ]

@@ -1,5 +1,7 @@
 """Replay certificates: step grading, verdict aggregation, determinism."""
 
+import re
+
 import pytest
 
 from conedef import delpezzo
@@ -151,6 +153,13 @@ def test_validation():
         delpezzo_certificate(9)
     with pytest.raises(ValueError):
         delpezzo_certificate(6, 2, -2)
+
+
+@pytest.mark.parametrize("r", [True, 6.0, "6"], ids=["bool", "float", "str"])
+def test_a_point_count_that_is_not_an_int_is_refused(r):
+    """As ``BlownUpPlane(True)`` is: a bool would read as 1 point."""
+    with pytest.raises(TypeError, match=f"^r must be an int, got {re.escape(repr(r))}$"):
+        delpezzo_certificate(r, 0, 0)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

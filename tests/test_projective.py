@@ -1,13 +1,14 @@
 """Projective space cohomology, tangent/cotangent twists, Kunneth, and
 divisor arithmetic on blown-up planes."""
 
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import conedef
-from conedef import p1, presentation, projective
+from conedef import atiyah, p1, presentation, projective
 from conedef.projective import (
     MAX_BASIS,
     MAX_COST,
@@ -26,6 +27,7 @@ from conedef.projective import (
     restrict_to_exceptional,
 )
 from conedef.linalg import RationalMatrix, hstack, vstack
+from conedef.polynomials import Polynomial
 from conedef.p1 import h_dim
 
 from oracles import (
@@ -99,13 +101,43 @@ def test_basis_generator_matches_enumerate_filter_sort(n, k, top):
     [
         lambda: p1.basis(1, -(10**18)),
         lambda: projective.h1_tangent_pn_twist(2, -2000),
-        lambda: presentation.graded_jacobian_map(3, 10**9),
+        lambda: presentation.graded_jacobian_map(2, 4998),  # 29,997 units, but a target grade of 10,001 monomials
         lambda: projective.hq_pn_omega1(2, 10**6, 0),
     ],
     ids=["line-basis", "plane-euler-top-map", "graded-jacobian", "cotangent-chase"],
 )
 def test_every_route_refuses_a_basis_over_budget(build):
     with pytest.raises(OverBudgetError, match=f"monomials, over the basis budget of {MAX_BASIS}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build,cost",
+    [
+        (lambda: presentation.build_presentation(59), 102660),
+        (lambda: presentation.jacobian_matrix(59), 102660),
+        (lambda: presentation.graded_jacobian_map(16, 3), 132600),
+        (lambda: presentation.t1_via_normal(500, -2), 500499),
+        (lambda: p1.euler_restricted_h0(500, -2), 500499),
+        (lambda: p1.euler_restricted_h1(500, -2), 500499),
+        (lambda: p1.euler_h1_block(500, -2), 500499),
+        (lambda: atiyah.atiyah_cocycle_check(12), 123552),
+    ],
+    ids=["presentation", "jacobian-matrix", "graded-jacobian", "normal-route", "euler-h0", "euler-h1", "euler-block",
+         "cocycle-check"],
+)
+def test_every_builder_refuses_a_request_over_the_cost_budget(monkeypatch, build, cost):
+    """Each builder prices its own request from a closed form, C(d, 2)(d + 1)
+    partials, times max(1, h^0(O(d(m + 1)))) for the graded map, (d + 1)
+    max(1, h^1(O(dm))) for the curve grid and C(n + 1, 3) 3n^2 for the
+    cocycle check, and refuses it before it builds a matrix or a polynomial."""
+
+    def refuse(*args):
+        raise AssertionError("something was built for an over-budget request")
+
+    monkeypatch.setattr(RationalMatrix, "__init__", refuse)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    with pytest.raises(OverBudgetError, match=f"^the request costs {cost} units, over the cost budget of {MAX_COST}$"):
         build()
 
 
@@ -148,6 +180,24 @@ def test_a_request_refused_for_its_form_is_a_request_error():
             refuse()
     assert issubclass(projective.RequestError, ValueError) and issubclass(cli.UsageError, projective.RequestError)
     assert conedef.RequestError is projective.RequestError
+
+
+def test_every_refusal_before_building_is_a_request_error():
+    """A request over a budget, a curve degree below 2 for the presentation
+    and n < 2 for the cocycle check are refused as RequestError, the one
+    type the command line maps to exit 2."""
+    assert issubclass(OverBudgetError, projective.RequestError)
+    degree = "the presentation needs curve degree d >= 2 (d = 1 is a line with no equations)"
+    refusals = [
+        (lambda: presentation.build_presentation(1), degree),
+        (lambda: presentation.graded_jacobian_map(-3, 0), degree),
+        (lambda: presentation.t1_via_normal(1, 0), degree),
+        (lambda: atiyah.atiyah_cocycle_check(1), "need n >= 2 for a triple overlap"),
+        (lambda: atiyah.atiyah_cocycle_check(-2), "need n >= 2 for a triple overlap"),
+    ]
+    for refuse, message in refusals:
+        with pytest.raises(projective.RequestError, match=f"^{re.escape(message)}$"):
+            refuse()
 
 
 @pytest.mark.parametrize(

@@ -166,6 +166,8 @@ INVALID = [
     (RationalMatrix, (2, [{True: 1}]), ValueError, "column index True is a bool, not an int"),
     # a numeric verdict and a certificate verdict are two kinds: no verdict is both
     (RigidityVerdict, ((-1, 1), "x", Certificate("c", ())), ValueError, "a verdict holds a witness or a certificate, not both"),
+    # the zero matrix refuses a negative row count as the constructor refuses a negative column count
+    (RationalMatrix.zero, (-3, 2), ValueError, "matrix dimensions must be nonnegative"),
 ]
 
 

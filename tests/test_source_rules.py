@@ -19,7 +19,9 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
 * no module-level import of a ``conedef`` module in ``__init__.py`` (the
   package root resolves every export on first use);
 * no ``environ``, ``getenv`` or ``putenv`` anywhere (the command line is
-  the one input: the package reads no environment variable).
+  the one input: the package reads no environment variable);
+* no ``check_cost`` or ``comb`` name in ``cli.py`` (each builder prices its
+  own request, so the command line computes no price).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -164,6 +166,7 @@ RULES: dict[str, Rule] = {
     "forwarding-init": forwarding_constructors,
     "lazy-root": _per_module(lazy_root),
     "environment": _walk_rule(lambda name, n: bool({"environ", "getenv", "putenv"} & _named(n))),
+    "cli-prices-nothing": _walk_rule(lambda name, n: name == "cli.py" and bool({"check_cost", "comb"} & _named(n))),
 }
 
 
@@ -213,6 +216,7 @@ PLANTED = [
     ("lazy-root", "__init__.py", "# planted\nfrom .cones import CATALOG\n"),
     ("lazy-root", "__init__.py", "# planted\nimport conedef.delpezzo\n"),
     ("environment", "cli.py", "# planted\ntrace = os.environ.get(\"CONEDEF_TRACE\") == \"1\"\n"),
+    ("cli-prices-nothing", "cli.py", "# planted\ncheck_cost(math.comb(args.n + 1, 3) * 3 * args.n**2)\n"),
 ]
 
 
