@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import projective
-from .projective import InternalConsistencyError
+from .projective import InternalConsistencyError, RequestError
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
@@ -64,7 +64,7 @@ _CERTIFICATE_ONLY = "blown-up planes are certificate-only: use rigidity_verdict 
 
 def _check_order(q: int) -> None:
     if q not in (1, 2):
-        raise ValueError(f"the counts are h^1 and h^2 of the twisted tangent sheaf, not h^{q}")
+        raise RequestError(f"the counts are h^1 and h^2 of the twisted tangent sheaf, not h^{q}")
 
 
 class Variety(FrozenRecord):
@@ -119,7 +119,7 @@ class VeroneseSpace(Variety):
     def __init__(self, n: int, d: int) -> None:
         self._set(n, d)
         if n < 1 or d < 1:
-            raise ValueError("curve degree d must be at least 1" if n == 1 else "need n >= 1 and d >= 1")
+            raise RequestError("curve degree d must be at least 1" if n == 1 else "need n >= 1 and d >= 1")
 
     def h(self, q: int, m: int) -> int:
         _check_order(q)

@@ -7,6 +7,10 @@ variables, recorded here by its exponent pair (a, b) with a + b = k:
 * level 0 (global sections): a >= 0 and b >= 0, so h0 = max(0, k + 1);
 * level 1: a <= -1 and b <= -1, so h1 = max(0, -k - 1).
 
+The level is the int i, passed through to the model, whose
+:func:`conedef.projective.hq_pn_line` refuses a level other than 0 or 1 as
+a :class:`~conedef.projective.RequestError`.
+
 Multiplication by an honest polynomial keeps level-0 monomials inside the
 level-0 region, while at level 1 a product is truncated to zero as soon as
 either exponent escapes the strictly-negative region.  Because the
@@ -47,12 +51,6 @@ if TYPE_CHECKING:
 Monomial = tuple[int, int]
 
 
-def _top(i: int) -> bool:
-    if i not in (0, 1):
-        raise RequestError(f"cohomology level must be 0 or 1, got {i}")
-    return i == 1
-
-
 def h_dim(i: int, k: int) -> int:
     """Dimension of the level-i cohomology of O(k) on the line."""
     return hq_pn_line(1, k, i)
@@ -60,7 +58,7 @@ def h_dim(i: int, k: int) -> int:
 
 def basis(i: int, k: int) -> list[Monomial]:
     """Monomial basis of level i in degree k, descending first exponent."""
-    return _pn_basis(1, k, _top(i))
+    return _pn_basis(1, k, i)
 
 
 def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
@@ -69,7 +67,7 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
 
     At level 1 any product monomial leaving the strictly-negative region is
     truncated to zero."""
-    return _pn_mult_matrix([[p.terms]], 1, k, _top(i))
+    return _pn_mult_matrix([[p.terms]], 1, k, i)
 
 
 def _curve_grid(d: int, m: int) -> list[list[Multiplier]]:
@@ -77,7 +75,7 @@ def _curve_grid(d: int, m: int) -> list[list[Multiplier]]:
     priced before anything is built at the (d + 1) * max(1, h^1(O(d m)))
     entries of its level-1 map out of weight m (an empty source counts one)."""
     if d < 1:
-        raise ValueError("the curve degree d must be at least 1")
+        raise RequestError("the curve degree d must be at least 1")
     check_cost((d + 1) * max(1, h_dim(1, d * m)))
     return [[{(d - j, j): 1}] for j in range(d + 1)]
 
@@ -88,7 +86,7 @@ def euler_h1_block(d: int, m: int) -> RationalMatrix:
     of level-1 degree m*d + d, one block per parametrizing monomial.  The
     chase below reads its kernel and cokernel through
     :func:`conedef.projective._level` instead of building it here."""
-    return _pn_mult_matrix(_curve_grid(d, m), 1, m * d, True)
+    return _pn_mult_matrix(_curve_grid(d, m), 1, m * d, 1)
 
 
 def euler_restricted_h0(d: int, m: int) -> int:

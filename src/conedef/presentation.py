@@ -25,8 +25,8 @@ Two independent routes to the weight-m deformation count are provided:
 Each builder checks its curve degree (d >= 2, a
 :class:`~conedef.projective.RequestError` below it) and prices its request
 from a closed form before it builds anything: C(d, 2)(d + 1) partials for
-:func:`build_presentation` and so :func:`jacobian_matrix`, times the
-h^0(O(d(m + 1))) source monomials (at least one) for
+:func:`build_presentation` and so :func:`jacobian_matrix`, the
+C(d, 2) * max(1, (d + 1) h^0(O(d(m + 1)))) cells and source monomials of
 :func:`graded_jacobian_map`; :func:`t1_via_normal` is priced by the line's
 curve grid in :mod:`conedef.p1`.  As in :mod:`conedef.projective`,
 :mod:`conedef.linalg` and :mod:`conedef.polynomials` are imported by the
@@ -87,7 +87,7 @@ def s_basis(d: int, k: int) -> list[Monomial2]:
     """Monomial basis of the k-th graded piece of the cone's coordinate
     ring: binary monomials of degree d*k (empty for k < 0)."""
     if d < 1:
-        raise ValueError("curve degree d must be at least 1")
+        raise RequestError("the curve degree d must be at least 1")
     if k < 0:
         return []
     return p1.basis(0, d * k)
@@ -158,19 +158,20 @@ def graded_jacobian_map(d: int, m: int) -> GradedJacobian:
 
     Every partial of a 2x2 minor is 0, z_k, -z_k or -2 z_k, so the
     C(d, 2)(d + 1) cells hold at most 3d distinct partials, and each normal
-    form is taken once.  The map is priced before anything is built, an
-    empty source too, at C(d, 2)(d + 1) * max(1, h^0(O(d(m + 1)))) units:
-    one per cell and source monomial."""
+    form is taken once.  The map is priced by what it builds before anything
+    is built, at C(d, 2) * max(1, (d + 1) * h^0(O(d(m + 1)))) units: one per
+    cell and source monomial, or, for the zero map out of an empty source
+    grade, one per generator, the most rows it has (at m = -2)."""
     _check_degree(d)
     source = p1.h_dim(0, d * (m + 1))
-    check_cost(comb(d, 2) * (d + 1) * max(1, source))
+    check_cost(comb(d, 2) * max(1, (d + 1) * source))
     if source == 0:
         from .linalg import RationalMatrix
 
         return GradedJacobian(RationalMatrix.zero(comb(d, 2) * p1.h_dim(0, d * (m + 2)), 0))
     rows = jacobian_matrix(d)
     forms = {p: normal_form(d, p).terms for p in {p for row in rows for p in row}}
-    return GradedJacobian(_pn_mult_matrix([[forms[p] for p in row] for row in rows], 1, d * (m + 1), False))
+    return GradedJacobian(_pn_mult_matrix([[forms[p] for p in row] for row in rows], 1, d * (m + 1), 0))
 
 
 def euler_derivation_vector(d: int) -> list[int]:

@@ -5,9 +5,11 @@ exact intersection numbers of divisor classes on blown-up planes.
 This module owns the one monomial model of O(k) on n-space: a level-0
 class is a combination of exponent tuples that are all nonnegative, a
 top-level class one of tuples that are all at most -1, and everything in
-between vanishes.  :mod:`conedef.p1` is the line's API over the same model
-(n = 1).  Cotangent and tangent twists are never looked up in a
-table: they are chased through the standard short exact sequences, and
+between vanishes.  Every function of the model takes the level as an int
+q, and :func:`hq_pn_line` refuses one outside 0..n (and n < 1) as a
+:class:`RequestError` for all of them.  :mod:`conedef.p1` is the line's API
+over the same model (n = 1).  Cotangent and tangent twists are never looked
+up in a table: they are chased through the standard short exact sequences, and
 every chase (the line's restricted Euler sequence too) reads its connecting
 maps through :func:`_level`.  A level strictly between 0 and n carries
 nothing, a map with an empty side has rank 0 by its shape, and every other
@@ -48,8 +50,10 @@ class InternalConsistencyError(Exception):
 
 class RequestError(ValueError):
     """A request refused before anything was built: for its form (an empty weight
-    window, a cohomology level other than 0 or 1 on the line, a curve degree
-    below 2 for the presentation, n < 2 for the cocycle check) or, as an
+    window, a cohomology level outside 0..n or n < 1 for a line bundle on
+    n-space, n outside 1..2 for the cotangent chase, a curve degree below 1
+    for the line's grids or below 2 for the presentation, n < 2 for the
+    cocycle check) or, as an
     :class:`OverBudgetError`, for its size.  The command line maps it to exit 2."""
 
 
@@ -63,11 +67,13 @@ class OverBudgetError(RequestError):
 
 
 def hq_pn_line(n: int, k: int, q: int) -> int:
-    """Dimension of level-q cohomology of O(k) on projective n-space."""
+    """Dimension of level-q cohomology of O(k) on projective n-space: the one
+    owner of the rules n >= 1 and 0 <= q <= n, which every basis, map and
+    count of the monomial model reads through it."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise RequestError("n must be at least 1")
     if not 0 <= q <= n:
-        raise ValueError(f"cohomology level {q} out of range for n={n}")
+        raise RequestError(f"cohomology level must be between 0 and {n}, got {q}")
     if q == 0:
         return comb(n + k, n) if k >= 0 else 0
     if q == n:
@@ -100,21 +106,21 @@ def priced_window(m_lo: int, m_hi: int, cost: Callable[[int], int]) -> range:
     return range(m_lo, m_hi + 1)
 
 
-def _pn_basis(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
-    """Ordered monomial basis for level 0 (top=False) or level n (top=True)
-    of O(k): the n+1 exponents sum to k and are all nonnegative (level 0)
-    or all at most -1 (level n), in descending lexicographic order.
+def _pn_basis(n: int, k: int, q: int) -> list[tuple[int, ...]]:
+    """Ordered monomial basis for level q of O(k): the n+1 exponents sum to
+    k and are all nonnegative (level 0) or all at most -1 (level n), in
+    descending lexicographic order; a level strictly between 0 and n has
+    none.
 
     Every basis of the package is built here.  One over MAX_BASIS is
     refused from its closed-form size before it is enumerated, and the
     enumeration is checked against that size."""
-    level = n if top else 0
-    size = hq_pn_line(n, k, level)
+    size = hq_pn_line(n, k, q)
     if size > MAX_BASIS:
-        raise OverBudgetError(f"the level-{level} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
-    monomials = _pn_monomials(n, k, top)
+        raise OverBudgetError(f"the level-{q} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
+    monomials = _pn_monomials(n, k, q == n) if q in (0, n) else []
     if len(monomials) != size:
-        raise InternalConsistencyError(f"level-{level} basis of O({k}) on P^{n}: enumerated {len(monomials)} monomials, closed form {size}")
+        raise InternalConsistencyError(f"level-{q} basis of O({k}) on P^{n}: enumerated {len(monomials)} monomials, closed form {size}")
     return monomials
 
 
@@ -128,11 +134,11 @@ def _pn_monomials(n: int, k: int, top: bool) -> list[tuple[int, ...]]:
     return [(e,) + rest for e in leading for rest in _pn_monomials(n - 1, k - e, top)]
 
 
-def _pn_mult_matrix(grid: Sequence[Sequence[Multiplier]], n: int, k: int, top: bool) -> RationalMatrix:
+def _pn_mult_matrix(grid: Sequence[Sequence[Multiplier]], n: int, k: int, q: int) -> RationalMatrix:
     """The block map that multiplies block column c by the homogeneous
     polynomial with terms grid[r][c] into block row r, where ``{}`` is a
-    zero block.  Every block goes from the level-0 (or level-n) monomial
-    model of O(k) to that of O(k + deg), one degree for the whole grid.
+    zero block.  Every block goes from the level-q monomial model of O(k)
+    to that of O(k + deg), one degree for the whole grid.
 
     A product monomial outside the target basis has left the region; it is
     truncated to zero (only possible at level n).  Because the multiplier
@@ -151,8 +157,8 @@ def _pn_mult_matrix(grid: Sequence[Sequence[Multiplier]], n: int, k: int, top: b
         raise ValueError("multiplier must be homogeneous")
     if min(map(min, terms)) < 0:
         raise ValueError("multiplier must be an honest polynomial, not Laurent")
-    src = _pn_basis(n, k, top)
-    dst = _pn_basis(n, k + degrees.pop(), top)
+    src = _pn_basis(n, k, q)
+    dst = _pn_basis(n, k + degrees.pop(), q)
     from .linalg import RationalMatrix
 
     index = {mono: row for row, mono in enumerate(dst)}
@@ -185,7 +191,7 @@ def _level(grid: Sequence[Sequence[Multiplier]], n: int, k: int, q: int) -> tupl
     deg = sum(next(exps for row in grid for p in row for exps in p))
     src = len(grid[0]) * hq_pn_line(n, k, q)
     dst = len(grid) * hq_pn_line(n, k + deg, q)
-    rank = _pn_mult_matrix(grid, n, k, q == n).rank() if src and dst else 0
+    rank = _pn_mult_matrix(grid, n, k, q).rank() if src and dst else 0
     return src - rank, dst - rank
 
 
@@ -199,7 +205,7 @@ def hq_pn_omega1(n: int, k: int, q: int) -> int:
     n in {1, 2}, chased through the coordinate-differential sequence with
     computed connecting ranks."""
     if n not in (1, 2):
-        raise ValueError("cotangent chase implemented for n = 1 and 2 only")
+        raise RequestError("cotangent chase implemented for n = 1 and 2 only")
     # 0 -> Omega^1(k) -> O(k-1)^(n+1) -> O(k) -> 0: level q of Omega^1(k) is
     # the kernel of the level-q map plus the cokernel of the level-(q-1) map
     grid = [_coordinates(n)]
@@ -242,10 +248,8 @@ def h1_tangent_pn_twist(n: int, k: int) -> int:
     Euler-sequence chase whose connecting rank is computed, not assumed,
     and checked against Bott's formula; n >= 3 vanishes because both
     flanking groups in the chase vanish."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        return hq_pn_line(1, 2 + k, 1)
+    if n <= 1:  # the line's tangent sheaf is O(2); hq_pn_line refuses n < 1
+        return hq_pn_line(n, 2 + k, 1)
     if n == 2:
         return _tangent_p2(k)[0]
     # 0 -> O(k) -> O(k+1)^(n+1) -> T(k) -> 0: h^1(T(k)) sits between h^1(O(k+1))

@@ -583,17 +583,19 @@ def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
     for argv, cost in priced.items():
         assert _cost_of(monkeypatch, "jacobian", *argv) == cost, argv
     assert [cost <= MAX_COST for cost in priced.values()] == [True, False, True, True, False, True, True]
-    # --trace makes a second priced call, the graded map: C(d, 2)(d + 1) blocks
-    # out of grade m + 1, each call held to MAX_COST on its own
+    # --trace makes a second priced call, the graded map, priced by what it
+    # builds: C(d, 2)(d + 1) blocks out of each source monomial of grade m + 1,
+    # or the C(d, 2) rows at most of the zero map out of an empty grade;
+    # each call held to MAX_COST on its own
     graded = {
         (58, -1): math.comb(58, 2) * 59,
         (59, -1): math.comb(59, 2) * 60,
         (16, 2): math.comb(16, 2) * 17 * 49,
-        (59, -2): math.comb(59, 2) * 60,
+        (59, -2): math.comb(59, 2),
     }
     for (d, m), cost in graded.items():
         assert _price_of(monkeypatch, presentation.graded_jacobian_map, d, m) == cost, (d, m)
-    assert [cost <= MAX_COST for cost in graded.values()] == [True, False, True, False]
+    assert [cost <= MAX_COST for cost in graded.values()] == [True, False, True, True]
     # the largest admitted requests run, and enumerate no basis over MAX_BASIS
     _guard_the_enumerator(monkeypatch)
     for d in (46, 58):
@@ -615,6 +617,39 @@ def test_jacobian_budget_refuses_before_building(capsys, monkeypatch):
     ]
     for argv, cost in over:
         _assert_refused(capsys, ("jacobian", *argv), _cost_error(cost))
+
+
+def test_no_traced_jacobian_builds_its_euler_map_and_is_then_refused(monkeypatch):
+    """Wherever the normal route admits a weight whose restricted Euler map
+    has both sides, and so builds and ranks it, the graded map admits the
+    request too: each price read from its own builder, nothing built."""
+    admitted = 0
+    for d in range(2, 461):
+        for m in range(-30, 4):
+            if not (p1.h_dim(1, d * m) and p1.h_dim(1, d * m + d)):
+                continue
+            if _price_of(monkeypatch, p1.euler_restricted_h0, d, m) <= MAX_COST:
+                assert _price_of(monkeypatch, presentation.graded_jacobian_map, d, m) <= MAX_COST, (d, m)
+                admitted += 1
+    assert admitted > 1000
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("jacobian --d 224 --weight -2 --trace", 2),
+        ("jacobian --d 183 --weight -3 --trace", 2),
+        ("jacobian --d 59 --weight -1 --trace", 2),
+        ("jacobian --d 59 --weight -2 --trace", 0),
+    ],
+)
+def test_a_traced_jacobian_is_refused_before_it_builds(capsys, argv, code):
+    """The normal route refuses (224, -2) and (183, -3) and the graded map
+    (59, -1) before either builds, so no exact arithmetic is loaded; (59, -2),
+    whose graded source is empty, is admitted."""
+    assert run_cli(capsys, *argv.split())[0] == code
+    if code:
+        assert not _modules_loaded_by(argv) & _EXACT_ARITHMETIC
 
 
 def test_benchmark_commands_cost_far_under_the_budget(monkeypatch):
@@ -1101,7 +1136,7 @@ GOLDEN = [
     ("cech --i 1 --k -4 --trace", 0, "ba2645f42aeccb9764c8a42bebbe8c07e2b4af5374034323989b82ece6e9bb06", ""),
     ("cech --i 0 --k 3", 0, "75352b02e7ebdf7824d022ff3d69c37c80dc87ad4ac1b480e9e8a6101592a754", ""),
     ("atiyah --n 3 --trace", 0, "196031b1aeb633f48c9a43a6d2a7134bdb7ab5d4c12162e42ed2bcbccbb798a8", ""),
-    ("cech --i 2 --k 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cohomology level must be 0 or 1, got 2\n"),
+    ("cech --i 2 --k 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cohomology level must be between 0 and 1, got 2\n"),
     ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: choose exactly one of --weight <m> or --dump-matrix\n"),
     ("atiyah --n 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: need n >= 2 for a triple overlap\n"),
     ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-1000000000) on P^1 has 999999999 monomials, over the basis budget of 10000\n"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import conedef
 from conedef import atiyah, p1, presentation, projective
+from conedef.cones import VeroneseSpace
 from conedef.projective import (
     MAX_BASIS,
     MAX_COST,
@@ -82,10 +83,10 @@ def test_euler_characteristic_is_hilbert_polynomial(n, k):
 
 
 def test_basis_enumeration_is_ordered_and_complete():
-    b = _pn_basis(2, 2, top=False)
+    b = _pn_basis(2, 2, 0)
     assert len(b) == hq_pn_line(2, 2, 0) == 6
     assert b == sorted(b, reverse=True)
-    t = _pn_basis(2, -4, top=True)
+    t = _pn_basis(2, -4, 2)
     assert len(t) == hq_pn_line(2, -4, 2) == 3
     assert all(all(e <= -1 for e in mono) for mono in t)
 
@@ -93,7 +94,7 @@ def test_basis_enumeration_is_ordered_and_complete():
 @given(n=st.integers(1, 3), k=st.integers(-12, 12), top=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_basis_generator_matches_enumerate_filter_sort(n, k, top):
-    assert _pn_basis(n, k, top) == pn_basis_enumerated(n, k, top)
+    assert _pn_basis(n, k, n if top else 0) == pn_basis_enumerated(n, k, top)
 
 
 @pytest.mark.parametrize(
@@ -141,13 +142,41 @@ def test_every_builder_refuses_a_request_over_the_cost_budget(monkeypatch, build
         build()
 
 
+def _first_price(call, *args):
+    """(the first price that call(*args) reads through check_cost, what the call returns)."""
+    prices = []
+
+    def record(cost):
+        prices.append(cost)
+        projective.check_cost(cost)
+
+    with mock.patch.object(presentation, "check_cost", record), mock.patch.object(p1, "check_cost", record):
+        built = call(*args)
+    return prices[0], built
+
+
+@given(d=st.integers(2, 9), m=st.integers(-4, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_price_covers_the_rows_and_nonzeros_it_builds(d, m):
+    """README's pricing rule: a builder's price, checked before it builds,
+    is at least the rows and at least the nonzeros of the map the call then
+    builds.  Checked for the graded Jacobian with its own price, the curve's
+    Euler block with its curve grid's and the plane's Euler top map with
+    its variety's weight cost."""
+    graded_price, graded = _first_price(presentation.graded_jacobian_map, d, m)
+    euler_price, euler = _first_price(p1.euler_h1_block, d, m)
+    plane = projective._pn_mult_matrix([[x] for x in projective._coordinates(2)], 2, d * m, 2)
+    for price, matrix in ((graded_price, graded.matrix), (euler_price, euler), (VeroneseSpace(2, d).cost(m), plane)):
+        assert price >= matrix.nrows and price >= sum(map(len, matrix.rows)), (price, matrix.nrows, matrix.ncols)
+
+
 def test_the_basis_budget_is_inclusive():
     # C(141, 2) = 9870 and C(142, 2) = 10011 level-0 monomials in degrees 139 and 140
-    assert len(_pn_basis(2, 139, top=False)) == 9870
-    assert len(_pn_basis(1, MAX_BASIS - 1, top=False)) == len(_pn_basis(1, -MAX_BASIS - 1, top=True)) == MAX_BASIS
-    for n, k, top in ((2, 140, False), (1, MAX_BASIS, False), (1, -MAX_BASIS - 2, True)):
-        with pytest.raises(OverBudgetError, match=f"^the level-{n if top else 0} basis of O\\({k}\\) on P\\^{n} has"):
-            _pn_basis(n, k, top)
+    assert len(_pn_basis(2, 139, 0)) == 9870
+    assert len(_pn_basis(1, MAX_BASIS - 1, 0)) == len(_pn_basis(1, -MAX_BASIS - 1, 1)) == MAX_BASIS
+    for n, k, q in ((2, 140, 0), (1, MAX_BASIS, 0), (1, -MAX_BASIS - 2, 1)):
+        with pytest.raises(OverBudgetError, match=f"^the level-{q} basis of O\\({k}\\) on P\\^{n} has"):
+            _pn_basis(n, k, q)
 
 
 def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
@@ -165,19 +194,31 @@ def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
 
 
 def test_a_request_refused_for_its_form_is_a_request_error():
-    """An empty window and a line level other than 0 or 1 are refused before
+    """An empty window, a level outside 0..n and n < 1 are refused before
     anything is built, as the one type the command line maps to exit 2 (a
-    ValueError, so a caller that catches that still does)."""
+    ValueError, so a caller that catches that still does).  hq_pn_line owns
+    the level rule, so every count, basis and map of the model refuses a
+    level with its one message; a middle level is no refusal but the empty
+    basis."""
     from conedef import cli
 
+    x = Polynomial.variable(2, 0)
     refusals = [
         (lambda: projective.check_window(3, -3), "weight window 3..-3 is empty"),
-        (lambda: p1.basis(2, 0), "cohomology level must be 0 or 1, got 2"),
-        (lambda: p1.basis(-1, 0), "cohomology level must be 0 or 1, got -1"),
+        (lambda: p1.h_dim(2, 0), "cohomology level must be between 0 and 1, got 2"),
+        (lambda: p1.basis(2, 0), "cohomology level must be between 0 and 1, got 2"),
+        (lambda: p1.basis(-1, 0), "cohomology level must be between 0 and 1, got -1"),
+        (lambda: p1.mult_matrix(x, 2, 0), "cohomology level must be between 0 and 1, got 2"),
+        (lambda: hq_pn_line(1, 0, 2), "cohomology level must be between 0 and 1, got 2"),
+        (lambda: hq_pn_omega1(2, 0, 3), "cohomology level must be between 0 and 2, got 3"),
+        (lambda: hq_pn_line(0, 0, 0), "n must be at least 1"),
+        (lambda: h1_tangent_pn_twist(0, 0), "n must be at least 1"),
+        (lambda: h1_tangent_pn_twist(-1, 0), "n must be at least 1"),
     ]
     for refuse, message in refusals:
         with pytest.raises(projective.RequestError, match=f"^{message}$"):
             refuse()
+    assert all(_pn_basis(2, k, 1) == [] for k in range(-6, 7))
     assert issubclass(projective.RequestError, ValueError) and issubclass(cli.UsageError, projective.RequestError)
     assert conedef.RequestError is projective.RequestError
 
@@ -200,6 +241,21 @@ def test_every_refusal_before_building_is_a_request_error():
             refuse()
 
 
+def test_a_curve_degree_below_one_is_a_request_error():
+    """The line's curve grid and the cone's coordinate ring refuse a curve
+    degree below 1 as the one exit-2 type, as the presentation refuses one
+    below 2."""
+    refusals = [
+        lambda: p1.euler_restricted_h0(0, 1),
+        lambda: p1.euler_restricted_h1(0, 1),
+        lambda: p1.euler_h1_block(0, -2),
+        lambda: presentation.s_basis(0, 1),
+    ]
+    for refuse in refusals:
+        with pytest.raises(projective.RequestError, match="^the curve degree d must be at least 1$"):
+            refuse()
+
+
 @pytest.mark.parametrize(
     "multiplier,message",
     [
@@ -211,7 +267,7 @@ def test_every_refusal_before_building_is_a_request_error():
 )
 def test_a_multiplier_map_is_refused_like_a_polynomial(multiplier, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        projective._pn_mult_matrix([[multiplier]], 2, 1, False)
+        projective._pn_mult_matrix([[multiplier]], 2, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -224,22 +280,23 @@ def test_a_multiplier_map_is_refused_like_a_polynomial(multiplier, message):
 )
 def test_a_block_grid_is_refused_as_a_whole(grid, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        projective._pn_mult_matrix(grid, 2, 1, False)
+        projective._pn_mult_matrix(grid, 2, 1, 0)
 
 
 @st.composite
 def _block_maps(draw):
-    """(n, k, top, grid): a rectangular grid of homogeneous multipliers of
-    one degree, some of them zero blocks, with at least one nonzero."""
+    """(n, k, q, grid): a rectangular grid of homogeneous multipliers of
+    one degree, some of them zero blocks, with at least one nonzero, read
+    at level q = 0 or n."""
     n, top, deg = draw(st.sampled_from((1, 2))), draw(st.booleans()), draw(st.integers(0, 2))
     k = draw(st.integers(-9, 0) if top else st.integers(-2, 6))
-    monomials = _pn_basis(n, deg, False)  # every exponent tuple of degree deg
+    monomials = _pn_basis(n, deg, 0)  # every exponent tuple of degree deg
     coeff = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
     block = st.dictionaries(st.sampled_from(monomials), coeff, max_size=len(monomials))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     grid = draw(st.lists(st.lists(block, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = {monomials[0]: 1}
-    return n, k, top, grid
+    return n, k, n if top else 0, grid
 
 
 @given(_block_maps())
@@ -247,32 +304,29 @@ def _block_maps(draw):
 def test_a_block_grid_is_its_blocks_stacked(case):
     """One pass over the grid gives the map that stacking its single-block
     builds (and zero blocks for {}) gives."""
-    n, k, top, grid = case
+    n, k, q, grid = case
     deg = next(sum(exps) for row in grid for p in row for exps in p)
-    src, dst = len(_pn_basis(n, k, top)), len(_pn_basis(n, k + deg, top))
+    src, dst = len(_pn_basis(n, k, q)), len(_pn_basis(n, k + deg, q))
     stacked = vstack(
-        [hstack([projective._pn_mult_matrix([[p]], n, k, top) if p else RationalMatrix.zero(dst, src) for p in row]) for row in grid]
+        [hstack([projective._pn_mult_matrix([[p]], n, k, q) if p else RationalMatrix.zero(dst, src) for p in row]) for row in grid]
     )
-    assert projective._pn_mult_matrix(grid, n, k, top) == stacked
+    assert projective._pn_mult_matrix(grid, n, k, q) == stacked
 
 
 @given(_block_maps())
 @settings(max_examples=150, deadline=None)
 def test_a_level_is_the_kernel_and_cokernel_of_its_map(case):
-    """_level reads level 0 and level n off the built map and a middle
-    level as (0, 0); a map with an empty side, a middle level's included,
-    it reads from its shape alone."""
+    """_level reads every level off the map built at that level, a middle
+    level's being the empty map, so (0, 0); a map with an empty side, a
+    middle level's included, it reads from its shape alone."""
     n, k, _, grid = case
 
     def refuse(*args):
         raise AssertionError("built a map with an empty side")
 
     for q in range(n + 1):
-        if 0 < q < n:
-            expected, empty = (0, 0), True
-        else:
-            built = projective._pn_mult_matrix(grid, n, k, q == n)
-            expected, empty = (built.kernel_dim(), built.cokernel_dim()), not (built.nrows and built.ncols)
+        built = projective._pn_mult_matrix(grid, n, k, q)
+        expected, empty = (built.kernel_dim(), built.cokernel_dim()), not (built.nrows and built.ncols)
         assert projective._level(grid, n, k, q) == expected
         if empty:
             with mock.patch.object(projective, "_pn_mult_matrix", refuse):
@@ -282,7 +336,7 @@ def test_a_level_is_the_kernel_and_cokernel_of_its_map(case):
 def test_a_coordinate_multiplies_into_an_integer_matrix():
     """x0 from O(1) to O(2) on the plane: ones only, the entries of the
     Euler and cotangent chases, with no Fraction built."""
-    m = projective._pn_mult_matrix([[{(1, 0, 0): 1}]], 2, 1, False)
+    m = projective._pn_mult_matrix([[{(1, 0, 0): 1}]], 2, 1, 0)
     assert (m.nrows, m.ncols) == (6, 3)
     assert [(j, type(x), x) for row in m.rows for j, x in row.items()] == [(j, int, 1) for j in range(3)]
 
@@ -357,10 +411,10 @@ def test_omega1_plane_serre_duality(k):
 
 
 def test_omega1_unsupported_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(projective.RequestError):
         hq_pn_omega1(3, 0, 1)
     for n, q in ((1, 2), (2, 3), (2, -1)):
-        with pytest.raises(ValueError, match=f"^cohomology level {q} out of range for n={n}$"):
+        with pytest.raises(projective.RequestError, match=f"^cohomology level must be between 0 and {n}, got {q}$"):
             hq_pn_omega1(n, 0, q)
 
 
