@@ -22,9 +22,10 @@ are two kinds of it.  README's cost table is the one account of what each
 command costs.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, which
-argparse refuses, or a ``RequestError``: an empty weight window, a
-cohomology level other than 0 or 1, a curve degree below 2, n below 2, a
-trace asked of ``--format csv``, a request over either budget, a count too
+argparse refuses, or a ``RequestError``: a descriptor field out of range
+or not written as a decimal int, an empty weight window, a cohomology
+level other than 0 or 1, a curve degree below 2, n below 2, a trace asked
+of ``--format csv``, a request over either budget, a count too
 long to print), 3 for well-formed requests the engine refuses to answer
 with bare numbers (certificate-only geometries, h^2(T_Y (x) L^m) outside
 the curve/surface catalog), 4 when two routes to the same number disagreed
@@ -66,7 +67,10 @@ def parse_variety(descriptor: str) -> Variety:
     make, fields = cones.CATALOG.get(name, (None, ()))
     if make is not None and len(values) == len(fields):
         try:
-            return make(*[int(x) for x in values])
+            ints = [int(x) for x in values]
+            if list(map(str, ints)) != values:  # int() also reads "+4", "-0", "04", "4_0", " 4" and "٤"
+                raise ValueError("every field must be written as a plain decimal int, such as 4")
+            return make(*ints)
         except ValueError as exc:
             raise UsageError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
     raise UsageError(

@@ -72,6 +72,13 @@ class Variety(FrozenRecord):
     in order, the integers of its descriptor ``<name>:<field>:...``, with
     the name taken from :data:`CATALOG`.
 
+    This is the one constructor of every entry: one value per field, each
+    an ``int`` (a ``bool`` is refused with ``TypeError``) of at least 1 and,
+    for a field the entry bounds in ``_upper``, at most that bound.  A value
+    out of range is a :class:`RequestError` that names the class and the
+    field, so the message stays true for an alias.  An entry declares only
+    what differs from "an int of at least 1".
+
     Every entry implements ``polarization_cohomology(m)``, the pair
     (h^1, h^2) of the m-th polarization power (m = 0 is the structure
     sheaf).  The defaults below describe a certificate-only geometry: it
@@ -79,12 +86,16 @@ class Variety(FrozenRecord):
     certificate."""
 
     __slots__ = ()
+    _upper: dict[str, int] = {}  # the largest value of each field bounded above
 
-    def _set(self, *values: object) -> None:
+    def __init__(self, *values: object) -> None:
+        self._set(*values)
         for name, value in zip(self._fields, values):
             if type(value) is not int:
                 raise TypeError(f"{type(self).__name__} field {name} must be an int, got {value!r}")
-        super()._set(*values)
+            if not 1 <= value <= self._upper.get(name, value):
+                bound = f"between 1 and {self._upper[name]}" if name in self._upper else "at least 1"
+                raise RequestError(f"{type(self).__name__} field {name} must be {bound}, got {value}")
 
     def h(self, q: int, m: int) -> int:
         """h^q(T_Y (x) L^m) for q in {1, 2}: tangent cohomology twisted by
@@ -115,11 +126,6 @@ class VeroneseSpace(Variety):
     gives the rational normal curve of degree d."""
 
     __slots__ = _fields = ("n", "d")
-
-    def __init__(self, n: int, d: int) -> None:
-        self._set(n, d)
-        if n < 1 or d < 1:
-            raise RequestError("curve degree d must be at least 1" if n == 1 else "need n >= 1 and d >= 1")
 
     def h(self, q: int, m: int) -> int:
         _check_order(q)
@@ -161,11 +167,6 @@ class ProductPolarization(Variety):
 
     __slots__ = _fields = ("a", "b")
 
-    def __init__(self, a: int, b: int) -> None:
-        self._set(a, b)
-        if a < 1 or b < 1:
-            raise ValueError("both bidegrees must be at least 1")
-
     def h(self, q: int, m: int) -> int:
         _check_order(q)
         hq = projective.h1_bidegree if q == 1 else projective.h2_bidegree
@@ -193,11 +194,7 @@ class BlownUpPlane(Variety):
     """The plane blown up in r general points, polarized anticanonically."""
 
     __slots__ = _fields = ("r",)
-
-    def __init__(self, r: int) -> None:
-        self._set(r)
-        if not 1 <= r <= 8:
-            raise ValueError("r must be between 1 and 8")
+    _upper = {"r": 8}
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         """First cohomology of every anticanonical power vanishes (duality
@@ -369,7 +366,7 @@ def pinkham_assembly(v: Variety, m_lo: int, m_hi: int) -> tuple[dict[int, int], 
     is priced as one :func:`t1_table`, whose counts the three bands split.
     Certificate-only varieties raise (their pieces are never bare numbers)."""
     if not (m_lo <= 0 <= m_hi):
-        raise ValueError("the assembly window must contain weight 0")
+        raise RequestError("the assembly window must contain weight 0")
     table = t1_table(v, m_lo, m_hi)
     negative = {m: table[m] for m in range(m_lo, 0)}
     positive = {m: table[m] for m in range(1, m_hi + 1)}

@@ -255,14 +255,14 @@ def _twist_block(r: int, m: int) -> tuple:
 
 def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     """Build the replay certificate for the blow-up of the plane in r
-    points (1 <= r <= 8), twists m_lo..m_hi of the canonical class.  Twist
-    m costs the length of its block, and at least one unit of
+    points, twists m_lo..m_hi of the canonical class.  An r that
+    ``BlownUpPlane(r)`` refuses is refused with its error.  Twist m costs
+    the length of its block, and at least one unit of
     ``projective.MAX_COST``; a window over that budget is refused before
     any step is built."""
-    if type(r) is not int:
-        raise TypeError(f"r must be an int, got {r!r}")
-    if not 1 <= r <= 8:
-        raise ValueError("r must be between 1 and 8")
+    from .cones import BlownUpPlane  # loaded on every command path; cones loads this module on demand
+
+    BlownUpPlane(r)
     priced_window(m_lo, m_hi, lambda m: max(1, len(_twist_block(r, m))))
     K = SurfaceDivisor.canonical(r)
     steps = [

@@ -70,12 +70,17 @@ def mult_matrix(p: Polynomial, i: int, k: int) -> RationalMatrix:
     return _pn_mult_matrix([[p.terms]], 1, k, i)
 
 
+def check_curve_degree(d: int) -> None:
+    """Refuse a curve degree below 1, the one rule for every curve-degree request on the line."""
+    if d < 1:
+        raise RequestError("the curve degree d must be at least 1")
+
+
 def _curve_grid(d: int, m: int) -> list[list[Multiplier]]:
     """One block row per degree-d parametrizing monomial x0^(d-j) * x1^j,
     priced before anything is built at the (d + 1) * max(1, h^1(O(d m)))
     entries of its level-1 map out of weight m (an empty source counts one)."""
-    if d < 1:
-        raise RequestError("the curve degree d must be at least 1")
+    check_curve_degree(d)
     check_cost((d + 1) * max(1, h_dim(1, d * m)))
     return [[{(d - j, j): 1}] for j in range(d + 1)]
 

@@ -86,11 +86,8 @@ def jacobian_matrix(d: int) -> tuple[tuple[Polynomial, ...], ...]:
 def s_basis(d: int, k: int) -> list[Monomial2]:
     """Monomial basis of the k-th graded piece of the cone's coordinate
     ring: binary monomials of degree d*k (empty for k < 0)."""
-    if d < 1:
-        raise RequestError("the curve degree d must be at least 1")
-    if k < 0:
-        return []
-    return p1.basis(0, d * k)
+    p1.check_curve_degree(d)
+    return p1.basis(0, d * k) if k >= 0 else []
 
 
 def substitution_images(d: int) -> list[Polynomial]:

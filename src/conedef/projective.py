@@ -50,10 +50,11 @@ class InternalConsistencyError(Exception):
 
 class RequestError(ValueError):
     """A request refused before anything was built: for its form (an empty weight
-    window, a cohomology level outside 0..n or n < 1 for a line bundle on
-    n-space, n outside 1..2 for the cotangent chase, a curve degree below 1
-    for the line's grids or below 2 for the presentation, n < 2 for the
-    cocycle check) or, as an
+    window, an assembly window without weight 0, a cohomology level outside
+    0..n or n < 1 for a line bundle on n-space, n outside 1..2 for the
+    cotangent chase, a curve degree below 1 for the line's grids or below 2
+    for the presentation, n < 2 for the cocycle check, a descriptor field
+    out of range or not written as a decimal int) or, as an
     :class:`OverBudgetError`, for its size.  The command line maps it to exit 2."""
 
 

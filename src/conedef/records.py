@@ -7,11 +7,12 @@ constructor and the command line's descriptor parser all read
 ``_fields``.  A frozen record is built once, from finished values:
 ``FrozenRecord.__init__`` takes one value per field, positionally, and
 refuses any other count.  Only a record that validates its input writes
-its own ``__init__`` and stores its values with ``_set``: the catalog
-entries (``VeroneseSpace``, ``ProductPolarization``, ``BlownUpPlane``),
-whose ``Variety._set`` refuses a field that is not an int, check their
-integers, ``RationalMatrix`` and ``RationalFunction`` their entries, and
+its own ``__init__`` and stores its values with ``_set``:
+``RationalMatrix`` and ``RationalFunction`` check their entries, and
 ``RigidityVerdict`` that it holds a witness or a certificate, not both.
+The catalog entries share one validating constructor, ``Variety.__init__``
+in :mod:`conedef.cones`, and declare only the bounds that differ from
+"an int of at least 1".
 A record that holds a dict (a matrix's rows) compares by value but does
 not hash.  A result record holds what its function computed, not its
 arguments, and a record stores each value once: what follows from its

@@ -52,6 +52,10 @@ def test_parse_variety_descriptors():
     for bad in ("rnc", "rnc:x", "veronese:2", "plane:1", "segre:2:2"):
         with pytest.raises(UsageError):
             parse_variety(bad)
+    # int() reads each of these as an int, but a field is read only as str(int(x)) writes it
+    for bad in ("rnc:4_0", "rnc:+4", "rnc:04", "rnc:-0", "rnc: 4", "rnc:\u0664", "veronese:2:03"):
+        with pytest.raises(UsageError, match="^bad variety descriptor .*: every field must be written as a plain decimal int, such as 4$"):
+            parse_variety(bad)
 
 
 def test_parse_variety_round_trips_each_entry():
@@ -643,13 +647,13 @@ def test_no_traced_jacobian_builds_its_euler_map_and_is_then_refused(monkeypatch
         ("jacobian --d 59 --weight -2 --trace", 0),
     ],
 )
-def test_a_traced_jacobian_is_refused_before_it_builds(capsys, argv, code):
+def test_a_traced_jacobian_is_refused_before_it_builds(argv, code):
     """The normal route refuses (224, -2) and (183, -3) and the graded map
     (59, -1) before either builds, so no exact arithmetic is loaded; (59, -2),
     whose graded source is empty, is admitted."""
-    assert run_cli(capsys, *argv.split())[0] == code
+    loaded = _modules_loaded_by(argv, code=code)
     if code:
-        assert not _modules_loaded_by(argv) & _EXACT_ARITHMETIC
+        assert not loaded & _EXACT_ARITHMETIC
 
 
 def test_benchmark_commands_cost_far_under_the_budget(monkeypatch):
@@ -668,32 +672,36 @@ def test_benchmark_commands_cost_far_under_the_budget(monkeypatch):
 
 # ---- what each command loads ---------------------------------------------
 
-# Runs one command in a fresh interpreter and prints the conedef modules
-# it loaded, and dataclasses, inspect or the numeric tower (fractions and
-# the decimal and numbers modules it imports) if the import of the package,
-# the command or the prelude (the first argument, run after start-up)
-# loaded them, not the interpreter's own start-up; --help ends in SystemExit.
+# Runs one command in a fresh interpreter and prints its exit code (the
+# code of the SystemExit that --help ends in), then the conedef modules it
+# loaded, and dataclasses, inspect or the numeric tower (fractions and the
+# decimal and numbers modules it imports) if the import of the package, the
+# command or the prelude (the first argument, run after start-up) loaded
+# them, not the interpreter's own start-up.
 _LOADED = """
 import sys
 started = set(sys.modules)
 import contextlib, io
 exec(sys.argv[1])
 from conedef import cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        cli.main(sys.argv[2:])
-    except SystemExit:
-        pass
+        code = cli.main(sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
 watched = {"dataclasses", "inspect", "fractions", "decimal", "numbers"} - started
-print(" ".join(sorted(m for m in sys.modules if m.startswith("conedef") or m in watched)))
+print(code, " ".join(sorted(m for m in sys.modules if m.startswith("conedef") or m in watched)))
 """
 
 
-def _modules_loaded_by(argv: str, prelude: str = "") -> set[str]:
+def _modules_loaded_by(argv: str, prelude: str = "", code: int = 0) -> set[str]:
+    """The modules the probe reports for one command, which must exit with ``code``."""
     env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-c", _LOADED, prelude, *argv.split()], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    exit_code, *loaded = proc.stdout.split()
+    assert int(exit_code) == code, (argv, exit_code)
+    return set(loaded)
 
 
 @pytest.mark.parametrize(
@@ -741,23 +749,23 @@ _NUMERIC_TOWER = {"fractions", "decimal", "numbers"}
 _EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials"} | _NUMERIC_TOWER
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "--help",
-        "t1 rnc:4",
-        "cech --i 1 --k -4",
-        "t1 delpezzo:3",
-        # refused by the plane's basis budget after passing the cost budget, and by the cost budget
-        "t1 veronese:2:1 --weights -143..-143",
-        "t1 veronese:2:1 --weights -142..857",
-        # every connecting map of these chases has an empty side, so none is built
-        "rigidity veronese:2:3",
-        "jacobian --d 6 --weight -1",
-    ],
-)
-def test_closed_form_commands_load_no_exact_arithmetic(argv):
-    loaded = _modules_loaded_by(argv)
+_CLOSED_FORM_COMMANDS = [  # (argv, exit code)
+    ("--help", 0),
+    ("t1 rnc:4", 0),
+    ("cech --i 1 --k -4", 0),
+    ("t1 delpezzo:3", 3),
+    # refused by the plane's basis budget after passing the cost budget, and by the cost budget
+    ("t1 veronese:2:1 --weights -143..-143", 2),
+    ("t1 veronese:2:1 --weights -142..857", 2),
+    # every connecting map of these chases has an empty side, so none is built
+    ("rigidity veronese:2:3", 0),
+    ("jacobian --d 6 --weight -1", 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", _CLOSED_FORM_COMMANDS, ids=[argv for argv, _ in _CLOSED_FORM_COMMANDS])
+def test_closed_form_commands_load_no_exact_arithmetic(argv, code):
+    loaded = _modules_loaded_by(argv, code=code)
     assert {m for m in loaded if m.startswith("conedef")} == _CLOSED_FORM_LAYERS
     assert not loaded & _EXACT_ARITHMETIC
 
@@ -776,9 +784,10 @@ def test_closed_form_commands_load_no_exact_arithmetic(argv):
     ],
 )
 def test_refused_commands_load_no_exact_arithmetic(argv):
-    """A refused ``atiyah`` or ``jacobian`` loads no exact arithmetic; a
-    refused ``atiyah`` loads its own module, which prices the request."""
-    loaded = _modules_loaded_by(argv)
+    """A refused ``atiyah`` or ``jacobian`` exits 2 and loads no exact
+    arithmetic; a refused ``atiyah`` loads its own module, which prices the
+    request."""
+    loaded = _modules_loaded_by(argv, code=2)
     assert {m for m in loaded if m.startswith("conedef")} <= _CLOSED_FORM_LAYERS | {"conedef.atiyah"}
     assert not loaded & _EXACT_ARITHMETIC
 

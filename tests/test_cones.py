@@ -1,9 +1,13 @@
 """Catalog-level counts h^1 and h^2 of T_Y (x) L^m, verdicts and assemblies."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conedef.cli import main
 from conedef.cones import (
+    CATALOG,
     BlownUpPlane,
     OutOfScopeError,
     ProductPolarization,
@@ -20,7 +24,7 @@ from conedef.cones import (
     weight_zero_criterion,
 )
 from conedef.delpezzo import Verdict, delpezzo_certificate
-from conedef.projective import MAX_COST, OverBudgetError
+from conedef.projective import MAX_COST, OverBudgetError, RequestError
 from conedef.p1 import h_dim
 
 from oracles import bidegree_h1_enumerated, bott_hq_omega, line_h1_enumerated
@@ -155,19 +159,41 @@ def test_delpezzo_never_returns_bare_numbers():
         t2_weight(BlownUpPlane(6), -1)
 
 
-def test_catalog_validation():
-    with pytest.raises(ValueError):
-        RationalNormalCurve(0)
-    with pytest.raises(ValueError):
-        VeroneseSpace(0, 2)
-    with pytest.raises(ValueError):
-        SegreQuadric(0)
-    with pytest.raises(ValueError):
-        ProductPolarization(1, 0)
-    with pytest.raises(ValueError):
-        BlownUpPlane(9)
-    with pytest.raises(ValueError):
-        BlownUpPlane(0)
+def _out_of_range_fields():
+    """(registry name, descriptor field index, entry class name, the class
+    field it sets, its bound or None, value) for every field of every
+    registry name at 0 and, where the entry bounds the field it sets, one
+    above the bound.  The class field is the first one that moves with the
+    descriptor field, so an alias maps to the field its entry's message
+    names."""
+    for name, (make, fields) in CATALOG.items():
+        for i in range(len(fields)):
+            twos = [1] * len(fields)
+            twos[i] = 2
+            a, b = make(*[1] * len(fields)), make(*twos)
+            field = next(f for f in a._fields if getattr(a, f) != getattr(b, f))
+            upper = type(a)._upper.get(field)
+            for value in (0,) if upper is None else (0, upper + 1):
+                yield name, i, type(a).__name__, field, upper, value
+
+
+@pytest.mark.parametrize("name,i,cls,field,upper,value", list(_out_of_range_fields()))
+def test_every_registry_field_out_of_range_is_refused(capsys, name, i, cls, field, upper, value):
+    """Each field of each registry name, at 0 and one above a declared
+    bound, is refused by the command line with exit 2, an empty stdout and
+    one stderr line naming the class and the field, and by the constructor
+    with a RequestError carrying the same message."""
+    make, fields = CATALOG[name]
+    values = [1] * len(fields)
+    values[i] = value
+    bound = "at least 1" if upper is None else f"between 1 and {upper}"
+    message = f"{cls} field {field} must be {bound}, got {value}"
+    descriptor = ":".join([name, *map(str, values)])
+    assert main(["t1", descriptor]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad variety descriptor {descriptor!r}: {message}\n"
+    with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
+        make(*values)
 
 
 # ---- tables ------------------------------------------------------------

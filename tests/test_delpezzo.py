@@ -5,6 +5,7 @@ import re
 import pytest
 
 from conedef import delpezzo
+from conedef.cones import BlownUpPlane
 from conedef.delpezzo import (
     Certificate,
     CertStep,
@@ -12,6 +13,7 @@ from conedef.delpezzo import (
     Verdict,
     delpezzo_certificate,
 )
+from conedef.projective import RequestError
 
 
 def steps_matching(cert, fragment, status=None):
@@ -155,11 +157,22 @@ def test_validation():
         delpezzo_certificate(6, 2, -2)
 
 
+@pytest.mark.parametrize("r", [0, 9, -1])
+def test_a_point_count_out_of_range_is_refused_as_the_entry_refuses_it(r):
+    """The rule 1 <= r <= 8 has one owner, the catalog entry's constructor."""
+    message = f"BlownUpPlane field r must be between 1 and 8, got {r}"
+    for refuse in (lambda: delpezzo_certificate(r, 0, 0), lambda: BlownUpPlane(r)):
+        with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
+            refuse()
+
+
 @pytest.mark.parametrize("r", [True, 6.0, "6"], ids=["bool", "float", "str"])
 def test_a_point_count_that_is_not_an_int_is_refused(r):
-    """As ``BlownUpPlane(True)`` is: a bool would read as 1 point."""
-    with pytest.raises(TypeError, match=f"^r must be an int, got {re.escape(repr(r))}$"):
-        delpezzo_certificate(r, 0, 0)
+    """By ``BlownUpPlane(r)``, with its error: a bool would read as 1 point."""
+    message = f"BlownUpPlane field r must be an int, got {r!r}"
+    for refuse in (lambda: delpezzo_certificate(r, 0, 0), lambda: BlownUpPlane(r)):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            refuse()
 
 
 @pytest.mark.parametrize("r", range(1, 9))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conedef
-from conedef import atiyah, p1, presentation, projective
+from conedef import atiyah, cones, p1, presentation, projective
 from conedef.cones import VeroneseSpace
 from conedef.projective import (
     MAX_BASIS,
@@ -224,9 +224,9 @@ def test_a_request_refused_for_its_form_is_a_request_error():
 
 
 def test_every_refusal_before_building_is_a_request_error():
-    """A request over a budget, a curve degree below 2 for the presentation
-    and n < 2 for the cocycle check are refused as RequestError, the one
-    type the command line maps to exit 2."""
+    """A request over a budget, a curve degree below 2 for the presentation,
+    n < 2 for the cocycle check and an assembly window without weight 0 are
+    refused as RequestError, the one type the command line maps to exit 2."""
     assert issubclass(OverBudgetError, projective.RequestError)
     degree = "the presentation needs curve degree d >= 2 (d = 1 is a line with no equations)"
     refusals = [
@@ -235,6 +235,7 @@ def test_every_refusal_before_building_is_a_request_error():
         (lambda: presentation.t1_via_normal(1, 0), degree),
         (lambda: atiyah.atiyah_cocycle_check(1), "need n >= 2 for a triple overlap"),
         (lambda: atiyah.atiyah_cocycle_check(-2), "need n >= 2 for a triple overlap"),
+        (lambda: cones.pinkham_assembly(VeroneseSpace(1, 3), 1, 2), "the assembly window must contain weight 0"),
     ]
     for refuse, message in refusals:
         with pytest.raises(projective.RequestError, match=f"^{re.escape(message)}$"):

@@ -1,7 +1,8 @@
 """Record semantics: equality by class and fields, hashing and refused
 assignment for frozen records, the one positional constructor (field
 order, no defaults, a wrong count refused), the validation errors of the
-records that keep their own constructor, and the derived properties."""
+catalog entries' one constructor and of the records that keep their own,
+and the derived properties."""
 
 import re
 from fractions import Fraction
@@ -25,7 +26,7 @@ from conedef.delpezzo import Certificate, CertStep, StepStatus
 from conedef.linalg import RationalMatrix
 from conedef.polynomials import Polynomial, RationalFunction
 from conedef.presentation import GradedJacobian, NormalRoute, graded_jacobian_map, t1_via_normal
-from conedef.projective import SurfaceDivisor
+from conedef.projective import RequestError, SurfaceDivisor
 from conedef.records import FrozenRecord
 
 _X, _Y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
@@ -141,13 +142,14 @@ def test_a_wrong_count_is_refused(cls, values):
 
 
 INVALID = [
-    (RationalNormalCurve, (0,), ValueError, "curve degree d must be at least 1"),
-    (VeroneseSpace, (0, 2), ValueError, "need n >= 1 and d >= 1"),
-    (VeroneseSpace, (2, 0), ValueError, "need n >= 1 and d >= 1"),
-    (SegreQuadric, (0,), ValueError, "both bidegrees must be at least 1"),
-    (ProductPolarization, (1, 0), ValueError, "both bidegrees must be at least 1"),
-    (BlownUpPlane, (9,), ValueError, "r must be between 1 and 8"),
-    (BlownUpPlane, (0,), ValueError, "r must be between 1 and 8"),
+    # the one constructor of every catalog entry names the class and the field, so an alias's message is true too
+    (RationalNormalCurve, (0,), RequestError, "VeroneseSpace field d must be at least 1, got 0"),
+    (VeroneseSpace, (0, 2), RequestError, "VeroneseSpace field n must be at least 1, got 0"),
+    (VeroneseSpace, (2, 0), RequestError, "VeroneseSpace field d must be at least 1, got 0"),
+    (SegreQuadric, (0,), RequestError, "ProductPolarization field a must be at least 1, got 0"),
+    (ProductPolarization, (1, 0), RequestError, "ProductPolarization field b must be at least 1, got 0"),
+    (BlownUpPlane, (9,), RequestError, "BlownUpPlane field r must be between 1 and 8, got 9"),
+    (BlownUpPlane, (0,), RequestError, "BlownUpPlane field r must be between 1 and 8, got 0"),
     (RationalMatrix, (-1, []), ValueError, "matrix dimensions must be nonnegative"),
     (RationalMatrix, (1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to an exact scalar"),
     (RationalMatrix, (1, [{1: Fraction(1)}]), ValueError, "column index 1 outside range(1)"),
