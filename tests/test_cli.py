@@ -684,7 +684,7 @@ started = set(sys.modules)
 import contextlib, io
 exec(sys.argv[1])
 from conedef import cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = cli.main(sys.argv[2:])
     except SystemExit as exc:
