@@ -23,7 +23,7 @@ _EXPORTS = {
     "cones": ("CATALOG", "BlownUpPlane", "OutOfScopeError", "ProductPolarization", "RigidityVerdict",
               "Variety", "VeroneseSpace", "pinkham_assembly", "rigidity_verdict", "t1_table", "t2_table"),
     "projective": ("InternalConsistencyError", "OverBudgetError", "RequestError"),
-    "delpezzo": ("Certificate", "CertStep", "StepStatus", "Verdict", "delpezzo_certificate"),
+    "delpezzo": ("Certificate", "CertStep", "delpezzo_certificate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_HOME, "__version__"]

@@ -313,7 +313,7 @@ def rigidity_verdict(v: Variety, m_lo: int = -6, m_hi: int = 3) -> RigidityVerdi
     if cert is not None:
         note = (
             "certificate-only geometry: the engine replays the published argument "
-            f"step by step (verdict {cert.verdict.value}) and does not adjudicate rigidity itself"
+            f"step by step (verdict {cert.verdict}) and does not adjudicate rigidity itself"
         )
         return RigidityVerdict(None, note, cert)
     m_star, note = v.closed_form_rigidity()

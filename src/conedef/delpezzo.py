@@ -4,21 +4,22 @@ on anticanonical cones over blown-up planes.
 The engine cannot compute cohomology of twisted tangent sheaves on a
 blow-up directly, and it does not pretend to.  Instead, each certificate
 replays the argument that is in circulation for these cones, one step at a
-time, and grades every step:
+time.  A step records the value the argument claims and the value this
+package computes for it, and its status follows from those two alone:
 
-* VERIFIED     -- the step's claim is a computation this package can do
-                  exactly (restriction degrees, line cohomology on the
-                  exceptional curves, plane cotangent cohomology), and the
-                  recomputation agrees;
-* CONTRADICTED -- the recomputation disagrees with the claimed value;
-* ASSERTED     -- the step is structural (duality reductions, projection
-                  formula, sequence chases) and is recorded but not
-                  machine-checked.
+* ASSERTED     -- nothing was computed: the step is structural (duality
+                  reductions, projection formula, sequence chases) and is
+                  recorded but not machine-checked;
+* VERIFIED     -- the computed value equals the claimed one;
+* CONTRADICTED -- the computed value differs from the claimed one.
 
-A certificate PASSes only if every step is VERIFIED; any CONTRADICTED step
-forces FAIL; otherwise it is PASS_WITH_ASSERTIONS.  The per-step "anchor"
-quotes the claim being replayed so a reader can locate it, and the "rule"
-names the computation used to grade it.
+The computations are the ones this package can do exactly: restriction
+degrees, line cohomology on the exceptional curves, plane cotangent
+cohomology.  A certificate PASSes only if every step is VERIFIED; any
+CONTRADICTED step forces FAIL; otherwise it is PASS_WITH_ASSERTIONS.
+Statuses and verdicts are the strings the envelope prints.  The per-step
+"anchor" quotes the claim being replayed so a reader can locate it, and
+the "rule" names the computation used to grade it.
 
 Twists are indexed by the integer m in the twisting class m*K (K the
 canonical class), matching how the replayed argument is organized.  Each
@@ -35,8 +36,6 @@ for at most 6 points are the constant ``_THEOREM``.
 
 from __future__ import annotations
 
-import enum
-
 from . import p1
 from .projective import (
     SurfaceDivisor,
@@ -48,25 +47,21 @@ from .projective import (
 from .records import FrozenRecord
 
 
-class StepStatus(enum.Enum):
-    VERIFIED = "VERIFIED"
-    ASSERTED = "ASSERTED"
-    CONTRADICTED = "CONTRADICTED"
-
-
-class Verdict(enum.Enum):
-    PASS = "PASS"
-    PASS_WITH_ASSERTIONS = "PASS_WITH_ASSERTIONS"
-    FAIL = "FAIL"
-
-
 class CertStep(FrozenRecord):
-    """One graded step of a replay certificate."""
+    """One graded step of a replay certificate: ``computed`` is None for a
+    structural step, and ``status`` is read off ``claimed`` and
+    ``computed``."""
 
-    __slots__ = _fields = ("term", "claimed", "computed", "rule", "anchor", "status")
+    __slots__ = _fields = ("term", "claimed", "computed", "rule", "anchor")
+
+    @property
+    def status(self) -> str:
+        if self.computed is None:
+            return "ASSERTED"
+        return "VERIFIED" if self.claimed == self.computed else "CONTRADICTED"
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields} | {"status": self.status.value}
+        return {name: getattr(self, name) for name in self._fields} | {"status": self.status}
 
 
 class Certificate(FrozenRecord):
@@ -75,24 +70,24 @@ class Certificate(FrozenRecord):
     __slots__ = _fields = ("claim", "steps")
 
     @property
-    def verdict(self) -> Verdict:
+    def verdict(self) -> str:
         statuses = {s.status for s in self.steps}
-        if StepStatus.CONTRADICTED in statuses:
-            return Verdict.FAIL
-        if statuses <= {StepStatus.VERIFIED} and self.steps:
-            return Verdict.PASS
-        return Verdict.PASS_WITH_ASSERTIONS
+        if "CONTRADICTED" in statuses:
+            return "FAIL"
+        if statuses <= {"VERIFIED"} and self.steps:
+            return "PASS"
+        return "PASS_WITH_ASSERTIONS"
 
     def counts(self) -> dict[str, int]:
         out = {"VERIFIED": 0, "ASSERTED": 0, "CONTRADICTED": 0}
         for s in self.steps:
-            out[s.status.value] += 1
+            out[s.status] += 1
         return out
 
     def to_dict(self) -> dict:
         return {
             "claim": self.claim,
-            "verdict": self.verdict.value,
+            "verdict": self.verdict,
             "counts": self.counts(),
             "steps": [s.to_dict() for s in self.steps],
         }
@@ -104,25 +99,8 @@ _RESTRICTION = "restriction degree from the intersection form"
 _CHASE = "sequence chase as stated; inputs above"
 
 
-def _checked(term: str, claimed, computed, rule: str, anchor: str) -> CertStep:
-    status = StepStatus.VERIFIED if claimed == computed else StepStatus.CONTRADICTED
-    return CertStep(term, claimed, computed, rule, anchor, status)
-
-
 def _asserted(term: str, anchor: str, rule: str = "structural step, not machine-checked") -> CertStep:
-    return CertStep(term, None, None, rule, anchor, StepStatus.ASSERTED)
-
-
-def _ampleness(K: SurfaceDivisor, m: int) -> CertStep:
-    degree = -(m + 1) * restrict_to_exceptional(K, 1)  # of the auxiliary class -(m+1)K on an exceptional line
-    return CertStep(
-        f"[m={m}] claimed ampleness of the auxiliary class -(m+1)K",
-        "positive degree on every exceptional line",
-        f"degree {degree} on each exceptional line",
-        "an ample class must restrict to positive degree on every curve; degree computed from the intersection form",
-        "the auxiliary class is ample",
-        StepStatus.CONTRADICTED if degree <= 0 else StepStatus.ASSERTED,
-    )
+    return CertStep(term, None, None, rule, anchor)
 
 
 # Twist m >= 0 (argument stated for r <= 6): push the tangent sheaf through
@@ -132,11 +110,11 @@ _POSITIVE = (
         f"[m={m}] blow-up tangent sequence",
         "0 -> T_Y -> pullback of the plane tangent sheaf -> degree-one sheaves on the exceptional lines -> 0",
     ),
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
         f"[m={m}] twist degree on each exceptional line", 1 - m, 1 + m * restrict_to_exceptional(K, 1),
         _RESTRICTION, "the exceptional summand twists to degree 1 - m",
     ),
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
         f"[m={m}] first cohomology of the line bundle of degree 1 - m", 0, p1.h_dim(1, 1 - m),
         _LINE, "for all m >= 0 the degree-(1-m) line bundle has no first cohomology",
     ),
@@ -151,22 +129,29 @@ _POSITIVE = (
 )
 
 # Twist m <= -2, r <= 6: Serre duality to the cotangent side, then an
-# ampleness claim plus exceptional-line vanishing.
+# ampleness claim plus exceptional-line vanishing.  The auxiliary class
+# -(m+1)K has degree m + 1 on an exceptional line, negative in every twist
+# this table serves, so its ampleness step is CONTRADICTED.
 _NEGATIVE_SMALL_R = (
     lambda K, m: _asserted(
         f"[m={m}] duality reduction to the cotangent side",
         "first cohomology of the tangent sheaf in twist m is dual to first cohomology of the cotangent sheaf twisted by -(m+1)K",
     ),
-    _ampleness,
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
+        f"[m={m}] claimed ampleness of the auxiliary class -(m+1)K", "positive degree on every exceptional line",
+        f"degree {-(m + 1) * restrict_to_exceptional(K, 1)} on each exceptional line",
+        "an ample class must restrict to positive degree on every curve; degree computed from the intersection form",
+        "the auxiliary class is ample",
+    ),
+    lambda K, m: CertStep(
         f"[m={m}] restriction of the twisted cotangent summand to an exceptional line", m,
         -1 - (m + 1) * restrict_to_exceptional(K, 1), _RESTRICTION, "the exceptional summand restricts to degree m",
     ),
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
         f"[m={m}] sections of the line bundle of degree {m}", 0, p1.h_dim(0, m),
         _LINE, "no global sections in degree m <= -2",
     ),
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
         f"[m={m}] first cohomology of the line bundle of degree {m}", 0, p1.h_dim(1, m),
         _LINE, "both cohomology groups of the exceptional term vanish",
     ),
@@ -187,11 +172,11 @@ _NEGATIVE_LARGE_R = (
         f"[m={m}] duality reduction to the cotangent sheaf twisted by (1-m)K",
         "the dual group is the first cohomology of the cotangent sheaf twisted by (1-m)K",
     ),
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
         f"[m={m}] restriction of the twisted cotangent summand to an exceptional line", m - 2,
         -1 + (1 - m) * restrict_to_exceptional(K, 1), _RESTRICTION, "the exceptional summand restricts to degree m - 2",
     ),
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
         f"[m={m}] first cohomology of the line bundle of degree {m - 2}", 0, p1.h_dim(1, m - 2),
         _LINE, "degree at most -4, hence no contribution",
     ),
@@ -199,7 +184,7 @@ _NEGATIVE_LARGE_R = (
         f"[m={m}] projection-formula identification with a plane cotangent group",
         "pushing forward identifies the remaining term with cotangent cohomology on the plane",
     ),
-    lambda K, m: _checked(
+    lambda K, m: CertStep(
         f"[m={m}] first cohomology of the plane cotangent sheaf twisted by {-3 * (1 - m)}", 0,
         hq_pn_omega1(2, -3 * (1 - m), 1), "cotangent chase on the plane with computed connecting ranks",
         "the plane cotangent term vanishes in this twist range",
@@ -266,11 +251,11 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     priced_window(m_lo, m_hi, lambda m: max(1, len(_twist_block(r, m))))
     K = SurfaceDivisor.canonical(r)
     steps = [
-        _checked(
+        CertStep(
             "self-intersection of the canonical class", 9 - r, intersection(K, K),
             "intersection form in the (H; E_1..E_r) basis", "K^2 = 9 - r on the blow-up of the plane in r points",
         ),
-        _checked(
+        CertStep(
             "degree of the canonical class on an exceptional line", -1, restrict_to_exceptional(K, 1),
             _RESTRICTION, "K restricts to degree -1 on each exceptional line",
         ),

@@ -30,7 +30,7 @@ from conedef.cones import (
     rigidity_verdict,
     t1_weight,
 )
-from conedef.delpezzo import StepStatus, delpezzo_certificate
+from conedef.delpezzo import delpezzo_certificate
 from conedef.linalg import RationalMatrix
 from conedef.p1 import basis, euler_restricted_h0, h_dim
 from conedef.polynomials import Polynomial
@@ -222,12 +222,12 @@ def crit_9_certificate_replay() -> Criterion:
             for s in cert.steps
             if s.term == f"[m={m}] first cohomology of the line bundle of degree 1 - m"
         ]
-        if len(steps) != 1 or steps[0].status is not StepStatus.VERIFIED:
+        if len(steps) != 1 or steps[0].status != "VERIFIED":
             problems.append(f"m={m} line step not uniquely VERIFIED")
     m3 = [
         s
         for s in cert.steps
-        if s.term.startswith("[m=3]") and s.status is StepStatus.CONTRADICTED
+        if s.term.startswith("[m=3]") and s.status == "CONTRADICTED"
     ]
     if not m3:
         problems.append("no CONTRADICTED step at m=3")

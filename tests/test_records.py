@@ -22,7 +22,7 @@ from conedef.cones import (
     rigidity_verdict,
     weight_zero_criterion,
 )
-from conedef.delpezzo import Certificate, CertStep, StepStatus
+from conedef.delpezzo import Certificate, CertStep, delpezzo_certificate
 from conedef.linalg import RationalMatrix
 from conedef.polynomials import Polynomial, RationalFunction
 from conedef.presentation import GradedJacobian, NormalRoute, graded_jacobian_map, t1_via_normal
@@ -30,7 +30,7 @@ from conedef.projective import RequestError, SurfaceDivisor
 from conedef.records import FrozenRecord
 
 _X, _Y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-_STEP = CertStep("t", 0, 0, "r", "a", StepStatus.VERIFIED)
+_STEP = CertStep("t", 0, 0, "r", "a")
 
 # (class or named constructor, field values, the same values with one
 # field changed, hashable, the name of the first field): every catalog
@@ -49,7 +49,7 @@ FROZEN = [
     (PolarizationFlags, (0, 1), (0, 0), True, "h1_polarization"),
     (GradedJacobian, (RationalMatrix.identity(2),), (RationalMatrix.zero(2, 2),), False, "matrix"),
     (NormalRoute, (0, 0, 1, True), (0, 0, 1, False), True, "normal_h0"),
-    (CertStep, ("t", 0, 0, "r", "a", StepStatus.VERIFIED), ("t", 0, 1, "r", "a", StepStatus.CONTRADICTED), True, "term"),
+    (CertStep, ("t", 0, 0, "r", "a"), ("t", 0, 1, "r", "a"), True, "term"),
     (Certificate, ("c", (_STEP,)), ("c", ()), True, "claim"),
     (CocycleReport, (((0, 1, 2),), True, True, True, True), (((0, 1, 2),), False, True, True, True), True, "triples"),
     (RationalMatrix, (2, [{0: 1}, {1: 1}]), (2, [{}, {1: Fraction(1)}]), False, "ncols"),
@@ -207,3 +207,17 @@ def test_each_derived_property_equals_its_definition():
             assert matrix.nrows == len(matrix.rows), (d, m)
     for r in range(9):
         assert SurfaceDivisor.canonical(r).r == len(SurfaceDivisor.canonical(r).e) == r
+    # the default window and one that replays every twist table
+    for cert in (delpezzo_certificate(r, *window) for r in range(1, 9) for window in ((), (-9, 5))):
+        for step in cert.steps:
+            if step.computed is None:
+                assert step.status == "ASSERTED", step
+            else:
+                assert step.status == ("VERIFIED" if step.claimed == step.computed else "CONTRADICTED"), step
+        statuses = [step.status for step in cert.steps]
+        if "CONTRADICTED" in statuses:
+            assert cert.verdict == "FAIL", cert.claim
+        elif statuses and set(statuses) == {"VERIFIED"}:
+            assert cert.verdict == "PASS", cert.claim
+        else:
+            assert cert.verdict == "PASS_WITH_ASSERTIONS", cert.claim
