@@ -2,9 +2,12 @@
 degree-one bundle on projective n-space.
 
 The bundle's transition data on the standard chart cover is the ratio of
-two homogeneous coordinates.  Two identities are checked exactly on every
-triple overlap, with no symbolic simplifier in the loop -- just rational
-function arithmetic with equality by cross-multiplication:
+two homogeneous coordinates, built by one function from the two
+coordinates' exponent vectors: in the n+1 homogeneous coordinates, or in
+the n affine coordinates of a chart, which drop the chart's own entry.
+Two identities are checked exactly on every triple overlap, with no
+symbolic simplifier in the loop -- just rational function arithmetic with
+equality by cross-multiplication:
 
 * multiplicative: g_ij * g_jk == g_ik;
 * additive: the logarithmic differentials satisfy
@@ -16,7 +19,7 @@ that the cocycle itself is not identically zero are checked as well.
 
 :func:`atiyah_cocycle_check` checks its ``n >= 2`` and its price before
 anything is built, and :mod:`conedef.polynomials` is imported by the
-functions that build a transition, so a refused request loads no exact
+function that builds a transition, so a refused request loads no exact
 arithmetic.
 """
 
@@ -30,32 +33,18 @@ from .projective import RequestError, check_cost
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
-    from .polynomials import Polynomial, RationalFunction
-
-
-def _transition_homogeneous(n: int, a: int, b: int) -> RationalFunction:
-    """g_ab = X_a / X_b in the n+1 homogeneous coordinates."""
     from .polynomials import RationalFunction
 
-    num = [int(l == a) for l in range(n + 1)]
-    den = [int(l == b) for l in range(n + 1)]
-    return RationalFunction.monomial_quotient(n + 1, num, den)
 
+def _transition(n: int, chart: int | None, a: int, b: int) -> RationalFunction:
+    """g_ab = X_a / X_b as a quotient of exponent vectors: the n+1
+    homogeneous coordinates when ``chart`` is None, else the affine
+    coordinates of ``chart``, which drop its entry, so X_chart is the
+    constant 1 and X_l / X_chart is variable l - (l > chart)."""
+    from .polynomials import RationalFunction
 
-def _transition_in_chart(n: int, chart: int, a: int, b: int) -> RationalFunction:
-    """g_ab written in the affine coordinates of ``chart``: the coordinate
-    X_l / X_chart becomes variable number ``others.index(l)``, and the
-    chart's own coordinate is the constant 1."""
-    from .polynomials import Polynomial, RationalFunction
-
-    others = [l for l in range(n + 1) if l != chart]
-
-    def coord(l: int) -> Polynomial:
-        if l == chart:
-            return Polynomial.constant(n, 1)
-        return Polynomial.variable(n, others.index(l))
-
-    return RationalFunction(coord(a), coord(b))
+    num, den = ([int(j == l) for j in range(n + 1) if j != chart] for l in (a, b))
+    return RationalFunction.monomial_quotient(len(num), num, den)
 
 
 class CocycleReport(FrozenRecord):
@@ -85,27 +74,27 @@ def atiyah_cocycle_check(n: int) -> CocycleReport:
     multiplicative_ok = additive_ok = True
 
     for (i, j, k) in triples:
-        gij = _transition_homogeneous(n, i, j)
-        gjk = _transition_homogeneous(n, j, k)
-        gik = _transition_homogeneous(n, i, k)
+        gij = _transition(n, None, i, j)
+        gjk = _transition(n, None, j, k)
+        gik = _transition(n, None, i, k)
         if not (gij * gjk).equals(gik):
             multiplicative_ok = False
 
         for chart in (i, j, k):
-            cij = _transition_in_chart(n, chart, i, j)
-            cjk = _transition_in_chart(n, chart, j, k)
-            cik = _transition_in_chart(n, chart, i, k)
+            cij = _transition(n, chart, i, j)
+            cjk = _transition(n, chart, j, k)
+            cik = _transition(n, chart, i, k)
             for l in range(n):
                 residue = cij.dlog(l) + cjk.dlog(l) - cik.dlog(l)
                 if not residue.is_zero():
                     additive_ok = False
 
     # g_ii == 1, so its logarithmic differential must vanish identically.
-    gii = _transition_in_chart(n, 0, 0, 0)
+    gii = _transition(n, 0, 0, 0)
     degenerate_ok = all(gii.dlog(l).is_zero() for l in range(n))
 
     # the class itself is not zero: dlog(g_01) has a nonzero coefficient.
-    g01 = _transition_in_chart(n, 0, 0, 1)
+    g01 = _transition(n, 0, 0, 1)
     nontrivial_witness = any(not g01.dlog(l).is_zero() for l in range(n))
 
     return CocycleReport(triples, multiplicative_ok, additive_ok, degenerate_ok, nontrivial_witness)

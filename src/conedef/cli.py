@@ -16,10 +16,11 @@ library call checks its request's form (a nonempty weight window, a
 cohomology level of 0 or 1, a curve degree of at least 2, n >= 2 for the
 cocycle check) and prices it from closed forms against the budgets of
 :mod:`conedef.projective` (``MAX_BASIS``, ``MAX_COST``) before it builds
-anything, and refuses it with a :class:`~conedef.projective.RequestError`;
-``OverBudgetError`` and :class:`UsageError`, the command line's own kind,
-are two kinds of it.  README's cost table is the one account of what each
-command costs.
+anything, and refuses it with a :class:`~conedef.projective.RequestError`,
+of which ``OverBudgetError`` is a kind.  The command line refuses what it
+parses itself (a descriptor, a weight window, a trace asked of
+``--format csv``) with the same ``RequestError``.  README's cost table is
+the one account of what each command costs.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, which
 argparse refuses, or a ``RequestError``: a descriptor field out of range
@@ -58,10 +59,6 @@ WRITE_BATCH = 4096  # encoder chunks per write of the envelope, about 50 K chara
 _DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
 
 
-class UsageError(RequestError):
-    """Bad command line input (maps to exit code 2)."""
-
-
 def parse_variety(descriptor: str) -> Variety:
     name, *values = descriptor.split(":")
     make, fields = cones.CATALOG.get(name, (None, ()))
@@ -72,21 +69,18 @@ def parse_variety(descriptor: str) -> Variety:
                 raise ValueError("every field must be written as a plain decimal int, such as 4")
             return make(*ints)
         except ValueError as exc:
-            raise UsageError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
-    raise UsageError(
+            raise RequestError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
+    raise RequestError(
         f"unknown variety descriptor {descriptor!r} "
         f"(expected {', '.join(_DESCRIPTORS[:-1])} or {_DESCRIPTORS[-1]})"
     )
 
 
 def parse_window(spec: str) -> tuple[int, int]:
-    lo_str, sep, hi_str = spec.partition("..")
-    if not sep:
-        raise UsageError(f"bad weight window {spec!r} (expected lo..hi)")
     try:
-        lo, hi = int(lo_str), int(hi_str)
+        lo, hi = map(int, spec.split(".."))
     except ValueError as exc:
-        raise UsageError(f"bad weight window {spec!r}: {exc}") from exc
+        raise RequestError(f"bad weight window {spec!r} (expected lo..hi)") from exc
     return lo, hi
 
 
@@ -96,8 +90,8 @@ def _check_printable(counts: Iterable[tuple[int, int]]) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     m, count = max(counts, key=lambda pair: pair[1], default=(None, 0))
     if limit and count >= 10**limit:
-        raise UsageError(f"the count at weight {m} has more than {limit} digits, over this interpreter's "
-                         "limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)")
+        raise RequestError(f"the count at weight {m} has more than {limit} digits, over this interpreter's "
+                           "limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)")
 
 
 Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or None
@@ -105,7 +99,7 @@ Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or
 
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
     if args.trace and args.format == "csv":
-        raise UsageError("--format csv cannot carry a trace (drop --trace, or use --format json)")
+        raise RequestError("--format csv cannot carry a trace (drop --trace, or use --format json)")
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     table = (cones.t1_table if args.order == 1 else cones.t2_table)(variety, lo, hi)  # in window order
@@ -149,7 +143,7 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
 
 def cmd_jacobian(args: argparse.Namespace) -> Reply:
     if (args.weight is None) == (not args.dump_matrix):
-        raise UsageError("choose exactly one of --weight <m> or --dump-matrix")
+        raise RequestError("choose exactly one of --weight <m> or --dump-matrix")
     if args.dump_matrix:
         rows = jacobian_matrix(args.d)
         names = [f"z{t}" for t in range(args.d + 1)]

@@ -71,10 +71,10 @@ class Certificate(FrozenRecord):
 
     @property
     def verdict(self) -> str:
-        statuses = {s.status for s in self.steps}
-        if "CONTRADICTED" in statuses:
+        counts = self.counts()
+        if counts["CONTRADICTED"]:
             return "FAIL"
-        if statuses <= {"VERIFIED"} and self.steps:
+        if self.steps and not counts["ASSERTED"]:
             return "PASS"
         return "PASS_WITH_ASSERTIONS"
 

@@ -55,6 +55,8 @@ class RationalMatrix(FrozenRecord):
     __slots__ = _fields = ("ncols", "rows")
 
     def __init__(self, ncols: int, rows: list[Row]) -> None:
+        if type(ncols) is not int:
+            raise ValueError(f"column count {ncols!r} is a {type(ncols).__name__}, not an int")
         if ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         fraction = fraction_type()

@@ -100,12 +100,8 @@ def substitution_images(d: int) -> list[Polynomial]:
 def normal_form(d: int, p: Polynomial) -> Polynomial:
     """Image of a z-polynomial in the cone's coordinate ring, written as a
     binary form via the parametrizing substitution."""
-    from .polynomials import Polynomial
-
     if p.nvars != d + 1:
         raise ValueError(f"expected a polynomial in the {d + 1} cone variables")
-    if p.is_zero():
-        return Polynomial.zero(2)
     return p.substitute(substitution_images(d))
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,8 +20,8 @@ from hypothesis import Phase, assume, example, given, seed, settings, strategies
 
 import conedef
 from conedef import atiyah, cli, cones, p1, presentation, projective
-from conedef.cli import UsageError, main, parse_variety, parse_window
-from conedef.projective import MAX_BASIS, MAX_COST
+from conedef.cli import main, parse_variety, parse_window
+from conedef.projective import MAX_BASIS, MAX_COST, RequestError
 from conedef.cones import BlownUpPlane, ProductPolarization, VeroneseSpace
 
 
@@ -50,11 +51,11 @@ def test_parse_variety_descriptors():
     assert parse_variety("segre:2") == ProductPolarization(2, 2)
     assert parse_variety("delpezzo:6") == BlownUpPlane(6)
     for bad in ("rnc", "rnc:x", "veronese:2", "plane:1", "segre:2:2"):
-        with pytest.raises(UsageError):
+        with pytest.raises(RequestError):
             parse_variety(bad)
     # int() reads each of these as an int, but a field is read only as str(int(x)) writes it
     for bad in ("rnc:4_0", "rnc:+4", "rnc:04", "rnc:-0", "rnc: 4", "rnc:\u0664", "veronese:2:03"):
-        with pytest.raises(UsageError, match="^bad variety descriptor .*: every field must be written as a plain decimal int, such as 4$"):
+        with pytest.raises(RequestError, match="^bad variety descriptor .*: every field must be written as a plain decimal int, such as 4$"):
             parse_variety(bad)
 
 
@@ -139,8 +140,8 @@ def test_parse_window():
     assert parse_window("-6..3") == (-6, 3)
     assert parse_window("0..0") == (0, 0)
     assert parse_window("3..-3") == (3, -3)
-    for bad in ("1..", "a..b", "1-3"):
-        with pytest.raises(UsageError):
+    for bad in ("1..", "a..b", "1-3", "1..2..3", "..", "12", "1...3"):
+        with pytest.raises(RequestError, match=f"^{re.escape(f'bad weight window {bad!r} (expected lo..hi)')}$"):
             parse_window(bad)
 
 

@@ -170,6 +170,10 @@ INVALID = [
     (RigidityVerdict, ((-1, 1), "x", Certificate("c", ())), ValueError, "a verdict holds a witness or a certificate, not both"),
     # the zero matrix refuses a negative row count as the constructor refuses a negative column count
     (RationalMatrix.zero, (-3, 2), ValueError, "matrix dimensions must be nonnegative"),
+    # the column count is an int, as every column index is
+    (RationalMatrix, (2.0, [{0: 1}]), ValueError, "column count 2.0 is a float, not an int"),
+    (RationalMatrix, (True, [{0: 1}]), ValueError, "column count True is a bool, not an int"),
+    (RationalMatrix.zero, (2, 1.5), ValueError, "column count 1.5 is a float, not an int"),
 ]
 
 

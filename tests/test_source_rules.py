@@ -21,7 +21,9 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
 * no ``environ``, ``getenv`` or ``putenv`` anywhere (the command line is
   the one input: the package reads no environment variable);
 * no ``check_cost`` or ``comb`` name in ``cli.py`` (each builder prices its
-  own request, so the command line computes no price).
+  own request, so the command line computes no price);
+* no subclass of ``RequestError`` but ``OverBudgetError`` (one refusal
+  type, which the command line maps to exit 2, also for what it parses).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -167,6 +169,9 @@ RULES: dict[str, Rule] = {
     "lazy-root": _per_module(lazy_root),
     "environment": _walk_rule(lambda name, n: bool({"environ", "getenv", "putenv"} & _named(n))),
     "cli-prices-nothing": _walk_rule(lambda name, n: name == "cli.py" and bool({"check_cost", "comb"} & _named(n))),
+    "one-refusal-type": _walk_rule(
+        lambda name, n: isinstance(n, ast.ClassDef) and n.name != "OverBudgetError" and "RequestError" in _named_bases(n)
+    ),
 }
 
 
@@ -217,6 +222,7 @@ PLANTED = [
     ("lazy-root", "__init__.py", "# planted\nimport conedef.delpezzo\n"),
     ("environment", "cli.py", "# planted\ntrace = os.environ.get(\"CONEDEF_TRACE\") == \"1\"\n"),
     ("cli-prices-nothing", "cli.py", "# planted\ncheck_cost(math.comb(args.n + 1, 3) * 3 * args.n**2)\n"),
+    ("one-refusal-type", "cli.py", "# planted\nclass UsageError(RequestError):\n    pass\n"),
 ]
 
 
