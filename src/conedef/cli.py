@@ -6,10 +6,14 @@ plus an optional trace), integers only, no timestamps, so repeated runs of
 the same command are byte-identical.  The envelope schema ships with the
 package under ``conedef/schemas/envelope.schema.json``.  The command line
 is the one input: no module of the package reads the environment.  Each
-``cmd_*`` returns its inputs, result and trace lines, and ``main`` writes
-the envelope.  The one exception is ``t1 --format csv``, which prints its table
-itself and carries no trace, so ``cmd_t1`` refuses it together with
-``--trace`` before it reads the descriptor.
+``cmd_*`` returns its inputs, result and trace lines, and ``_answer`` writes
+the envelope and attaches the trace lines exactly when ``--trace`` is set.
+Only ``t1`` and ``jacobian --weight`` read ``--trace`` themselves, because
+their trace costs more than a constant: one line per weight of the window,
+and the priced graded route.  The one reply without an envelope is
+``t1 --format csv``, which prints its table itself and carries no trace, so
+``cmd_t1`` refuses it together with ``--trace`` before it reads the
+descriptor.
 
 The command line prices nothing and repeats no rule of the library.  Each
 library call checks its request's form (a nonempty weight window, a
@@ -94,7 +98,7 @@ def _check_printable(counts: Iterable[tuple[int, int]]) -> None:
                            "limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)")
 
 
-Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines or None
+Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines (None: a costly trace not asked for)
 
 
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
@@ -137,8 +141,7 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
     }
     if verdict.certificate is not None:
         result["certificate"] = verdict.certificate.to_dict()
-    trace = [f"rule: {variety.rule()}"] if args.trace else None
-    return {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, trace
+    return {"variety": args.variety, "weights": f"{lo}..{hi}"}, result, [f"rule: {variety.rule()}"]
 
 
 def cmd_jacobian(args: argparse.Namespace) -> Reply:
@@ -152,8 +155,7 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
             "cols": args.d + 1,
             "entries": [[p.to_string(names) for p in row] for row in rows],
         }
-        trace = ["one row per quadric generator in lexicographic pair order, one column per variable"] if args.trace else None
-        return {"d": args.d}, result, trace
+        return {"d": args.d}, result, ["one row per quadric generator in lexicographic pair order, one column per variable"]
     route = t1_via_normal(args.d, args.weight)
     result = {
         "source_h0": route.restricted_tangent_h0,
@@ -175,8 +177,7 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
 def cmd_cech(args: argparse.Namespace) -> Reply:
     mons = p1.basis(args.i, args.k)
     result = {"dim": len(mons), "basis": [[a, b] for a, b in mons]}
-    trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
-    return {"i": args.i, "k": args.k}, result, trace
+    return {"i": args.i, "k": args.k}, result, ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"]
 
 
 def cmd_atiyah(args: argparse.Namespace) -> Reply:
@@ -190,12 +191,7 @@ def cmd_atiyah(args: argparse.Namespace) -> Reply:
         "additive": report.additive_ok,
         "passed": report.passed,
     }
-    trace = (
-        ["transition data: coordinate ratios; equality decided by cross-multiplication"]
-        if args.trace
-        else None
-    )
-    return {"n": args.n}, result, trace
+    return {"n": args.n}, result, ["transition data: coordinate ratios; equality decided by cross-multiplication"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +282,7 @@ def _answer(argv: Optional[Sequence[str]]) -> int:
     if reply is not None:
         inputs, result, trace = reply
         env = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs, "result": result}
-        if trace is not None:
+        if args.trace:
             env["trace"] = trace
         _write_envelope(env, sys.stdout)
     return 0

@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .records import FrozenRecord, fraction_type
+from .records import FrozenRecord, check_count, fraction_type
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,10 +55,7 @@ class RationalMatrix(FrozenRecord):
     __slots__ = _fields = ("ncols", "rows")
 
     def __init__(self, ncols: int, rows: list[Row]) -> None:
-        if type(ncols) is not int:
-            raise ValueError(f"column count {ncols!r} is a {type(ncols).__name__}, not an int")
-        if ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        check_count(ncols, "column count")
         fraction = fraction_type()
         for row in rows:
             if not isinstance(row, dict):
@@ -95,8 +92,7 @@ class RationalMatrix(FrozenRecord):
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        if nrows < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        check_count(nrows, "row count")
         return cls(ncols, [{} for _ in range(nrows)])
 
     @classmethod

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from typing import Mapping, Sequence
 
-from .records import FrozenRecord
+from .records import FrozenRecord, check_count
 
 Exponents = tuple[int, ...]
 
@@ -64,8 +64,7 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+        check_count(nvars, "nvars")
         self.nvars = nvars
         clean: dict[Exponents, int] = {}
         for exps, coeff in (terms or {}).items():
@@ -300,22 +299,20 @@ class RationalFunction(FrozenRecord):
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
 
+    def _quotient_numerator(self, i: int) -> Polynomial:
+        """num' den - num den', the numerator of the quotient rule in x_i."""
+        return self.num.derivative(i) * self.den - self.num * self.den.derivative(i)
+
     def derivative(self, i: int) -> "RationalFunction":
         """Quotient rule; the square in the denominator is left unreduced."""
-        return RationalFunction(
-            self.num.derivative(i) * self.den - self.num * self.den.derivative(i),
-            self.den * self.den,
-        )
+        return RationalFunction(self._quotient_numerator(i), self.den * self.den)
 
     def dlog(self, i: int) -> "RationalFunction":
-        """Logarithmic derivative d/dx_i of log(f) = f_i' / f."""
+        """Logarithmic derivative d/dx_i of log(f) = f_i' / f, which is
+        (num' den - num den') / (num den)."""
         if self.num.is_zero():
             raise ZeroDivisionError("log of the zero function")
-        # (num/den)' / (num/den) = (num' den - num den') / (num den)
-        return RationalFunction(
-            self.num.derivative(i) * self.den - self.num * self.den.derivative(i),
-            self.num * self.den,
-        )
+        return RationalFunction(self._quotient_numerator(i), self.num * self.den)
 
     def __repr__(self) -> str:
         return f"RationalFunction(({self.num.to_string()}) / ({self.den.to_string()}))"

@@ -35,7 +35,7 @@ from math import comb
 from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .records import FrozenRecord
+from .records import FrozenRecord, check_count
 
 if TYPE_CHECKING:
     from .linalg import RationalMatrix, Row, Scalar
@@ -304,8 +304,7 @@ class SurfaceDivisor(FrozenRecord):
     @classmethod
     def canonical(cls, r: int) -> "SurfaceDivisor":
         """The canonical class: -3H + E_1 + ... + E_r."""
-        if r < 0:
-            raise ValueError("r must be nonnegative")
+        check_count(r, "r")
         return cls(-3, (1,) * r)
 
 

@@ -24,6 +24,11 @@ defining any other class.
 load ``fractions``: :mod:`conedef.linalg` computes over the integers and
 holds a ``Fraction`` entry only where a caller brought one in or reduction
 to echelon form made one.  A polynomial holds int coefficients only.
+
+:func:`check_count` is the one check for a size: a matrix's row and column
+counts, a polynomial's variable count and the number of points a surface
+divisor's plane is blown up in are each an ``int``, not a ``bool``, of at
+least 0.
 """
 
 from __future__ import annotations
@@ -36,6 +41,15 @@ def fraction_type() -> type | tuple:
     value is an instance of: before the import no Fraction exists."""
     fractions = sys.modules.get("fractions")
     return () if fractions is None else fractions.Fraction
+
+
+def check_count(value: object, what: str) -> None:
+    """Refuse, with ``ValueError``, a size that is not an ``int`` (a ``bool``
+    is not one) or is negative; ``what`` names the size in the message."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is a {type(value).__name__}, not an int")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
 
 
 class FrozenRecord:

@@ -150,7 +150,7 @@ INVALID = [
     (ProductPolarization, (1, 0), RequestError, "ProductPolarization field b must be at least 1, got 0"),
     (BlownUpPlane, (9,), RequestError, "BlownUpPlane field r must be between 1 and 8, got 9"),
     (BlownUpPlane, (0,), RequestError, "BlownUpPlane field r must be between 1 and 8, got 0"),
-    (RationalMatrix, (-1, []), ValueError, "matrix dimensions must be nonnegative"),
+    (RationalMatrix, (-1, []), ValueError, "column count must be nonnegative, got -1"),
     (RationalMatrix, (1, [[Fraction(1)]]), ValueError, "each row must be a dict from column index to an exact scalar"),
     (RationalMatrix, (1, [{1: Fraction(1)}]), ValueError, "column index 1 outside range(1)"),
     (RationalMatrix, (1, [{0: "1"}]), ValueError, "entry at column 0 is a str, not an int or a Fraction"),
@@ -164,16 +164,23 @@ INVALID = [
     (RationalFunction, (Polynomial.constant(1, 1), Polynomial.zero(1)), ZeroDivisionError, "zero denominator"),
     (RationalMatrix, (1, [{0: True}]), ValueError, "entry at column 0 is a bool, not an int or a Fraction"),
     (RationalMatrix, (1, [{0: 0.5}]), ValueError, "entry at column 0 is a float, not an int or a Fraction"),
-    (SurfaceDivisor.canonical, (-1,), ValueError, "r must be nonnegative"),
+    (SurfaceDivisor.canonical, (-1,), ValueError, "r must be nonnegative, got -1"),
     (RationalMatrix, (2, [{True: 1}]), ValueError, "column index True is a bool, not an int"),
     # a numeric verdict and a certificate verdict are two kinds: no verdict is both
     (RigidityVerdict, ((-1, 1), "x", Certificate("c", ())), ValueError, "a verdict holds a witness or a certificate, not both"),
     # the zero matrix refuses a negative row count as the constructor refuses a negative column count
-    (RationalMatrix.zero, (-3, 2), ValueError, "matrix dimensions must be nonnegative"),
+    (RationalMatrix.zero, (-3, 2), ValueError, "row count must be nonnegative, got -3"),
     # the column count is an int, as every column index is
     (RationalMatrix, (2.0, [{0: 1}]), ValueError, "column count 2.0 is a float, not an int"),
     (RationalMatrix, (True, [{0: 1}]), ValueError, "column count True is a bool, not an int"),
     (RationalMatrix.zero, (2, 1.5), ValueError, "column count 1.5 is a float, not an int"),
+    # every size is checked by records.check_count: an int, not a bool, of at least 0
+    (RationalMatrix.zero, (True, 2), ValueError, "row count True is a bool, not an int"),
+    (RationalMatrix.zero, (1.5, 2), ValueError, "row count 1.5 is a float, not an int"),
+    (Polynomial, (True,), ValueError, "nvars True is a bool, not an int"),
+    (Polynomial, (1.5,), ValueError, "nvars 1.5 is a float, not an int"),
+    (Polynomial, ("2",), ValueError, "nvars '2' is a str, not an int"),
+    (SurfaceDivisor.canonical, (True,), ValueError, "r True is a bool, not an int"),
 ]
 
 

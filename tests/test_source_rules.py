@@ -23,7 +23,10 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
 * no ``check_cost`` or ``comb`` name in ``cli.py`` (each builder prices its
   own request, so the command line computes no price);
 * no subclass of ``RequestError`` but ``OverBudgetError`` (one refusal
-  type, which the command line maps to exit 2, also for what it parses).
+  type, which the command line maps to exit 2, also for what it parses);
+* no read of ``args.trace`` in ``cli.py`` outside ``_answer``, ``cmd_t1``
+  and ``cmd_jacobian`` (``_answer`` attaches every trace; only a trace that
+  costs more than a constant is built on request).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -121,6 +124,24 @@ def lazy_root(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
             yield node.lineno, "module-level import of a conedef module in the package root"
 
 
+_TRACE_READERS = ("_answer", "cmd_t1", "cmd_jacobian")
+
+
+def trace_has_one_owner(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
+    if name != "cli.py":
+        return
+    owned = {id(n) for f in tree.body if getattr(f, "name", None) in _TRACE_READERS for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "trace"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+            and id(node) not in owned
+        ):
+            yield node.lineno, f"args.trace read outside {', '.join(_TRACE_READERS)}"
+
+
 def _is_set_call(stmt: ast.stmt) -> bool:
     call = getattr(stmt, "value", None) if isinstance(stmt, ast.Expr) else None
     func = getattr(call, "func", None)
@@ -172,6 +193,7 @@ RULES: dict[str, Rule] = {
     "one-refusal-type": _walk_rule(
         lambda name, n: isinstance(n, ast.ClassDef) and n.name != "OverBudgetError" and "RequestError" in _named_bases(n)
     ),
+    "trace-has-one-owner": _per_module(trace_has_one_owner),
 }
 
 
@@ -191,8 +213,9 @@ def test_the_package_keeps_the_rule(rule):
 
 
 # (rule, file name, source): one planted violation of each rule, flagged at
-# line 2 (line 1 of every source is a comment), or at the ``def`` of the
-# forwarding ``__init__``.
+# line 2 (line 1 of every source is a comment), or at the line that
+# :data:`_PLANTED_LINE` names for a rule whose violation sits inside a
+# ``def`` or ``class``.
 PLANTED = [
     ("assert", "cones.py", "# planted\nassert True\n"),
     ("dataclasses", "cones.py", "# planted\nimport dataclasses\n"),
@@ -223,13 +246,19 @@ PLANTED = [
     ("environment", "cli.py", "# planted\ntrace = os.environ.get(\"CONEDEF_TRACE\") == \"1\"\n"),
     ("cli-prices-nothing", "cli.py", "# planted\ncheck_cost(math.comb(args.n + 1, 3) * 3 * args.n**2)\n"),
     ("one-refusal-type", "cli.py", "# planted\nclass UsageError(RequestError):\n    pass\n"),
+    ("trace-has-one-owner", "cli.py", """\
+        # planted
+        def cmd_cech(args):
+            trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
+    """),
 ]
+_PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3}
 
 
 @pytest.mark.parametrize("rule,name,source", PLANTED, ids=[f"{r}-{i}" for i, (r, _, _) in enumerate(PLANTED)])
 def test_each_rule_flags_a_planted_violation(rule, name, source):
     trees, paths = {name: ast.parse(textwrap.dedent(source))}, {name: name}
-    line = 5 if rule == "forwarding-init" else 2
+    line = _PLANTED_LINE.get(rule, 2)
     found = _findings(rule, trees, paths)
     assert found and all(f.startswith(f"{name}:{line}: ") for f in found)
     # the same tree is clean under every other rule
