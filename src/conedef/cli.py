@@ -52,7 +52,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
-from .presentation import graded_jacobian_map, jacobian_matrix, t1_via_normal
+from .presentation import graded_route, jacobian_matrix, t1_via_normal
 from .projective import RequestError
 
 SCHEMA_VERSION = "1"
@@ -165,11 +165,11 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
     }
     trace = None
     if args.trace:
-        graded = graded_jacobian_map(args.d, args.weight)
+        graded, rank = graded_route(args.d, args.weight, route)
         trace = [
             f"normal route: h^0(N({args.weight})) = {route.normal_h0}, restricted tangent h^0 = "
             f"{route.restricted_tangent_h0}, curve tangent h^0 = {route.curve_tangent_h0}",
-            f"graded route: source {graded.source_dim}, target {graded.target_dim}, rank {graded.rank()}",
+            f"graded route: source {graded.source_dim}, target {graded.target_dim}, rank {rank}",
         ]
     return {"d": args.d, "weight": args.weight}, result, trace
 

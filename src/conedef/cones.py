@@ -63,8 +63,8 @@ _CERTIFICATE_ONLY = "blown-up planes are certificate-only: use rigidity_verdict 
 
 
 def _check_order(q: int) -> None:
-    if q not in (1, 2):
-        raise RequestError(f"the counts are h^1 and h^2 of the twisted tangent sheaf, not h^{q}")
+    if type(q) is not int or q not in (1, 2):
+        raise RequestError(f"the counts are h^1 and h^2 of the twisted tangent sheaf, not h^{q!r}")
 
 
 class Variety(FrozenRecord):

@@ -251,23 +251,14 @@ def _subtract(row: Row, factor: Scalar, pivot: Row) -> None:
             del row[j]
 
 
-# ---- module-level conveniences (the names most callers use) ------------
+# ---- module-level names: the elimination methods themselves ------------
+# The package calls the methods; these bindings are the same functions, so
+# ``rank(m)`` is ``m.rank()`` with no second body to keep in step.
 
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
-
-
-def kernel_dim(m: RationalMatrix) -> int:
-    return m.kernel_dim()
-
-
-def cokernel_dim(m: RationalMatrix) -> int:
-    return m.cokernel_dim()
-
-
-def row_reduce(m: RationalMatrix) -> RationalMatrix:
-    return m.rref()
+rank = RationalMatrix.rank
+kernel_dim = RationalMatrix.kernel_dim
+cokernel_dim = RationalMatrix.cokernel_dim
+row_reduce = RationalMatrix.rref
 
 
 def hstack(blocks: Iterable[RationalMatrix]) -> RationalMatrix:

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
 A polynomial is a dict from exponent tuples of ``int`` to nonzero ``int``
-coefficients (a ``bool`` is stored as its int; anything else, a
-``Fraction`` or a ``float`` included, is refused with ``TypeError``).  No
+coefficients; anything else, a ``bool``, a ``Fraction`` or a ``float``
+included, is refused with ``TypeError``, as a coefficient and as a scalar
+factor alike.  No
 coefficient the package makes needs more: the curve's 2x2 minors have
 coefficients +-1, a derivative multiplies by an exponent, a substitution
 multiplies monomials, and :class:`RationalFunction` cross-multiplies
@@ -16,12 +17,12 @@ Printing uses graded reverse lexicographic order (variables x0 < x1 < ...):
 a term beats another if its total degree is larger, or, at equal degree, if
 the last nonzero entry of the exponent difference is negative.  That is the
 standard degrevlex convention and it is what the presentation printer
-relies on for stable golden output.
+relies on for stable golden output.  One sort key orders by it: the total
+degree, then the exponents negated and read from the last variable.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 from .records import FrozenRecord, check_count
@@ -30,9 +31,9 @@ Exponents = tuple[int, ...]
 
 
 def _scalar(x: object) -> int:
-    """A coefficient as stored: an int (a bool becomes its int)."""
-    if isinstance(x, int):
-        return int(x)
+    """A coefficient as stored: an int, not a bool."""
+    if type(x) is int:
+        return x
     raise TypeError(f"polynomial coefficients must be int, got {type(x).__name__}")
 
 
@@ -43,19 +44,15 @@ def _exponents(exps: object) -> Exponents:
     return exps
 
 
+def _degrevlex_key(exps: Exponents) -> tuple[int, list[int]]:
+    """The degrevlex sort key: a larger key precedes."""
+    return sum(exps), [-e for e in reversed(exps)]
+
+
 def degrevlex_cmp(a: Exponents, b: Exponents) -> int:
     """Return positive if monomial a precedes (is greater than) b."""
-    da, db = sum(a), sum(b)
-    if da != db:
-        return 1 if da > db else -1
-    for ea, eb in zip(reversed(a), reversed(b)):
-        d = ea - eb
-        if d != 0:
-            return 1 if d < 0 else -1
-    return 0
-
-
-_DEGREVLEX_KEY = cmp_to_key(degrevlex_cmp)
+    ka, kb = _degrevlex_key(a), _degrevlex_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 class Polynomial:
@@ -89,9 +86,7 @@ class Polynomial:
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls.monomial(nvars, [int(j == i) for j in range(nvars)])
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
@@ -135,7 +130,7 @@ class Polynomial:
 
     def monomials(self) -> list[Exponents]:
         """Exponent tuples in descending degrevlex order."""
-        return sorted(self.terms, key=_DEGREVLEX_KEY, reverse=True)
+        return sorted(self.terms, key=_degrevlex_key, reverse=True)
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -168,8 +163,7 @@ class Polynomial:
                 out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.nvars, out)
 
-    def __rmul__(self, other: int) -> "Polynomial":
-        return self * other
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -223,27 +217,20 @@ class Polynomial:
             raise ValueError("wrong number of variable names")
         if not self.terms:
             return "0"
-        pieces: list[str] = []
+        out = ""
         for exps in self.monomials():
             coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(var_names, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors)
+            if out:
+                out += " - " if coeff < 0 else " + "
+            elif coeff < 0:
+                out = "-"
+            mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(var_names, exps) if e)
             if not mono:
-                body = str(abs(coeff))
+                out += str(abs(coeff))
             elif abs(coeff) == 1:
-                body = mono
+                out += mono
             else:
-                body = f"{abs(coeff)}*{mono}"
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
+                out += f"{abs(coeff)}*{mono}"
         return out
 
     def __repr__(self) -> str:
@@ -294,7 +281,7 @@ class RationalFunction(FrozenRecord):
         )
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + RationalFunction(-other.num, other.den)
+        return self + -other
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)

@@ -22,6 +22,10 @@ Two independent routes to the weight-m deformation count are provided:
   terms computed by the Cech chase on the line, and checked at run time
   against the line count whenever that chase is exact.
 
+:func:`graded_route` compares the two at run time wherever the weight is
+clean for the line, h^1(O(dm)) = 0: there h^0(N(m)) minus the graded rank
+must be the normal route's value.
+
 Each builder checks its curve degree (d >= 2, a
 :class:`~conedef.projective.RequestError` below it) and prices its request
 from a closed form before it builds anything: C(d, 2)(d + 1) partials for
@@ -213,3 +217,19 @@ def t1_via_normal(d: int, m: int) -> NormalRoute:
     if route.exact and route.value != line:
         raise InternalConsistencyError(f"normal route d={d}, m={m}: exact chase gave {route.value}, line count {line}")
     return route
+
+
+def graded_route(d: int, m: int, route: NormalRoute) -> tuple[GradedJacobian, int]:
+    """The weight-m graded Jacobian and its rank, ranked once, checked
+    against ``route = t1_via_normal(d, m)`` where the weight is clean for
+    the line, h^1(O(dm)) = 0 (what ``corollary_flags(VeroneseSpace(1, d),
+    m).clean`` reads): there the cokernel h^0(N(m)) - rank must be the
+    normal route's value, else it raises.  Elsewhere the two may differ (at
+    m = -1 by h^1(O(-d)) = d - 1 for d >= 3), so nothing is compared."""
+    graded = graded_jacobian_map(d, m)
+    rank = graded.rank()
+    if p1.h_dim(1, d * m) == 0 and route.normal_h0 - rank != route.value:
+        raise InternalConsistencyError(
+            f"graded route d={d}, m={m}: h^0(N(m)) - rank = {route.normal_h0 - rank}, normal route {route.value}"
+        )
+    return graded, rank

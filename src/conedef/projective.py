@@ -6,8 +6,8 @@ This module owns the one monomial model of O(k) on n-space: a level-0
 class is a combination of exponent tuples that are all nonnegative, a
 top-level class one of tuples that are all at most -1, and everything in
 between vanishes.  Every function of the model takes the level as an int
-q, and :func:`hq_pn_line` refuses one outside 0..n (and n < 1) as a
-:class:`RequestError` for all of them.  :mod:`conedef.p1` is the line's API
+q, and :func:`hq_pn_line` refuses one outside 0..n (and n < 1, and an n,
+k or q that is not an int) as a :class:`RequestError` for all of them.  :mod:`conedef.p1` is the line's API
 over the same model (n = 1).  Cotangent and tangent twists are never looked
 up in a table: they are chased through the standard short exact sequences, and
 every chase (the line's restricted Euler sequence too) reads its connecting
@@ -50,8 +50,9 @@ class InternalConsistencyError(Exception):
 
 class RequestError(ValueError):
     """A request refused before anything was built: for its form (an empty weight
-    window, an assembly window without weight 0, a cohomology level outside
-    0..n or n < 1 for a line bundle on n-space, n outside 1..2 for the
+    window or one whose bounds are not ints, an assembly window without weight
+    0, an n, k or q of the monomial model that is not an int, a cohomology
+    level outside 0..n or n < 1 for a line bundle on n-space, n outside 1..2 for the
     cotangent chase, a curve degree below 1 for the line's grids or below 2
     for the presentation, n < 2 for the cocycle check, a descriptor field
     out of range or not written as a decimal int) or, as an
@@ -69,8 +70,11 @@ class OverBudgetError(RequestError):
 
 def hq_pn_line(n: int, k: int, q: int) -> int:
     """Dimension of level-q cohomology of O(k) on projective n-space: the one
-    owner of the rules n >= 1 and 0 <= q <= n, which every basis, map and
-    count of the monomial model reads through it."""
+    owner of the rules that n, k and q are ints (a bool is not one), n >= 1
+    and 0 <= q <= n, which every basis, map and count of the monomial model
+    reads through it."""
+    if type(n) is not int or type(k) is not int or type(q) is not int:
+        raise RequestError(f"n, k and q must be ints, got n={n!r}, k={k!r}, q={q!r}")
     if n < 1:
         raise RequestError("n must be at least 1")
     if not 0 <= q <= n:
@@ -94,6 +98,8 @@ def check_cost(cost: int) -> None:
 
 
 def check_window(m_lo: int, m_hi: int) -> None:
+    if type(m_lo) is not int or type(m_hi) is not int:
+        raise RequestError(f"weight window bounds must be ints, got {m_lo!r}..{m_hi!r}")
     if m_lo > m_hi:
         raise RequestError(f"weight window {m_lo}..{m_hi} is empty")
 
@@ -253,11 +259,12 @@ def h1_tangent_pn_twist(n: int, k: int) -> int:
         return hq_pn_line(n, 2 + k, 1)
     if n == 2:
         return _tangent_p2(k)[0]
-    # 0 -> O(k) -> O(k+1)^(n+1) -> T(k) -> 0: h^1(T(k)) sits between h^1(O(k+1))
-    # and h^2(O(k)), middle cohomology of line bundles, which is 0 for 0 < q < n.
-    # This stays a shape argument: the chase's grid of n + 1 coordinates costs
-    # O(n^2) to write down, and n is unbounded (veronese:100000:2 answers at once).
-    return 0
+    # 0 -> O(k) -> O(k+1)^(n+1) -> T(k) -> 0: h^1(T(k)) sits between h^1(O(k+1))^(n+1)
+    # and h^2(O(k)), middle cohomology of line bundles, which hq_pn_line reads as 0
+    # for 0 < q < n; with both flanks 0 this bound is h^1(T(k)) itself.  It reads
+    # no map: the chase's grid of n + 1 coordinates costs O(n^2) to write down,
+    # and n is unbounded (veronese:100000:2 answers at once).
+    return (n + 1) * hq_pn_line(n, k + 1, 1) + hq_pn_line(n, k, 2)
 
 
 def h2_tangent_p2_twist(k: int) -> int:

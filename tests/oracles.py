@@ -5,9 +5,9 @@ quantity by a different route than the implementation uses: counting
 lattice points instead of evaluating closed forms, sympy elimination
 instead of the package's own, an extended-binomial Euler characteristic
 instead of any cohomology chase, Bott's closed form for twisted
-differential forms instead of the Euler-sequence chase, and Pinkham's
+differential forms instead of the Euler-sequence chase, Pinkham's
 closed form for the T^1 of the rational normal curve cone instead of any
-map.
+map, and the degrevlex order from its definition instead of a sort key.
 """
 
 from __future__ import annotations
@@ -221,6 +221,20 @@ def rnc_cone_t1_pinkham(d: int, m: int) -> int:
     if d == 2:
         return 1 if m == -2 else 0
     return 2 * d - 4 if m == -1 else 0
+
+
+# ---- the degrevlex monomial order from its definition ----------------
+
+
+def degrevlex_precedes(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether x^a comes strictly before x^b in graded reverse lexicographic
+    order, as Cox, Little and O'Shea define it (Ideals, Varieties, and
+    Algorithms, ch. 2, sec. 2): the larger total degree first; at equal
+    degree, a comes first when the last nonzero entry of a - b is negative."""
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return bool(diff) and diff[-1] < 0
 
 
 # ---- Kunneth by direct bicohomology enumeration -----------------------

@@ -934,6 +934,25 @@ def test_normal_route_mismatch_is_exit_4(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_graded_route_mismatch_is_exit_4(capsys, monkeypatch):
+    # weight 1 is clean for the line (h^1(O(4)) = 0), so the graded route's
+    # cokernel must equal the normal route; one rank too many makes them disagree
+    rank = presentation.GradedJacobian.rank
+    monkeypatch.setattr(presentation.GradedJacobian, "rank", lambda self: rank(self) + 1)
+    code, out, err = run_cli(capsys, "jacobian", "--d", "4", "--weight", "1", "--trace")
+    assert (code, out) == (4, "")
+    assert err == "internal error: graded route d=4, m=1: h^0(N(m)) - rank = -1, normal route 0\n"
+
+
+def test_the_two_routes_agree_at_every_clean_weight(capsys):
+    """Weights 0..3 are clean for every curve degree: each traced jacobian
+    compares the graded route with the normal route and answers."""
+    for d in range(2, 13):
+        for m in range(4):
+            assert p1.h_dim(1, d * m) == 0
+            run_json(capsys, "jacobian", "--d", str(d), "--weight", str(m), "--trace")
+
+
 def test_basis_short_of_its_closed_form_is_exit_4(capsys, monkeypatch):
     # the enumeration behind every basis loses one monomial: the basis no
     # longer matches the closed-form size it was priced at

@@ -194,8 +194,9 @@ def test_the_cost_budget_is_inclusive_and_refuses_a_long_window_unpriced():
 
 
 def test_a_request_refused_for_its_form_is_a_request_error():
-    """An empty window, a level outside 0..n and n < 1 are refused before
-    anything is built, as the one type the command line maps to exit 2 (a
+    """An empty window, a level outside 0..n, n < 1 and an argument of the
+    model or a window bound that is not an int are refused before anything
+    is built, as the one type the command line maps to exit 2 (a
     ValueError, so a caller that catches that still does).  hq_pn_line owns
     the level rule, so every count, basis and map of the model refuses a
     level with its one message; a middle level is no refusal but the empty
@@ -212,9 +213,19 @@ def test_a_request_refused_for_its_form_is_a_request_error():
         (lambda: hq_pn_line(0, 0, 0), "n must be at least 1"),
         (lambda: h1_tangent_pn_twist(0, 0), "n must be at least 1"),
         (lambda: h1_tangent_pn_twist(-1, 0), "n must be at least 1"),
+        # an argument that is not an int, a bool included, is refused, not read as a number
+        (lambda: p1.basis(True, -3), "n, k and q must be ints, got n=1, k=-3, q=True"),
+        (lambda: hq_pn_line(True, 2, 0), "n, k and q must be ints, got n=True, k=2, q=0"),
+        (lambda: hq_pn_omega1(True, 0, 0), "n, k and q must be ints, got n=True, k=-1, q=0"),
+        (lambda: VeroneseSpace(1, 3).h(True, -2), "the counts are h^1 and h^2 of the twisted tangent sheaf, not h^True"),
+        (lambda: VeroneseSpace(2, 2).h(1, 0.5), "n, k and q must be ints, got n=2, k=1.0, q=2"),
+        (lambda: VeroneseSpace(3, 2).h(1, 0.5), "n, k and q must be ints, got n=3, k=2.0, q=1"),
+        (lambda: p1.h_dim(0, 1.5), "n, k and q must be ints, got n=1, k=1.5, q=0"),
+        (lambda: cones.ProductPolarization(1, 1).h(1, -1.5), "n, k and q must be ints, got n=1, k=0.5, q=0"),
+        (lambda: cones.t1_table(VeroneseSpace(1, 3), 0.5, 2), "weight window bounds must be ints, got 0.5..2"),
     ]
     for refuse, message in refusals:
-        with pytest.raises(projective.RequestError, match=f"^{message}$"):
+        with pytest.raises(projective.RequestError, match=f"^{re.escape(message)}$"):
             refuse()
     assert all(_pn_basis(2, k, 1) == [] for k in range(-6, 7))
     assert issubclass(projective.RequestError, ValueError)

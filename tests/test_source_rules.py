@@ -26,7 +26,9 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
   type, which the command line maps to exit 2, also for what it parses);
 * no read of ``args.trace`` in ``cli.py`` outside ``_answer``, ``cmd_t1``
   and ``cmd_jacobian`` (``_answer`` attaches every trace; only a trace that
-  costs more than a constant is built on request).
+  costs more than a constant is built on request);
+* no ``isinstance(<x>, int)`` anywhere (a bool passes that test, and no
+  int the package reads may be a bool: ask ``type(x) is int``).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -176,6 +178,15 @@ def forwarding_constructors(trees: dict[str, ast.Module]) -> Iterator[tuple[str,
                     yield name, f.lineno, f"{c.name}.__init__ only forwards to self._set"
 
 
+def _int_instance_check(name: str, node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(getattr(n, "id", None) == "int" for n in ast.walk(node.args[1]))
+    )
+
+
 RULES: dict[str, Rule] = {
     "assert": _walk_rule(lambda name, n: isinstance(n, ast.Assert)),
     "dataclasses": _walk_rule(_dataclasses),
@@ -194,6 +205,7 @@ RULES: dict[str, Rule] = {
         lambda name, n: isinstance(n, ast.ClassDef) and n.name != "OverBudgetError" and "RequestError" in _named_bases(n)
     ),
     "trace-has-one-owner": _per_module(trace_has_one_owner),
+    "a-bool-is-not-an-int": _walk_rule(_int_instance_check),
 }
 
 
@@ -251,8 +263,15 @@ PLANTED = [
         def cmd_cech(args):
             trace = ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"] if args.trace else None
     """),
+    ("a-bool-is-not-an-int", "polynomials.py", """\
+        # planted
+        def _scalar(x):
+            if isinstance(x, int):
+                return int(x)
+            raise TypeError(f"polynomial coefficients must be int, got {type(x).__name__}")
+    """),
 ]
-_PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3}
+_PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3, "a-bool-is-not-an-int": 3}
 
 
 @pytest.mark.parametrize("rule,name,source", PLANTED, ids=[f"{r}-{i}" for i, (r, _, _) in enumerate(PLANTED)])
