@@ -1,6 +1,6 @@
-import sys
+"""``python -m conedef``: the command line, run and ended by :func:`conedef.cli.run`."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -39,6 +39,11 @@ at run time (an internal error, reported as a one-line ``internal error:
 (``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE) when the reader of stdout went away
 before the whole reply was written, as in ``conedef ... | head``: nothing
 more is written and stderr stays empty.
+
+:func:`run` is the process entry (``python -m conedef`` and the ``conedef``
+script): it runs :func:`main`, flushes stdout and stderr and ends the
+process with ``os._exit``, skipping interpreter teardown.  :func:`main` is
+the in-process API: it returns the status and leaves the process alone.
 """
 
 from __future__ import annotations
@@ -48,12 +53,12 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, NoReturn, Optional, Sequence, TextIO
 
 from . import cones, p1
 from .cones import InternalConsistencyError, OutOfScopeError, Variety
 from .presentation import graded_route, jacobian_matrix, t1_via_normal
-from .projective import RequestError
+from .projective import RequestError, over_print_limit
 
 SCHEMA_VERSION = "1"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
@@ -90,10 +95,9 @@ def parse_window(spec: str) -> tuple[int, int]:
 
 def _check_printable(counts: Iterable[tuple[int, int]]) -> None:
     """Refuse, before anything is written, a count with more digits than this interpreter prints
-    (``sys.get_int_max_str_digits``, 0 for no limit): every input fits, a product of two may not."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    (:func:`~conedef.projective.over_print_limit`): every input fits, a product of two may not."""
     m, count = max(counts, key=lambda pair: pair[1], default=(None, 0))
-    if limit and count >= 10**limit:
+    if limit := over_print_limit(count):
         raise RequestError(f"the count at weight {m} has more than {limit} digits, over this interpreter's "
                            "limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)")
 
@@ -256,11 +260,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.flush()  # a closed stdout fails here at the latest, not at interpreter exit
     except BrokenPipeError:
         # the reader went away (``conedef ... | head``): as the Python docs'
-        # note on SIGPIPE advises, point stdout at devnull so that the
-        # interpreter's own final flush cannot fail again, and exit quietly
+        # note on SIGPIPE advises, point stdout at devnull so that the final
+        # flush (run's, or the interpreter's) cannot fail again, and exit quietly
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
+
+
+def run() -> NoReturn:
+    """The process entry of ``python -m conedef`` and of the ``conedef``
+    script: :func:`main` on ``sys.argv``, then ``os._exit`` with its status.
+
+    argparse ends ``--help`` (status 0) and a usage error (status 2) with
+    ``SystemExit``, whose int status is taken as main's; any other
+    ``SystemExit``, and any other exception, propagates as usual.  stdout
+    and stderr are flushed, then the process ends without interpreter
+    teardown, which would clear every module and run a last garbage
+    collection for nothing: the package registers no ``atexit`` handler,
+    starts no thread and holds no file that needs closing, so nothing it
+    relies on runs at teardown.  The price is that a third party's
+    ``atexit`` hook (a coverage tool's subprocess hook, say) does not run
+    in a ``conedef`` process either.  :func:`main` stays the in-process
+    API, which returns its status.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        if type(exc.code) is not int:
+            raise
+        status = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(status)
 
 
 def _answer(argv: Optional[Sequence[str]]) -> int:
@@ -300,4 +332,4 @@ def _write_envelope(env: dict, out: TextIO) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,7 +11,8 @@ instead of dividing.  Exponents may be negative where a caller wants
 Laurent monomials -- the arithmetic does not care -- but are never
 coerced: an exponent that is not an ``int``, a ``bool`` or a ``float``
 included, is refused with ``TypeError``, in a term and in a key asked of
-:meth:`Polynomial.coefficient` alike.
+:meth:`Polynomial.coefficient` alike, and so is such a variable index or
+power.
 
 Printing uses graded reverse lexicographic order (variables x0 < x1 < ...):
 a term beats another if its total degree is larger, or, at equal degree, if
@@ -42,6 +43,13 @@ def _exponents(exps: object) -> Exponents:
     if type(exps) is not tuple or any(type(e) is not int for e in exps):
         raise TypeError(f"exponents must be a tuple of ints, got {exps!r}")
     return exps
+
+
+def _index(x: object, what: str) -> int:
+    """A variable index or a power as read: an int, not a bool or a float."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an int, got {type(x).__name__}")
+    return x
 
 
 def _degrevlex_key(exps: Exponents) -> tuple[int, list[int]]:
@@ -84,7 +92,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
-        if not 0 <= i < nvars:
+        if not 0 <= _index(i, "variable index") < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         return cls.monomial(nvars, [int(j == i) for j in range(nvars)])
 
@@ -166,7 +174,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
+        if _index(n, "power") < 0:
             raise ValueError("negative powers are not polynomials")
         result = Polynomial.constant(self.nvars, 1)
         for _ in range(n):
@@ -175,7 +183,7 @@ class Polynomial:
 
     def derivative(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to variable i."""
-        if not 0 <= i < self.nvars:
+        if not 0 <= _index(i, "variable index") < self.nvars:
             raise ValueError(f"variable index {i} out of range")
         out: dict[Exponents, int] = {}
         for e, c in self.terms.items():

@@ -31,6 +31,7 @@ whose maps all have an empty side, or a refusal never loads it.
 
 from __future__ import annotations
 
+import sys
 from math import comb
 from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -60,7 +61,26 @@ class RequestError(ValueError):
 
 
 class OverBudgetError(RequestError):
-    """A request over :data:`MAX_COST` or a basis over :data:`MAX_BASIS` was refused; nothing was built."""
+    """A request over :data:`MAX_COST` or a basis over :data:`MAX_BASIS` was refused; nothing was built.
+
+    The message reads ``<claim> <amount> <unit>, over the <budget> budget of
+    <limit>``.  An amount too long for this interpreter to print (see
+    :func:`over_print_limit`) reads ``at least 10^<digits>``: a price or a size
+    computed from inputs of a few thousand digits each is refused like any
+    other, not ended by int-to-str conversion."""
+
+    def __init__(self, claim: str, amount: int, unit: str, budget: str, limit: int) -> None:
+        over = over_print_limit(amount)
+        super().__init__(f"{claim} {f'at least 10^{over}' if over else amount} {unit}, over the {budget} budget of {limit}")
+
+
+def over_print_limit(x: int) -> int:
+    """This interpreter's limit on the digits of ``str(x)``
+    (``sys.get_int_max_str_digits``) if x has more digits than it, else 0.
+    Every int the command line parsed fits; a count, price or size computed
+    from them may not, and none of those is formatted past the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit if limit and abs(x) >= 10**limit else 0
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +114,7 @@ MAX_COST = 100_000
 
 def check_cost(cost: int) -> None:
     if cost > MAX_COST:
-        raise OverBudgetError(f"the request costs {cost} units, over the cost budget of {MAX_COST}")
+        raise OverBudgetError("the request costs", cost, "units", "cost", MAX_COST)
 
 
 def check_window(m_lo: int, m_hi: int) -> None:
@@ -108,7 +128,7 @@ def priced_window(m_lo: int, m_hi: int, cost: Callable[[int], int]) -> range:
     """The weights of a nonempty window read at cost(m) >= 1 units each; one longer than MAX_COST is refused before the sum."""
     check_window(m_lo, m_hi)
     if m_hi - m_lo + 1 > MAX_COST:
-        raise OverBudgetError(f"weight window {m_lo}..{m_hi} has {m_hi - m_lo + 1} weights, over the cost budget of {MAX_COST}")
+        raise OverBudgetError(f"weight window {m_lo}..{m_hi} has", m_hi - m_lo + 1, "weights", "cost", MAX_COST)
     check_cost(sum(map(cost, range(m_lo, m_hi + 1))))
     return range(m_lo, m_hi + 1)
 
@@ -124,7 +144,7 @@ def _pn_basis(n: int, k: int, q: int) -> list[tuple[int, ...]]:
     enumeration is checked against that size."""
     size = hq_pn_line(n, k, q)
     if size > MAX_BASIS:
-        raise OverBudgetError(f"the level-{q} basis of O({k}) on P^{n} has {size} monomials, over the basis budget of {MAX_BASIS}")
+        raise OverBudgetError(f"the level-{q} basis of O({k}) on P^{n} has", size, "monomials", "basis", MAX_BASIS)
     monomials = _pn_monomials(n, k, q == n) if q in (0, n) else []
     if len(monomials) != size:
         raise InternalConsistencyError(f"level-{q} basis of O({k}) on P^{n}: enumerated {len(monomials)} monomials, closed form {size}")

@@ -1077,33 +1077,54 @@ def test_a_closed_stdout_exits_quietly(unbuffered):
     assert (proc.wait(timeout=60), err) == (cli.EXIT_CLOSED_STDOUT, b"")
 
 
-def test_subprocess_entry_point_matches_in_process(capsys):
-    """python -m conedef must produce the identical envelope."""
-    code, out, _ = run_cli(capsys, "rigidity", "rnc:2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "conedef", "rigidity", "rnc:2"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == out
+# One request per way the process can end, each run in process by main and
+# as ``python -m conedef``: an envelope, --help, a RequestError, argparse's
+# usage errors (no descriptor, no subcommand), out of scope, and an internal
+# error.  The last is provoked by one section too many in the normal route
+# (as in test_normal_route_mismatch_is_exit_4), patched before the child runs
+# the package's __main__ through runpy.
+_EXIT_PATHS = [
+    ("envelope", ["rigidity", "rnc:2"], 0),
+    ("help", ["--help"], 0),
+    ("request-error", ["t1", "rnc:4", "--weights", "3..-3"], 2),
+    ("usage-no-descriptor", ["t1"], 2),
+    ("usage-no-subcommand", [], 2),
+    ("out-of-scope", ["t1", "delpezzo:5"], 3),
+    ("internal-error", ["jacobian", "--d", "4", "--weight", "-1"], 4),
+]
+_ONE_SECTION_TOO_MANY = """
+import runpy
+from conedef import presentation
+normal_bundle_h0 = presentation.normal_bundle_h0
+presentation.normal_bundle_h0 = lambda d, m: normal_bundle_h0(d, m) + 1
+runpy.run_module("conedef", run_name="__main__")
+"""
 
 
-def test_subprocess_exit_codes():
-    usage = subprocess.run(
-        [sys.executable, "-m", "conedef", "t1", "rnc:4", "--weights", "3..-3"],
-        capture_output=True,
-    )
-    assert usage.returncode == 2
-    scope = subprocess.run(
-        [sys.executable, "-m", "conedef", "t1", "delpezzo:5"],
-        capture_output=True,
-    )
-    assert scope.returncode == 3
-    missing = subprocess.run(
-        [sys.executable, "-m", "conedef", "t1"], capture_output=True
-    )
-    assert missing.returncode == 2  # argparse usage failure
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,code", [row[1:] for row in _EXIT_PATHS], ids=[row[0] for row in _EXIT_PATHS])
+def test_the_process_entry_matches_main_byte_for_byte(capsys, monkeypatch, argv, code, unbuffered):
+    """``python -m conedef`` ends through cli.run, which flushes stdout and
+    stderr and skips interpreter teardown: its exit status, stdout and
+    stderr equal main's in process, byte for byte, on every way out."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help and usage to the terminal's width
+    if code == 4:
+        normal_bundle_h0 = presentation.normal_bundle_h0
+        monkeypatch.setattr(presentation, "normal_bundle_h0", lambda d, m: normal_bundle_h0(d, m) + 1)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse ends --help and a usage error itself
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    entry = ["-c", _ONE_SECTION_TOO_MANY] if code == 4 else ["-m", "conedef"]
+    proc = subprocess.run([sys.executable, *entry, *argv], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out.encode(), captured.err.encode())
+    assert proc.stdout or proc.stderr
 
 
 # ---- golden output per catalog class ------------------------------------
@@ -1120,6 +1141,13 @@ _LARGEST_ADMITTED = [
     ("rigidity delpezzo:8 --weights -16667..0", 0, "69e814a9cd1fd23094e10f9db42117ddf4f5879e08789d4b05d8a84245ad0035", ""),
     ("atiyah --n 11", 0, "1be13b211ff0aadf52f5de51a0c3139705004524648a45386cb7af37c34ce967", ""),
 ]
+
+_HUGE = "9" * 4300
+
+
+def _row_id(argv: str) -> str:
+    return re.sub(r"9{100,}", lambda nines: f"9x{len(nines[0])}", argv.replace(" ", "_"))
+
 
 # One descriptor per catalog class under the three traced commands, then
 # the jacobian command in both modes, then every subcommand untraced or
@@ -1183,11 +1211,16 @@ GOLDEN = [
     ("jacobian --d 2 --weight -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 5999999997 units, over the cost budget of 100000\n"),
     ("jacobian --d 3 --weight 1000000000 --trace", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 36000000048 units, over the cost budget of 100000\n"),
     ("jacobian --d 100000 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 499999999950000 units, over the cost budget of 100000\n"),
+    # a weight of 4300 digits, the most this interpreter parses: the price or
+    # window length has 4301 and is shown by its order of magnitude
+    (f"jacobian --d 3 --weight -{_HUGE}", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs at least 10^4300 units, over the cost budget of 100000\n"),
+    (f"t1 rnc:4 --weights=-{_HUGE}..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: weight window -{_HUGE}..0 has at least 10^4300 weights, over the cost budget of 100000\n"),
+    (f"rigidity delpezzo:3 --weights=-{_HUGE}..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: weight window -{_HUGE}..0 has at least 10^4300 weights, over the cost budget of 100000\n"),
     *_LARGEST_ADMITTED,
 ]
 
 
-@pytest.mark.parametrize("argv,code,digest,err", GOLDEN, ids=[row[0].replace(" ", "_") for row in GOLDEN])
+@pytest.mark.parametrize("argv,code,digest,err", GOLDEN, ids=[_row_id(row[0]) for row in GOLDEN])
 def test_golden_output(capsys, argv, code, digest, err):
     got_code, out, got_err = run_cli(capsys, *argv.split())
     assert (got_code, got_err) == (code, err)
@@ -1212,7 +1245,7 @@ def _run_bounded(argv: list[str]) -> subprocess.CompletedProcess:
 _BUDGET_ROWS = [row for row in GOLDEN if row[1] == 2 and "budget of" in row[3]]
 
 
-@pytest.mark.parametrize("argv,code,digest,err", _BUDGET_ROWS, ids=[row[0].replace(" ", "_") for row in _BUDGET_ROWS])
+@pytest.mark.parametrize("argv,code,digest,err", _BUDGET_ROWS, ids=[_row_id(row[0]) for row in _BUDGET_ROWS])
 def test_budget_refusals_in_a_bounded_process(argv, code, digest, err):
     """Each refusal again in a bounded process: a budget that stops
     refusing fails here fast instead of exhausting the host."""
@@ -1238,7 +1271,7 @@ def test_grammar_fuzz_sample_in_a_bounded_process(sample):
 
 
 @pytest.mark.parametrize(
-    "argv,code,digest,err", _LARGEST_ADMITTED, ids=[row[0].replace(" ", "_") for row in _LARGEST_ADMITTED]
+    "argv,code,digest,err", _LARGEST_ADMITTED, ids=[_row_id(row[0]) for row in _LARGEST_ADMITTED]
 )
 def test_largest_admitted_requests_in_a_bounded_process(argv, code, digest, err):
     proc = _run_bounded(argv.split())

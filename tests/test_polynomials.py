@@ -62,6 +62,29 @@ def test_a_coefficient_key_must_be_a_tuple_of_ints(exps):
     assert Polynomial.variable(2, 0).coefficient((1, 0)) == 1
 
 
+@pytest.mark.parametrize(
+    "call,what,got",
+    [
+        (lambda: Polynomial.variable(2, True), "variable index", "bool"),
+        (lambda: Polynomial.variable(2, 1.0), "variable index", "float"),
+        (lambda: Polynomial.variable(3, 0).derivative(True), "variable index", "bool"),
+        (lambda: Polynomial.variable(3, 0).derivative(1.0), "variable index", "float"),
+        (lambda: RationalFunction(mono(1, 0), mono(0, 1)).derivative(True), "variable index", "bool"),
+        (lambda: Polynomial.variable(2, 0) ** True, "power", "bool"),
+        (lambda: Polynomial.variable(2, 0) ** 1.0, "power", "float"),
+        (lambda: Polynomial.variable(2, 0) ** 1.5, "power", "float"),
+    ],
+    ids=["variable-bool", "variable-float", "derivative-bool", "derivative-float", "rational-derivative-bool",
+         "power-bool", "power-float", "power-fractional"],
+)
+def test_an_index_or_a_power_must_be_an_int(call, what, got):
+    """A variable index or a power is read as an exponent is, never coerced:
+    ``Polynomial.variable(2, True)`` is refused rather than read as x1 and
+    ``x ** True`` rather than read as x."""
+    with pytest.raises(TypeError, match=f"^{what} must be an int, got {got}$"):
+        call()
+
+
 def test_exponent_tuple_of_the_wrong_length_is_refused():
     with pytest.raises(ValueError, match=r"^exponent tuple \(1, 0\) has wrong length for 1 variables$"):
         Polynomial(1, {(1, 0): 1})

@@ -28,7 +28,9 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
   and ``cmd_jacobian`` (``_answer`` attaches every trace; only a trace that
   costs more than a constant is built on request);
 * no ``isinstance(<x>, int)`` anywhere (a bool passes that test, and no
-  int the package reads may be a bool: ask ``type(x) is int``).
+  int the package reads may be a bool: ask ``type(x) is int``);
+* no ``os._exit`` or ``sys.exit`` outside ``cli.run``, the process entry
+  (no library call can end its caller's process).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -187,6 +189,23 @@ def _int_instance_check(name: str, node: ast.AST) -> bool:
     )
 
 
+_EXITS = {("os", "_exit"), ("sys", "exit")}
+
+
+def one_process_exit(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
+    entry = next((f for f in tree.body if name == "cli.py" and getattr(f, "name", None) == "run"), None)
+    allowed = {id(n) for n in ast.walk(entry)} if entry is not None else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            exits = {(node.value.id, node.attr)} & _EXITS
+        elif isinstance(node, ast.ImportFrom):
+            exits = {(node.module, a.name) for a in node.names} & _EXITS
+        else:
+            continue
+        if exits and id(node) not in allowed:
+            yield node.lineno, f"{'.'.join(exits.pop())} outside cli.run"
+
+
 RULES: dict[str, Rule] = {
     "assert": _walk_rule(lambda name, n: isinstance(n, ast.Assert)),
     "dataclasses": _walk_rule(_dataclasses),
@@ -206,6 +225,7 @@ RULES: dict[str, Rule] = {
     ),
     "trace-has-one-owner": _per_module(trace_has_one_owner),
     "a-bool-is-not-an-int": _walk_rule(_int_instance_check),
+    "one-process-exit": _per_module(one_process_exit),
 }
 
 
@@ -270,8 +290,23 @@ PLANTED = [
                 return int(x)
             raise TypeError(f"polynomial coefficients must be int, got {type(x).__name__}")
     """),
+    ("one-process-exit", "__main__.py", """\
+        # planted
+        if __name__ == "__main__":
+            sys.exit(main())
+    """),
+    ("one-process-exit", "cones.py", """\
+        # planted
+        def refuse(message):
+            os._exit(2)
+    """),
+    ("one-process-exit", "cli.py", """\
+        # planted
+        def main(argv=None):
+            from sys import exit
+    """),
 ]
-_PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3, "a-bool-is-not-an-int": 3}
+_PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3, "a-bool-is-not-an-int": 3, "one-process-exit": 3}
 
 
 @pytest.mark.parametrize("rule,name,source", PLANTED, ids=[f"{r}-{i}" for i, (r, _, _) in enumerate(PLANTED)])
