@@ -27,12 +27,15 @@ parses itself (a descriptor, a weight window, a trace asked of
 the one account of what each command costs.
 
 Exit codes: 0 success, 2 usage error (unparseable arguments, which
-argparse refuses, or a ``RequestError``: a descriptor field out of range
-or not written as a decimal int, an empty weight window, a cohomology
+argparse refuses: an integer option not in plain decimal, a ``jacobian``
+with both or neither of ``--weight`` and ``--dump-matrix``; or a
+``RequestError``: a descriptor field out of range or not in plain decimal,
+a window bound not in plain decimal, an empty weight window, a cohomology
 level other than 0 or 1, a curve degree below 2, n below 2, a trace asked
-of ``--format csv``, a request over either budget, a count too
-long to print), 3 for well-formed requests the engine refuses to answer
-with bare numbers (certificate-only geometries, h^2(T_Y (x) L^m) outside
+of ``--format csv``, a request over either budget, a count or a
+certificate step too long to print; :func:`decimal` reads every integer),
+3 for well-formed requests the engine refuses to answer with bare numbers
+(certificate-only geometries, h^2(T_Y (x) L^m) outside
 the curve/surface catalog), 4 when two routes to the same number disagreed
 at run time (an internal error, reported as a one-line ``internal error:
 ...`` on stderr instead of a number), 141
@@ -56,9 +59,9 @@ from itertools import chain, islice
 from typing import Iterable, NoReturn, Optional, Sequence, TextIO
 
 from . import cones, p1
-from .cones import InternalConsistencyError, OutOfScopeError, Variety
+from .cones import OutOfScopeError, Variety
 from .presentation import graded_route, jacobian_matrix, t1_via_normal
-from .projective import RequestError, over_print_limit
+from .projective import InternalConsistencyError, RequestError, check_printable
 
 SCHEMA_VERSION = "1"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
@@ -68,15 +71,23 @@ WRITE_BATCH = 4096  # encoder chunks per write of the envelope, about 50 K chara
 _DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
 
 
+def decimal(text: str) -> int:
+    """The int that ``text`` writes in plain decimal, as ``str`` writes it
+    back: ``int()`` also reads "+4", "-0", "04", "4_0", " 4" and "٤", and
+    this refuses each with ``ValueError``.  Every integer of the command
+    line is read here: descriptor fields, window bounds, and the integer
+    options, whose refusal argparse words as ``invalid decimal value``."""
+    if str(value := int(text)) != text:
+        raise ValueError(f"{text!r} is not written as a plain decimal int, such as 4")
+    return value
+
+
 def parse_variety(descriptor: str) -> Variety:
     name, *values = descriptor.split(":")
     make, fields = cones.CATALOG.get(name, (None, ()))
     if make is not None and len(values) == len(fields):
         try:
-            ints = [int(x) for x in values]
-            if list(map(str, ints)) != values:  # int() also reads "+4", "-0", "04", "4_0", " 4" and "٤"
-                raise ValueError("every field must be written as a plain decimal int, such as 4")
-            return make(*ints)
+            return make(*map(decimal, values))
         except ValueError as exc:
             raise RequestError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
     raise RequestError(
@@ -86,20 +97,18 @@ def parse_variety(descriptor: str) -> Variety:
 
 
 def parse_window(spec: str) -> tuple[int, int]:
+    lo, _, hi = spec.partition("..")
     try:
-        lo, hi = map(int, spec.split(".."))
+        return decimal(lo), decimal(hi)
     except ValueError as exc:
-        raise RequestError(f"bad weight window {spec!r} (expected lo..hi)") from exc
-    return lo, hi
+        raise RequestError(f"bad weight window {spec!r} (expected lo..hi): {exc}") from exc
 
 
 def _check_printable(counts: Iterable[tuple[int, int]]) -> None:
     """Refuse, before anything is written, a count with more digits than this interpreter prints
-    (:func:`~conedef.projective.over_print_limit`): every input fits, a product of two may not."""
+    (:func:`~conedef.projective.check_printable`): every input fits, a product of two may not."""
     m, count = max(counts, key=lambda pair: pair[1], default=(None, 0))
-    if limit := over_print_limit(count):
-        raise RequestError(f"the count at weight {m} has more than {limit} digits, over this interpreter's "
-                           "limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)")
+    check_printable(count, f"the count at weight {m}")
 
 
 Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines (None: a costly trace not asked for)
@@ -149,8 +158,6 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
 
 
 def cmd_jacobian(args: argparse.Namespace) -> Reply:
-    if (args.weight is None) == (not args.dump_matrix):
-        raise RequestError("choose exactly one of --weight <m> or --dump-matrix")
     if args.dump_matrix:
         rows = jacobian_matrix(args.d)
         names = [f"z{t}" for t in range(args.d + 1)]
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="weight table of h^q(T_Y (x) L^m): for each weight m of the window, the q-th cohomology "
         "of the tangent sheaf of Y twisted by the m-th power of the polarization L, with q = --order",
     )
-    p_t1.add_argument("--order", type=int, choices=(1, 2), default=1, help="q of h^q(T_Y (x) L^m) (default 1)")
+    p_t1.add_argument("--order", type=decimal, choices=(1, 2), default=1, help="q of h^q(T_Y (x) L^m) (default 1)")
     p_t1.add_argument("--format", choices=("json", "csv"), default="json")
     p_t1.set_defaults(func=cmd_t1)
 
@@ -223,24 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_rig.set_defaults(func=cmd_rigidity)
 
     p_jac = sub.add_parser("jacobian", parents=[traced], help="determinantal presentation data for the degree-d curve cone")
-    p_jac.add_argument("--d", type=int, required=True)
-    p_jac.add_argument("--weight", type=int, default=None, help="weight for the two-route count")
-    p_jac.add_argument("--dump-matrix", action="store_true", help="print the generator Jacobian entry by entry")
+    p_jac.add_argument("--d", type=decimal, required=True)
+    mode = p_jac.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--weight", type=decimal, help="weight for the two-route count")
+    mode.add_argument("--dump-matrix", action="store_true", help="print the generator Jacobian entry by entry")
     p_jac.set_defaults(func=cmd_jacobian)
 
     p_cech = sub.add_parser("cech", parents=[traced], help="monomial basis of line cohomology on the line")
-    p_cech.add_argument("--i", type=int, required=True, help="cohomology level (0 or 1)")
-    p_cech.add_argument("--k", type=int, required=True, help="degree")
+    p_cech.add_argument("--i", type=decimal, required=True, help="cohomology level (0 or 1)")
+    p_cech.add_argument("--k", type=decimal, required=True, help="degree")
     p_cech.set_defaults(func=cmd_cech)
 
     p_ati = sub.add_parser("atiyah", parents=[traced], help="cocycle verification for the degree-one bundle on n-space")
-    p_ati.add_argument("--n", type=int, required=True)
+    p_ati.add_argument("--n", type=decimal, required=True)
     p_ati.set_defaults(func=cmd_atiyah)
 
     return parser
 
 
-def _merge_weight_values(argv: list[str]) -> list[str]:
+def _merge_weight_values(argv: Sequence[str]) -> list[str]:
     """Fold ``--weights -3..1`` into ``--weights=-3..1`` so argparse does
     not mistake a window starting with a negative weight for an option."""
     out: list[str] = []
@@ -296,10 +304,7 @@ def run() -> NoReturn:
 
 
 def _answer(argv: Optional[Sequence[str]]) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_weight_values(list(argv)))
+    args = build_parser().parse_args(_merge_weight_values(sys.argv[1:] if argv is None else argv))
     try:
         reply = args.func(args)
     except RequestError as exc:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from . import p1
 from .projective import (
     SurfaceDivisor,
+    check_printable,
     hq_pn_omega1,
     intersection,
     priced_window,
@@ -244,11 +245,16 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     ``BlownUpPlane(r)`` refuses is refused with its error.  Twist m costs
     the length of its block, and at least one unit of
     ``projective.MAX_COST``; a window over that budget is refused before
-    any step is built."""
+    any step is built, and so is one whose steps would print an int
+    longer than this interpreter prints (:func:`~conedef.projective.check_printable`):
+    the longest a step prints is the plane twist -3(1 - m) of
+    ``_NEGATIVE_LARGE_R`` at the window's lowest m."""
     from .cones import BlownUpPlane  # loaded on every command path; cones loads this module on demand
 
     BlownUpPlane(r)
     priced_window(m_lo, m_hi, lambda m: max(1, len(_twist_block(r, m))))
+    if _twist_block(r, m_lo) is _NEGATIVE_LARGE_R:
+        check_printable(-3 * (1 - m_lo), f"the plane twist -3(1 - m) of the certificate step at m = {m_lo}")
     K = SurfaceDivisor.canonical(r)
     steps = [
         CertStep(

@@ -56,7 +56,8 @@ class RequestError(ValueError):
     level outside 0..n or n < 1 for a line bundle on n-space, n outside 1..2 for the
     cotangent chase, a curve degree below 1 for the line's grids or below 2
     for the presentation, n < 2 for the cocycle check, a descriptor field
-    out of range or not written as a decimal int) or, as an
+    out of range or not in plain decimal, a window bound not in plain
+    decimal, an int too long to print) or, as an
     :class:`OverBudgetError`, for its size.  The command line maps it to exit 2."""
 
 
@@ -81,6 +82,14 @@ def over_print_limit(x: int) -> int:
     from them may not, and none of those is formatted past the limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return limit if limit and abs(x) >= 10**limit else 0
+
+
+def check_printable(x: int, what: str) -> None:
+    """Refuse, with a message that does not format x, an int ``what`` that
+    this interpreter could not print (:func:`over_print_limit`)."""
+    if limit := over_print_limit(x):
+        raise RequestError(f"{what} has more than {limit} digits, over this interpreter's limit for printing an int "
+                           "(PYTHONINTMAXSTRDIGITS=0 lifts it)")
 
 
 # ----------------------------------------------------------------------

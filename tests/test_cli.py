@@ -26,7 +26,10 @@ from conedef.cones import BlownUpPlane, ProductPolarization, VeroneseSpace
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse ends a usage error itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -53,10 +56,34 @@ def test_parse_variety_descriptors():
     for bad in ("rnc", "rnc:x", "veronese:2", "plane:1", "segre:2:2"):
         with pytest.raises(RequestError):
             parse_variety(bad)
-    # int() reads each of these as an int, but a field is read only as str(int(x)) writes it
-    for bad in ("rnc:4_0", "rnc:+4", "rnc:04", "rnc:-0", "rnc: 4", "rnc:\u0664", "veronese:2:03"):
-        with pytest.raises(RequestError, match="^bad variety descriptor .*: every field must be written as a plain decimal int, such as 4$"):
-            parse_variety(bad)
+
+
+# int() reads each of these as an int, but cli.decimal reads an integer only
+# as str(int(x)) writes it; one row per integer the command line reads:
+# (input, argv with {} for the spelling, the end of the refusal's stderr).
+_NOT_PLAIN = ["4_0", "+4", "04", "-0", " 4", "4 ", "\u0664"]
+_INTEGER_INPUTS = [
+    ("descriptor-field", ["t1", "veronese:2:{}"], "error: bad variety descriptor 'veronese:2:{0}': {0!r} is not written as a plain decimal int, such as 4\n"),
+    ("window-lo", ["t1", "rnc:4", "--weights={}..3"], "error: bad weight window '{0}..3' (expected lo..hi): {0!r} is not written as a plain decimal int, such as 4\n"),
+    ("window-hi", ["rigidity", "rnc:4", "--weights=-3..{}"], "error: bad weight window '-3..{0}' (expected lo..hi): {0!r} is not written as a plain decimal int, such as 4\n"),
+    ("order", ["t1", "rnc:4", "--order", "{}"], "conedef t1: error: argument --order: invalid decimal value: {0!r}\n"),
+    ("d", ["jacobian", "--d", "{}", "--weight", "0"], "conedef jacobian: error: argument --d: invalid decimal value: {0!r}\n"),
+    ("weight", ["jacobian", "--d", "4", "--weight", "{}"], "conedef jacobian: error: argument --weight: invalid decimal value: {0!r}\n"),
+    ("i", ["cech", "--i", "{}", "--k", "3"], "conedef cech: error: argument --i: invalid decimal value: {0!r}\n"),
+    ("k", ["cech", "--i", "0", "--k", "{}"], "conedef cech: error: argument --k: invalid decimal value: {0!r}\n"),
+    ("n", ["atiyah", "--n", "{}"], "conedef atiyah: error: argument --n: invalid decimal value: {0!r}\n"),
+]
+
+
+@pytest.mark.parametrize("spelling", _NOT_PLAIN, ids=["underscore", "plus", "leading-zero", "minus-zero", "leading-space", "trailing-space", "arabic-indic"])
+@pytest.mark.parametrize("template,refusal", [row[1:] for row in _INTEGER_INPUTS], ids=[row[0] for row in _INTEGER_INPUTS])
+def test_every_integer_input_is_read_only_in_plain_decimal(capsys, template, refusal, spelling):
+    """Every integer of the command line goes through cli.decimal: a
+    spelling that int() reads but str() does not write exits 2 with nothing
+    on stdout, and the refusal names that spelling."""
+    code, out, err = run_cli(capsys, *(arg.format(spelling) for arg in template))
+    assert (code, out) == (2, "")
+    assert err.endswith(refusal.format(spelling)), err
 
 
 def test_parse_variety_round_trips_each_entry():
@@ -106,7 +133,7 @@ def _requests(draw) -> list[str]:
             opts += [option("order", st.sampled_from([1, 2])), option("format", st.sampled_from(["json", "csv"]))]
     elif command == "jacobian":
         head = [command, "--d", str(draw(_SIZES))]
-        opts += [option("weight", _INTS), draw(st.sampled_from([[], ["--dump-matrix"]]))]
+        opts.append(draw(st.one_of(_INTS.map(lambda m: ["--weight", str(m)]), st.just(["--dump-matrix"]))))
     elif command == "cech":
         head = [command, "--i", str(draw(_SIZES)), "--k", str(draw(_INTS))]
     else:  # n = 10 and 11, admitted at 0.3-0.6 s, are left to the bounded-process rows
@@ -140,8 +167,8 @@ def test_parse_window():
     assert parse_window("-6..3") == (-6, 3)
     assert parse_window("0..0") == (0, 0)
     assert parse_window("3..-3") == (3, -3)
-    for bad in ("1..", "a..b", "1-3", "1..2..3", "..", "12", "1...3"):
-        with pytest.raises(RequestError, match=f"^{re.escape(f'bad weight window {bad!r} (expected lo..hi)')}$"):
+    for bad in ("1..", "a..b", "1-3", "1..2..3", "..", "12", "1...3", "+1..3", "3..04"):
+        with pytest.raises(RequestError, match=f"^{re.escape(f'bad weight window {bad!r} (expected lo..hi): ')}"):
             parse_window(bad)
 
 
@@ -366,10 +393,13 @@ def test_jacobian_degree_one_is_usage_error(capsys):
 
 
 def test_jacobian_requires_exactly_one_mode(capsys):
-    code, _, _ = run_cli(capsys, "jacobian", "--d", "4")
-    assert code == 2
-    code2, _, _ = run_cli(capsys, "jacobian", "--d", "4", "--weight", "-1", "--dump-matrix")
-    assert code2 == 2
+    """--weight and --dump-matrix are one required argparse group."""
+    code, out, err = run_cli(capsys, "jacobian", "--d", "4")
+    assert (code, out) == (2, "")
+    assert err.endswith("conedef jacobian: error: one of the arguments --weight --dump-matrix is required\n")
+    code2, out2, err2 = run_cli(capsys, "jacobian", "--d", "4", "--weight", "-1", "--dump-matrix")
+    assert (code2, out2) == (2, "")
+    assert err2.endswith("conedef jacobian: error: argument --dump-matrix: not allowed with argument --weight\n")
 
 
 def test_jacobian_trace_includes_graded_route(capsys):
@@ -1127,6 +1157,15 @@ def test_the_process_entry_matches_main_byte_for_byte(capsys, monkeypatch, argv,
     assert proc.stdout or proc.stderr
 
 
+def test_the_console_script_is_the_process_entry():
+    """``[project.scripts]`` names the ``conedef`` script's target, which
+    resolves to cli.run, the entry ``python -m conedef`` runs too."""
+    tomllib = pytest.importorskip("tomllib")  # the stdlib reads TOML from Python 3.11 on
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, attr = pyproject["project"]["scripts"]["conedef"].partition(":")
+    assert getattr(import_module(module), attr) is cli.run
+
+
 # ---- golden output per catalog class ------------------------------------
 
 # Large requests the budgets admit, also replayed in a bounded process: the
@@ -1143,6 +1182,7 @@ _LARGEST_ADMITTED = [
 ]
 
 _HUGE = "9" * 4300
+_JACOBIAN_USAGE = "usage: conedef jacobian [-h] [--trace] --d D (--weight WEIGHT | --dump-matrix)\n"
 
 
 def _row_id(argv: str) -> str:
@@ -1194,7 +1234,8 @@ GOLDEN = [
     ("cech --i 0 --k 3", 0, "75352b02e7ebdf7824d022ff3d69c37c80dc87ad4ac1b480e9e8a6101592a754", ""),
     ("atiyah --n 3 --trace", 0, "196031b1aeb633f48c9a43a6d2a7134bdb7ab5d4c12162e42ed2bcbccbb798a8", ""),
     ("cech --i 2 --k 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: cohomology level must be between 0 and 1, got 2\n"),
-    ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: choose exactly one of --weight <m> or --dump-matrix\n"),
+    ("jacobian --d 4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_JACOBIAN_USAGE}conedef jacobian: error: one of the arguments --weight --dump-matrix is required\n"),
+    ("jacobian --d 4 --weight 0 --dump-matrix", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_JACOBIAN_USAGE}conedef jacobian: error: argument --dump-matrix: not allowed with argument --weight\n"),
     ("atiyah --n 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: need n >= 2 for a triple overlap\n"),
     ("cech --i 1 --k -1000000000", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the level-1 basis of O(-1000000000) on P^1 has 999999999 monomials, over the basis budget of 10000\n"),
     ("atiyah --n 12", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs 123552 units, over the cost budget of 100000\n"),
@@ -1216,12 +1257,31 @@ GOLDEN = [
     (f"jacobian --d 3 --weight -{_HUGE}", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the request costs at least 10^4300 units, over the cost budget of 100000\n"),
     (f"t1 rnc:4 --weights=-{_HUGE}..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: weight window -{_HUGE}..0 has at least 10^4300 weights, over the cost budget of 100000\n"),
     (f"rigidity delpezzo:3 --weights=-{_HUGE}..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: weight window -{_HUGE}..0 has at least 10^4300 weights, over the cost budget of 100000\n"),
+    # a one-weight window the budget admits, whose certificate would print
+    # the plane twist -3(1 - m), of 4301 digits: refused before any step
+    (f"rigidity delpezzo:8 --weights=-{_HUGE}..-{_HUGE}", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: the plane twist -3(1 - m) of the certificate step at m = -{_HUGE} has more than 4300 digits, over this interpreter's limit for printing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)\n"),
+    # the same one-weight window one digit shorter, whose twist fits
+    (f"rigidity delpezzo:8 --weights=-{_HUGE[1:]}..-{_HUGE[1:]}", 0, "84e86bf3f0614d8206021364bb1682befa65b7049de669b07353818ebcae6527", ""),
+    # at most 6 points no step prints more than |m| + 1
+    (f"rigidity delpezzo:3 --weights=-{_HUGE}..-{_HUGE}", 0, "c00aa15c9ac247c44f8eb8aa371032be5c437081f5124ae55b58ddfd64e25e09", ""),
+    # one integer not in plain decimal per input: a descriptor field, each
+    # window bound, and each integer option (argparse's usage at 80 columns)
+    ("t1 rnc:+4", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: bad variety descriptor 'rnc:+4': '+4' is not written as a plain decimal int, such as 4\n"),
+    ("t1 rnc:4 --weights=+1..0_3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: bad weight window '+1..0_3' (expected lo..hi): '+1' is not written as a plain decimal int, such as 4\n"),
+    ("rigidity rnc:4 --weights=-3..0_3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: bad weight window '-3..0_3' (expected lo..hi): '0_3' is not written as a plain decimal int, such as 4\n"),
+    ("t1 rnc:4 --order \u0661", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: conedef t1 [-h] [--trace] [--weights WEIGHTS] [--order {1,2}]\n                  [--format {json,csv}]\n                  variety\nconedef t1: error: argument --order: invalid decimal value: '\u0661'\n"),
+    ("jacobian --d \u0664 --weight +0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_JACOBIAN_USAGE}conedef jacobian: error: argument --d: invalid decimal value: '\u0664'\n"),
+    ("jacobian --d 4 --weight +0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_JACOBIAN_USAGE}conedef jacobian: error: argument --weight: invalid decimal value: '+0'\n"),
+    ("cech --i -0 --k 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: conedef cech [-h] [--trace] --i I --k K\nconedef cech: error: argument --i: invalid decimal value: '-0'\n"),
+    ("cech --i 0 --k 04", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: conedef cech [-h] [--trace] --i I --k K\nconedef cech: error: argument --k: invalid decimal value: '04'\n"),
+    ("atiyah --n 4_0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: conedef atiyah [-h] [--trace] --n N\nconedef atiyah: error: argument --n: invalid decimal value: '4_0'\n"),
     *_LARGEST_ADMITTED,
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest,err", GOLDEN, ids=[_row_id(row[0]) for row in GOLDEN])
-def test_golden_output(capsys, argv, code, digest, err):
+def test_golden_output(capsys, monkeypatch, argv, code, digest, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal's width
     got_code, out, got_err = run_cli(capsys, *argv.split())
     assert (got_code, got_err) == (code, err)
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -195,3 +195,24 @@ def test_to_dict_shape():
     for step in d["steps"]:
         assert set(step) == {"term", "claimed", "computed", "rule", "anchor", "status"}
         assert step["status"] in {"VERIFIED", "ASSERTED", "CONTRADICTED"}
+
+
+_DEEPEST = -(10**4300 - 1)  # 4300 digits, the most this interpreter parses
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_a_step_too_long_to_print_is_refused_before_any_step_is_built(r, monkeypatch):
+    """The plane twist -3(1 - m) of the r >= 7 negative block has one digit
+    more than m at the deepest weight: the window is refused, and the
+    message names m, not the twist it cannot print."""
+    monkeypatch.setattr(delpezzo, "CertStep", lambda *a: pytest.fail("a step was built"))
+    with pytest.raises(RequestError, match=r"^the plane twist -3\(1 - m\) of the certificate step at m = -9{4300} has more than 4300 digits"):
+        delpezzo_certificate(r, _DEEPEST, _DEEPEST)
+
+
+@pytest.mark.parametrize("r,m", [(3, _DEEPEST), (8, _DEEPEST // 10), (8, -_DEEPEST)])
+def test_a_window_whose_steps_print_is_replayed(r, m):
+    """At most 6 points no step prints more than |m| + 1; the r >= 7
+    block prints 3(|m| + 1) only for m <= -2."""
+    cert = delpezzo_certificate(r, m, m)
+    assert cert.steps and cert.to_dict()["claim"].endswith(f"twists {m}..{m} of the canonical class")

@@ -31,6 +31,9 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
   int the package reads may be a bool: ask ``type(x) is int``);
 * no ``os._exit`` or ``sys.exit`` outside ``cli.run``, the process entry
   (no library call can end its caller's process).
+* no call in ``cli.py`` outside ``cli.decimal`` that calls ``int`` or
+  passes it, as in ``int(x)``, ``map(int, xs)`` or ``type=int`` (every
+  integer of the command line is read in plain decimal, by one converter).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -206,6 +209,18 @@ def one_process_exit(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
             yield node.lineno, f"{'.'.join(exits.pop())} outside cli.run"
 
 
+def one_integer_reader(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
+    if name != "cli.py":
+        return
+    reader = next((f for f in tree.body if getattr(f, "name", None) == "decimal"), None)
+    allowed = {id(n) for n in ast.walk(reader)} if reader is not None else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            operands = [node.func, *node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(x, ast.Name) and x.id == "int" for x in operands):
+                yield node.lineno, "int read outside cli.decimal"
+
+
 RULES: dict[str, Rule] = {
     "assert": _walk_rule(lambda name, n: isinstance(n, ast.Assert)),
     "dataclasses": _walk_rule(_dataclasses),
@@ -226,6 +241,7 @@ RULES: dict[str, Rule] = {
     "trace-has-one-owner": _per_module(trace_has_one_owner),
     "a-bool-is-not-an-int": _walk_rule(_int_instance_check),
     "one-process-exit": _per_module(one_process_exit),
+    "one-integer-reader": _per_module(one_integer_reader),
 }
 
 
@@ -305,6 +321,9 @@ PLANTED = [
         def main(argv=None):
             from sys import exit
     """),
+    ("one-integer-reader", "cli.py", "# planted\np_jac.add_argument(\"--d\", type=int, required=True)\n"),
+    ("one-integer-reader", "cli.py", "# planted\nlo, hi = map(int, spec.split(\"..\"))\n"),
+    ("one-integer-reader", "cli.py", "# planted\nints = [int(x) for x in values]\n"),
 ]
 _PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3, "a-bool-is-not-an-int": 3, "one-process-exit": 3}
 
