@@ -29,7 +29,8 @@ import itertools
 from math import comb
 from typing import TYPE_CHECKING
 
-from .projective import RequestError, check_cost
+from . import RequestError
+from .projective import check_cost
 from .records import FrozenRecord
 
 if TYPE_CHECKING:

@@ -20,7 +20,7 @@ library call checks its request's form (a nonempty weight window, a
 cohomology level of 0 or 1, a curve degree of at least 2, n >= 2 for the
 cocycle check) and prices it from closed forms against the budgets of
 :mod:`conedef.projective` (``MAX_BASIS``, ``MAX_COST``) before it builds
-anything, and refuses it with a :class:`~conedef.projective.RequestError`,
+anything, and refuses it with a :class:`~conedef.RequestError`,
 of which ``OverBudgetError`` is a kind.  The command line refuses what it
 parses itself (a descriptor, a weight window, a trace asked of
 ``--format csv``) with the same ``RequestError``.  README's cost table is
@@ -32,8 +32,9 @@ with both or neither of ``--weight`` and ``--dump-matrix``; or a
 ``RequestError``: a descriptor field out of range or not in plain decimal,
 a window bound not in plain decimal, an empty weight window, a cohomology
 level other than 0 or 1, a curve degree below 2, n below 2, a trace asked
-of ``--format csv``, a request over either budget, a count or a
-certificate step too long to print; :func:`decimal` reads every integer),
+of ``--format csv``, a request over either budget, an integer too long to
+read, a count or a certificate step too long to print; :func:`decimal`
+reads every integer),
 3 for well-formed requests the engine refuses to answer with bare numbers
 (certificate-only geometries, h^2(T_Y (x) L^m) outside
 the curve/surface catalog), 4 when two routes to the same number disagreed
@@ -42,6 +43,17 @@ at run time (an internal error, reported as a one-line ``internal error:
 (``EXIT_CLOSED_STDOUT``, 128 + SIGPIPE) when the reader of stdout went away
 before the whole reply was written, as in ``conedef ... | head``: nothing
 more is written and stderr stays empty.
+
+Each command imports the engine modules it runs inside its own function:
+at module level this module imports only the standard library and the
+three refusal classes the package root defines, so ``--help`` and every
+usage error argparse refuses load ``conedef`` and ``conedef.cli`` alone,
+and no ``json``.  The catalog's usage forms are read from
+:data:`~conedef.cones.CATALOG` only when they are printed, in the
+``variety`` help of ``t1`` and ``rigidity`` and in an unknown descriptor's
+refusal.  The one attribute served on demand, by the module's
+``__getattr__``, is ``t1_via_normal``, which the benchmark's tests read
+from this module.
 
 :func:`run` is the process entry (``python -m conedef`` and the ``conedef``
 script): it runs :func:`main`, flushes stdout and stderr and ends the
@@ -52,61 +64,84 @@ the in-process API: it returns the status and leaves the process alone.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import chain, islice
-from typing import Iterable, NoReturn, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NoReturn, Optional, Sequence, TextIO
 
-from . import cones, p1
-from .cones import OutOfScopeError, Variety
-from .presentation import graded_route, jacobian_matrix, t1_via_normal
-from .projective import InternalConsistencyError, RequestError, check_printable
+from . import InternalConsistencyError, OutOfScopeError, RequestError
+
+if TYPE_CHECKING:
+    from .cones import Variety
 
 SCHEMA_VERSION = "1"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
 WRITE_BATCH = 4096  # encoder chunks per write of the envelope, about 50 K characters
 
-# One usage form per registry name, aliases included, e.g. "veronese:<n>:<d>".
-_DESCRIPTORS = [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
+
+def __getattr__(name: str):
+    # cli.t1_via_normal, which perfbench/test_perfbench.py reads, until ROADMAP item 12 changes that test
+    if name == "t1_via_normal":
+        from .presentation import t1_via_normal
+
+        return t1_via_normal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _descriptors() -> list[str]:
+    """One usage form per registry name, aliases included, e.g. "veronese:<n>:<d>"."""
+    from .cones import CATALOG
+
+    return [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in CATALOG.items()]
 
 
 def decimal(text: str) -> int:
     """The int that ``text`` writes in plain decimal, as ``str`` writes it
     back: ``int()`` also reads "+4", "-0", "04", "4_0", " 4" and "٤", and
-    this refuses each with ``ValueError``.  Every integer of the command
-    line is read here: descriptor fields, window bounds, and the integer
-    options, whose refusal argparse words as ``invalid decimal value``."""
-    if str(value := int(text)) != text:
+    this refuses each, and any text that is no number, with ``ValueError``.
+    A plain decimal of more digits than this interpreter reads into an int
+    (``sys.get_int_max_str_digits``) is refused with an
+    ``argparse.ArgumentTypeError``, whose reason argparse prints as it is.
+    Every integer of the command line is read here: descriptor fields,
+    window bounds, and the integer options, whose ``ValueError`` argparse
+    words as ``invalid decimal value``."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()) or (digits.startswith("0") and text != "0"):
         raise ValueError(f"{text!r} is not written as a plain decimal int, such as 4")
-    return value
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:
+        raise argparse.ArgumentTypeError(f"the value has more than {limit} digits, over this interpreter's limit "
+                                         "for reading an int (PYTHONINTMAXSTRDIGITS=0 lifts it)")
+    return int(text)
 
 
 def parse_variety(descriptor: str) -> Variety:
+    from .cones import CATALOG
+
     name, *values = descriptor.split(":")
-    make, fields = cones.CATALOG.get(name, (None, ()))
+    make, fields = CATALOG.get(name, (None, ()))
     if make is not None and len(values) == len(fields):
         try:
             return make(*map(decimal, values))
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise RequestError(f"bad variety descriptor {descriptor!r}: {exc}") from exc
-    raise RequestError(
-        f"unknown variety descriptor {descriptor!r} "
-        f"(expected {', '.join(_DESCRIPTORS[:-1])} or {_DESCRIPTORS[-1]})"
-    )
+    *rest, last = _descriptors()
+    raise RequestError(f"unknown variety descriptor {descriptor!r} (expected {', '.join(rest)} or {last})")
 
 
 def parse_window(spec: str) -> tuple[int, int]:
     lo, _, hi = spec.partition("..")
     try:
         return decimal(lo), decimal(hi)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise RequestError(f"bad weight window {spec!r} (expected lo..hi): {exc}") from exc
 
 
 def _check_printable(counts: Iterable[tuple[int, int]]) -> None:
     """Refuse, before anything is written, a count with more digits than this interpreter prints
     (:func:`~conedef.projective.check_printable`): every input fits, a product of two may not."""
+    from .projective import check_printable
+
     m, count = max(counts, key=lambda pair: pair[1], default=(None, 0))
     check_printable(count, f"the count at weight {m}")
 
@@ -115,6 +150,8 @@ Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines (N
 
 
 def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
+    from . import cones
+
     if args.trace and args.format == "csv":
         raise RequestError("--format csv cannot carry a trace (drop --trace, or use --format json)")
     variety = parse_variety(args.variety)
@@ -141,6 +178,8 @@ def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
 
 
 def cmd_rigidity(args: argparse.Namespace) -> Reply:
+    from . import cones
+
     variety = parse_variety(args.variety)
     lo, hi = parse_window(args.weights)
     verdict = cones.rigidity_verdict(variety, lo, hi)
@@ -158,6 +197,8 @@ def cmd_rigidity(args: argparse.Namespace) -> Reply:
 
 
 def cmd_jacobian(args: argparse.Namespace) -> Reply:
+    from .presentation import graded_route, jacobian_matrix, t1_via_normal
+
     if args.dump_matrix:
         rows = jacobian_matrix(args.d)
         names = [f"z{t}" for t in range(args.d + 1)]
@@ -186,6 +227,8 @@ def cmd_jacobian(args: argparse.Namespace) -> Reply:
 
 
 def cmd_cech(args: argparse.Namespace) -> Reply:
+    from . import p1
+
     mons = p1.basis(args.i, args.k)
     result = {"dim": len(mons), "basis": [[a, b] for a, b in mons]}
     return {"i": args.i, "k": args.k}, result, ["level-0 region: both exponents nonnegative; level-1 region: both at most -1"]
@@ -205,6 +248,14 @@ def cmd_atiyah(args: argparse.Namespace) -> Reply:
     return {"n": args.n}, result, ["transition data: coordinate ratios; equality decided by cross-multiplication"]
 
 
+class _CatalogHelp(argparse.HelpFormatter):
+    """The help of ``t1`` and ``rigidity``, whose ``variety`` help lists the
+    catalog's usage forms, read when the help is formatted."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        return " | ".join(_descriptors()) if action.dest == "variety" else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conedef",
@@ -214,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     traced = argparse.ArgumentParser(add_help=False)
     traced.add_argument("--trace", action="store_true", help="include a computation trace")
     windowed = argparse.ArgumentParser(add_help=False)
-    windowed.add_argument("variety", help=" | ".join(_DESCRIPTORS))
+    windowed.add_argument("variety", help="a catalog descriptor")  # printed as _CatalogHelp writes it
     windowed.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default %(default)s)")
 
     p_t1 = sub.add_parser(
-        "t1", parents=[traced, windowed], help="weight table of h^q(T_Y (x) L^m), q = --order",
+        "t1", parents=[traced, windowed], formatter_class=_CatalogHelp, help="weight table of h^q(T_Y (x) L^m), q = --order",
         description="weight table of h^q(T_Y (x) L^m): for each weight m of the window, the q-th cohomology "
         "of the tangent sheaf of Y twisted by the m-th power of the polarization L, with q = --order",
     )
@@ -226,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1.add_argument("--format", choices=("json", "csv"), default="json")
     p_t1.set_defaults(func=cmd_t1)
 
-    p_rig = sub.add_parser("rigidity", parents=[traced, windowed], help="rigidity verdict with witness or replay certificate")
+    p_rig = sub.add_parser("rigidity", parents=[traced, windowed], formatter_class=_CatalogHelp,
+                           help="rigidity verdict with witness or replay certificate")
     p_rig.set_defaults(func=cmd_rigidity)
 
     p_jac = sub.add_parser("jacobian", parents=[traced], help="determinantal presentation data for the degree-d curve cone")
@@ -331,6 +383,8 @@ def _write_envelope(env: dict, out: TextIO) -> None:
     a write: a long certificate is never one string, and an unbuffered
     stdout (``PYTHONUNBUFFERED=1``) is not asked for one system call per
     chunk."""
+    import json
+
     chunks = chain(json.JSONEncoder(indent=2).iterencode(env), ("\n",))
     while batch := "".join(islice(chunks, WRITE_BATCH)):
         out.write(batch)

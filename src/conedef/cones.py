@@ -43,16 +43,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from . import projective
-from .projective import InternalConsistencyError, RequestError
+from . import InternalConsistencyError, OutOfScopeError, RequestError, projective
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
     from .delpezzo import Certificate
-
-
-class OutOfScopeError(Exception):
-    """The request is well-formed but outside what this engine computes."""
 
 
 # ----------------------------------------------------------------------

@@ -249,7 +249,7 @@ def delpezzo_certificate(r: int, m_lo: int = -6, m_hi: int = 3) -> Certificate:
     longer than this interpreter prints (:func:`~conedef.projective.check_printable`):
     the longest a step prints is the plane twist -3(1 - m) of
     ``_NEGATIVE_LARGE_R`` at the window's lowest m."""
-    from .cones import BlownUpPlane  # loaded on every command path; cones loads this module on demand
+    from .cones import BlownUpPlane  # not at the top: cones loads this module on demand
 
     BlownUpPlane(r)
     priced_window(m_lo, m_hi, lambda m: max(1, len(_twist_block(r, m))))

@@ -9,7 +9,7 @@ variables, recorded here by its exponent pair (a, b) with a + b = k:
 
 The level is the int i, passed through to the model, whose
 :func:`conedef.projective.hq_pn_line` refuses a level other than 0 or 1 as
-a :class:`~conedef.projective.RequestError`.
+a :class:`~conedef.RequestError`.
 
 Multiplication by an honest polynomial keeps level-0 monomials inside the
 level-0 region, while at level 1 a product is truncated to zero as soon as
@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .projective import RequestError, _level, _pn_basis, _pn_mult_matrix, check_cost, hq_pn_line
+from . import RequestError
+from .projective import _level, _pn_basis, _pn_mult_matrix, check_cost, hq_pn_line
 
 if TYPE_CHECKING:
     from .linalg import RationalMatrix

@@ -27,7 +27,7 @@ clean for the line, h^1(O(dm)) = 0: there h^0(N(m)) minus the graded rank
 must be the normal route's value.
 
 Each builder checks its curve degree (d >= 2, a
-:class:`~conedef.projective.RequestError` below it) and prices its request
+:class:`~conedef.RequestError` below it) and prices its request
 from a closed form before it builds anything: C(d, 2)(d + 1) partials for
 :func:`build_presentation` and so :func:`jacobian_matrix`, the
 C(d, 2) * max(1, (d + 1) h^0(O(d(m + 1)))) cells and source monomials of
@@ -35,7 +35,7 @@ C(d, 2) * max(1, (d + 1) h^0(O(d(m + 1)))) cells and source monomials of
 curve grid in :mod:`conedef.p1`.  As in :mod:`conedef.projective`,
 :mod:`conedef.linalg` and :mod:`conedef.polynomials` are imported by the
 functions that build a matrix or a polynomial, after the price, so
-importing this module, as the command line does for every command, or a
+importing this module, as the command line does for ``jacobian``, or a
 refused request loads neither.  The generators, their partials and
 their normal forms have int coefficients, so the graded Jacobian is an
 integer matrix, the coordinate vectors of :func:`coefficients_in_grade` and
@@ -48,8 +48,8 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING
 
-from . import p1
-from .projective import InternalConsistencyError, RequestError, _pn_mult_matrix, check_cost
+from . import InternalConsistencyError, RequestError, p1
+from .projective import _pn_mult_matrix, check_cost
 from .records import FrozenRecord
 
 if TYPE_CHECKING:

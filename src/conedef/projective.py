@@ -36,29 +36,13 @@ from math import comb
 from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from . import InternalConsistencyError, RequestError
 from .records import FrozenRecord, check_count
 
 if TYPE_CHECKING:
     from .linalg import RationalMatrix, Row, Scalar
 
     Multiplier = Mapping[tuple[int, ...], Scalar]  # {exponent tuple: nonzero coefficient}
-
-
-class InternalConsistencyError(Exception):
-    """Two supposedly equivalent routes disagreed; the result is not
-    trustworthy and must not be reported."""
-
-
-class RequestError(ValueError):
-    """A request refused before anything was built: for its form (an empty weight
-    window or one whose bounds are not ints, an assembly window without weight
-    0, an n, k or q of the monomial model that is not an int, a cohomology
-    level outside 0..n or n < 1 for a line bundle on n-space, n outside 1..2 for the
-    cotangent chase, a curve degree below 1 for the line's grids or below 2
-    for the presentation, n < 2 for the cocycle check, a descriptor field
-    out of range or not in plain decimal, a window bound not in plain
-    decimal, an int too long to print) or, as an
-    :class:`OverBudgetError`, for its size.  The command line maps it to exit 2."""
 
 
 class OverBudgetError(RequestError):

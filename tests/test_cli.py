@@ -58,10 +58,11 @@ def test_parse_variety_descriptors():
             parse_variety(bad)
 
 
-# int() reads each of these as an int, but cli.decimal reads an integer only
-# as str(int(x)) writes it; one row per integer the command line reads:
-# (input, argv with {} for the spelling, the end of the refusal's stderr).
-_NOT_PLAIN = ["4_0", "+4", "04", "-0", " 4", "4 ", "\u0664"]
+# int() reads the first seven as an int, but cli.decimal reads an integer
+# only as str(int(x)) writes it, and the last two are no number at all; one
+# row per integer the command line reads: (input, argv with {} for the
+# spelling, the end of the refusal's stderr).
+_NOT_PLAIN = ["4_0", "+4", "04", "-0", " 4", "4 ", "\u0664", "x", ""]
 _INTEGER_INPUTS = [
     ("descriptor-field", ["t1", "veronese:2:{}"], "error: bad variety descriptor 'veronese:2:{0}': {0!r} is not written as a plain decimal int, such as 4\n"),
     ("window-lo", ["t1", "rnc:4", "--weights={}..3"], "error: bad weight window '{0}..3' (expected lo..hi): {0!r} is not written as a plain decimal int, such as 4\n"),
@@ -75,7 +76,7 @@ _INTEGER_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("spelling", _NOT_PLAIN, ids=["underscore", "plus", "leading-zero", "minus-zero", "leading-space", "trailing-space", "arabic-indic"])
+@pytest.mark.parametrize("spelling", _NOT_PLAIN, ids=["underscore", "plus", "leading-zero", "minus-zero", "leading-space", "trailing-space", "arabic-indic", "not-a-number", "empty"])
 @pytest.mark.parametrize("template,refusal", [row[1:] for row in _INTEGER_INPUTS], ids=[row[0] for row in _INTEGER_INPUTS])
 def test_every_integer_input_is_read_only_in_plain_decimal(capsys, template, refusal, spelling):
     """Every integer of the command line goes through cli.decimal: a
@@ -84,6 +85,24 @@ def test_every_integer_input_is_read_only_in_plain_decimal(capsys, template, ref
     code, out, err = run_cli(capsys, *(arg.format(spelling) for arg in template))
     assert (code, out) == (2, "")
     assert err.endswith(refusal.format(spelling)), err
+
+
+_TOO_LONG = "the value has more than {} digits, over this interpreter's limit for reading an int (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+
+
+@pytest.mark.parametrize("template", [row[1] for row in _INTEGER_INPUTS], ids=[row[0] for row in _INTEGER_INPUTS])
+def test_an_integer_too_long_to_read_is_refused_for_its_length(capsys, int_print_limit, template):
+    """A plain decimal of more digits than this interpreter reads into an
+    int is refused in every input with one reason, which names the limit
+    and how to lift it, not int()'s advice to call sys.set_int_max_str_digits;
+    once the limit is lifted, cli.decimal reads it."""
+    int_print_limit(640)  # the smallest limit Python accepts
+    code, out, err = run_cli(capsys, *(arg.format("9" * 641) for arg in template))
+    assert (code, out) == (2, "")
+    assert err.endswith(f": {_TOO_LONG.format(640)}\n"), err
+    assert cli.decimal("-" + "9" * 640) == -(10**640 - 1)
+    int_print_limit(0)
+    assert cli.decimal("9" * 641) == 10**641 - 1
 
 
 def test_parse_variety_round_trips_each_entry():
@@ -172,27 +191,56 @@ def test_parse_window():
             parse_window(bad)
 
 
+def _usage_forms() -> list[str]:
+    """One usage form per catalog name, aliases included, e.g. "veronese:<n>:<d>"."""
+    return [":".join([name, *(f"<{f}>" for f in fields)]) for name, (_, fields) in cones.CATALOG.items()]
+
+
+def _variety_help(out: str) -> str:
+    """The ``variety`` help in a subcommand's ``--help``, its lines joined."""
+    positional = out.split("positional arguments:\n", 1)[1].split("\n\n", 1)[0]
+    name, _, text = " ".join(positional.split()).partition(" ")
+    assert name == "variety", out
+    return text
+
+
 def test_t1_help_names_the_quantity_it_prints(capsys):
     """``t1 --help`` says what each weight's dimension counts and what
-    ``--order`` selects, not only ``conedef --help``'s one-line summary."""
+    ``--order`` selects, not only ``conedef --help``'s one-line summary,
+    and lists every usage form of the catalog, as an unknown descriptor's
+    refusal does."""
     with pytest.raises(SystemExit) as exc:
         main(["t1", "--help"])
     assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal's width
+    out = capsys.readouterr().out
+    text = " ".join(out.split())  # argparse wraps to the terminal's width
     assert "weight table of h^q(T_Y (x) L^m): for each weight m of the window" in text
     assert "--order {1,2} q of h^q(T_Y (x) L^m)" in text
+    *rest, last = forms = _usage_forms()
+    assert _variety_help(out) == " | ".join(forms)
+    assert run_cli(capsys, "t1", "bogus:1") == (
+        2, "", f"error: unknown variety descriptor 'bogus:1' (expected {', '.join(rest)} or {last})\n"
+    )
 
 
 def test_rigidity_help_says_what_it_reads(capsys, monkeypatch):
     """``rigidity --help`` describes the variety and the window it reads, as
-    ``t1 --help`` does: both subcommands declare them once, in one parent."""
+    ``t1 --help`` does: both subcommands declare them once, in one parent,
+    and the variety's help is the catalog's usage forms, read from the
+    catalog when the help is printed."""
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(["rigidity", "--help"])
     assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
+    out = capsys.readouterr().out
+    text = " ".join(out.split())
     assert "delpezzo:<r>" in text
     assert "--weights WEIGHTS inclusive weight window lo..hi (default -6..3)" in text
+    *rest, last = forms = _usage_forms()
+    assert _variety_help(out) == " | ".join(forms)
+    assert run_cli(capsys, "rigidity", "bogus:1") == (
+        2, "", f"error: unknown variety descriptor 'bogus:1' (expected {', '.join(rest)} or {last})\n"
+    )
 
 
 # ---- t1 ----------------------------------------------------------------
@@ -705,8 +753,8 @@ def test_benchmark_commands_cost_far_under_the_budget(monkeypatch):
 
 # Runs one command in a fresh interpreter and prints its exit code (the
 # code of the SystemExit that --help ends in), then the conedef modules it
-# loaded, and dataclasses, inspect or the numeric tower (fractions and the
-# decimal and numbers modules it imports) if the import of the package, the
+# loaded, and dataclasses, inspect, json or the numeric tower (fractions and
+# the decimal and numbers modules it imports) if the import of the package, the
 # command or the prelude (the first argument, run after start-up) loaded
 # them, not the interpreter's own start-up.
 _LOADED = """
@@ -720,7 +768,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[2:])
     except SystemExit as exc:
         code = exc.code
-watched = {"dataclasses", "inspect", "fractions", "decimal", "numbers"} - started
+watched = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "json"} - started
 print(code, " ".join(sorted(m for m in sys.modules if m.startswith("conedef") or m in watched)))
 """
 
@@ -770,35 +818,42 @@ def test_commands_never_load_dataclasses(argv):
     assert not loaded & {"dataclasses", "inspect"}
 
 
-# A command whose numbers are closed forms, and every refusal, loads
-# these layers and no exact arithmetic.
-_CLOSED_FORM_LAYERS = {
-    "conedef", "conedef.cli", "conedef.cones", "conedef.p1", "conedef.presentation", "conedef.projective",
-    "conedef.records",
-}
+# Each command loads the package root, the command line and the engine
+# modules it runs, and no more: the help and argparse's refusals load the
+# first two alone, a t1 or rigidity the catalog, cech the line and jacobian
+# the presentation, each with the monomial model under it.
+_FRONT = {"conedef", "conedef.cli"}
+_CATALOG_LAYERS = _FRONT | {"conedef.cones", "conedef.projective", "conedef.records"}
+_LINE_LAYERS = _FRONT | {"conedef.p1", "conedef.projective", "conedef.records"}
+_CURVE_LAYERS = _LINE_LAYERS | {"conedef.presentation"}
 _NUMERIC_TOWER = {"fractions", "decimal", "numbers"}
 _EXACT_ARITHMETIC = {"conedef.linalg", "conedef.polynomials"} | _NUMERIC_TOWER
 
 
-_CLOSED_FORM_COMMANDS = [  # (argv, exit code)
-    ("--help", 0),
-    ("t1 rnc:4", 0),
-    ("cech --i 1 --k -4", 0),
-    ("t1 delpezzo:3", 3),
+_CLOSED_FORM_COMMANDS = [  # (argv, exit code, the conedef modules it loads)
+    ("--help", 0, _FRONT),
+    ("jacobian --d 4", 2, _FRONT),  # argparse's usage error: neither --weight nor --dump-matrix
+    ("t1 rnc:4", 0, _CATALOG_LAYERS),
+    ("cech --i 1 --k -4", 0, _LINE_LAYERS),
+    ("t1 delpezzo:3", 3, _CATALOG_LAYERS),
     # refused by the plane's basis budget after passing the cost budget, and by the cost budget
-    ("t1 veronese:2:1 --weights -143..-143", 2),
-    ("t1 veronese:2:1 --weights -142..857", 2),
+    ("t1 veronese:2:1 --weights -143..-143", 2, _CATALOG_LAYERS),
+    ("t1 veronese:2:1 --weights -142..857", 2, _CATALOG_LAYERS),
+    ("t1 bogus:1", 2, _CATALOG_LAYERS),  # the refusal lists the catalog's usage forms
     # every connecting map of these chases has an empty side, so none is built
-    ("rigidity veronese:2:3", 0),
-    ("jacobian --d 6 --weight -1", 0),
+    ("rigidity veronese:2:3", 0, _CATALOG_LAYERS),
+    ("jacobian --d 6 --weight -1", 0, _CURVE_LAYERS),
 ]
 
 
-@pytest.mark.parametrize("argv,code", _CLOSED_FORM_COMMANDS, ids=[argv for argv, _ in _CLOSED_FORM_COMMANDS])
-def test_closed_form_commands_load_no_exact_arithmetic(argv, code):
+@pytest.mark.parametrize("argv,code,modules", _CLOSED_FORM_COMMANDS, ids=[row[0] for row in _CLOSED_FORM_COMMANDS])
+def test_closed_form_commands_load_no_exact_arithmetic(argv, code, modules):
+    """Each command loads exactly its own modules of the package and no
+    exact arithmetic; only a command that writes an envelope loads json."""
     loaded = _modules_loaded_by(argv, code=code)
-    assert {m for m in loaded if m.startswith("conedef")} == _CLOSED_FORM_LAYERS
+    assert {m for m in loaded if m.startswith("conedef")} == modules
     assert not loaded & _EXACT_ARITHMETIC
+    assert ("json" in loaded) == (code == 0 and argv != "--help")
 
 
 @pytest.mark.parametrize(
@@ -819,7 +874,7 @@ def test_refused_commands_load_no_exact_arithmetic(argv):
     arithmetic; a refused ``atiyah`` loads its own module, which prices the
     request."""
     loaded = _modules_loaded_by(argv, code=2)
-    assert {m for m in loaded if m.startswith("conedef")} <= _CLOSED_FORM_LAYERS | {"conedef.atiyah"}
+    assert {m for m in loaded if m.startswith("conedef")} <= _CURVE_LAYERS | {"conedef.atiyah"}
     assert not loaded & _EXACT_ARITHMETIC
 
 
@@ -904,7 +959,8 @@ def test_every_exported_name_resolves():
 def test_the_root_loads_nothing_and_resolves_each_name_to_its_home():
     """``import conedef`` loads no module of the package; each export is
     the object of the module ``_EXPORTS`` keys it by, which defines it
-    rather than re-exports it, and ``__all__`` names it once."""
+    rather than re-exports it, but the three refusal classes of ``_OWN``,
+    which the root defines itself, and ``__all__`` names each once."""
     env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
     probe = "import sys, conedef; print(*(m for m in sys.modules if m.startswith('conedef.')))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
@@ -912,7 +968,14 @@ def test_the_root_loads_nothing_and_resolves_each_name_to_its_home():
     assert len(set(conedef.__all__)) == len(conedef.__all__)
     assert set(conedef.__all__) <= set(dir(conedef))
     exported = [name for names in conedef._EXPORTS.values() for name in names]
-    assert sorted(conedef.__all__) == sorted([*exported, "__version__"])
+    assert sorted(conedef.__all__) == sorted([*conedef._OWN, *exported, "__version__"])
+    # the three refusal classes are the root's own, and every module that
+    # binds one binds the root's class
+    for name in conedef._OWN:
+        value = getattr(conedef, name)
+        assert value.__module__ == "conedef" and vars(conedef)[name] is value, name
+        for module in ("cli", "cones", "projective", "p1", "presentation", "atiyah", "delpezzo"):
+            assert getattr(import_module(f"conedef.{module}"), name, value) is value, (module, name)
     for module, names in conedef._EXPORTS.items():
         home = import_module(f"conedef.{module}")
         for name in names:
@@ -1275,6 +1338,14 @@ GOLDEN = [
     ("cech --i -0 --k 3", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: conedef cech [-h] [--trace] --i I --k K\nconedef cech: error: argument --i: invalid decimal value: '-0'\n"),
     ("cech --i 0 --k 04", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: conedef cech [-h] [--trace] --i I --k K\nconedef cech: error: argument --k: invalid decimal value: '04'\n"),
     ("atiyah --n 4_0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: conedef atiyah [-h] [--trace] --n N\nconedef atiyah: error: argument --n: invalid decimal value: '4_0'\n"),
+    # no number at all, and a plain decimal of 4301 digits, one more than this
+    # interpreter reads, in a descriptor field, a window bound and an option
+    ("t1 rnc:x", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: bad variety descriptor 'rnc:x': 'x' is not written as a plain decimal int, such as 4\n"),
+    ("t1 rnc:4 --weights=..", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: bad weight window '..' (expected lo..hi): '' is not written as a plain decimal int, such as 4\n"),
+    ("t1 rnc:4 --weights=1..y", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: bad weight window '1..y' (expected lo..hi): 'y' is not written as a plain decimal int, such as 4\n"),
+    (f"jacobian --d {_HUGE}9 --weight 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_JACOBIAN_USAGE}conedef jacobian: error: argument --d: {_TOO_LONG.format(4300)}\n"),
+    (f"t1 rnc:{_HUGE}9", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: bad variety descriptor 'rnc:{_HUGE}9': {_TOO_LONG.format(4300)}\n"),
+    (f"t1 rnc:4 --weights=-{_HUGE}9..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: bad weight window '-{_HUGE}9..0' (expected lo..hi): {_TOO_LONG.format(4300)}\n"),
     *_LARGEST_ADMITTED,
 ]
 

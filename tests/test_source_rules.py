@@ -33,7 +33,11 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
   (no library call can end its caller's process).
 * no call in ``cli.py`` outside ``cli.decimal`` that calls ``int`` or
   passes it, as in ``int(x)``, ``map(int, xs)`` or ``type=int`` (every
-  integer of the command line is read in plain decimal, by one converter).
+  integer of the command line is read in plain decimal, by one converter);
+* no module-level import in ``cli.py`` of a ``conedef`` module or of
+  ``json``, only of names the package root defines (each command imports
+  the modules it runs, so ``--help`` and argparse's refusals load
+  ``conedef`` and ``conedef.cli`` alone).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -221,6 +225,20 @@ def one_integer_reader(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]
                 yield node.lineno, "int read outside cli.decimal"
 
 
+_SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def command_scoped_imports(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
+    if name != "cli.py":
+        return
+    for node in tree.body:
+        for m in _imported(node):
+            top, _, rest = m.partition(".")
+            if top == "json" or (top == "conedef" and rest.partition(".")[0] in _SUBMODULES):
+                yield node.lineno, f"module-level import of {m} in cli.py"
+                break
+
+
 RULES: dict[str, Rule] = {
     "assert": _walk_rule(lambda name, n: isinstance(n, ast.Assert)),
     "dataclasses": _walk_rule(_dataclasses),
@@ -242,6 +260,7 @@ RULES: dict[str, Rule] = {
     "a-bool-is-not-an-int": _walk_rule(_int_instance_check),
     "one-process-exit": _per_module(one_process_exit),
     "one-integer-reader": _per_module(one_integer_reader),
+    "command-scoped-imports": _per_module(command_scoped_imports),
 }
 
 
@@ -324,6 +343,9 @@ PLANTED = [
     ("one-integer-reader", "cli.py", "# planted\np_jac.add_argument(\"--d\", type=int, required=True)\n"),
     ("one-integer-reader", "cli.py", "# planted\nlo, hi = map(int, spec.split(\"..\"))\n"),
     ("one-integer-reader", "cli.py", "# planted\nints = [int(x) for x in values]\n"),
+    ("command-scoped-imports", "cli.py", "# planted\nfrom . import cones, p1\n"),
+    ("command-scoped-imports", "cli.py", "# planted\nfrom .presentation import graded_route, jacobian_matrix, t1_via_normal\n"),
+    ("command-scoped-imports", "cli.py", "# planted\nimport json\n"),
 ]
 _PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3, "a-bool-is-not-an-int": 3, "one-process-exit": 3}
 
