@@ -13,9 +13,11 @@ handle honestly:
   numbers, because it cannot compute surface tangent cohomology directly.
 
 The count in weight m depends only on the pair (Y, L), so each pair has
-one class implementing the :class:`Variety` protocol: one entry, one
-equality, one hash, one count method ``h(q, m)``.  :data:`CATALOG` maps
-descriptor names to constructors; ``rnc:<d>`` and ``segre:<d>`` are
+one :class:`Variety` subclass: one entry, one equality, one hash, and its
+own count method ``h(q, m)``.  The base class holds only what every entry
+shares (the validating constructor, no certificate, unit cost); each
+entry states its counts, its rule and its rigidity answer itself.
+:data:`CATALOG` maps descriptor names to constructors; ``rnc:<d>`` and ``segre:<d>`` are
 aliases whose named constructors :func:`RationalNormalCurve` and
 :func:`SegreQuadric` return a ``VeroneseSpace(1, d)`` and a
 ``ProductPolarization(d, d)``.  The module-level functions below read the
@@ -54,9 +56,6 @@ if TYPE_CHECKING:
 # The catalog protocol
 # ----------------------------------------------------------------------
 
-_CERTIFICATE_ONLY = "blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate"
-
-
 def _check_order(q: int) -> None:
     if type(q) is not int or q not in (1, 2):
         raise RequestError(f"the counts are h^1 and h^2 of the twisted tangent sheaf, not h^{q!r}")
@@ -74,11 +73,16 @@ class Variety(FrozenRecord):
     field, so the message stays true for an alias.  An entry declares only
     what differs from "an int of at least 1".
 
-    Every entry implements ``polarization_cohomology(m)``, the pair
-    (h^1, h^2) of the m-th polarization power (m = 0 is the structure
-    sheaf).  The defaults below describe a certificate-only geometry: it
-    gives no bare counts and decides rigidity only through a replay
-    certificate."""
+    The base class states only what every entry shares: this constructor,
+    no replay certificate, and one unit of work a weight.  Each entry
+    states for itself ``h(q, m)``, h^q(T_Y (x) L^m) for q in {1, 2} (call
+    :func:`_check_order` first); ``rule()``, one line on how that count is
+    computed; and ``polarization_cohomology(m)``, the pair (h^1, h^2) of
+    the m-th polarization power (m = 0 is the structure sheaf).  A numeric
+    entry also states ``closed_form_rigidity()``, the nonzero weight
+    nearest zero (or None) with a note, from a closed form valid in every
+    weight; a certificate-only entry overrides ``certificate`` instead and
+    refuses bare counts with :class:`OutOfScopeError`."""
 
     __slots__ = ()
     _upper: dict[str, int] = {}  # the largest value of each field bounded above
@@ -91,21 +95,6 @@ class Variety(FrozenRecord):
             if not 1 <= value <= self._upper.get(name, value):
                 bound = f"between 1 and {self._upper[name]}" if name in self._upper else "at least 1"
                 raise RequestError(f"{type(self).__name__} field {name} must be {bound}, got {value}")
-
-    def h(self, q: int, m: int) -> int:
-        """h^q(T_Y (x) L^m) for q in {1, 2}: tangent cohomology twisted by
-        the m-th polarization power."""
-        _check_order(q)
-        raise OutOfScopeError(_CERTIFICATE_ONLY)
-
-    def rule(self) -> str:
-        """How the weight-m count is computed."""
-        return "certificate-only"
-
-    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
-        """(nonzero weight nearest zero, or None if there is none; note),
-        from a closed form that decides rigidity in every weight."""
-        raise OutOfScopeError(_CERTIFICATE_ONLY)
 
     def certificate(self, m_lo: int, m_hi: int) -> Optional[Certificate]:
         """The replay certificate that stands in for bare counts, if any."""
@@ -190,6 +179,13 @@ class BlownUpPlane(Variety):
 
     __slots__ = _fields = ("r",)
     _upper = {"r": 8}
+
+    def h(self, q: int, m: int) -> int:
+        _check_order(q)
+        raise OutOfScopeError("blown-up planes are certificate-only: use rigidity_verdict or delpezzo_certificate")
+
+    def rule(self) -> str:
+        return "certificate-only"
 
     def polarization_cohomology(self, m: int) -> tuple[int, int]:
         """First cohomology of every anticanonical power vanishes (duality

@@ -55,8 +55,6 @@ from .records import FrozenRecord
 if TYPE_CHECKING:
     from .polynomials import Polynomial
 
-Monomial2 = tuple[int, int]
-
 
 def _check_degree(d: int) -> None:
     if d < 2:
@@ -87,7 +85,7 @@ def jacobian_matrix(d: int) -> tuple[tuple[Polynomial, ...], ...]:
 # ----------------------------------------------------------------------
 
 
-def s_basis(d: int, k: int) -> list[Monomial2]:
+def s_basis(d: int, k: int) -> list[p1.Monomial]:
     """Monomial basis of the k-th graded piece of the cone's coordinate
     ring: binary monomials of degree d*k (empty for k < 0)."""
     p1.check_curve_degree(d)

@@ -13,6 +13,7 @@ from conedef.cones import (
     ProductPolarization,
     RationalNormalCurve,
     SegreQuadric,
+    Variety,
     VeroneseSpace,
     corollary_flags,
     pinkham_assembly,
@@ -150,6 +151,21 @@ def test_h_refuses_any_order_but_one_and_two(v, q):
 def test_catalog_fields_must_be_ints(make, values):
     with pytest.raises(TypeError, match="must be an int, got"):
         make(*values)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_every_entry_states_the_catalog_protocol_itself(name):
+    """Variety has no default count, rule or rigidity answer, so an entry
+    that forgot one would end a command in an AttributeError traceback:
+    each entry states h, rule and polarization_cohomology, and
+    closed_form_rigidity unless it overrides certificate."""
+    protocol = ("h", "rule", "polarization_cohomology", "closed_form_rigidity")
+    assert not [m for m in protocol if m in vars(Variety)]
+    make, fields = CATALOG[name]
+    cls = type(make(*[1] * len(fields)))
+    certified = cls.certificate is not Variety.certificate  # rigidity_verdict returns it before any closed form
+    missing = [m for m in protocol if not hasattr(cls, m)]
+    assert missing == (["closed_form_rigidity"] if certified else [])
 
 
 def test_delpezzo_never_returns_bare_numbers():

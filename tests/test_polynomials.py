@@ -85,6 +85,33 @@ def test_an_index_or_a_power_must_be_an_int(call, what, got):
         call()
 
 
+_ZERO_FUNCTION = RationalFunction(Polynomial.zero(1), Polynomial.constant(1, 1))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Polynomial.variable(2, 2), ValueError, "variable index 2 out of range for 2 variables"),
+        (lambda: mono(1, 1).derivative(2), ValueError, "variable index 2 out of range"),
+        (lambda: mono(1, 1) + mono(1, 1, 1), ValueError, "polynomials live in different variable sets"),
+        (lambda: Polynomial.variable(2, 0) ** -1, ValueError, "negative powers are not polynomials"),
+        (lambda: mono(1, 1).substitute([mono(1)]), ValueError, "need one image per variable"),
+        (lambda: Polynomial.constant(0, 1).substitute([]), ValueError, "substitute needs at least one variable"),
+        (lambda: mono(1, 1).substitute([mono(1), mono(1, 0)]), ValueError, "images live in different variable sets"),
+        (lambda: mono(-1, 0).substitute([mono(1), mono(1)]), ValueError, "cannot substitute into a Laurent exponent"),
+        (lambda: mono(1, 1).to_string(["a"]), ValueError, "wrong number of variable names"),
+        (lambda: RationalFunction(mono(1), mono(0)) / _ZERO_FUNCTION, ZeroDivisionError, "division by the zero function"),
+        (lambda: _ZERO_FUNCTION.dlog(0), ZeroDivisionError, "log of the zero function"),
+    ],
+    ids=["variable-index", "derivative-index", "add-across-variable-sets", "negative-power", "image-count",
+         "no-variables", "images-across-variable-sets", "laurent-exponent", "name-count", "divide-by-zero",
+         "log-of-zero"],
+)
+def test_each_refusal_names_its_reason(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_exponent_tuple_of_the_wrong_length_is_refused():
     with pytest.raises(ValueError, match=r"^exponent tuple \(1, 0\) has wrong length for 1 variables$"):
         Polynomial(1, {(1, 0): 1})

@@ -113,6 +113,11 @@ def test_normal_form_examples():
     assert normal_form(d, Polynomial.zero(5)).is_zero()
 
 
+def test_normal_form_refuses_a_polynomial_outside_the_cone_variables():
+    with pytest.raises(ValueError, match="^expected a polynomial in the 4 cone variables$"):
+        normal_form(3, Polynomial.variable(2, 0))
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_normal_form_annihilates_generators(d):
     for gen in build_presentation(d):

@@ -37,7 +37,18 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
 * no module-level import in ``cli.py`` of a ``conedef`` module or of
   ``json``, only of names the package root defines (each command imports
   the modules it runs, so ``--help`` and argparse's refusals load
-  ``conedef`` and ``conedef.cli`` alone).
+  ``conedef`` and ``conedef.cli`` alone);
+* no module-level function, class or binding of an attribute, nor method
+  of a module-level class (dunders aside), that no module of the package
+  names outside its own definition, unless :data:`TEST_ONLY` lists it, and
+  no name on that list that a module names or that is gone (nothing ships
+  that only the tests call, and the list stays exact).  A string in the
+  root's ``_EXPORTS`` names its entry.  A method of a class with a base
+  from outside the package is left out: that base calls it by a name the
+  package never writes (argparse's ``_get_help_string``).  It is a name
+  match, not a call graph: it catches a new leaf that only tests call,
+  not a chain such as ``rref_with_transform -> hstack`` below a test-only
+  head.
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -239,6 +250,97 @@ def command_scoped_imports(name: str, tree: ast.Module) -> Iterator[tuple[int, s
                 break
 
 
+# The names that no module of the package names today, each with what reads
+# it and the ROADMAP item that deletes it.  Items 3, 10 and 13 wait on item
+# 12, since perfbench/tracer.py reads every name here (its TABLE wraps all
+# but ``entry``).
+TEST_ONLY = frozenset({
+    "cones.t2_weight",  # test_cones, perfbench/test_perfbench.py; item 3
+    "cones.weight_zero_criterion",  # test_cones, test_records; item 3
+    "linalg.RationalMatrix.from_rows",  # test_linalg, test_p1, test_presentation, acceptance criterion 7; item 3
+    "linalg.RationalMatrix.entry",  # test_linalg, test_presentation, tracer._count_elimination; item 3 after 12 (a)
+    "linalg.RationalMatrix.copy",  # the tracer's TABLE only; item 3
+    "linalg.RationalMatrix.transpose",  # test_linalg; item 3
+    "linalg.RationalMatrix.inverse",  # test_linalg; item 3
+    "linalg.kernel_dim",  # test_linalg, test_projective; item 3
+    "linalg.cokernel_dim",  # test_linalg, test_projective; item 3
+    "linalg.row_reduce",  # the tracer's TABLE only; item 3
+    "linalg.vstack",  # test_linalg, test_p1, test_projective, perfbench/test_perfbench.py; item 3
+    "p1.mult_matrix",  # test_p1, test_projective; item 3
+    "p1.euler_h1_block",  # test_p1, test_projective, test_cli; item 3
+    "polynomials.degrevlex_cmp",  # test_polynomials; item 10
+    "polynomials.Polynomial.total_degree",  # the tracer's TABLE only; item 10
+    "polynomials.Polynomial.is_homogeneous",  # test_polynomials; item 10
+    "polynomials.Polynomial.homogeneous_degree",  # test_polynomials; item 10
+    "polynomials.Polynomial.coefficient",  # test_polynomials; item 10
+    "polynomials.RationalFunction.from_polynomial",  # test_polynomials; items 10 and 13
+    "presentation.coefficients_in_grade",  # test_presentation; item 3
+    "presentation.euler_derivation_vector",  # test_presentation, acceptance criterion 7; item 3
+    "projective.h0_bidegree",  # test_projective; item 3
+})
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _checked_names(trees: dict[str, ast.Module]) -> Iterator[tuple[str, str, str, ast.AST]]:
+    """(file name, qualified name, name, defining node) of each name the
+    test-only rule checks."""
+    package_classes = {n.name for tree in trees.values() for n in tree.body if isinstance(n, ast.ClassDef)}
+    for name, tree in trees.items():
+        module = name.removesuffix(".py")
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield name, f"{module}.{target.id}", target.id, node
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_dunder(node.name):
+                continue
+            yield name, f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef) and all(getattr(b, "id", None) in package_classes for b in node.bases):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and not _is_dunder(f.name):
+                        yield name, f"{module}.{node.name}.{f.name}", f.name, f
+
+
+def _written_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.name if isinstance(node, ast.alias) else None
+
+
+def _namings(trees: dict[str, ast.Module]) -> dict[str, list[ast.AST]]:
+    """The nodes of the package that name something, by the name: a name,
+    an attribute, an import alias or a string in the root's ``_EXPORTS``."""
+    named: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            bare = _written_name(node)
+            if bare is not None:
+                named.setdefault(bare, []).append(node)
+    root = trees.get("__init__.py")
+    for node in root.body if root is not None else ():
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
+            for c in ast.walk(node.value):
+                if isinstance(c, ast.Constant) and type(c.value) is str:
+                    named.setdefault(c.value, []).append(c)
+    return named
+
+
+def unnamed_definitions(trees: dict[str, ast.Module]) -> Iterator[tuple[str, int, str]]:
+    named = _namings(trees)
+    for name, qualified, bare, node in _checked_names(trees):
+        own = {id(n) for n in ast.walk(node)}
+        used = any(id(n) not in own for n in named.get(bare, ()))
+        if used and qualified in TEST_ONLY:
+            yield name, node.lineno, f"{qualified} is named in the package: take it off TEST_ONLY"
+        elif not used and qualified not in TEST_ONLY:
+            yield name, node.lineno, f"{qualified} is named by no module of the package"
+
+
 RULES: dict[str, Rule] = {
     "assert": _walk_rule(lambda name, n: isinstance(n, ast.Assert)),
     "dataclasses": _walk_rule(_dataclasses),
@@ -261,6 +363,7 @@ RULES: dict[str, Rule] = {
     "one-process-exit": _per_module(one_process_exit),
     "one-integer-reader": _per_module(one_integer_reader),
     "command-scoped-imports": _per_module(command_scoped_imports),
+    "test-only-names": unnamed_definitions,
 }
 
 
@@ -268,15 +371,27 @@ def _findings(rule: str, trees: dict[str, ast.Module], paths: dict[str, str]) ->
     return [f"{paths[name]}:{line}: {what}" for name, line, what in RULES[rule](trees)]
 
 
-@pytest.mark.parametrize("rule", RULES)
-def test_the_package_keeps_the_rule(rule):
+def _package() -> tuple[dict[str, ast.Module], dict[str, str]]:
+    """The syntax tree and the repository path of every module, by file name."""
     files = sorted(PACKAGE.rglob("*.py"))
     assert files
     paths = {p.name: str(p.relative_to(ROOT)) for p in files}
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in files}
     assert len(trees) == len(files)  # the rules key a module by its file name
+    return trees, paths
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_the_package_keeps_the_rule(rule):
+    trees, paths = _package()
     found = _findings(rule, trees, paths)
     assert not found, "\n".join(found)
+
+
+def test_every_test_only_name_is_still_defined():
+    """A deletion takes its name off TEST_ONLY too, so the list stays exact."""
+    defined = {qualified for _, qualified, _, _ in _checked_names(_package()[0])}
+    assert sorted(TEST_ONLY - defined) == []
 
 
 # (rule, file name, source): one planted violation of each rule, flagged at
@@ -346,6 +461,7 @@ PLANTED = [
     ("command-scoped-imports", "cli.py", "# planted\nfrom . import cones, p1\n"),
     ("command-scoped-imports", "cli.py", "# planted\nfrom .presentation import graded_route, jacobian_matrix, t1_via_normal\n"),
     ("command-scoped-imports", "cli.py", "# planted\nimport json\n"),
+    ("test-only-names", "cones.py", "# planted\ndef unused_helper() -> None:\n    pass\n"),
 ]
 _PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3, "a-bool-is-not-an-int": 3, "one-process-exit": 3}
 
@@ -356,8 +472,10 @@ def test_each_rule_flags_a_planted_violation(rule, name, source):
     line = _PLANTED_LINE.get(rule, 2)
     found = _findings(rule, trees, paths)
     assert found and all(f.startswith(f"{name}:{line}: ") for f in found)
-    # the same tree is clean under every other rule
-    assert all(not _findings(other, trees, paths) for other in RULES if other != rule)
+    # the same tree is clean under every other rule; test-only-names reads
+    # the package as a whole, where a fragment's own definitions are named
+    # by no other module, so it judges only its own planted row
+    assert all(not _findings(other, trees, paths) for other in RULES if other not in (rule, "test-only-names"))
 
 
 def test_a_validating_constructor_is_not_forwarding():
