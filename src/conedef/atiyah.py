@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import TYPE_CHECKING
 
 from . import RequestError
 from .projective import check_cost
 from .records import FrozenRecord
 
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
 if TYPE_CHECKING:
     from .polynomials import RationalFunction
 

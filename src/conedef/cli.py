@@ -26,15 +26,19 @@ parses itself (a descriptor, a weight window, a trace asked of
 ``--format csv``) with the same ``RequestError``.  README's cost table is
 the one account of what each command costs.
 
+Each option has one spelling, the one ``--help`` prints: every parser is
+built with ``allow_abbrev=False``, so argparse refuses a prefix such as
+``--wei`` instead of reading it as ``--weights``.
+
 Exit codes: 0 success, 2 usage error (unparseable arguments, which
-argparse refuses: an integer option not in plain decimal, a ``jacobian``
-with both or neither of ``--weight`` and ``--dump-matrix``; or a
-``RequestError``: a descriptor field out of range or not in plain decimal,
-a window bound not in plain decimal, an empty weight window, a cohomology
-level other than 0 or 1, a curve degree below 2, n below 2, a trace asked
-of ``--format csv``, a request over either budget, an integer too long to
-read, a count or a certificate step too long to print; :func:`decimal`
-reads every integer),
+argparse refuses: an abbreviated or unknown option, an integer option not
+in plain decimal, a ``jacobian`` with both or neither of ``--weight`` and
+``--dump-matrix``; or a ``RequestError``: a descriptor field out of range
+or not in plain decimal, a window bound not in plain decimal, an empty
+weight window, a cohomology level other than 0 or 1, a curve degree below
+2, n below 2, a trace asked of ``--format csv``, a request over either
+budget, an integer too long to read, a count or a certificate step too
+long to print; :func:`decimal` reads every integer),
 3 for well-formed requests the engine refuses to answer with bare numbers
 (certificate-only geometries, h^2(T_Y (x) L^m) outside
 the curve/surface catalog), 4 when two routes to the same number disagreed
@@ -67,12 +71,16 @@ import argparse
 import os
 import sys
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, NoReturn, Optional, Sequence, TextIO
 
 from . import InternalConsistencyError, OutOfScopeError, RequestError
 
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
 if TYPE_CHECKING:
+    from typing import Iterable, NoReturn, Sequence, TextIO
+
     from .cones import Variety
+
+    Reply = tuple[dict, dict, list[str] | None]  # inputs, result, trace lines (None: a costly trace not asked for)
 
 SCHEMA_VERSION = "1"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
@@ -146,10 +154,7 @@ def _check_printable(counts: Iterable[tuple[int, int]]) -> None:
     check_printable(count, f"the count at weight {m}")
 
 
-Reply = tuple[dict, dict, Optional[list[str]]]  # inputs, result, trace lines (None: a costly trace not asked for)
-
-
-def cmd_t1(args: argparse.Namespace) -> Optional[Reply]:
+def cmd_t1(args: argparse.Namespace) -> Reply | None:
     from . import cones
 
     if args.trace and args.format == "csv":
@@ -252,50 +257,44 @@ class _CatalogHelp(argparse.HelpFormatter):
     """The help of ``t1`` and ``rigidity``, whose ``variety`` help lists the
     catalog's usage forms, read when the help is formatted."""
 
-    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+    def _get_help_string(self, action: argparse.Action) -> str | None:
         return " | ".join(_descriptors()) if action.dest == "variety" else super()._get_help_string(action)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conedef",
-        description="exact graded deformation counts for affine cones over polarized varieties",
-    )
+    parser = argparse.ArgumentParser(prog="conedef", allow_abbrev=False,
+                                     description="exact graded deformation counts for affine cones over polarized varieties")
     sub = parser.add_subparsers(dest="command", required=True)
-    traced = argparse.ArgumentParser(add_help=False)
-    traced.add_argument("--trace", action="store_true", help="include a computation trace")
-    windowed = argparse.ArgumentParser(add_help=False)
-    windowed.add_argument("variety", help="a catalog descriptor")  # printed as _CatalogHelp writes it
-    windowed.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default %(default)s)")
-
     p_t1 = sub.add_parser(
-        "t1", parents=[traced, windowed], formatter_class=_CatalogHelp, help="weight table of h^q(T_Y (x) L^m), q = --order",
+        "t1", allow_abbrev=False, formatter_class=_CatalogHelp, help="weight table of h^q(T_Y (x) L^m), q = --order",
         description="weight table of h^q(T_Y (x) L^m): for each weight m of the window, the q-th cohomology "
         "of the tangent sheaf of Y twisted by the m-th power of the polarization L, with q = --order",
     )
+    p_rig = sub.add_parser("rigidity", allow_abbrev=False, formatter_class=_CatalogHelp,
+                           help="rigidity verdict with witness or replay certificate")
+    p_jac = sub.add_parser("jacobian", allow_abbrev=False, help="determinantal presentation data for the degree-d curve cone")
+    p_cech = sub.add_parser("cech", allow_abbrev=False, help="monomial basis of line cohomology on the line")
+    p_ati = sub.add_parser("atiyah", allow_abbrev=False, help="cocycle verification for the degree-one bundle on n-space")
+    # the shared arguments first, in this order, as each help and usage line lists them
+    for p, func in ((p_t1, cmd_t1), (p_rig, cmd_rigidity), (p_jac, cmd_jacobian), (p_cech, cmd_cech), (p_ati, cmd_atiyah)):
+        p.set_defaults(func=func)
+        p.add_argument("--trace", action="store_true", help="include a computation trace")
+    for p in (p_t1, p_rig):
+        p.add_argument("variety", help="a catalog descriptor")  # printed as _CatalogHelp writes it
+        p.add_argument("--weights", default="-6..3", help="inclusive weight window lo..hi (default %(default)s)")
+
     p_t1.add_argument("--order", type=decimal, choices=(1, 2), default=1, help="q of h^q(T_Y (x) L^m) (default 1)")
     p_t1.add_argument("--format", choices=("json", "csv"), default="json")
-    p_t1.set_defaults(func=cmd_t1)
 
-    p_rig = sub.add_parser("rigidity", parents=[traced, windowed], formatter_class=_CatalogHelp,
-                           help="rigidity verdict with witness or replay certificate")
-    p_rig.set_defaults(func=cmd_rigidity)
-
-    p_jac = sub.add_parser("jacobian", parents=[traced], help="determinantal presentation data for the degree-d curve cone")
     p_jac.add_argument("--d", type=decimal, required=True)
     mode = p_jac.add_mutually_exclusive_group(required=True)
     mode.add_argument("--weight", type=decimal, help="weight for the two-route count")
     mode.add_argument("--dump-matrix", action="store_true", help="print the generator Jacobian entry by entry")
-    p_jac.set_defaults(func=cmd_jacobian)
 
-    p_cech = sub.add_parser("cech", parents=[traced], help="monomial basis of line cohomology on the line")
     p_cech.add_argument("--i", type=decimal, required=True, help="cohomology level (0 or 1)")
     p_cech.add_argument("--k", type=decimal, required=True, help="degree")
-    p_cech.set_defaults(func=cmd_cech)
 
-    p_ati = sub.add_parser("atiyah", parents=[traced], help="cocycle verification for the degree-one bundle on n-space")
     p_ati.add_argument("--n", type=decimal, required=True)
-    p_ati.set_defaults(func=cmd_atiyah)
 
     return parser
 
@@ -312,7 +311,7 @@ def _merge_weight_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
             return _answer(argv)
@@ -355,7 +354,7 @@ def run() -> NoReturn:
     os._exit(status)
 
 
-def _answer(argv: Optional[Sequence[str]]) -> int:
+def _answer(argv: Sequence[str] | None) -> int:
     args = build_parser().parse_args(_merge_weight_values(sys.argv[1:] if argv is None else argv))
     try:
         reply = args.func(args)

@@ -43,12 +43,13 @@ form (the line, Bott, Kunneth) that decides every weight at once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
-
 from . import InternalConsistencyError, OutOfScopeError, RequestError, projective
 from .records import FrozenRecord
 
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
 if TYPE_CHECKING:
+    from typing import Callable
+
     from .delpezzo import Certificate
 
 
@@ -96,7 +97,7 @@ class Variety(FrozenRecord):
                 bound = f"between 1 and {self._upper[name]}" if name in self._upper else "at least 1"
                 raise RequestError(f"{type(self).__name__} field {name} must be {bound}, got {value}")
 
-    def certificate(self, m_lo: int, m_hi: int) -> Optional[Certificate]:
+    def certificate(self, m_lo: int, m_hi: int) -> Certificate | None:
         """The replay certificate that stands in for bare counts, if any."""
         return None
 
@@ -131,7 +132,7 @@ class VeroneseSpace(Variety):
             return "Euler-sequence chase on the plane with a computed connecting rank"
         return "both flanking groups of the Euler chase vanish for n >= 3"
 
-    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
+    def closed_form_rigidity(self) -> tuple[int | None, str]:
         if self.n == 1:
             # h^1(O(2 + d*m)) = max(0, -3 - d*m) is nonzero exactly when
             # d*m <= -4, so the nonzero weight closest to zero is floor(-4/d)
@@ -163,7 +164,7 @@ class ProductPolarization(Variety):
     def rule(self) -> str:
         return "Kunneth on the split tangent sheaf of the product of two lines"
 
-    def closed_form_rigidity(self) -> tuple[Optional[int], str]:
+    def closed_form_rigidity(self) -> tuple[int | None, str]:
         # O(2+ma, mb) + O(ma, 2+mb) has h^1 only where one entry is >= 0
         # and the other <= -2, which for m < 0 leaves m = -1 and m = -2
         lo, hi = sorted((self.a, self.b))
@@ -278,13 +279,13 @@ class RigidityVerdict(FrozenRecord):
 
     __slots__ = _fields = ("witness", "note", "certificate")
 
-    def __init__(self, witness: Optional[tuple[int, int]], note: str, certificate: Optional[Certificate]) -> None:
+    def __init__(self, witness: tuple[int, int] | None, note: str, certificate: Certificate | None) -> None:
         if witness is not None and certificate is not None:
             raise ValueError("a verdict holds a witness or a certificate, not both")
         self._set(witness, note, certificate)
 
     @property
-    def rigid(self) -> Optional[bool]:
+    def rigid(self) -> bool | None:
         return None if self.certificate is not None else self.witness is None
 
     @property
@@ -336,7 +337,7 @@ def corollary_flags(v: Variety, m: int) -> PolarizationFlags:
     return PolarizationFlags(*v.polarization_cohomology(m))
 
 
-def weight_zero_criterion(v: Variety) -> tuple[PolarizationFlags, Optional[int]]:
+def weight_zero_criterion(v: Variety) -> tuple[PolarizationFlags, int | None]:
     """The pair (``corollary_flags(v, 0)``, the weight-0 count).  The flags
     are the structure sheaf's h^1 and h^2, which must both vanish for the
     clean graded picture; the count is None for a certificate-only

@@ -35,15 +35,16 @@ No magnitude-based pivoting: there is no rounding error to fight.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .records import FrozenRecord, check_count, fraction_type
 
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Iterable, Sequence
 
-Scalar = Union[int, "Fraction"]
-Row = dict[int, Scalar]
+    Scalar = int | Fraction
+    Row = dict[int, Scalar]
 
 
 class RationalMatrix(FrozenRecord):

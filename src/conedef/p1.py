@@ -39,11 +39,10 @@ neither :mod:`conedef.polynomials` nor ``fractions``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import RequestError
 from .projective import _level, _pn_basis, _pn_mult_matrix, check_cost, hq_pn_line
 
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
 if TYPE_CHECKING:
     from .linalg import RationalMatrix
     from .polynomials import Polynomial

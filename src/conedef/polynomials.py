@@ -24,9 +24,11 @@ degree, then the exponents negated and read from the last variable.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 from .records import FrozenRecord, check_count
+
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
+if TYPE_CHECKING:
+    from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 

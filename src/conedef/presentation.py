@@ -46,12 +46,12 @@ integer matrix, the coordinate vectors of :func:`coefficients_in_grade` and
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING
 
 from . import InternalConsistencyError, RequestError, p1
 from .projective import _pn_mult_matrix, check_cost
 from .records import FrozenRecord
 
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
 if TYPE_CHECKING:
     from .polynomials import Polynomial
 

@@ -34,12 +34,14 @@ from __future__ import annotations
 import sys
 from math import comb
 from operator import add
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import InternalConsistencyError, RequestError
 from .records import FrozenRecord, check_count
 
+TYPE_CHECKING = False  # true to type checkers; at run time no command imports typing
 if TYPE_CHECKING:
+    from typing import Callable, Mapping, Sequence
+
     from .linalg import RationalMatrix, Row, Scalar
 
     Multiplier = Mapping[tuple[int, ...], Scalar]  # {exponent tuple: nonzero coefficient}

@@ -180,6 +180,35 @@ def test_grammar_fuzz_exits_cleanly(envelope_schema, argv):
         assert err.getvalue().count("\n") == 1
 
 
+@st.composite
+def _abbreviated(draw) -> list[str]:
+    """A request of the grammar fuzz with one option spelled as a proper
+    prefix of its name, at times joined to its value by "="."""
+    argv = draw(_requests())
+    flags = [i for i, token in enumerate(argv) if token.startswith("--") and len(token) > 3]
+    assume(flags)
+    i = draw(st.sampled_from(flags))
+    # a prefix that is no option of the command: jacobian's --d is one of --dump-matrix
+    argv[i] = draw(st.sampled_from([argv[i][:j] for j in range(3, len(argv[i])) if argv[i][:j] != "--d"]))
+    if i + 1 < len(argv) and not argv[i + 1].startswith("--") and draw(st.booleans()):
+        argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+@given(argv=_abbreviated())
+@example(argv=["t1", "rnc:4", "--wei", "-3..1"])
+@settings(max_examples=100, deadline=2000)
+def test_grammar_fuzz_refuses_an_abbreviated_option(argv):
+    """Each option has one spelling, the one ``--help`` prints: argparse
+    refuses a prefix of it with exit 2 and nothing on stdout, whatever the
+    rest of the request holds."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("usage: conedef"), err.getvalue()
+
+
 def test_parse_window():
     """The parser reads the two ints; whether the window is empty is the
     library's rule, checked where the window is priced."""
@@ -225,7 +254,7 @@ def test_t1_help_names_the_quantity_it_prints(capsys):
 
 def test_rigidity_help_says_what_it_reads(capsys, monkeypatch):
     """``rigidity --help`` describes the variety and the window it reads, as
-    ``t1 --help`` does: both subcommands declare them once, in one parent,
+    ``t1 --help`` does: both subcommands declare them once, in one loop,
     and the variety's help is the catalog's usage forms, read from the
     catalog when the help is printed."""
     monkeypatch.setenv("COLUMNS", "80")
@@ -818,6 +847,31 @@ def test_commands_never_load_dataclasses(argv):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--help",
+        "t1 veronese:2:4 --weights=-6..1",
+        "jacobian --d 11 --weight -1 --trace",
+        "atiyah --n 4",
+        "cech --i 1 --k -4",
+        "rigidity delpezzo:6",
+    ],
+)
+def test_commands_never_load_typing(argv):
+    """Annotations are strings, and the names they use are imported for
+    type checkers only (``TYPE_CHECKING = False``): no command pays for
+    loading ``typing``.  Run with ``-S``, since a site hook of the
+    interpreter may load typing before the command starts."""
+    env = {**os.environ, "PYTHONPATH": str(Path(conedef.__file__).parent.parent)}
+    cmd = [sys.executable, "-S", "-X", "importtime", "-m", "conedef", *argv.split()]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "conedef.cli" in loaded
+    assert not loaded & {"typing", "_typing"}
+
+
 # Each command loads the package root, the command line and the engine
 # modules it runs, and no more: the help and argparse's refusals load the
 # first two alone, a t1 or rigidity the catalog, cech the line and jacobian
@@ -1246,6 +1300,7 @@ _LARGEST_ADMITTED = [
 
 _HUGE = "9" * 4300
 _JACOBIAN_USAGE = "usage: conedef jacobian [-h] [--trace] --d D (--weight WEIGHT | --dump-matrix)\n"
+_USAGE = "usage: conedef [-h] {t1,rigidity,jacobian,cech,atiyah} ...\n"
 
 
 def _row_id(argv: str) -> str:
@@ -1346,6 +1401,19 @@ GOLDEN = [
     (f"jacobian --d {_HUGE}9 --weight 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_JACOBIAN_USAGE}conedef jacobian: error: argument --d: {_TOO_LONG.format(4300)}\n"),
     (f"t1 rnc:{_HUGE}9", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: bad variety descriptor 'rnc:{_HUGE}9': {_TOO_LONG.format(4300)}\n"),
     (f"t1 rnc:4 --weights=-{_HUGE}9..0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"error: bad weight window '-{_HUGE}9..0' (expected lo..hi): {_TOO_LONG.format(4300)}\n"),
+    # the program's help and each subcommand's (argparse wraps them at 80 columns)
+    ("--help", 0, "b1efbdfa356e1e7e5dc96ecc75e73c6171539835be64464e8ed2f9fd8bf8500b", ""),
+    ("t1 --help", 0, "8cd74b57cb5656ad3398596d5daee6d9e5be146072267076b56e5d58c3efe7a3", ""),
+    ("rigidity --help", 0, "96f73b5db20471f00fa7e3f816d0c84bd999da8042996ad48fc67fc12efa6f8f", ""),
+    ("jacobian --help", 0, "e6a692fd592f2e59582c24151ff8bf9d2a16b1e249c3e6256b81534c70636c7e", ""),
+    ("cech --help", 0, "21985a94f8c551df38e37e4705b97373514cc835b90980c2971edb999bbd4dc2", ""),
+    ("atiyah --help", 0, "4cac168089402ef4e23b1403df234b85161021ee3448b34e39d119e5400bd112", ""),
+    # each option has the one spelling the help prints: a prefix of it is
+    # refused, with a window that starts below zero or not, joined by "=" or not
+    ("t1 rnc:4 --wei -3..1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_USAGE}conedef: error: unrecognized arguments: --wei -3..1\n"),
+    ("t1 rnc:4 --wei=-3..1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_USAGE}conedef: error: unrecognized arguments: --wei=-3..1\n"),
+    ("t1 rnc:4 --tr --weights=-2..-1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_USAGE}conedef: error: unrecognized arguments: --tr\n"),
+    ("jacobian --d 3 --w 0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", f"{_JACOBIAN_USAGE}conedef jacobian: error: one of the arguments --weight --dump-matrix is required\n"),
     *_LARGEST_ADMITTED,
 ]
 

@@ -48,7 +48,13 @@ tree.  Each rule reports ``<path>:<line>: <what>``:
   package never writes (argparse's ``_get_help_string``).  It is a name
   match, not a call graph: it catches a new leaf that only tests call,
   not a chain such as ``rref_with_transform -> hstack`` below a test-only
-  head.
+  head;
+* no ``ArgumentParser(...)`` or ``add_parser(...)`` call in ``cli.py``
+  without ``allow_abbrev=False`` (each option has one spelling, the one
+  ``--help`` prints: argparse would also take any unambiguous prefix);
+* no import of ``typing`` outside an ``if TYPE_CHECKING:`` block, where
+  each module sets ``TYPE_CHECKING = False`` (no command pays for loading
+  ``typing``: annotations are strings, read by type checkers only).
 
 Each rule is also run on a planted violation, so none passes vacuously.
 """
@@ -341,6 +347,26 @@ def unnamed_definitions(trees: dict[str, ast.Module]) -> Iterator[tuple[str, int
             yield name, node.lineno, f"{qualified} is named by no module of the package"
 
 
+def one_spelling(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
+    if name != "cli.py":
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and {"ArgumentParser", "add_parser"} & _named(node.func):
+            if not any(k.arg == "allow_abbrev" and getattr(k.value, "value", None) is False for k in node.keywords):
+                yield node.lineno, "a parser that takes abbreviated options (pass allow_abbrev=False)"
+
+
+def _type_checking_only(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+
+
+def no_runtime_typing(name: str, tree: ast.Module) -> Iterator[tuple[int, str]]:
+    guarded = {id(n) for block in ast.walk(tree) if _type_checking_only(block) for s in block.body for n in ast.walk(s)}
+    for node in ast.walk(tree):
+        if any(m == "typing" or m.startswith("typing.") for m in _imported(node)) and id(node) not in guarded:
+            yield node.lineno, "import of typing outside an if TYPE_CHECKING: block"
+
+
 RULES: dict[str, Rule] = {
     "assert": _walk_rule(lambda name, n: isinstance(n, ast.Assert)),
     "dataclasses": _walk_rule(_dataclasses),
@@ -364,6 +390,8 @@ RULES: dict[str, Rule] = {
     "one-integer-reader": _per_module(one_integer_reader),
     "command-scoped-imports": _per_module(command_scoped_imports),
     "test-only-names": unnamed_definitions,
+    "one-spelling": _per_module(one_spelling),
+    "no-runtime-typing": _per_module(no_runtime_typing),
 }
 
 
@@ -462,6 +490,15 @@ PLANTED = [
     ("command-scoped-imports", "cli.py", "# planted\nfrom .presentation import graded_route, jacobian_matrix, t1_via_normal\n"),
     ("command-scoped-imports", "cli.py", "# planted\nimport json\n"),
     ("test-only-names", "cones.py", "# planted\ndef unused_helper() -> None:\n    pass\n"),
+    ("one-spelling", "cli.py", "# planted\np_ati = sub.add_parser(\"atiyah\", help=\"cocycle verification\")\n"),
+    ("one-spelling", "cli.py", "# planted\nparser = argparse.ArgumentParser(prog=\"conedef\", allow_abbrev=True)\n"),
+    ("no-runtime-typing", "cones.py", "# planted\nfrom typing import TYPE_CHECKING, Callable, Optional\n"),
+    ("no-runtime-typing", "linalg.py", """\
+        # planted
+        import typing.io
+        if TYPE_CHECKING:
+            from typing import Sequence
+    """),
 ]
 _PLANTED_LINE = {"forwarding-init": 5, "trace-has-one-owner": 3, "a-bool-is-not-an-int": 3, "one-process-exit": 3}
 
